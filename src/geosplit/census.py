@@ -32,6 +32,8 @@ the one relation this breaks.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -572,7 +574,9 @@ def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) 
         for lam2, d2 in t2.entries.items():
             lam = tensor_partitions(lam1, lam2)
             entries[lam] = entries.get(lam, Fraction(0)) + d1 * d2
-    return DensityTable(subgroup, entries, t1.xi_order * t2.xi_order, t1.index * t2.index)
+    # Xi(N1 N2) double-covers Xi(N1) x Xi(N2) (-I is taken diagonally), so
+    # the group order comes from the level, not from the factor orders
+    return DensityTable(subgroup, entries, xi_order(subgroup.level), t1.index * t2.index)
 
 
 def density_table_composite(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP) -> DensityTable:
@@ -734,9 +738,20 @@ def census_payload(family: Family, level: int, cap=DEFAULT_GROUP_CAP):
 
 
 def write_census(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    """Write the cache file atomically: a temporary file in the same
+    directory, made durable, then renamed over the target."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_census(path):

@@ -139,6 +139,11 @@ def _table_text(table, fmt):
 def cmd_densities(args):
     spec = SubgroupSpec(args.family, args.level)
     if args.composite:
+        if args.family != Family.GAMMA0:
+            print(f"error: --composite applies to gamma0 only: -I acts non-trivially on "
+                  f"the {args.family.value} cosets, so the tensor rule does not hold",
+                  file=sys.stderr)
+            return EXIT_USAGE
         if len(factorize(args.level)) < 2:
             print("error: --composite needs a level with at least two prime factors",
                   file=sys.stderr)
@@ -204,7 +209,11 @@ def cmd_census(args):
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"census-{args.family.value}-{args.level}.json")
     if os.path.exists(path):
-        cached = load_census(path)
+        try:
+            cached = load_census(path)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            print(f"error: unreadable census cache {path}: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
         if args.trust_cache:
             print(f"cache trusted: {path}")
             return EXIT_OK

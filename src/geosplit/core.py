@@ -230,24 +230,14 @@ def xi_order(n):
     return int(f)
 
 
-@lru_cache(maxsize=32)
-def enumerate_xi(n, cap=DEFAULT_GROUP_CAP):
-    """Sorted list of all canonical tuples of Xi(n).
+def xi_chain_heads(n):
+    """One element (a, b0, c, d0) per unimodular first column (a, c) of
+    Xi(n), taken up to sign.
 
-    Walks unimodular first columns (a, c); completions of a column form a
-    single orbit (b, d) -> (b + ta, d + tc), so each element is produced
-    exactly once for N > 2 after fixing the column sign.
+    The completions of a column form the single chain head * T^t,
+    (b, d) = (b0 + t*a, d0 + t*c) for t = 0..n-1, so the chains of the
+    heads partition Xi(n).  For n = 2, where -I = I, every column is kept.
     """
-    if xi_order(n) > cap:
-        raise CapExceeded(f"|Xi({n})| = {xi_order(n)} exceeds cap {cap}")
-    if n == 2:
-        out = [
-            (a, b, c, d)
-            for a in range(2) for b in range(2) for c in range(2) for d in range(2)
-            if (a * d - b * c) % 2 == 1
-        ]
-        return sorted(out)
-    out = []
     for a in range(n):
         for c in range(n):
             if math.gcd(math.gcd(a, c), n) != 1:
@@ -256,10 +246,20 @@ def enumerate_xi(n, cap=DEFAULT_GROUP_CAP):
                 continue  # one column per {+-} pair
             g, u, v = _ext_gcd(a, c)
             ginv = pow(g, -1, n)
-            d0 = (u * ginv) % n
-            b0 = (-v * ginv) % n
-            for t in range(n):
-                out.append(canon(a, b0 + t * a, c, d0 + t * c, n))
+            yield (a, (-v * ginv) % n, c, (u * ginv) % n)
+
+
+@lru_cache(maxsize=32)
+def enumerate_xi(n, cap=DEFAULT_GROUP_CAP):
+    """Sorted list of all canonical tuples of Xi(n): the chains of
+    `xi_chain_heads`, each element produced exactly once."""
+    if xi_order(n) > cap:
+        raise CapExceeded(f"|Xi({n})| = {xi_order(n)} exceeds cap {cap}")
+    out = [
+        canon(a, b0 + t * a, c, d0 + t * c, n)
+        for a, b0, c, d0 in xi_chain_heads(n)
+        for t in range(n)
+    ]
     out.sort()
     assert len(out) == xi_order(n)
     return out
@@ -297,6 +297,35 @@ def parse_partition(s):
 
 def partition_weight(lam):
     return sum(lam)
+
+
+def parts_from_traces(traces, order, weight):
+    """Partition from the fixed-point counts of a permutation's powers.
+
+    `traces[d]` is tr sigma^d for every divisor d of `order`, a multiple of
+    every cycle length; the Moebius recursion
+
+        m * l_m = sum_{d | m} mu(m/d) tr sigma^d
+
+    gives the number l_m of m-cycles.  Raises ConsistencyError when a
+    multiplicity is not a non-negative integer or the parts do not add up
+    to `weight` (which happens when `order` misses a cycle length).
+    """
+    ds = divisors(order)
+    mu = {d: moebius(d) for d in ds}
+    parts = []
+    for m in ds:
+        s = sum(mu[m // d] * traces[d] for d in ds if m % d == 0)
+        if s < 0 or s % m != 0:
+            raise ConsistencyError(
+                f"Moebius recursion produced invalid multiplicity {s}/{m}"
+            )
+        parts.extend([m] * (s // m))
+    parts.sort(reverse=True)
+    lam = tuple(parts)
+    if sum(lam) != weight:
+        raise ConsistencyError("Moebius-reconstructed type has wrong weight")
+    return lam
 
 
 # ---------------------------------------------------------------------------

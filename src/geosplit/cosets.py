@@ -31,9 +31,10 @@ from .core import (
     enumerate_xi,
     identity,
     is_member_tuple,
-    moebius,
     mul,
     order_in_xi_tuple,
+    parts_from_traces,
+    xi_chain_heads,
 )
 
 DEFAULT_INDEX_CAP = 10**7
@@ -161,27 +162,58 @@ def _as_tuple(g, level):
     return g.tuple
 
 
+# Permutation blocks are int32: gathers through ndarray.take with int32 indices
+# run as fast as with intp and move half the bytes.  Flat indices need a
+# block below 2^31 entries; the sweep's blocks hold at most
+# max(_BLOCK_ENTRIES, index) and the index is capped at DEFAULT_INDEX_CAP.
+_PERM_DTYPE = np.int32
+
+
+def _as_block(perms):
+    """2-D array of permutations, one per row."""
+    block = np.asarray(perms, dtype=_PERM_DTYPE)
+    return block[None, :] if block.ndim == 1 else block
+
+
+def _flat_successors(block):
+    """Row-wise permutations as one permutation of rows * width points:
+    point (r, i) maps to (r, block[r, i]), flattened row-major."""
+    rows, width = block.shape
+    offsets = np.arange(0, rows * width, width, dtype=_PERM_DTYPE)
+    return (block + offsets[:, None]).ravel()
+
+
+def cycle_types(block):
+    """Cycle type of every row of a 2-D block of permutations.
+
+    Pointer doubling (Wyllie): after k rounds of
+    label = min(label, label[p]); p = p[p], label[i] is the least point among
+    the 2^k successors of i, so the labels stop changing exactly when each
+    one is the least point of its cycle.  The cycle lengths are then the
+    point counts per leader.
+    """
+    block = _as_block(block)
+    rows, width = block.shape
+    p = _flat_successors(block)
+    points = np.arange(rows * width, dtype=_PERM_DTYPE)
+    label = points
+    while True:
+        nxt = np.minimum(label, label.take(p))
+        if not (nxt < label).any():
+            break
+        label = nxt
+        p = p.take(p)
+    leaders = np.flatnonzero(label == points)
+    lengths = np.bincount(label, minlength=rows * width)[leaders]
+    owner = leaders // width
+    lengths = lengths[np.lexsort((-lengths, owner))].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=rows)).tolist()
+    return [tuple(lengths[start:end]) for start, end in zip([0] + ends, ends)]
+
+
 def cycle_type_of(perm):
     """Cycle type of a permutation given as an image list/array."""
-    if isinstance(perm, np.ndarray):
-        perm = perm.tolist()
-    elif not isinstance(perm, list):
-        perm = list(perm)
-    n = len(perm)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    out.sort(reverse=True)
-    return tuple(out)
+    return cycle_types(perm)[0]
 
 
 def splitting_type_cycles(g, table: CosetTable):
@@ -197,35 +229,57 @@ def induced_trace(g, table: CosetTable):
     return sum(1 for i, j in enumerate(perm) if i == j)
 
 
-def moebius_type_from_perm(perm, m_order, index):
-    """Type from traces of permutation powers via the Moebius recursion:
+def _flat_power(memo, k):
+    """sigma^k of a flat permutation, memo[1] = sigma, by halving k and
+    composing by gathers; every power it builds is kept in memo."""
+    q = memo.get(k)
+    if q is None:
+        h = _flat_power(memo, k // 2)
+        q = h.take(h)
+        if k & 1:
+            q = memo[1].take(q)
+        memo[k] = q
+    return q
 
-        m * l_m = sum_{d | m} mu(m/d) tr sigma(g^d),
 
-    with m running over the divisors of the order of g in Xi (every part
-    divides that order).  Never inspects cycles; powers of the permutation
-    are taken by composition and only their fixed points are counted.
+def moebius_types(block, orders, index):
+    """Type of every row of a block of permutations from the traces of its
+    powers alone, via the Moebius recursion of `parts_from_traces`.
+
+    orders[r] is a multiple of every cycle length of row r (the order of
+    the group element); rows are grouped by it, the powers sigma^d for the
+    divisors d are composed by gathers and only their fixed points are
+    counted.  The recursion runs once per distinct (order, trace vector).
+    Never inspects cycles.
     """
-    if not isinstance(perm, np.ndarray):
-        perm = np.array(perm, dtype=np.int64)
-    idx = np.arange(len(perm))
-    traces = {}
-    for d in divisors(m_order):
-        q = _perm_power(perm, d)
-        traces[d] = int(np.count_nonzero(q == idx))
-    parts = []
-    for m in divisors(m_order):
-        s = sum(moebius(m // d) * traces[d] for d in divisors(m))
-        if s < 0 or s % m != 0:
-            raise ConsistencyError(
-                f"Moebius recursion produced invalid multiplicity {s}/{m}"
-            )
-        parts.extend([m] * (s // m))
-    parts.sort(reverse=True)
-    lam = tuple(parts)
-    if sum(lam) != index:
-        raise ConsistencyError("Moebius-reconstructed type has wrong weight")
-    return lam
+    block = _as_block(block)
+    width = block.shape[1]
+    out = [None] * len(block)
+    groups = {}
+    for r, m in enumerate(orders):
+        groups.setdefault(int(m), []).append(r)
+    for m, sel in groups.items():
+        memo = {1: _flat_successors(block.take(sel, axis=0))}
+        points = np.arange(len(sel) * width, dtype=_PERM_DTYPE)
+        ds = divisors(m)
+        fixed = np.empty((len(ds), len(points)), dtype=bool)
+        for j, d in enumerate(ds):
+            np.equal(_flat_power(memo, d), points, out=fixed[j])
+        traces = fixed.reshape(len(ds), len(sel), width).sum(axis=2).T
+        types = {}
+        for r, tr in zip(sel, map(tuple, traces.tolist())):
+            lam = types.get(tr)
+            if lam is None:
+                lam = types[tr] = parts_from_traces(dict(zip(ds, tr)), m, index)
+            out[r] = lam
+    return out
+
+
+def moebius_type_from_perm(perm, m_order, index):
+    """Type of one permutation from the traces of its powers alone (a 1-row
+    `moebius_types`); m_order is the order of g in Xi, which every part
+    divides.  Never inspects cycles."""
+    return moebius_types(perm, [m_order], index)[0]
 
 
 def splitting_type_moebius(g, table: CosetTable):
@@ -235,35 +289,65 @@ def splitting_type_moebius(g, table: CosetTable):
     return moebius_type_from_perm(act(gt, table), m_order, table.index)
 
 
+# permutation entries held by one block of the dual sweep: small enough that
+# the sweep's working set stays near the cache size, large enough that the
+# per-block numpy overhead is paid rarely
+_BLOCK_ENTRIES = 1 << 14
+
+
+def coset_chain_blocks(table: CosetTable):
+    """Every element of Xi(N) with its coset permutation, in blocks.
+
+    Xi(N) is swept as the chains head * T^k of `xi_chain_heads`.  The action
+    is a homomorphism, so sigma(head * T^k) = sigma(head)[sigma(T)^k]: one
+    `act` per chain head and one gather from the table of powers of
+    sigma(T) give the whole chain.  Yields (elements, block) with the
+    canonical element tuples and a rows x index array of their
+    permutations, holding whole chains where one fits into _BLOCK_ENTRIES
+    entries and consecutive pieces of one chain otherwise.
+    """
+    n, index = table.level, table.index
+    t_perm = np.asarray(act(canon(1, 1, 0, 1, n), table), dtype=_PERM_DTYPE)
+    t_powers = np.empty((n, index), dtype=_PERM_DTYPE)
+    t_powers[0] = np.arange(index)
+    for k in range(1, n):
+        t_powers[k] = t_powers[k - 1].take(t_perm)
+    chains = max(1, _BLOCK_ENTRIES // (n * index))
+    step = max(1, min(n, _BLOCK_ENTRIES // index))
+    heads = list(xi_chain_heads(n))
+    for h0 in range(0, len(heads), chains):
+        group = heads[h0:h0 + chains]
+        head_perms = np.array([act(h, table) for h in group], dtype=_PERM_DTYPE)
+        for k0 in range(0, n, step):
+            ks = range(k0, min(k0 + step, n))
+            elements = [
+                canon(a, b0 + k * a, c, d0 + k * c, n)
+                for a, b0, c, d0 in group
+                for k in ks
+            ]
+            block = head_perms.take(t_powers[k0:k0 + step], axis=1)
+            yield elements, block.reshape(-1, index)
+
+
 def dual_type_report(level, family, group_cap=None):
     """Exhaustive cycle-vs-Moebius comparison over all of Xi(level).
 
-    Returns (element count, mismatch list); one shared permutation per
-    element feeds both extraction routes.
+    Returns (element count, mismatch list sorted by element); one shared
+    permutation per element feeds both extraction routes.
     """
     table = build_coset_table(SubgroupSpec(family, level), group_cap=group_cap)
-    kwargs = {} if group_cap is None else {"cap": group_cap}
-    xi = enumerate_xi(level, **kwargs)
+    count = 0
     mismatches = []
-    for g in xi:
-        perm = act(g, table)
-        lam_c = cycle_type_of(perm)
-        lam_m = moebius_type_from_perm(perm, order_in_xi_tuple(g, level), table.index)
-        if lam_c != lam_m:
-            mismatches.append((g, lam_c, lam_m))
-    return len(xi), mismatches
-
-
-def _perm_power(perm, d):
-    """perm^d via binary composition (permutations compose by indexing)."""
-    result = None
-    base = perm
-    while d:
-        if d & 1:
-            result = base if result is None else base[result]
-        base = base[base]
-        d >>= 1
-    return result if result is not None else np.arange(len(perm))
+    for elements, block in coset_chain_blocks(table):
+        orders = [order_in_xi_tuple(g, level) for g in elements]
+        by_cycles = cycle_types(block)
+        by_moebius = moebius_types(block, orders, table.index)
+        for g, lam_c, lam_m in zip(elements, by_cycles, by_moebius):
+            if lam_c != lam_m:
+                mismatches.append((g, lam_c, lam_m))
+        count += len(elements)
+    mismatches.sort(key=lambda row: row[0])
+    return count, mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,15 @@ def norm_below(t, x):
     return t * t * x < (x + 1) ** 2
 
 
+def exact_cutoff(x):
+    """The cutoff as a Fraction; inf and nan have none and are refused."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cutoff must be finite, got {x}")
+    return Fraction(x)
+
+
 def max_trace(x):
-    x = Fraction(x)
+    x = exact_cutoff(x)
     t = int(math.isqrt(int(x))) + 2
     while t >= 3 and not norm_below(t, x):
         t -= 1
@@ -334,7 +341,7 @@ def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=Fal
     Splitting types only depend on the reduction mod N, so they are
     memoized per projected element (at most |Xi(N)| distinct keys).
     """
-    if Fraction(x) < MIN_CUTOFF:
+    if exact_cutoff(x) < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}")
     table = build_coset_table(s)
     if classes is None:

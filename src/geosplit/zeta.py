@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Family, SubgroupSpec, order_in_xi_tuple
+from .core import Family, SubgroupSpec, order_in_xi_tuple, prime_factors
 from .cosets import build_coset_table, splitting_type_cycles
 from .geodesics import enumerate_primitive_classes, norm_below
 
@@ -214,8 +214,8 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     factorization.  Classes entering zeta^(p,p) are exactly those whose
     reduction mod p has order p.
     """
-    if p % 2 == 0 or p < 3:
-        raise ValueError("require an odd prime p")
+    if p < 3 or p % 2 == 0 or prime_factors(p) != [p]:
+        raise ValueError(f"require an odd prime p, got {p}")
     if s <= 1:
         raise ValueError("require s > 1")
     if data is None:

@@ -307,6 +307,26 @@ def test_composite_convolution_matches_direct_15():
     assert density_table_composite(s).entries == density_table(s).entries
 
 
+@pytest.mark.parametrize("n", [12, 15, 21, 75])
+def test_gamma0_composite_equals_census(n):
+    s = SubgroupSpec(Family.GAMMA0, n)
+    composite, census = density_table_composite(s), density_table(s)
+    assert composite.entries == census.entries
+    assert composite.index == census.index
+    assert composite.xi_order == census.xi_order == xi_order(n)
+
+
+def test_write_census_replaces_atomically(tmp_path):
+    from geosplit.census import load_census, write_census
+
+    path = tmp_path / "census-gamma0-5.json"
+    write_census(path, {"level": 5, "stale": True})
+    payload = census_payload(Family.GAMMA0, 5)
+    write_census(path, payload)
+    assert load_census(path) == payload
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_composite_rejects_prime_powers():
     with pytest.raises(ValueError):
         density_table_composite(SubgroupSpec(Family.GAMMA0, 25))

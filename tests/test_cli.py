@@ -53,6 +53,22 @@ def test_densities_composite_rejects_prime(capsys):
     assert code == 1
 
 
+def test_densities_composite_xi_order_from_level(capsys):
+    code, out, _ = run(capsys, "densities", "--family", "gamma0", "--level", "75",
+                       "--composite")
+    assert code == 0
+    assert json.loads(out)["xi_order"] == 180000
+
+
+@pytest.mark.parametrize("family", ["gamma1", "gamma"])
+def test_densities_composite_refused_outside_gamma0(capsys, family):
+    code, out, err = run(capsys, "densities", "--family", family, "--level", "15",
+                         "--composite")
+    assert code == 1
+    assert out == ""
+    assert "gamma0 only" in err and len(err.strip().splitlines()) == 1
+
+
 def test_densities_cap_exit(capsys):
     code, _, err = run(capsys, "densities", "--family", "gamma0", "--level", "9973")
     assert code == 2
@@ -134,6 +150,20 @@ def test_census_cache_flow(tmp_path, capsys):
     assert code == 3 and "stale" in err
 
 
+def test_census_truncated_cache_is_inconsistent(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(capsys, "--cache-dir", cache, "census", "--level", "3")
+    assert code == 0
+    path = os.path.join(cache, "census-gamma0-3.json")
+    text = open(path).read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    for flags in ((), ("--trust-cache",)):
+        code, out, err = run(capsys, "--cache-dir", cache, "census", "--level", "3", *flags)
+        assert code == 3 and out == ""
+        assert "unreadable census cache" in err
+
+
 def test_census_level_25_size(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, out, _ = run(capsys, "--cache-dir", cache, "census", "--level", "25")
@@ -162,6 +192,24 @@ def test_zeta_check_ratio(capsys):
     assert set(doc) == {"p", "s", "cutoff", "lhs_log", "rhs_log", "discrepancy",
                         "term_count"}
     assert doc["discrepancy"] < 1e-9
+
+
+@pytest.mark.parametrize("p", ["9", "15"])
+def test_zeta_check_rejects_composite_p(capsys, p):
+    code, out, err = run(capsys, "--jobs", "1", "zeta-check", "--p", p, "--s", "2",
+                         "--x", "2000")
+    assert code == 1 and out == ""
+    assert "odd prime" in err
+
+
+@pytest.mark.parametrize("cmd", ["empirical", "zeta-check"])
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_non_finite_cutoff_is_usage_error(capsys, cmd, x):
+    args = (["empirical", "--family", "gamma0", "--level", "5"] if cmd == "empirical"
+            else ["zeta-check", "--p", "3", "--s", "2"])
+    code, out, err = run(capsys, "--jobs", "1", *args, "--x", x)
+    assert code == 1 and out == ""
+    assert "finite" in err
 
 
 def test_zeta_check_venkov(capsys):

@@ -22,6 +22,7 @@ from geosplit.cosets import (
     cycle_type_of,
     dual_type_report,
     induced_trace,
+    moebius_type_from_perm,
     splitting_type_cycles,
     splitting_type_moebius,
 )
@@ -253,3 +254,141 @@ def test_part_divisibility():
         for g in enumerate_xi(9):
             m = order_in_xi_tuple(g, 9)
             assert all(m % part == 0 for part in splitting_type_cycles(g, t))
+
+
+# ---------------------------------------------------------------------------
+# block kernels and the chain sweep
+
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+from geosplit.core import ConsistencyError
+from geosplit.cosets import coset_chain_blocks, cycle_types, moebius_types
+
+
+def walk_cycle_type(perm):
+    """Oracle: follow each unvisited point around its cycle."""
+    seen = [False] * len(perm)
+    out = []
+    for i in range(len(perm)):
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            out.append(length)
+    return tuple(sorted(out, reverse=True))
+
+
+def _perm_from_cycles(lengths, rng):
+    """A permutation with the given cycle lengths on shuffled points."""
+    points = list(range(sum(lengths)))
+    rng.shuffle(points)
+    perm = [0] * len(points)
+    start = 0
+    for length in lengths:
+        cycle = points[start:start + length]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        start += length
+    return perm
+
+
+@st.composite
+def perm_blocks(draw):
+    """Blocks of permutations of one width, mixing random permutations with
+    the extremes: the identity and a single long cycle."""
+    width = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    block = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "identity", "long")))
+        if kind == "identity":
+            block.append(list(range(width)))
+        elif kind == "long":
+            block.append(_perm_from_cycles([width], rng))
+        else:
+            perm = list(range(width))
+            rng.shuffle(perm)
+            block.append(perm)
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(perm_blocks(), st.integers(min_value=1, max_value=3))
+def test_block_kernels_match_cycle_walk(block, multiple):
+    expected = [walk_cycle_type(perm) for perm in block]
+    assert cycle_types(block) == expected
+    width = len(block[0])
+    orders = [lcm(*lam) for lam in expected]
+    assert moebius_types(block, orders, width) == expected
+    assert moebius_types(block, [m * multiple for m in orders], width) == expected
+    assert [cycle_type_of(perm) for perm in block] == expected
+
+
+def test_block_kernel_edge_cases():
+    assert cycle_types([[0]]) == [(1,)]
+    assert moebius_types([[0]], [1], 1) == [(1,)]
+    rng = random.Random(3)
+    long = _perm_from_cycles([997], rng)
+    assert cycle_type_of(long) == (997,)
+    assert moebius_types([long, list(range(997))], [997, 1], 997) == [(997,), (1,) * 997]
+
+
+def test_moebius_rejects_order_missing_a_cycle_length():
+    perm = _perm_from_cycles([3, 2], random.Random(1))
+    with pytest.raises(ConsistencyError):
+        moebius_types([perm], [3], 5)
+    with pytest.raises(ConsistencyError):
+        moebius_type_from_perm(perm, 2, 5)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", list(range(2, 13)))
+def test_chain_permutations_match_reference(family, n):
+    t = table(family, n)
+    swept = []
+    for elements, block in coset_chain_blocks(t):
+        assert block.shape == (len(elements), t.index)
+        for g, perm in zip(elements, block.tolist()):
+            assert perm == _act_reference(g, t), g
+        swept.extend(elements)
+    assert sorted(swept) == enumerate_xi(n)
+
+
+def _reference_dual_report(level, family):
+    """Per-element loop: reference action, both type routes."""
+    t = table(family, level)
+    mismatches = []
+    for g in enumerate_xi(level):
+        perm = _act_reference(g, t)
+        lam_c = cycle_type_of(perm)
+        lam_m = moebius_type_from_perm(perm, order_in_xi_tuple(g, level), t.index)
+        if lam_c != lam_m:
+            mismatches.append((g, lam_c, lam_m))
+    return len(enumerate_xi(level)), mismatches
+
+
+@pytest.mark.parametrize("family,n", [(Family.GAMMA0, 7), (Family.GAMMA1, 8), (Family.GAMMA, 6)])
+def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
+    import geosplit.cosets as cosets
+
+    assert dual_type_report(n, family) == _reference_dual_report(n, family)
+
+    # with a Moebius route that is wrong for even orders, both report the
+    # same mismatches, sorted by element
+    exact = cosets.moebius_types
+
+    def skewed(block, orders, index):
+        return [lam + (0,) if m % 2 == 0 else lam
+                for lam, m in zip(exact(block, orders, index), orders)]
+
+    monkeypatch.setattr(cosets, "moebius_types", skewed)
+    count, mismatches = dual_type_report(n, family)
+    assert mismatches
+    assert (count, mismatches) == _reference_dual_report(n, family)
+    assert [m[0] for m in mismatches] == sorted(m[0] for m in mismatches)

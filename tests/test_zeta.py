@@ -27,6 +27,12 @@ def test_rejects_bad_arguments(data_1e4):
         ratio_identity_check(5, 0.9, 100)
 
 
+@pytest.mark.parametrize("p", [1, 2, 9, 15, 21])
+def test_ratio_identity_requires_odd_prime(p):
+    with pytest.raises(ValueError, match="odd prime"):
+        ratio_identity_check(p, 2.0, 100)
+
+
 def test_zero_density_type_gives_empty_product(data_1e4):
     s = SubgroupSpec(Family.GAMMA0, 5)
     z = zeta_lambda_log(2.0, 10**4, s, (6,), data_1e4)
