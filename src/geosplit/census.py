@@ -58,7 +58,7 @@ from .core import (
     xi_order,
     DEFAULT_GROUP_CAP,
 )
-from .cosets import build_coset_table, splitting_type_cycles
+from .cosets import build_coset_table, splitting_types
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +268,12 @@ def density_table(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP, classes=None, table=No
     if classes is None:
         classes = conjugacy_classes(s.level, cap=cap)
     order = xi_order(s.level)
+    missing = [rec for rec in classes if s.family not in rec.types]
+    for rec, lam in zip(missing, splitting_types([rec.representative for rec in missing], table)):
+        rec.types[s.family] = lam
     entries = {}
     for rec in classes:
-        lam = rec.types.get(s.family)
-        if lam is None:
-            lam = splitting_type_cycles(rec.representative, table)
-            rec.types[s.family] = lam
+        lam = rec.types[s.family]
         entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
     return DensityTable(s, entries, order, table.index)
 

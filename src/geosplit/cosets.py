@@ -221,6 +221,16 @@ def splitting_type_cycles(g, table: CosetTable):
     return cycle_type_of(act(g, table))
 
 
+def splitting_types(elements, table: CosetTable):
+    """Splitting types of a list of elements: one `act` each, the cycle
+    types in blocks of at most _BLOCK_ENTRIES entries (at least one row)."""
+    rows = max(1, _BLOCK_ENTRIES // table.index)
+    out = []
+    for start in range(0, len(elements), rows):
+        out += cycle_types([act(g, table) for g in elements[start:start + rows]])
+    return out
+
+
 def induced_trace(g, table: CosetTable):
     """Number of fixed cosets of g (the induced-representation character)."""
     perm = act(g, table)

@@ -14,7 +14,10 @@ The norm cutoff N(gamma) < x is decided in exact arithmetic:
     ((t + sqrt(t^2-4))/2)^2 < x   <=>   t*sqrt(x) < x + 1   <=>   t^2 x < (x+1)^2,
 
 evaluated over Fractions so float cutoffs never misclassify a boundary
-trace; the rule is monotone in x.
+trace.  Every norm exceeds 1, and for x > 1 the rule holds for t exactly
+below sqrt(x) + 1/sqrt(x), so it is monotone in t as well as in x: a cutoff
+is evaluated once, as the largest admitted trace `max_trace(x)`, and every
+per-class test is the integer comparison t <= max_trace(x).
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .core import IntegerMatrix, SubgroupSpec
+from .core import CapExceeded, IntegerMatrix, SubgroupSpec, canon, order_in_xi_tuple
 from .census import DensityTable
-from .cosets import build_coset_table, splitting_type_cycles
-from .core import order_in_xi_tuple
+from .cosets import build_coset_table, splitting_types
 
 
 MIN_CUTOFF = 7  # the shortest geodesic (t = 3) has norm ((3+sqrt5)/2)^2 ~ 6.854
+# largest cutoff enumerated; the smallest-prime-factor sieve holds about x/4
+# entries in every pool worker
+MAX_CUTOFF = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,7 @@ def class_of_matrix(m):
 def norm_below(t, x):
     """Exact test N(class of trace t) < x."""
     x = Fraction(x)
-    return t * t * x < (x + 1) ** 2
+    return x > 1 and t * t * x < (x + 1) ** 2
 
 
 def exact_cutoff(x):
@@ -217,6 +222,8 @@ def exact_cutoff(x):
 
 
 def max_trace(x):
+    """Largest trace t with N(t) < x (2 if there is none): for x >= 0 and
+    t >= 3, t <= max_trace(x) exactly when norm_below(t, x)."""
     x = exact_cutoff(x)
     t = int(math.isqrt(int(x))) + 2
     while t >= 3 and not norm_below(t, x):
@@ -255,7 +262,10 @@ def _trace_worker(args):
 
 def enumerate_primitive_classes(x, jobs=1):
     """All primitive classes with N(gamma) < x as (trace, canonical form,
-    representative matrix) triples, sorted by (trace, form)."""
+    representative matrix) triples, sorted by (trace, form).  A cutoff above
+    MAX_CUTOFF raises CapExceeded before anything is allocated."""
+    if exact_cutoff(x) > MAX_CUTOFF:
+        raise CapExceeded(f"cutoff {x} exceeds cap {MAX_CUTOFF}")
     t_max = max_trace(x)
     if t_max < 3:
         return []
@@ -291,8 +301,6 @@ def enumerate_primitive_classes(x, jobs=1):
                 imprimitive[tk].add(class_of_matrix(mk))
     out = []
     for t in sorted(per_trace):
-        if not norm_below(t, x):
-            continue
         for f in per_trace[t]:
             if f not in imprimitive[t]:
                 out.append((t, f, matrix_from_form(t, f)))
@@ -335,6 +343,25 @@ class EmpiricalTally:
     witnesses: list = field(default_factory=list)
 
 
+def residue_keys(classes, n):
+    """Reductions mod n of the classes' matrices as canonical tuples, one
+    shared tuple per distinct residue.  The canonical tuple of an
+    IntegerMatrix needs no determinant check: it was made at construction."""
+    shared = {}
+    return [shared.setdefault(g, g) for g in (canon(m.a, m.b, m.c, m.d, n) for _, _, m in classes)]
+
+
+def residue_types(keys, table, memo):
+    """Fill memo[g] = (splitting type, order in Xi(N)) for every residue g
+    among keys that memo lacks; the misses share one blocked cycle-type
+    pass.  Returns memo."""
+    missing = list(dict.fromkeys(g for g in keys if g not in memo))
+    n = table.level
+    for g, lam in zip(missing, splitting_types(missing, table)):
+        memo[g] = (lam, order_in_xi_tuple(g, n))
+    return memo
+
+
 def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=False) -> EmpiricalTally:
     """Tally splitting types of all primitive classes with norm < x.
 
@@ -343,33 +370,25 @@ def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=Fal
     """
     if exact_cutoff(x) < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}")
+    t_max = max_trace(x)
     table = build_coset_table(s)
     if classes is None:
         classes = enumerate_primitive_classes(x, jobs=jobs)
-    memo = {}
+    kept = [c for c in classes if c[0] <= t_max]
+    keys = residue_keys(kept, s.level)
+    memo = residue_types(keys, table, {})
     counts = {}
-    total = 0
     anomalous = 0
     witnesses = []
-    for t, f, m in classes:
-        if not norm_below(t, x):
-            continue
-        g = m.reduce_mod(s.level).tuple
-        cached = memo.get(g)
-        if cached is None:
-            lam = splitting_type_cycles(g, table)
-            m_gamma = order_in_xi_tuple(g, s.level)
-            cached = (lam, m_gamma, m_gamma not in lam)
-            memo[g] = cached
-        lam, m_gamma, is_anomalous = cached
+    for (t, f, _), g in zip(kept, keys):
+        lam, m_gamma = memo[g]
         counts[lam] = counts.get(lam, 0) + 1
-        total += 1
-        if is_anomalous:
+        if m_gamma not in lam:
             anomalous += 1
             if len(witnesses) < 50:
                 witnesses.append({"trace": t, "form": list(f), "order": m_gamma,
                                   "type": list(lam)})
-    tally = EmpiricalTally(s, float(x), counts, total)
+    tally = EmpiricalTally(s, float(x), counts, len(kept))
     if scan_anomalous:
         tally.anomalous = anomalous
         tally.witnesses = witnesses

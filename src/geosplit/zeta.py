@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Family, SubgroupSpec, order_in_xi_tuple, prime_factors
-from .cosets import build_coset_table, splitting_type_cycles
-from .geodesics import enumerate_primitive_classes, norm_below
+from .core import Family, SubgroupSpec, canon, prime_factors
+from .cosets import build_coset_table
+from .geodesics import enumerate_primitive_classes, max_trace, residue_keys, residue_types
 
 
 class KahanSum:
@@ -33,6 +33,9 @@ class KahanSum:
 class FloatArith:
     """Plain doubles with compensated summation."""
 
+    def __init__(self):
+        self._factors = {}
+
     def acc(self):
         return KahanSum()
 
@@ -43,6 +46,14 @@ class FloatArith:
     def euler_term(self, log_n, s):
         # -log(1 - N^{-s})
         return -math.log1p(-math.exp(-s * log_n))
+
+    def factor(self, t, e):
+        """-log(1 - N^{-e}) for the norm N of trace t, memoized per (t, e)."""
+        key = (t, e)
+        got = self._factors.get(key)
+        if got is None:
+            got = self._factors[key] = self.euler_term(self.log_norm(t), e)
+        return got
 
     def frac(self, a, b):
         return a / b
@@ -75,6 +86,9 @@ class MPArith:
     def euler_term(self, log_n, s):
         return -self.mp.log1p(-self.mp.e ** (-self.mp.mpf(s) * log_n))
 
+    def factor(self, t, e):
+        return self.euler_term(self.log_norm(t), e)
+
     def frac(self, a, b):
         return self.mp.mpf(a) / self.mp.mpf(b)
 
@@ -92,21 +106,38 @@ class ZetaTruncation:
 
 
 class ClassData:
-    """Base classes with norms and per-subgroup splitting types, shared by
-    all the checks at one cutoff."""
+    """Base classes with per-subgroup splitting types, shared by all the
+    checks at cutoffs up to the one it was built at.
+
+    `t_max` is the largest trace of that cutoff; a check at a cutoff x uses
+    the classes of trace <= max_trace(x) and is refused with ValueError when
+    that exceeds `t_max`.
+    """
 
     def __init__(self, x, classes=None, jobs=1):
         self.cutoff = float(x)
+        self.t_max = max_trace(x)
         if classes is None:
             classes = enumerate_primitive_classes(x, jobs=jobs)
-        self.classes = [(t, f, m) for (t, f, m) in classes if norm_below(t, x)]
+        self.classes = [c for c in classes if c[0] <= self.t_max]
         self._tables = {}
-        self._memo = {}
+        self._memo = {}  # subgroup -> {residue: (type, order)}
+
+    def trace_bound(self, x):
+        """max_trace(x); ValueError if the data stops below it."""
+        t_max = max_trace(x)
+        if t_max > self.t_max:
+            raise ValueError(
+                f"cutoff {x} needs traces up to {t_max}, but the class data was "
+                f"built at cutoff {self.cutoff} and stops at trace {self.t_max}"
+            )
+        return t_max
 
     def restrict(self, x):
         sub = ClassData.__new__(ClassData)
         sub.cutoff = float(x)
-        sub.classes = [(t, f, m) for (t, f, m) in self.classes if norm_below(t, x)]
+        sub.t_max = self.trace_bound(x)
+        sub.classes = [c for c in self.classes if c[0] <= sub.t_max]
         sub._tables = self._tables
         sub._memo = self._memo
         return sub
@@ -116,19 +147,26 @@ class ClassData:
             self._tables[subgroup] = build_coset_table(subgroup)
         return self._tables[subgroup]
 
+    def _residue_memo(self, subgroup, keys):
+        return residue_types(keys, self._table(subgroup), self._memo.setdefault(subgroup, {}))
+
+    def types(self, subgroup):
+        """(splitting type, order of the reduction) of every class, aligned
+        with `classes`; subgroup None means the trivial cover (type (1),
+        order 1)."""
+        if subgroup is None:
+            return [((1,), 1)] * len(self.classes)
+        keys = residue_keys(self.classes, subgroup.level)
+        memo = self._residue_memo(subgroup, keys)
+        return [memo[g] for g in keys]
+
     def type_and_order(self, m, subgroup):
         """Splitting type in the subgroup and the order of the reduction;
         subgroup None means the trivial cover (type (1), order 1)."""
         if subgroup is None:
             return (1,), 1
-        g = m.reduce_mod(subgroup.level).tuple
-        key = (subgroup, g)
-        got = self._memo.get(key)
-        if got is None:
-            lam = splitting_type_cycles(g, self._table(subgroup))
-            got = (lam, order_in_xi_tuple(g, subgroup.level))
-            self._memo[key] = got
-        return got
+        g = canon(m.a, m.b, m.c, m.d, subgroup.level)
+        return self._residue_memo(subgroup, [g])[g]
 
 
 def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
@@ -137,34 +175,21 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
         raise ValueError("require s > 1")
     if data is None:
         data = ClassData(x)
+    t_max = data.trace_bound(x)
     ar = FloatArith()
     lam = tuple(lam)
     acc = ar.acc()
     count = 0
-    for t, f, m in data.classes:
-        if not norm_below(t, x):
-            continue
-        if data.type_and_order(m, subgroup)[0] != lam:
-            continue
-        acc.add(ar.euler_term(ar.log_norm(t), s))
-        count += 1
+    for (t, _, _), (got, _) in zip(data.classes, data.types(subgroup)):
+        if t <= t_max and got == lam:
+            acc.add(ar.factor(t, s))
+            count += 1
     return ZetaTruncation(s, float(x), acc.total, count)
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
     """Truncated log zeta of the base group itself."""
-    if s <= 1:
-        raise ValueError("require s > 1")
-    if data is None:
-        data = ClassData(x)
-    ar = FloatArith()
-    acc = ar.acc()
-    count = 0
-    for t, f, m in data.classes:
-        if norm_below(t, x):
-            acc.add(ar.euler_term(ar.log_norm(t), s))
-            count += 1
-    return ZetaTruncation(s, float(x), acc.total, count)
+    return zeta_lambda_log(s, x, None, (1,), data)
 
 
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
@@ -180,22 +205,21 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
         raise ValueError("require s > 1")
     if data is None:
         data = ClassData(x)
+    t_max = data.trace_bound(x)
     ar = _arith(use_mpmath, dps)
     lhs = ar.acc()
     by_type = {}
-    for t, f, m in data.classes:
-        if not norm_below(t, x):
+    for (t, _, _), (lam, _) in zip(data.classes, data.types(subgroup)):
+        if t > t_max:
             continue
-        lam = data.type_and_order(m, subgroup)[0]
-        log_n = ar.log_norm(t)
         for part in lam:
-            lhs.add(ar.euler_term(log_n, part * s))
-        by_type.setdefault(lam, []).append(log_n)
+            lhs.add(ar.factor(t, part * s))
+        by_type.setdefault(lam, []).append(t)
     rhs = ar.acc()
     for lam in sorted(by_type):
         for part in sorted(lam):
-            for log_n in by_type[lam]:
-                rhs.add(ar.euler_term(log_n, part * s))
+            for t in by_type[lam]:
+                rhs.add(ar.factor(t, part * s))
     return {
         "lhs_log": float(lhs.total),
         "rhs_log": float(rhs.total),
@@ -220,6 +244,7 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
         raise ValueError("require s > 1")
     if data is None:
         data = ClassData(x)
+    t_max = data.trace_bound(x)
     ar = _arith(use_mpmath, dps)
     sub1 = SubgroupSpec(Family.GAMMA1, p)
     subp = SubgroupSpec(Family.GAMMA, p)
@@ -227,19 +252,17 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     lhs = ar.acc()
     rhs = ar.acc()
     count = 0
-    for t, f, m in data.classes:
-        if not norm_below(t, x):
+    for (t, _, _), (lam1, order), (lamp, _) in zip(data.classes, data.types(sub1),
+                                                   data.types(subp)):
+        if t > t_max:
             continue
         count += 1
-        log_n = ar.log_norm(t)
-        lam1, order = data.type_and_order(m, sub1)
-        lamp = data.type_and_order(m, subp)[0]
         if order == p:
-            lhs.add(half * (p * ar.euler_term(log_n, s) - ar.euler_term(log_n, p * s)))
+            lhs.add(half * (p * ar.factor(t, s) - ar.factor(t, p * s)))
         for part in lam1:
-            rhs.add(p * ar.euler_term(log_n, part * s))
+            rhs.add(p * ar.factor(t, part * s))
         for part in lamp:
-            rhs.add(-ar.euler_term(log_n, part * s))
+            rhs.add(-ar.factor(t, part * s))
     return {
         "p": p,
         "s": s,

@@ -241,3 +241,19 @@ def test_densities_output_file(tmp_path, capsys):
     for key in doc["densities"]:
         parts = key.split(",")
         assert len(set(parts)) == 1
+
+
+@pytest.mark.parametrize("cmd", ["empirical", "zeta-check"])
+def test_cutoff_above_cap_exits_2(capsys, monkeypatch, cmd):
+    from geosplit import geodesics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated for a capped cutoff")
+
+    monkeypatch.setattr(geodesics, "_spf_sieve", refuse)
+    monkeypatch.setattr(geodesics, "Pool", refuse)
+    args = (["empirical", "--family", "gamma0", "--level", "5"] if cmd == "empirical"
+            else ["zeta-check", "--p", "3", "--s", "2"])
+    code, out, err = run(capsys, "--jobs", "2", *args, "--x", "1e12")
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err

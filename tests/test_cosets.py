@@ -392,3 +392,17 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     assert mismatches
     assert (count, mismatches) == _reference_dual_report(n, family)
     assert [m[0] for m in mismatches] == sorted(m[0] for m in mismatches)
+
+
+@pytest.mark.parametrize("family, n", [(Family.GAMMA0, 5), (Family.GAMMA, 13),
+                                       (Family.GAMMA1, 16)])
+def test_splitting_types_match_per_element(family, n):
+    """The batched types equal the 1-row calls, also across block edges
+    (Gamma(13) has index 1092, so 15 rows per block)."""
+    from geosplit.cosets import splitting_types
+
+    table = build_coset_table(SubgroupSpec(family, n))
+    elements = enumerate_xi(n)[::7][:40]
+    assert splitting_types(elements, table) == [splitting_type_cycles(g, table)
+                                                for g in elements]
+    assert splitting_types([], table) == []

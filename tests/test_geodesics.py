@@ -341,3 +341,108 @@ def test_tally_exports(classes_1e4):
     assert doc["total"] == tally.total
     assert doc["anomalous_count"] == 0
     assert len(doc["rows"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the trace bound and the cutoff cap
+
+from math import isqrt
+
+from hypothesis import given, settings, strategies as st
+
+from geosplit import geodesics
+from geosplit.core import CapExceeded
+from geosplit.geodesics import MAX_CUTOFF
+
+
+def _norm_approx(t, digits=20):
+    """N(t) = ((t^2 - 2) + t*sqrt(t^2 - 4))/2 to within t * 10^-digits."""
+    scale = 10**digits
+    root = Fraction(isqrt((t * t - 4) * scale * scale), scale)
+    return ((t * t - 2) + t * root) / 2
+
+
+# x as int, float, or a Fraction within 1e-9 on either side of a norm
+# N(t) < 1e7 (t <= 3162); offsets are multiples of 1e-15, so one that is
+# not 0 decides which side of N(t) the cutoff lies on
+_near_norm = st.builds(
+    lambda t, k: (t, k, _norm_approx(t) + Fraction(k, 10**15)),
+    st.integers(3, 3162), st.integers(-10**6, 10**6),
+)
+
+
+def _check_bound(x):
+    t_max = max_trace(x)
+    for t in range(3, t_max + 4):
+        assert (t <= t_max) == norm_below(t, x), (x, t, t_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(7, 10**7), st.floats(7, 1e7)))
+def test_max_trace_is_the_exact_rule(x):
+    _check_bound(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_norm)
+def test_max_trace_is_exact_next_to_a_norm(case):
+    t, k, x = case
+    _check_bound(x)
+    if k:
+        assert norm_below(t, x) == (k > 0)
+
+
+@pytest.mark.parametrize("x", [0, 0.01, Fraction(1, 3), 1])
+def test_no_class_below_a_cutoff_of_one(x):
+    # every norm exceeds 1; t^2 x < (x+1)^2 alone admits t = 10 at x = 0.01
+    assert max_trace(x) == 2
+    assert not any(norm_below(t, x) for t in range(3, 30))
+
+
+def test_cutoff_above_cap_refused_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated for a capped cutoff")
+
+    monkeypatch.setattr(geodesics, "_spf_sieve", refuse)
+    monkeypatch.setattr(geodesics, "Pool", refuse)
+    for x in (MAX_CUTOFF + 1, 1e12, Fraction(10**7 * 3 + 1, 3)):
+        with pytest.raises(CapExceeded):
+            enumerate_primitive_classes(x, jobs=2)
+    with pytest.raises(CapExceeded):
+        empirical_tally(SubgroupSpec(Family.GAMMA0, 5), 1e12)
+
+
+# ---------------------------------------------------------------------------
+# the tally against a per-class reference loop
+
+def _reference_tally(s, x, classes):
+    """Per-class loop with the exact norm test and the validated reduction."""
+    from geosplit.core import order_in_xi_tuple
+    from geosplit.cosets import build_coset_table, splitting_type_cycles
+
+    table = build_coset_table(s)
+    counts, total, anomalous, witnesses = {}, 0, 0, []
+    for t, f, m in classes:
+        if not norm_below(t, x):
+            continue
+        g = m.reduce_mod(s.level).tuple
+        lam = splitting_type_cycles(g, table)
+        order = order_in_xi_tuple(g, s.level)
+        counts[lam] = counts.get(lam, 0) + 1
+        total += 1
+        if order not in lam:
+            anomalous += 1
+            witnesses.append({"trace": t, "form": list(f), "order": order, "type": list(lam)})
+    return counts, total, anomalous, witnesses[:50]
+
+
+@pytest.mark.parametrize("x", [3000, 4321.5, Fraction(25001, 7)])
+@pytest.mark.parametrize("family, level", [(Family.GAMMA0, 5), (Family.GAMMA, 4),
+                                           (Family.GAMMA1, 7)])
+def test_tally_equals_per_class_loop(classes_1e4, x, family, level):
+    s = SubgroupSpec(family, level)
+    tally = empirical_tally(s, x, classes=classes_1e4, scan_anomalous=True)
+    counts, total, anomalous, witnesses = _reference_tally(s, x, classes_1e4)
+    assert list(tally.counts.items()) == list(counts.items())
+    assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
+    assert tally.cutoff == float(x)

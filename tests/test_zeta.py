@@ -141,3 +141,138 @@ def test_precision_scaling(data_1e4):
     r_float = ratio_identity_check(3, 2.0, 10**4, data_1e4)["discrepancy"]
     r_mp = ratio_identity_check(3, 2.0, 10**4, data_1e4, use_mpmath=True)["discrepancy"]
     assert r_mp <= r_float + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-trace sums against a per-class reference loop, compared with ==
+
+from fractions import Fraction
+
+from geosplit.core import order_in_xi_tuple
+from geosplit.cosets import build_coset_table, splitting_type_cycles
+from geosplit.zeta import FloatArith, MPArith, ZetaTruncation
+
+
+def _ref_types(classes, subgroup):
+    """(type, order) per class through the validated reduction."""
+    if subgroup is None:
+        return [((1,), 1)] * len(classes)
+    table = build_coset_table(subgroup)
+    memo = {}
+    out = []
+    for _, _, m in classes:
+        g = m.reduce_mod(subgroup.level).tuple
+        if g not in memo:
+            memo[g] = (splitting_type_cycles(g, table), order_in_xi_tuple(g, subgroup.level))
+        out.append(memo[g])
+    return out
+
+
+def _ref_lambda(s, x, classes, subgroup, lam):
+    ar = FloatArith()
+    acc = ar.acc()
+    count = 0
+    for (t, _, _), (got, _) in zip(classes, _ref_types(classes, subgroup)):
+        if norm_below(t, x) and got == tuple(lam):
+            acc.add(ar.euler_term(ar.log_norm(t), s))
+            count += 1
+    return ZetaTruncation(s, float(x), acc.total, count)
+
+
+def _ref_venkov(s, x, classes, subgroup, ar):
+    lhs = ar.acc()
+    by_type = {}
+    for (t, _, _), (lam, _) in zip(classes, _ref_types(classes, subgroup)):
+        if not norm_below(t, x):
+            continue
+        log_n = ar.log_norm(t)
+        for part in lam:
+            lhs.add(ar.euler_term(log_n, part * s))
+        by_type.setdefault(lam, []).append(log_n)
+    rhs = ar.acc()
+    for lam in sorted(by_type):
+        for part in sorted(lam):
+            for log_n in by_type[lam]:
+                rhs.add(ar.euler_term(log_n, part * s))
+    return {"lhs_log": float(lhs.total), "rhs_log": float(rhs.total),
+            "discrepancy": abs(float(lhs.total - rhs.total)),
+            "term_count": sum(len(v) for v in by_type.values())}
+
+
+def _ref_ratio(p, s, x, classes, ar):
+    types1 = _ref_types(classes, SubgroupSpec(Family.GAMMA1, p))
+    typesp = _ref_types(classes, SubgroupSpec(Family.GAMMA, p))
+    half = ar.frac(p - 1, 2)
+    lhs, rhs, count = ar.acc(), ar.acc(), 0
+    for (t, _, _), (lam1, order), (lamp, _) in zip(classes, types1, typesp):
+        if not norm_below(t, x):
+            continue
+        count += 1
+        log_n = ar.log_norm(t)
+        if order == p:
+            lhs.add(half * (p * ar.euler_term(log_n, s) - ar.euler_term(log_n, p * s)))
+        for part in lam1:
+            rhs.add(p * ar.euler_term(log_n, part * s))
+        for part in lamp:
+            rhs.add(-ar.euler_term(log_n, part * s))
+    return {"p": p, "s": s, "cutoff": float(x), "lhs_log": float(lhs.total),
+            "rhs_log": float(rhs.total), "discrepancy": abs(float(lhs.total - rhs.total)),
+            "term_count": count}
+
+
+@pytest.fixture(scope="module")
+def data_2e4(classes_1e5):
+    return ClassData(2 * 10**4, classes=classes_1e5)
+
+
+@pytest.mark.parametrize("x", [10**4, 12345.5, Fraction(100001, 7)])
+def test_sums_equal_per_class_loop(data_2e4, x):
+    classes = data_2e4.classes
+    assert data_2e4.restrict(x).classes == [c for c in classes if norm_below(c[0], x)]
+    for p, s in ((3, 2.0), (5, 1.5)):
+        assert ratio_identity_check(p, s, x, data_2e4) == _ref_ratio(p, s, x, classes,
+                                                                      FloatArith())
+    for sub in (SubgroupSpec(Family.GAMMA1, 5), SubgroupSpec(Family.GAMMA, 3), None):
+        assert venkov_zograf_check(2.0, x, sub, data_2e4) == _ref_venkov(
+            2.0, x, classes, sub, FloatArith())
+    s0 = SubgroupSpec(Family.GAMMA0, 5)
+    for lam in sorted({got for got, _ in _ref_types(classes, s0)}):
+        assert zeta_lambda_log(2.5, x, s0, lam, data_2e4) == _ref_lambda(2.5, x, classes,
+                                                                         s0, lam)
+    assert zeta_gamma_log(2.0, x, data_2e4) == _ref_lambda(2.0, x, classes, None, (1,))
+    assert zeta_gamma_log(2.0, x, data_2e4.restrict(x)) == zeta_gamma_log(2.0, x, data_2e4)
+
+
+def test_mpmath_sums_equal_per_class_loop(data_2e4):
+    x = 1500
+    sub = SubgroupSpec(Family.GAMMA1, 5)
+    assert venkov_zograf_check(2.0, x, sub, data_2e4, use_mpmath=True) == _ref_venkov(
+        2.0, x, data_2e4.classes, sub, MPArith())
+    assert ratio_identity_check(3, 2.0, x, data_2e4, use_mpmath=True) == _ref_ratio(
+        3, 2.0, x, data_2e4.classes, MPArith())
+
+
+# ---------------------------------------------------------------------------
+# class data is refused above the trace bound it was built at
+
+def test_larger_cutoff_than_class_data_is_refused():
+    data = ClassData(1000)
+    s = SubgroupSpec(Family.GAMMA0, 3)
+    assert data.t_max == 31
+    with pytest.raises(ValueError, match="stops at trace 31"):
+        ratio_identity_check(3, 2.0, 5000, data)
+    with pytest.raises(ValueError):
+        data.restrict(5000)
+    with pytest.raises(ValueError):
+        venkov_zograf_check(2.0, 5000, s, data)
+    with pytest.raises(ValueError):
+        venkov_zograf_check(2.0, 5000, None, data)
+    with pytest.raises(ValueError):
+        zeta_lambda_log(2.0, 5000, s, (3, 1), data)
+    with pytest.raises(ValueError):
+        zeta_gamma_log(2.0, 5000, data)
+    # a larger cutoff that adds no trace is still served, and in full
+    assert ratio_identity_check(3, 2.0, 1001, data) == ratio_identity_check(
+        3, 2.0, 1001, ClassData(1001))
+    assert data.restrict(1001).t_max == 31
+    assert ratio_identity_check(3, 2.0, 5000)["term_count"] == 654
