@@ -9,7 +9,6 @@ from .core import (
     Family,
     IntegerMatrix,
     ProjectiveResidueMatrix,
-    Rational,
     SubgroupSpec,
     enumerate_xi,
     is_member,

@@ -46,14 +46,15 @@ from .core import (
     divisors,
     enumerate_xi,
     euler_phi,
+    factorize,
     identity,
     inv,
     matpow,
-    moebius,
     mul,
     order_in_xi_tuple,
     partition_str,
     parse_partition,
+    parts_from_traces,
     vp,
     xi_order,
     DEFAULT_GROUP_CAP,
@@ -118,6 +119,15 @@ def legendre(a, p):
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def minus_identity_depth(g, sign, p, r):
+    """(k, h) for h = sign*g - I mod p^r: k is the p-adic depth of h, the
+    least valuation of its entries (r when h vanishes)."""
+    n = p**r
+    a, b, c, d = g
+    h = ((sign * a - 1) % n, (sign * b) % n, (sign * c) % n, (sign * d - 1) % n)
+    return min((vp(x, p) for x in h if x), default=r), h
+
+
 def label_class(g, order, p, r):
     """Family label of the class of g in Xi(p^r), p odd.
 
@@ -141,15 +151,9 @@ def label_class(g, order, p, r):
         return ("A0", k, l) if legendre(disc, p) == 1 else ("C0", k, l)
     # pure p-power order: normalize the sign by maximal depth of h - I,
     # tie-broken by trace(h) == 2 mod p (only that sign sits in the B-stratum)
-    best = None
-    for sign in (1, -1):
-        h = ((sign * a - 1) % n, (sign * b) % n, (sign * c) % n, (sign * d - 1) % n)
-        vals = [vp(x, p) for x in h]
-        k = r if all(v is None for v in vals) else min(v for v in vals if v is not None)
-        key = (min(k, r), (sign * (a + d) - 2) % p == 0)
-        if best is None or key > best[0]:
-            best = (key, h)
-    (k, _), h = best
+    sign = max((1, -1), key=lambda sg: (minus_identity_depth(g, sg, p, r)[0],
+                                        (sg * (a + d) - 2) % p == 0))
+    k, h = minus_identity_depth(g, sign, p, r)
     if k >= r:
         raise ConsistencyError("non-identity class with infinite depth")
     prk = p ** (r - k)
@@ -234,8 +238,6 @@ def labeled_census(level, cap=DEFAULT_GROUP_CAP):
 
 
 def _prime_power(n):
-    from .core import factorize
-
     fac = factorize(n)
     if len(fac) == 1:
         return fac[0]
@@ -346,14 +348,12 @@ def sigma_gamma0(g, p, r):
     return first + second
 
 
-def _fixed_row_count(h, p, r):
-    """#{unimodular row vectors v mod p^r with v h == 0}."""
+def _fixed_row_count(g, sign, p, r):
+    """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0}."""
     pr = p**r
-    h = tuple(x % pr for x in h)
-    if h == (0, 0, 0, 0):
+    k, h = minus_identity_depth(g, sign, p, r)
+    if k == r:
         return pr * pr - (pr * pr) // (p * p)
-    k = min(v for v in (vp(x, p) for x in h) if v is not None)
-    k = min(k, r)
     prk = p ** (r - k)
     a, b, c, d = ((x // p**k) % prk for x in h)
     if (a * d - b * c) % prk == 0:
@@ -363,14 +363,7 @@ def _fixed_row_count(h, p, r):
 
 def sigma_gamma1(g, p, r):
     """tr Ind_{Gamma1(p^r)} 1 at g: cosets are +-(row vector) pairs."""
-    a, b, c, d = g
-    pr = p**r
-    total = 0
-    for sign in (1, -1):
-        total += _fixed_row_count(
-            ((sign * a - 1) % pr, (sign * b) % pr, (sign * c) % pr, (sign * d - 1) % pr), p, r
-        )
-    return total // 2
+    return (_fixed_row_count(g, 1, p, r) + _fixed_row_count(g, -1, p, r)) // 2
 
 
 @dataclass
@@ -435,22 +428,12 @@ def closed_class_catalog(p, r):
     e = identity(n)
     classes = [ClosedClass(e, 1, 1, ("Id",))]
 
-    def depth_of(g):
-        best = 0
-        a, b, c, d = g
-        for sign in (1, -1):
-            h = ((sign * a - 1) % n, (sign * b) % n, (sign * c) % n, (sign * d - 1) % n)
-            vals = [vp(x, p) for x in h]
-            k = r if all(v is None for v in vals) else min(v for v in vals if v is not None)
-            best = max(best, min(k, r))
-        return best
-
     def torus_classes(gen, torus_order):
         # gen has order torus_order/2 in Xi; classes <-> exponents mod inversion
         q_xi = torus_order // 2
         for exp in range(1, q_xi // 2 + 1):
             g = matpow(gen, exp, n)
-            w = depth_of(g)
+            w = max(minus_identity_depth(g, sign, p, r)[0] for sign in (1, -1))
             size = 2 * order // (torus_order * p ** (2 * w))
             if matpow(g, 2, n) == e:
                 size //= 2
@@ -489,21 +472,6 @@ def closed_class_catalog(p, r):
     return classes
 
 
-def _closed_type(g, m_order, p, r, trace_fn, index):
-    traces = {d: trace_fn(matpow(g, d, p**r), p, r) for d in divisors(m_order)}
-    parts = []
-    for m in divisors(m_order):
-        s = sum(moebius(m // d) * traces[d] for d in divisors(m))
-        if s < 0 or s % m != 0:
-            raise ConsistencyError(f"closed-form Moebius failure at {g}, m={m}")
-        parts.extend([m] * (s // m))
-    parts.sort(reverse=True)
-    lam = tuple(parts)
-    if sum(lam) != index:
-        raise ConsistencyError("closed-form type has wrong weight")
-    return lam
-
-
 def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     """Assemble the density table for an odd prime-power level from the
     closed class catalog, exact trace formulas and the Moebius recursion;
@@ -527,11 +495,9 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         if trace_fn is None:
             lam = (rec.order,) * (index // rec.order)
         else:
-            # the identity's trace is the index itself; root counts cover the rest
-            if rec.representative == identity(s.level):
-                lam = (1,) * index
-            else:
-                lam = _closed_type(rec.representative, rec.order, p, r, trace_fn, index)
+            traces = {d: trace_fn(matpow(rec.representative, d, s.level), p, r)
+                      for d in divisors(rec.order)}
+            lam = parts_from_traces(traces, rec.order, index)
         entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
     return DensityTable(s, entries, order, index)
 
@@ -550,22 +516,13 @@ def tensor_partitions(lam1, lam2):
     Computed through the product of the power-trace sequences and the
     Moebius recursion, which is the definition that actually matches the
     product of the two coset actions.  Reading it as termwise products of
-    parts agrees only when the parts are coprime.
+    parts agrees only when the parts are coprime.  The product action's
+    cycle lengths all divide the lcm of the parts, so its traces at the
+    divisors of that lcm determine the type.
     """
-    big = lcm(*(list(lam1) + list(lam2))) if (lam1 and lam2) else 1
-    parts = []
-    for m in divisors(big):
-        s = 0
-        for d in divisors(m):
-            s += moebius(m // d) * power_trace(lam1, d) * power_trace(lam2, d)
-        if s < 0 or s % m != 0:
-            raise ValueError(f"tensor of {lam1} and {lam2} has non-integral multiplicity")
-        parts.extend([m] * (s // m))
-    parts.sort(reverse=True)
-    out = tuple(parts)
-    if sum(out) != sum(lam1) * sum(lam2):
-        raise ValueError("tensor weight mismatch")
-    return out
+    big = lcm(*lam1, *lam2) if (lam1 and lam2) else 1
+    traces = {d: power_trace(lam1, d) * power_trace(lam2, d) for d in divisors(big)}
+    return parts_from_traces(traces, big, sum(lam1) * sum(lam2))
 
 
 def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) -> DensityTable:
@@ -582,8 +539,6 @@ def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) 
 def density_table_composite(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP) -> DensityTable:
     """Density table of a composite level as the convolution of its coprime
     prime-power factor tables."""
-    from .core import factorize
-
     fac = factorize(s.level)
     if len(fac) < 2:
         raise ValueError("composite rule needs at least two prime factors")

@@ -28,10 +28,10 @@ from .core import (
     IntegerMatrix,
     SubgroupSpec,
     factorize,
+    order_in_xi_tuple,
     partition_str,
 )
 from .cosets import build_coset_table, splitting_type_cycles, splitting_type_moebius
-from .core import order_in_xi_tuple
 from .geodesics import empirical_tally, tally_json, tally_tsv
 from .zeta import ClassData, ratio_identity_check, venkov_zograf_check
 
@@ -231,19 +231,15 @@ def cmd_census(args):
 
 def cmd_zeta_check(args):
     if args.check == "ratio":
-        result = ratio_identity_check(args.p, args.s, args.x, jobs_data(args))
+        result = ratio_identity_check(args.p, args.s, args.x, ClassData(args.x, jobs=args.jobs))
     else:
         level = args.level if args.level is not None else args.p
         spec = SubgroupSpec(args.family, level)
-        result = venkov_zograf_check(args.s, args.x, spec, jobs_data(args))
+        result = venkov_zograf_check(args.s, args.x, spec, ClassData(args.x, jobs=args.jobs))
         result = {"p": args.p, "s": args.s, "cutoff": float(args.x),
                   "family": args.family.value, "level": level, **result}
     sys.stdout.write(json.dumps(result, indent=2) + "\n")
     return EXIT_OK
-
-
-def jobs_data(args):
-    return ClassData(args.x, jobs=args.jobs)
 
 
 def main(argv=None):

@@ -16,9 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-# exact rationals throughout the density pipeline
-Rational = Fraction
-
 DEFAULT_GROUP_CAP = 10**7
 
 
@@ -295,10 +292,6 @@ def parse_partition(s):
     return partition(int(tok) for tok in s.split(","))
 
 
-def partition_weight(lam):
-    return sum(lam)
-
-
 def parts_from_traces(traces, order, weight):
     """Partition from the fixed-point counts of a permutation's powers.
 
@@ -332,18 +325,7 @@ def parts_from_traces(traces, order, weight):
 # small arithmetic helpers
 
 def prime_factors(n):
-    out = []
-    x = n
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            out.append(p)
-            while x % p == 0:
-                x //= p
-        p += 1
-    if x > 1:
-        out.append(x)
-    return out
+    return [p for p, _ in factorize(n)]
 
 
 def factorize(n):

@@ -13,10 +13,19 @@ from the identity under right multiplication by the images of
 S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] (S first), the first element
 landing in a fresh coset becoming its representative.  This makes every
 derived table byte-stable.
+
+The action has one kernel, `act_block`, for every level and index: the
+products g * r_i of a block of elements with all representatives are
+computed with numpy and looked up in the table's sorted array of element
+keys.  There is no size threshold and no second path; `act` is its 1-row
+call, and an element outside Xi(N) is refused with ValueError.  The
+dict-lookup `_act_reference` stays as the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -39,9 +48,11 @@ from .core import (
 
 DEFAULT_INDEX_CAP = 10**7
 
-# numpy bulk path pays off only for wide tables; the key lut needs N^4 ints
-_VECTOR_MIN_INDEX = 128
-_VECTOR_MAX_KEYSPACE = 3 * 10**7
+# Permutation blocks are int32: gathers through ndarray.take with int32 indices
+# run as fast as with intp and move half the bytes.  Flat indices need a
+# block below 2^31 entries; the sweep's blocks hold at most
+# max(_BLOCK_ENTRIES, index) and the index is capped at DEFAULT_INDEX_CAP.
+_PERM_DTYPE = np.int32
 
 
 class CosetTable:
@@ -53,27 +64,22 @@ class CosetTable:
         self.reps = reps
         self.index = len(reps)
         self.elt_to_coset = elt_to_coset
-        self._vector = None
+        self._lookup = None
 
-    def coset_of(self, g):
-        return self.elt_to_coset[g]
-
-    # lazily built numpy engine: rep component arrays + dense key lookup
-    def _vector_engine(self):
-        if self._vector is None:
-            n = self.level
-            if n**4 > _VECTOR_MAX_KEYSPACE:
-                self._vector = False
-            else:
-                ra = np.array([r[0] for r in self.reps], dtype=np.int64)
-                rb = np.array([r[1] for r in self.reps], dtype=np.int64)
-                rc = np.array([r[2] for r in self.reps], dtype=np.int64)
-                rd = np.array([r[3] for r in self.reps], dtype=np.int64)
-                lut = np.full(n**4, -1, dtype=np.int32)
-                for (a, b, c, d), i in self.elt_to_coset.items():
-                    lut[((a * n + b) * n + c) * n + d] = i
-                self._vector = (ra, rb, rc, rd, lut)
-        return self._vector
+    def lookup(self):
+        """(keys, cosets, reps) for `act_block`, built on first use: the
+        element keys ((a*n + b)*n + c)*n + d in ascending order, the coset
+        of each, and the representatives as a 4 x index array."""
+        if self._lookup is None:
+            n, e2c = self.level, self.elt_to_coset
+            keys = np.fromiter((((a * n + b) * n + c) * n + d for a, b, c, d in e2c),
+                               dtype=np.int64, count=len(e2c))
+            cosets = np.fromiter(e2c.values(), dtype=_PERM_DTYPE, count=len(e2c))
+            order = keys.argsort()
+            keys.sort()
+            reps = np.array(self.reps, dtype=np.int64).T
+            self._lookup = (keys, cosets.take(order), reps)
+        return self._lookup
 
 
 def build_coset_table(s: SubgroupSpec, cap=DEFAULT_INDEX_CAP, group_cap=None) -> CosetTable:
@@ -115,39 +121,37 @@ def build_coset_table(s: SubgroupSpec, cap=DEFAULT_INDEX_CAP, group_cap=None) ->
     return table
 
 
+def act_block(elements, table: CosetTable):
+    """Coset permutations of a list of elements as a rows x index int32
+    block: row r maps coset i to the coset of elements[r] * reps[i].
+
+    The canonical form of +-x is the tuple order's minimum, and the keys
+    preserve that order, so each product is looked up as the smaller of
+    its two sign keys.  An element that is not in Xi(N) has products
+    outside it, and is refused with ValueError.
+    """
+    n = table.level
+    keys, cosets, reps = table.lookup()
+    # keys stay below n^4, far inside int64 for every level Xi(N)'s cap admits
+    g = np.array([_as_tuple(x, n) for x in elements], dtype=np.int64).reshape(-1, 4, 1) % n
+    key = neg = np.zeros((len(g), table.index), dtype=np.int64)
+    for row, col in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        entry = (g[:, row] * reps[col] + g[:, row + 1] * reps[col + 2]) % n
+        key, neg = key * n + entry, neg * n + (n - entry) % n
+    key = np.minimum(key, neg)
+    pos = np.minimum(keys.searchsorted(key), len(keys) - 1)
+    if not np.array_equal(keys.take(pos), key):
+        raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
+    return cosets.take(pos)
+
+
 def act(g, table: CosetTable):
-    """Permutation of coset indices induced by g (as a list of images)."""
-    g = _as_tuple(g, table.level)
-    eng = table._vector_engine() if table.index >= _VECTOR_MIN_INDEX else False
-    if eng:
-        return _act_vector(g, table, eng)
-    n = table.level
-    e2c = table.elt_to_coset
-    return [e2c[mul(g, r, n)] for r in table.reps]
-
-
-def _act_vector(g, table, eng):
-    n = table.level
-    ga, gb, gc, gd = g
-    ra, rb, rc, rd = eng[0], eng[1], eng[2], eng[3]
-    na = (ga * ra + gb * rc) % n
-    nb = (ga * rb + gb * rd) % n
-    nc = (gc * ra + gd * rc) % n
-    nd = (gc * rb + gd * rd) % n
-    ma = (n - na) % n
-    mb = (n - nb) % n
-    mc = (n - nc) % n
-    md = (n - nd) % n
-    neg = (ma < na) | ((ma == na) & ((mb < nb) | ((mb == nb) & ((mc < nc) | ((mc == nc) & (md < nd))))))
-    na = np.where(neg, ma, na)
-    nb = np.where(neg, mb, nb)
-    nc = np.where(neg, mc, nc)
-    nd = np.where(neg, md, nd)
-    return eng[4][((na * n + nb) * n + nc) * n + nd]
+    """Permutation of coset indices induced by g (a 1-row `act_block`)."""
+    return act_block([g], table)[0]
 
 
 def _act_reference(g, table: CosetTable):
-    """Pure dict-lookup action; the vectorized path must agree with this."""
+    """Pure dict-lookup action; `act_block` must agree with this."""
     g = _as_tuple(g, table.level)
     n = table.level
     e2c = table.elt_to_coset
@@ -160,13 +164,6 @@ def _as_tuple(g, level):
     if g.level != level:
         raise ValueError("level mismatch")
     return g.tuple
-
-
-# Permutation blocks are int32: gathers through ndarray.take with int32 indices
-# run as fast as with intp and move half the bytes.  Flat indices need a
-# block below 2^31 entries; the sweep's blocks hold at most
-# max(_BLOCK_ENTRIES, index) and the index is capped at DEFAULT_INDEX_CAP.
-_PERM_DTYPE = np.int32
 
 
 def _as_block(perms):
@@ -222,21 +219,19 @@ def splitting_type_cycles(g, table: CosetTable):
 
 
 def splitting_types(elements, table: CosetTable):
-    """Splitting types of a list of elements: one `act` each, the cycle
-    types in blocks of at most _BLOCK_ENTRIES entries (at least one row)."""
+    """Splitting types of a list of elements, in blocks of at most
+    _BLOCK_ENTRIES entries (at least one row)."""
     rows = max(1, _BLOCK_ENTRIES // table.index)
     out = []
     for start in range(0, len(elements), rows):
-        out += cycle_types([act(g, table) for g in elements[start:start + rows]])
+        out += cycle_types(act_block(elements[start:start + rows], table))
     return out
 
 
 def induced_trace(g, table: CosetTable):
     """Number of fixed cosets of g (the induced-representation character)."""
     perm = act(g, table)
-    if isinstance(perm, np.ndarray):
-        return int(np.count_nonzero(perm == np.arange(len(perm))))
-    return sum(1 for i, j in enumerate(perm) if i == j)
+    return int(np.count_nonzero(perm == np.arange(len(perm))))
 
 
 def _flat_power(memo, k):
@@ -310,14 +305,15 @@ def coset_chain_blocks(table: CosetTable):
 
     Xi(N) is swept as the chains head * T^k of `xi_chain_heads`.  The action
     is a homomorphism, so sigma(head * T^k) = sigma(head)[sigma(T)^k]: one
-    `act` per chain head and one gather from the table of powers of
-    sigma(T) give the whole chain.  Yields (elements, block) with the
-    canonical element tuples and a rows x index array of their
-    permutations, holding whole chains where one fits into _BLOCK_ENTRIES
-    entries and consecutive pieces of one chain otherwise.
+    `act_block` row per chain head (one call per block of heads) and one
+    gather from the table of powers of sigma(T) give the whole chain.
+    Yields (elements, block) with the canonical element tuples and a
+    rows x index array of their permutations, holding whole chains where
+    one fits into _BLOCK_ENTRIES entries and consecutive pieces of one
+    chain otherwise.
     """
     n, index = table.level, table.index
-    t_perm = np.asarray(act(canon(1, 1, 0, 1, n), table), dtype=_PERM_DTYPE)
+    t_perm = act(canon(1, 1, 0, 1, n), table)
     t_powers = np.empty((n, index), dtype=_PERM_DTYPE)
     t_powers[0] = np.arange(index)
     for k in range(1, n):
@@ -327,7 +323,7 @@ def coset_chain_blocks(table: CosetTable):
     heads = list(xi_chain_heads(n))
     for h0 in range(0, len(heads), chains):
         group = heads[h0:h0 + chains]
-        head_perms = np.array([act(h, table) for h in group], dtype=_PERM_DTYPE)
+        head_perms = act_block(group, table)
         for k0 in range(0, n, step):
             ks = range(k0, min(k0 + step, n))
             elements = [
@@ -369,13 +365,11 @@ def dual_type_report(level, family, group_cap=None):
 
 def p1_points(n):
     """Unimodular column pairs (a, c) mod n up to unit scaling, canonical min."""
-    import math as _math
-
     norm = {}
-    units = [u for u in range(1, n) if _math.gcd(u, n) == 1]
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     for a in range(n):
         for c in range(n):
-            if _math.gcd(_math.gcd(a, c), n) != 1:
+            if math.gcd(math.gcd(a, c), n) != 1:
                 continue
             key = (a, c)
             if key in norm:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .core import CapExceeded, IntegerMatrix, SubgroupSpec, canon, order_in_xi_tuple
+from .core import CapExceeded, IntegerMatrix, SubgroupSpec, canon, divisors, order_in_xi_tuple
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
@@ -41,10 +41,6 @@ MAX_CUTOFF = 10**7
 
 # ---------------------------------------------------------------------------
 # reduced forms and reduction cycles
-
-def isqrt(n):
-    return math.isqrt(n)
-
 
 def is_reduced(a, b, c, disc):
     """0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, in integer arithmetic."""
@@ -79,7 +75,7 @@ def reduce_form(a, b, c, disc, sqrt_disc):
 def _spf_sieve(limit):
     """Smallest-prime-factor table up to limit (inclusive)."""
     spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
+    for i in range(2, math.isqrt(limit) + 1):
         if spf[i] == i:
             for j in range(i * i, limit + 1, i):
                 if spf[j] == j:
@@ -102,13 +98,13 @@ def _divisors_from_spf(n, spf):
 def reduced_forms_at_trace(t, spf=None):
     """All reduced integral forms of discriminant t^2 - 4."""
     disc = t * t - 4
-    sq = isqrt(disc)
+    sq = math.isqrt(disc)
     forms = []
     b = 2 - (t % 2)
     while b <= sq:
         n = (disc - b * b) // 4  # = |a*c|, signs of a and c are opposite
         if n > 0:
-            divs = _divisors_from_spf(n, spf) if spf is not None else _plain_divisors(n)
+            divs = _divisors_from_spf(n, spf) if spf is not None else divisors(n)
             for a in divs:
                 lo = 2 * a - b
                 if lo * lo < disc and (2 * a + b) ** 2 > disc:
@@ -116,18 +112,6 @@ def reduced_forms_at_trace(t, spf=None):
                     forms.append((-a, b, n // a))
         b += 2
     return forms
-
-
-def _plain_divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
 
 
 @dataclass
@@ -140,11 +124,6 @@ class FormClassRecord:
     @property
     def canonical_form(self):
         return self.cycle[0]
-
-    @property
-    def norm(self):
-        t = self.trace
-        return ((t + math.sqrt(t * t - 4)) / 2) ** 2
 
 
 def matrix_from_form(t, form):
@@ -165,7 +144,7 @@ def classes_at_trace(t, spf=None):
     if t < 3:
         raise ValueError("hyperbolic classes need trace >= 3")
     disc = t * t - 4
-    sq = isqrt(disc)
+    sq = math.isqrt(disc)
     forms = reduced_forms_at_trace(t, spf)
     unvisited = set(forms)
     records = []
@@ -193,7 +172,7 @@ def class_of_matrix(m):
     if t <= 2:
         raise ValueError("need positive hyperbolic trace")
     disc = t * t - 4
-    sq = isqrt(disc)
+    sq = math.isqrt(disc)
     f = reduce_form(*form_of_matrix(m), disc, sq)
     start = f
     best = f
@@ -222,10 +201,10 @@ def exact_cutoff(x):
 
 
 def max_trace(x):
-    """Largest trace t with N(t) < x (2 if there is none): for x >= 0 and
-    t >= 3, t <= max_trace(x) exactly when norm_below(t, x)."""
+    """Largest trace t with N(t) < x (2 if there is none, as for every
+    x <= 1): for t >= 3, t <= max_trace(x) exactly when norm_below(t, x)."""
     x = exact_cutoff(x)
-    t = int(math.isqrt(int(x))) + 2
+    t = math.isqrt(max(int(x), 0)) + 2
     while t >= 3 and not norm_below(t, x):
         t -= 1
     return t if t >= 3 else 2
@@ -258,6 +237,22 @@ def _trace_worker(args):
         recs = classes_at_trace(t, _WORKER_SPF)
         out.append((t, [r.canonical_form for r in recs]))
     return out
+
+
+def classes_below(x, t_max, classes=None, jobs=1):
+    """The primitive classes of trace <= t_max = max_trace(x): enumerated at
+    x when `classes` is None, else taken from that list, which is refused
+    with ValueError when its largest trace is below t_max.  The check is
+    exact: every trace t >= 3 has a primitive class, the one of the
+    content-1 form (1, t, 1), while a k-th power has content divisible by
+    U_{k-1}(t0) >= 3."""
+    if classes is None:
+        return enumerate_primitive_classes(x, jobs=jobs)
+    top = max((c[0] for c in classes), default=2)
+    if top < t_max:
+        raise ValueError(f"cutoff {x} needs traces up to {t_max}, but the class list "
+                         f"stops at trace {top}")
+    return [c for c in classes if c[0] <= t_max]
 
 
 def enumerate_primitive_classes(x, jobs=1):
@@ -372,9 +367,7 @@ def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=Fal
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}")
     t_max = max_trace(x)
     table = build_coset_table(s)
-    if classes is None:
-        classes = enumerate_primitive_classes(x, jobs=jobs)
-    kept = [c for c in classes if c[0] <= t_max]
+    kept = classes_below(x, t_max, classes, jobs)
     keys = residue_keys(kept, s.level)
     memo = residue_types(keys, table, {})
     counts = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import Family, SubgroupSpec, canon, prime_factors
 from .cosets import build_coset_table
-from .geodesics import enumerate_primitive_classes, max_trace, residue_keys, residue_types
+from .geodesics import classes_below, max_trace, residue_keys, residue_types
 
 
 class KahanSum:
@@ -111,15 +111,14 @@ class ClassData:
 
     `t_max` is the largest trace of that cutoff; a check at a cutoff x uses
     the classes of trace <= max_trace(x) and is refused with ValueError when
-    that exceeds `t_max`.
+    that exceeds `t_max`.  A given class list must reach `t_max` as well
+    (`geodesics.classes_below`).
     """
 
     def __init__(self, x, classes=None, jobs=1):
         self.cutoff = float(x)
         self.t_max = max_trace(x)
-        if classes is None:
-            classes = enumerate_primitive_classes(x, jobs=jobs)
-        self.classes = [c for c in classes if c[0] <= self.t_max]
+        self.classes = classes_below(x, self.t_max, classes, jobs)
         self._tables = {}
         self._memo = {}  # subgroup -> {residue: (type, order)}
 

@@ -416,3 +416,14 @@ def test_census_payload_deterministic():
     a = json.dumps(census_payload(Family.GAMMA1, 9))
     b = json.dumps(census_payload(Family.GAMMA1, 9))
     assert a == b
+
+
+def test_tensor_partitions_share_the_moebius_recursion(monkeypatch):
+    import geosplit.census as census
+    from geosplit.core import ConsistencyError
+
+    assert tensor_partitions((), (2, 1)) == ()
+    # traces 1, 4 at d = 1, 2 give 3/2 two-cycles
+    monkeypatch.setattr(census, "power_trace", lambda lam, d: d)
+    with pytest.raises(ConsistencyError):
+        tensor_partitions((2,), (1,))

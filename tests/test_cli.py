@@ -257,3 +257,27 @@ def test_cutoff_above_cap_exits_2(capsys, monkeypatch, cmd):
     code, out, err = run(capsys, "--jobs", "2", *args, "--x", "1e12")
     assert code == 2 and out == ""
     assert "exceeds cap" in err
+
+
+def test_negative_cutoff_is_an_empty_truncation(capsys):
+    """x = -5 admits no trace, like x = 0.5: zero terms, exit 0."""
+    results = {}
+    for x in ("-5", "0.5"):
+        code, out, err = run(capsys, "--jobs", "1", "zeta-check", "--p", "3", "--s", "2",
+                             "--x", x)
+        assert code == 0 and err == ""
+        results[x] = json.loads(out)
+    assert results["-5"]["term_count"] == 0
+    assert results["-5"]["cutoff"] == -5.0
+    assert dict(results["-5"], cutoff=0.5) == results["0.5"]
+
+
+def test_tensor_multiplicity_failure_exits_3(capsys, monkeypatch):
+    """A non-integral multiplicity in the tensor rule is an internal fault."""
+    from geosplit import census
+
+    monkeypatch.setattr(census, "power_trace", lambda lam, d: d)
+    code, out, err = run(capsys, "densities", "--family", "gamma0", "--level", "15",
+                         "--composite")
+    assert code == 3 and out == ""
+    assert err.startswith("error: Moebius")

@@ -406,3 +406,53 @@ def test_splitting_types_match_per_element(family, n):
     assert splitting_types(elements, table) == [splitting_type_cycles(g, table)
                                                 for g in elements]
     assert splitting_types([], table) == []
+
+
+# ---------------------------------------------------------------------------
+# the single action kernel
+
+import numpy as np
+
+from geosplit.cosets import act_block
+
+
+@pytest.mark.parametrize("family, n", [(Family.GAMMA0, 75), (Family.GAMMA1, 75),
+                                       (Family.GAMMA0, 12)])
+def test_act_matches_reference_at_any_size(family, n):
+    """Level 75 (keys up to 75^4) and the narrow Gamma0(12) (index 24) go
+    through the same kernel as every other table."""
+    t = table(family, n)
+    rng = random.Random(n)
+    xi = enumerate_xi(n)
+    for _ in range(30):
+        g = rng.choice(xi)
+        perm = act(g, t)
+        assert perm.dtype == np.int32
+        assert perm.tolist() == _act_reference(g, t)
+
+
+def test_act_block_rows_match_one_row_calls():
+    """Rows of one block equal the 1-row calls, across the block edges that
+    `splitting_types` cuts (Gamma(13): 15 rows of index 1092 per block)."""
+    t = table(Family.GAMMA, 13)
+    elements = enumerate_xi(13)[::23][:40]
+    block = act_block(elements, t)
+    assert block.shape == (40, t.index) and block.dtype == np.int32
+    for start in (0, 15, 30):
+        piece = act_block(elements[start:start + 15], t)
+        assert (piece == block[start:start + 15]).all()
+    for g, row in zip(elements, block):
+        assert row.tolist() == act(g, t).tolist()
+    assert act_block([], t).shape == (0, t.index)
+
+
+@pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA])
+def test_act_refuses_an_element_outside_xi(family):
+    # (2, 0, 0, 2) has determinant 4 mod 7; index 8 and 168
+    t = table(family, 7)
+    with pytest.raises(ValueError, match="not in Xi"):
+        act((2, 0, 0, 2), t)
+    with pytest.raises(ValueError):
+        act_block([identity(7), (2, 0, 0, 2)], t)
+    with pytest.raises(ValueError):
+        splitting_type_cycles((2, 0, 0, 2), t)

@@ -446,3 +446,28 @@ def test_tally_equals_per_class_loop(classes_1e4, x, family, level):
     assert list(tally.counts.items()) == list(counts.items())
     assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
     assert tally.cutoff == float(x)
+
+
+# ---------------------------------------------------------------------------
+# cutoffs at or below one, and class lists that stop short of a cutoff
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-10**7, 1), st.floats(-1e7, 1),
+                 st.fractions(max_value=1)))
+def test_max_trace_is_the_exact_rule_at_or_below_one(x):
+    _check_bound(x)
+    assert max_trace(x) == 2
+    assert enumerate_primitive_classes(x) == []
+
+
+def test_class_list_below_the_cutoff_is_refused(classes_1e4):
+    s = SubgroupSpec(Family.GAMMA0, 3)
+    short = enumerate_primitive_classes(1000)
+    assert max(c[0] for c in short) == 31 < max_trace(5000) == 70
+    with pytest.raises(ValueError, match="stops at trace 31"):
+        empirical_tally(s, 5000, classes=short)
+    with pytest.raises(ValueError):
+        empirical_tally(s, 5000, classes=[])
+    # a list from a larger cutoff is cut to the trace bound
+    assert empirical_tally(s, 5000, classes=classes_1e4).total == 654
+    assert empirical_tally(s, 5000).total == 654

@@ -276,3 +276,19 @@ def test_larger_cutoff_than_class_data_is_refused():
         3, 2.0, 1001, ClassData(1001))
     assert data.restrict(1001).t_max == 31
     assert ratio_identity_check(3, 2.0, 5000)["term_count"] == 654
+
+
+from geosplit.geodesics import enumerate_primitive_classes
+
+
+def test_class_list_below_the_cutoff_is_refused(classes_1e4):
+    short = enumerate_primitive_classes(1000)
+    with pytest.raises(ValueError, match="stops at trace 31"):
+        ClassData(5000, classes=short)
+    with pytest.raises(ValueError):
+        ClassData(5000, classes=[])
+    data = ClassData(5000, classes=classes_1e4)
+    assert data.t_max == 70 and len(data.classes) == 654
+    assert ratio_identity_check(3, 2.0, 5000, data) == ratio_identity_check(3, 2.0, 5000)
+    # no trace below a cutoff of one: an empty list is complete there
+    assert ClassData(0.5, classes=[]).classes == []
