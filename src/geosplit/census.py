@@ -39,6 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .core import (
+    CapExceeded,
     ConsistencyError,
     Family,
     SubgroupSpec,
@@ -57,9 +58,8 @@ from .core import (
     parts_from_traces,
     vp,
     xi_order,
-    DEFAULT_GROUP_CAP,
 )
-from .cosets import build_coset_table, splitting_types
+from .cosets import DEFAULT_INDEX_CAP, build_coset_table, splitting_types
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ class ConjugacyClassRecord:
     types: dict = field(default_factory=dict)
 
 
-def conjugacy_classes(level, cap=DEFAULT_GROUP_CAP):
+def conjugacy_classes(level):
     """Conjugacy classes of Xi(level) by orbit closure under S and T.
 
     Elements are scanned in sorted order, so each class representative is
@@ -82,7 +82,7 @@ def conjugacy_classes(level, cap=DEFAULT_GROUP_CAP):
     deterministic.
     """
     n = level
-    xi = enumerate_xi(n, cap=cap)
+    xi = enumerate_xi(n)
     gen_s = canon(0, -1, 1, 0, n)
     gen_t = canon(1, 1, 0, 1, n)
     gens = [(g, inv(g, n)) for g in (gen_s, gen_t)]
@@ -225,10 +225,10 @@ def family_set_sizes(p, r):
     return out
 
 
-def labeled_census(level, cap=DEFAULT_GROUP_CAP):
+def labeled_census(level):
     """Census with family labels attached (odd prime-power levels only)."""
     fac = _prime_power(level)
-    classes = conjugacy_classes(level, cap=cap)
+    classes = conjugacy_classes(level)
     if fac is None or fac[0] == 2:
         return classes
     p, r = fac
@@ -263,12 +263,11 @@ class DensityTable:
         return self.entries.get(tuple(lam), Fraction(0))
 
 
-def density_table(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP, classes=None, table=None) -> DensityTable:
+def density_table(s: SubgroupSpec, classes=None) -> DensityTable:
     """Theoretical densities: sum of #[g]/|Xi| over classes of each type."""
-    if table is None:
-        table = build_coset_table(s, group_cap=cap)
     if classes is None:
-        classes = conjugacy_classes(s.level, cap=cap)
+        classes = conjugacy_classes(s.level)
+    table = build_coset_table(s)
     order = xi_order(s.level)
     missing = [rec for rec in classes if s.family not in rec.types]
     for rec, lam in zip(missing, splitting_types([rec.representative for rec in missing], table)):
@@ -280,12 +279,12 @@ def density_table(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP, classes=None, table=No
     return DensityTable(s, entries, order, table.index)
 
 
-def rectangle_density_table(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP, classes=None) -> DensityTable:
+def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
     """Regular-cover table: density of (m^(n/m)) is the mass of order-m classes."""
     if s.family != Family.GAMMA:
         raise ValueError("rectangle table applies to the principal family only")
     if classes is None:
-        classes = conjugacy_classes(s.level, cap=cap)
+        classes = conjugacy_classes(s.level)
     order = xi_order(s.level)
     n = order  # index of Gamma(N) equals |Xi|
     entries = {}
@@ -488,7 +487,10 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         index = p ** (2 * r - 2) * (p * p - 1) // 2
         trace_fn = sigma_gamma1
     else:
+        # every type is an explicit tuple of index/m parts
         index = order
+        if index > DEFAULT_INDEX_CAP:
+            raise CapExceeded(f"index {index} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
         trace_fn = None
     entries = {}
     for rec in closed_class_catalog(p, r):
@@ -536,13 +538,13 @@ def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) 
     return DensityTable(subgroup, entries, xi_order(subgroup.level), t1.index * t2.index)
 
 
-def density_table_composite(s: SubgroupSpec, cap=DEFAULT_GROUP_CAP) -> DensityTable:
+def density_table_composite(s: SubgroupSpec) -> DensityTable:
     """Density table of a composite level as the convolution of its coprime
     prime-power factor tables."""
     fac = factorize(s.level)
     if len(fac) < 2:
         raise ValueError("composite rule needs at least two prime factors")
-    tables = [density_table(SubgroupSpec(s.family, p**e), cap=cap) for p, e in fac]
+    tables = [density_table(SubgroupSpec(s.family, p**e)) for p, e in fac]
     out = tables[0]
     level = fac[0][0] ** fac[0][1]
     for (p, e), nxt in zip(fac[1:], tables[1:]):
@@ -595,7 +597,7 @@ class PowerRelationRow:
     note: str = ""
 
 
-def power_relation_check(level, cap=DEFAULT_GROUP_CAP):
+def power_relation_check(level):
     """Verify the printed power relations between family sets at an odd
     prime-power level; failures are report rows, not errors."""
     fac = _prime_power(level)
@@ -603,14 +605,9 @@ def power_relation_check(level, cap=DEFAULT_GROUP_CAP):
         raise ValueError("power relations require an odd prime-power level")
     p, r = fac
     n = level
-    classes = conjugacy_classes(level, cap=cap)
+    # the family sets, as sets of elements
     sets = {}
-    for rec in classes:
-        lab = label_class(rec.representative, rec.order, p, r)
-        sets.setdefault(lab, set())
-    # family sets need the actual elements, not just class reps
-    xi = enumerate_xi(level, cap=cap)
-    for g in xi:
+    for g in enumerate_xi(level):
         lab = label_class(g, order_in_xi_tuple(g, level), p, r)
         sets.setdefault(lab, set()).add(g)
 
@@ -661,12 +658,11 @@ def power_relation_check(level, cap=DEFAULT_GROUP_CAP):
 # ---------------------------------------------------------------------------
 # census cache files
 
-def census_payload(family: Family, level: int, cap=DEFAULT_GROUP_CAP):
+def census_payload(family: Family, level: int):
     """JSON-ready census document for one (family, level)."""
     s = SubgroupSpec(family, level)
-    table = build_coset_table(s, group_cap=cap)
-    classes = labeled_census(level, cap=cap)
-    dt = density_table(s, cap=cap, classes=classes, table=table)
+    classes = labeled_census(level)
+    dt = density_table(s, classes=classes)
     class_rows = []
     for rec in sorted(classes, key=lambda r: r.representative):
         class_rows.append(

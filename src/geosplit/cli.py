@@ -32,8 +32,9 @@ from .core import (
     partition_str,
 )
 from .cosets import build_coset_table, splitting_type_cycles, splitting_type_moebius
-from .geodesics import empirical_tally, tally_json, tally_tsv
-from .zeta import ClassData, ratio_identity_check, venkov_zograf_check
+from .geodesics import empirical_tally, tally_cutoff, tally_json, tally_tsv
+from .zeta import (ClassData, ratio_identity_check, require_odd_prime, require_s_above_one,
+                   venkov_zograf_check)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,6 +193,7 @@ def cmd_type(args):
 
 def cmd_empirical(args):
     spec = SubgroupSpec(args.family, args.level)
+    tally_cutoff(args.x)  # refuse a bad cutoff before the census
     theory = density_table(spec)
     tally = empirical_tally(spec, args.x, jobs=args.jobs,
                             scan_anomalous=args.scan_anomalous)
@@ -230,7 +232,10 @@ def cmd_census(args):
 
 
 def cmd_zeta_check(args):
+    # refuse bad arguments before the classes are enumerated
+    require_s_above_one(args.s)
     if args.check == "ratio":
+        require_odd_prime(args.p)
         result = ratio_identity_check(args.p, args.s, args.x, ClassData(args.x, jobs=args.jobs))
     else:
         level = args.level if args.level is not None else args.p

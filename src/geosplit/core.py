@@ -246,19 +246,27 @@ def xi_chain_heads(n):
             yield (a, (-v * ginv) % n, c, (u * ginv) % n)
 
 
+def capped_xi_order(n):
+    """|Xi(n)| for a route that walks the whole group; CapExceeded above
+    DEFAULT_GROUP_CAP."""
+    if xi_order(n) > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"|Xi({n})| = {xi_order(n)} exceeds cap {DEFAULT_GROUP_CAP}")
+    return xi_order(n)
+
+
 @lru_cache(maxsize=32)
-def enumerate_xi(n, cap=DEFAULT_GROUP_CAP):
+def enumerate_xi(n):
     """Sorted list of all canonical tuples of Xi(n): the chains of
-    `xi_chain_heads`, each element produced exactly once."""
-    if xi_order(n) > cap:
-        raise CapExceeded(f"|Xi({n})| = {xi_order(n)} exceeds cap {cap}")
+    `xi_chain_heads`, each element produced exactly once.  Refused above
+    DEFAULT_GROUP_CAP elements (`capped_xi_order`)."""
+    order = capped_xi_order(n)
     out = [
         canon(a, b0 + t * a, c, d0 + t * c, n)
         for a, b0, c, d0 in xi_chain_heads(n)
         for t in range(n)
     ]
     out.sort()
-    assert len(out) == xi_order(n)
+    assert len(out) == order
     return out
 
 

@@ -8,25 +8,28 @@ class of SL2(Z) reducing to g, and can be recovered independently from the
 traces of the permutation powers by Moebius inversion; the two routes are
 kept separate so they can cross-check each other.
 
-Representative order is fixed by a breadth-first walk of the whole group
-from the identity under right multiplication by the images of
-S = [[0,-1],[1,0]] and T = [[1,1],[0,1]] (S first), the first element
-landing in a fresh coset becoming its representative.  This makes every
-derived table byte-stable.
+A coset is named by a vector of any of its elements, taken up to sign: the
+first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
+it; the first column up to units for Gamma0(N), whose elements
+[[u, y], [0, 1/u]] scale it by u; the whole tuple for Gamma(N).  The
+representatives are listed directly, with the identity's coset as coset 0:
+one per first column of `xi_chain_heads` for Gamma1, the first of those in
+each unit orbit for Gamma0, and `enumerate_xi` for Gamma; only Gamma walks
+the whole group.  The table stores the sorted +-canonical keys of every
+vector of every coset with the coset each names.
 
-The action has one kernel, `act_block`, for every level and index: the
-products g * r_i of a block of elements with all representatives are
-computed with numpy and looked up in the table's sorted array of element
-keys.  There is no size threshold and no second path; `act` is its 1-row
-call, and an element outside Xi(N) is refused with ValueError.  The
-dict-lookup `_act_reference` stays as the reference the kernel is tested
-against.
+The action has one kernel, `act_block`: it computes only the entries of
+g * r_i that name a coset and looks their keys up by binary search.  A
+column alone would also accept matrices of determinant other than 1 (the
+columns of (2,0,0,2) mod 7 are unimodular), so every acting element's
+determinant is checked and an element outside Xi(N) is refused with
+ValueError.  `_act_reference` is the action by the definition, from
+subgroup membership over all of Xi(N); the kernel is tested against it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .core import (
     Family,
     SubgroupSpec,
     canon,
+    capped_xi_order,
     divisors,
     enumerate_xi,
     identity,
@@ -44,8 +48,10 @@ from .core import (
     order_in_xi_tuple,
     parts_from_traces,
     xi_chain_heads,
+    xi_order,
 )
 
+# bounds the key array of a coset table, and with it the index
 DEFAULT_INDEX_CAP = 10**7
 
 # Permutation blocks are int32: gathers through ndarray.take with int32 indices
@@ -56,93 +62,96 @@ _PERM_DTYPE = np.int32
 
 
 class CosetTable:
-    """Reps and element->coset lookup for one congruence subgroup."""
+    """The cosets of one congruence subgroup: representatives (the
+    identity's coset first) and, for the lookup, the sorted +-canonical keys
+    of the vectors that name a coset with the coset of each.  `positions`
+    are the flat indices (a, b, c, d) = (0, 1, 2, 3) of the entries in a
+    vector."""
 
-    def __init__(self, subgroup: SubgroupSpec, reps, elt_to_coset):
+    def __init__(self, subgroup: SubgroupSpec, reps, positions, keys, cosets):
         self.subgroup = subgroup
         self.level = subgroup.level
         self.reps = reps
         self.index = len(reps)
-        self.elt_to_coset = elt_to_coset
-        self._lookup = None
-
-    def lookup(self):
-        """(keys, cosets, reps) for `act_block`, built on first use: the
-        element keys ((a*n + b)*n + c)*n + d in ascending order, the coset
-        of each, and the representatives as a 4 x index array."""
-        if self._lookup is None:
-            n, e2c = self.level, self.elt_to_coset
-            keys = np.fromiter((((a * n + b) * n + c) * n + d for a, b, c, d in e2c),
-                               dtype=np.int64, count=len(e2c))
-            cosets = np.fromiter(e2c.values(), dtype=_PERM_DTYPE, count=len(e2c))
-            order = keys.argsort()
-            keys.sort()
-            reps = np.array(self.reps, dtype=np.int64).T
-            self._lookup = (keys, cosets.take(order), reps)
-        return self._lookup
+        self.positions = positions
+        self.keys = keys
+        self.cosets = cosets
+        self.rep_entries = np.array(reps, dtype=np.int64).T  # 4 x index
 
 
-def build_coset_table(s: SubgroupSpec, cap=DEFAULT_INDEX_CAP, group_cap=None) -> CosetTable:
-    """BFS coset table for Gamma~(N) inside Xi(N)."""
+def _sign_keys(entries, n):
+    """+-canonical keys of vectors given entry by entry (arrays of residues
+    mod n): a vector's key reads its entries in base n, so the key order is
+    the tuple order, and the smaller of the keys of v and -v is kept."""
+    key = neg = 0
+    for entry in entries:
+        key, neg = key * n + entry, neg * n + (n - entry) % n
+    return np.minimum(key, neg)
+
+
+def build_coset_table(s: SubgroupSpec) -> CosetTable:
+    """Coset table for Gamma~(N) inside Xi(N), by the key rule of the module
+    docstring.  The key count, |Xi(N)|/N columns up to sign or |Xi(N)|
+    tuples, is checked against DEFAULT_INDEX_CAP before anything is built."""
     n = s.level
-    kwargs = {} if group_cap is None else {"cap": group_cap}
-    xi = enumerate_xi(n, **kwargs)
-    psi = [g for g in xi if is_member_tuple(g, s.family, n)]
-    if len(xi) // len(psi) > cap:
-        raise CapExceeded(f"index {len(xi) // len(psi)} exceeds cap {cap}")
-    gen_s = canon(0, -1, 1, 0, n)
-    gen_t = canon(1, 1, 0, 1, n)
+    whole = s.family == Family.GAMMA
+    key_count = xi_order(n) if whole else xi_order(n) // n
+    if key_count > DEFAULT_INDEX_CAP:
+        raise CapExceeded(f"{key_count} coset keys of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+    heads = enumerate_xi(n) if whole else [canon(*h, n) for h in xi_chain_heads(n)]
     e = identity(n)
+    heads = [e] + [g for g in heads if g != e]
+    positions = (0, 1, 2, 3) if whole else (0, 2)
+    vectors = np.array(heads, dtype=np.int64)[:, positions]
+    keys = _sign_keys(vectors.T, n)
+    if len(keys) != key_count:
+        raise ConsistencyError(f"{len(keys)} coset keys of {s}, expected {key_count}")
+    order = keys.argsort()
+    keys = keys.take(order)
+    if s.family == Family.GAMMA0:
+        reps, cosets = _unit_orbits(heads, vectors, keys, order, n)
+    else:
+        reps, cosets = heads, np.arange(len(heads), dtype=_PERM_DTYPE)
+    return CosetTable(s, reps, positions, keys, cosets.take(order))
+
+
+def _unit_orbits(heads, columns, keys, order, n):
+    """Gamma0 cosets as the orbits of the columns (one per head) under the
+    units mod n: the first head of each orbit becomes its representative.
+    `keys` are the columns' keys in ascending order, `order` their argsort.
+    Returns (reps, coset of each head)."""
+    units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1], dtype=np.int64)
+    cosets = np.full(len(heads), -1, dtype=_PERM_DTYPE)
     reps = []
-    e2c = {}
-
-    def new_coset(r):
-        idx = len(reps)
-        reps.append(r)
-        for ps in psi:
-            e2c[mul(r, ps, n)] = idx
-
-    seen = {e}
-    new_coset(e)
-    queue = deque([e])
-    while queue:
-        x = queue.popleft()
-        for gen in (gen_s, gen_t):
-            y = mul(x, gen, n)
-            if y in seen:
-                continue
-            seen.add(y)
-            queue.append(y)
-            if y not in e2c:
-                new_coset(y)
-    table = CosetTable(s, reps, e2c)
-    if table.index * len(psi) != len(xi):
-        raise ConsistencyError("coset table does not partition Xi")
-    return table
+    for i, (a, c) in enumerate(columns.tolist()):
+        if cosets[i] < 0:
+            orbit = keys.searchsorted(_sign_keys((units * a % n, units * c % n), n))
+            cosets[order.take(orbit)] = len(reps)
+            reps.append(heads[i])
+    return reps, cosets
 
 
 def act_block(elements, table: CosetTable):
     """Coset permutations of a list of elements as a rows x index int32
     block: row r maps coset i to the coset of elements[r] * reps[i].
 
-    The canonical form of +-x is the tuple order's minimum, and the keys
-    preserve that order, so each product is looked up as the smaller of
-    its two sign keys.  An element that is not in Xi(N) has products
-    outside it, and is refused with ValueError.
+    Only the entries of the products that name a coset are computed, and
+    their +-canonical keys are looked up by binary search.  An element
+    whose determinant is not 1 mod N is refused with ValueError.
     """
     n = table.level
-    keys, cosets, reps = table.lookup()
-    # keys stay below n^4, far inside int64 for every level Xi(N)'s cap admits
+    reps = table.rep_entries
+    # keys stay below n^4, far inside int64 for every level the key cap admits
     g = np.array([_as_tuple(x, n) for x in elements], dtype=np.int64).reshape(-1, 4, 1) % n
-    key = neg = np.zeros((len(g), table.index), dtype=np.int64)
-    for row, col in ((0, 0), (0, 1), (2, 0), (2, 1)):
-        entry = (g[:, row] * reps[col] + g[:, row + 1] * reps[col + 2]) % n
-        key, neg = key * n + entry, neg * n + (n - entry) % n
-    key = np.minimum(key, neg)
-    pos = np.minimum(keys.searchsorted(key), len(keys) - 1)
-    if not np.array_equal(keys.take(pos), key):
+    if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
-    return cosets.take(pos)
+    # entry (i, j) of g * r, at flat position 2*i + j
+    key = _sign_keys(((g[:, 2 * i] * reps[j] + g[:, 2 * i + 1] * reps[j + 2]) % n
+                      for i, j in (divmod(p, 2) for p in table.positions)), n)
+    pos = np.minimum(table.keys.searchsorted(key), len(table.keys) - 1)
+    if not np.array_equal(table.keys.take(pos), key):
+        raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
+    return table.cosets.take(pos)
 
 
 def act(g, table: CosetTable):
@@ -150,12 +159,19 @@ def act(g, table: CosetTable):
     return act_block([g], table)[0]
 
 
-def _act_reference(g, table: CosetTable):
-    """Pure dict-lookup action; `act_block` must agree with this."""
-    g = _as_tuple(g, table.level)
+def _act_reference(table: CosetTable):
+    """The action by the definition, independent of the key rule: the
+    function g -> [j such that g * r_i lies in r_j * Psi for each i], with
+    Psi the members of the subgroup among all of Xi(N).  Built once per
+    table; raises ConsistencyError when the representatives do not lie in
+    distinct cosets that cover Xi(N).  `act_block` must agree with it."""
     n = table.level
-    e2c = table.elt_to_coset
-    return [e2c[mul(g, r, n)] for r in table.reps]
+    xi = enumerate_xi(n)
+    psi = [h for h in xi if is_member_tuple(h, table.subgroup.family, n)]
+    coset_of = {mul(r, h, n): j for j, r in enumerate(table.reps) for h in psi}
+    if len(coset_of) != len(xi):
+        raise ConsistencyError(f"the representatives of {table.subgroup} do not partition Xi")
+    return lambda g: [coset_of[mul(_as_tuple(g, n), r, n)] for r in table.reps]
 
 
 def _as_tuple(g, level):
@@ -335,13 +351,16 @@ def coset_chain_blocks(table: CosetTable):
             yield elements, block.reshape(-1, index)
 
 
-def dual_type_report(level, family, group_cap=None):
-    """Exhaustive cycle-vs-Moebius comparison over all of Xi(level).
+def dual_type_report(level, family):
+    """Exhaustive cycle-vs-Moebius comparison over all of Xi(level), refused
+    with CapExceeded above DEFAULT_GROUP_CAP elements before anything is
+    built.
 
     Returns (element count, mismatch list sorted by element); one shared
     permutation per element feeds both extraction routes.
     """
-    table = build_coset_table(SubgroupSpec(family, level), group_cap=group_cap)
+    capped_xi_order(level)
+    table = build_coset_table(SubgroupSpec(family, level))
     count = 0
     mismatches = []
     for elements, block in coset_chain_blocks(table):
@@ -354,56 +373,3 @@ def dual_type_report(level, family, group_cap=None):
         count += len(elements)
     mismatches.sort(key=lambda row: row[0])
     return count, mismatches
-
-
-# ---------------------------------------------------------------------------
-# P^1(Z/N) fast-path model of the Gamma0 cosets
-#
-# Left cosets g*Gamma0(N) are classified by the first column (a : c) of g
-# up to units, so the Gamma0 table embeds in P^1(Z/N).  The generic BFS
-# table remains the reference; the two must agree coset-for-coset.
-
-def p1_points(n):
-    """Unimodular column pairs (a, c) mod n up to unit scaling, canonical min."""
-    norm = {}
-    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-    for a in range(n):
-        for c in range(n):
-            if math.gcd(math.gcd(a, c), n) != 1:
-                continue
-            key = (a, c)
-            if key in norm:
-                continue
-            orbit = {((u * a) % n, (u * c) % n) for u in units}
-            rep = min(orbit)
-            for pt in orbit:
-                norm[pt] = rep
-    return norm
-
-
-class P1Model:
-    """Gamma0(N) coset action realized on P^1(Z/N), indexed to match a CosetTable."""
-
-    def __init__(self, table: CosetTable):
-        if table.subgroup.family != Family.GAMMA0:
-            raise ValueError("P1 model applies to gamma0 only")
-        n = table.level
-        self.level = n
-        self.norm = p1_points(n)
-        self.point_to_coset = {}
-        for i, (a, b, c, d) in enumerate(table.reps):
-            self.point_to_coset[self.norm[(a, c)]] = i
-        if len(self.point_to_coset) != table.index:
-            raise ConsistencyError("P1 model does not match coset table")
-        self.coset_to_point = [None] * table.index
-        for pt, i in self.point_to_coset.items():
-            self.coset_to_point[i] = pt
-
-    def act(self, g):
-        n = self.level
-        ga, gb, gc, gd = _as_tuple(g, n)
-        out = [0] * len(self.coset_to_point)
-        for i, (a, c) in enumerate(self.coset_to_point):
-            pt = self.norm[((ga * a + gb * c) % n, (gc * a + gd * c) % n)]
-            out[i] = self.point_to_coset[pt]
-        return out

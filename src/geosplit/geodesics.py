@@ -210,6 +210,17 @@ def max_trace(x):
     return t if t >= 3 else 2
 
 
+def tally_cutoff(x):
+    """max_trace(x) for a tally, with the cutoff checked before any work:
+    below MIN_CUTOFF it raises ValueError, above MAX_CUTOFF CapExceeded."""
+    xf = exact_cutoff(x)
+    if xf < MIN_CUTOFF:
+        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}")
+    if xf > MAX_CUTOFF:
+        raise CapExceeded(f"cutoff {x} exceeds cap {MAX_CUTOFF}")
+    return max_trace(xf)
+
+
 def power_traces(t0, t_max):
     """Traces of powers: t_1 = t0, t_k = t0 t_{k-1} - t_{k-2}, while <= t_max."""
     out = []
@@ -363,9 +374,7 @@ def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=Fal
     Splitting types only depend on the reduction mod N, so they are
     memoized per projected element (at most |Xi(N)| distinct keys).
     """
-    if exact_cutoff(x) < MIN_CUTOFF:
-        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}")
-    t_max = max_trace(x)
+    t_max = tally_cutoff(x)
     table = build_coset_table(s)
     kept = classes_below(x, t_max, classes, jobs)
     keys = residue_keys(kept, s.level)

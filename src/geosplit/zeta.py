@@ -168,10 +168,19 @@ class ClassData:
         return self._residue_memo(subgroup, [g])[g]
 
 
-def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
-    """log of the truncated Euler product over classes of the given type."""
+def require_s_above_one(s):
     if s <= 1:
         raise ValueError("require s > 1")
+
+
+def require_odd_prime(p):
+    if p < 3 or p % 2 == 0 or prime_factors(p) != [p]:
+        raise ValueError(f"require an odd prime p, got {p}")
+
+
+def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
+    """log of the truncated Euler product over classes of the given type."""
+    require_s_above_one(s)
     if data is None:
         data = ClassData(x)
     t_max = data.trace_bound(x)
@@ -200,8 +209,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     for each type lambda and each part m_i, the lambda-product at m_i * s.
     The identity is exact per class, so the discrepancy is pure rounding.
     """
-    if s <= 1:
-        raise ValueError("require s > 1")
+    require_s_above_one(s)
     if data is None:
         data = ClassData(x)
     t_max = data.trace_bound(x)
@@ -237,10 +245,8 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     factorization.  Classes entering zeta^(p,p) are exactly those whose
     reduction mod p has order p.
     """
-    if p < 3 or p % 2 == 0 or prime_factors(p) != [p]:
-        raise ValueError(f"require an odd prime p, got {p}")
-    if s <= 1:
-        raise ValueError("require s > 1")
+    require_odd_prime(p)
+    require_s_above_one(s)
     if data is None:
         data = ClassData(x)
     t_max = data.trace_bound(x)

@@ -162,6 +162,20 @@ def test_closed_form_rejects_bad_levels():
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 8))
 
 
+def test_gamma_closed_form_refused_above_the_index_cap(monkeypatch):
+    """Gamma(31^2) has index 4.4e8: its rectangle types would be tuples of
+    that many parts, so it is refused before the catalog is built."""
+    import geosplit.census as census
+    from geosplit.core import CapExceeded
+
+    def refuse(p, r):
+        raise AssertionError("built the catalog of a capped level")
+
+    monkeypatch.setattr(census, "closed_class_catalog", refuse)
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        density_table_closed_form(SubgroupSpec(Family.GAMMA, 31**2))
+
+
 def test_theorem_density_formulas_prime_level():
     # regular cover at prime level: full-order rectangle has density 2/p
     for p in (3, 5, 7):

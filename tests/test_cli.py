@@ -96,6 +96,19 @@ def test_type_examples(capsys):
     assert out.splitlines()[0] == "9,1,1,1"
 
 
+@pytest.mark.parametrize("family, level, index", [("gamma0", 1000, 1800),
+                                                  ("gamma1", 293, 42924)])
+def test_type_above_the_group_cap(capsys, family, level, index):
+    """|Xi| is 3.6e8 and 1.26e7, over the census cap, but the coset tables
+    list their cosets from first columns without walking the group."""
+    code, out, err = run(capsys, "type", "--matrix", "2,1,1,1", "--family", family,
+                         "--level", str(level))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1] == f"moebius: {lines[0]}"
+    assert sum(map(int, lines[0].split(","))) == index
+
+
 def test_type_rejects_bad_determinant(capsys):
     code, _, err = run(capsys, "type", "--matrix", "1,2,3,4", "--family", "gamma0",
                        "--level", "5")
@@ -281,3 +294,25 @@ def test_tensor_multiplicity_failure_exits_3(capsys, monkeypatch):
                          "--composite")
     assert code == 3 and out == ""
     assert err.startswith("error: Moebius")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--jobs", "2", "zeta-check", "--p", "9", "--s", "2", "--x", "1e6"], 1),
+    (["zeta-check", "--p", "3", "--s", "1", "--x", "1e6"], 1),
+    (["zeta-check", "--p", "5", "--s", "0.5", "--x", "1e6", "--check", "venkov"], 1),
+    (["empirical", "--family", "gamma0", "--level", "75", "--x", "5"], 1),
+    (["empirical", "--family", "gamma1", "--level", "75", "--x", "1e12"], 2),
+])
+def test_bad_arguments_refused_before_the_work(capsys, monkeypatch, args, code):
+    """p, s and the cutoff are checked before the classes are enumerated or
+    the census is taken."""
+    from geosplit import census, geodesics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started the expensive work")
+
+    monkeypatch.setattr(geodesics, "enumerate_primitive_classes", refuse)
+    monkeypatch.setattr(census, "conjugacy_classes", refuse)
+    got, out, err = run(capsys, *args)
+    assert got == code and out == ""
+    assert err.startswith("error: ")

@@ -15,7 +15,6 @@ from geosplit.core import (
     xi_order,
 )
 from geosplit.cosets import (
-    P1Model,
     act,
     _act_reference,
     build_coset_table,
@@ -172,41 +171,50 @@ def test_type_weight_and_conjugation_invariance():
 
 def test_vectorized_act_matches_reference():
     rng = random.Random(17)
-    t = table(Family.GAMMA, 17)  # index 2448 forces the numpy path
+    t = table(Family.GAMMA, 17)  # index 2448
+    reference = _act_reference(t)
     xi = enumerate_xi(17)
     for _ in range(20):
         g = rng.choice(xi)
-        assert list(act(g, t)) == _act_reference(g, t)
+        assert list(act(g, t)) == reference(g)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 12, 25])
 def test_p1_fast_path_agrees(n):
+    """The Gamma0 table agrees with the action of Xi(N) on P^1(Z/N), the
+    first columns up to units, computed here without the table's keys."""
+    from math import gcd
+
     t = table(Family.GAMMA0, n)
-    model = P1Model(t)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+
+    def point(a, c):
+        return min(((u * a) % n, (u * c) % n) for u in units)
+
+    rep_points = [point(r[0], r[2]) for r in t.reps]
+    assert len(set(rep_points)) == t.index
     rng = random.Random(n)
     xi = enumerate_xi(n)
     sample = xi if len(xi) <= 400 else [rng.choice(xi) for _ in range(120)]
     for g in sample:
-        assert model.act(g) == list(act(g, t))
+        ga, gb, gc, gd = g
+        perm = act(g, t)
+        for (a, c), j in zip(rep_points, perm.tolist()):
+            assert point(ga * a + gb * c, gc * a + gd * c) == rep_points[j], (g, a, c)
 
 
 def test_oracle_equivalence_random_large_levels():
     """Cycle vs Moebius on >= 1e4 random elements at levels up to 200.
 
-    Building the full group is out of reach at these sizes, so the action
-    runs on the P^1 realization of the Gamma0 cosets; both type extractions
-    see the identical permutation.
+    The Gamma0 tables at these levels list their cosets without walking
+    Xi(N); both type extractions see the identical permutation.
     """
     from math import gcd
-
-    from geosplit.cosets import moebius_type_from_perm, p1_points
 
     rng = random.Random(200)
     total = 0
     for n in (60, 101, 200):
-        norm = p1_points(n)
-        points = sorted(set(norm.values()))
-        index = {pt: i for i, pt in enumerate(points)}
+        t = table(Family.GAMMA0, n)
 
         def random_element():
             while True:
@@ -222,14 +230,10 @@ def test_oracle_equivalence_random_large_levels():
 
         for _ in range(3400):
             g = random_element()
-            ga, gb, gc, gd = g
-            perm = [
-                index[norm[((ga * a + gb * c) % n, (gc * a + gd * c) % n)]]
-                for (a, c) in points
-            ]
+            perm = act(g, t)
             lam_cycles = cycle_type_of(perm)
             order = order_in_xi_tuple(g, n)
-            lam_moebius = moebius_type_from_perm(perm, order, len(points))
+            lam_moebius = moebius_type_from_perm(perm, order, t.index)
             assert lam_cycles == lam_moebius, (n, g)
             total += 1
     assert total >= 10**4
@@ -351,11 +355,12 @@ def test_moebius_rejects_order_missing_a_cycle_length():
 @pytest.mark.parametrize("n", list(range(2, 13)))
 def test_chain_permutations_match_reference(family, n):
     t = table(family, n)
+    reference = _act_reference(t)
     swept = []
     for elements, block in coset_chain_blocks(t):
         assert block.shape == (len(elements), t.index)
         for g, perm in zip(elements, block.tolist()):
-            assert perm == _act_reference(g, t), g
+            assert perm == reference(g), g
         swept.extend(elements)
     assert sorted(swept) == enumerate_xi(n)
 
@@ -363,9 +368,10 @@ def test_chain_permutations_match_reference(family, n):
 def _reference_dual_report(level, family):
     """Per-element loop: reference action, both type routes."""
     t = table(family, level)
+    reference = _act_reference(t)
     mismatches = []
     for g in enumerate_xi(level):
-        perm = _act_reference(g, t)
+        perm = reference(g)
         lam_c = cycle_type_of(perm)
         lam_m = moebius_type_from_perm(perm, order_in_xi_tuple(g, level), t.index)
         if lam_c != lam_m:
@@ -417,18 +423,23 @@ from geosplit.cosets import act_block
 
 
 @pytest.mark.parametrize("family, n", [(Family.GAMMA0, 75), (Family.GAMMA1, 75),
-                                       (Family.GAMMA0, 12)])
+                                       (Family.GAMMA, 75), (Family.GAMMA0, 12),
+                                       (Family.GAMMA0, 3), (Family.GAMMA0, 5),
+                                       (Family.GAMMA0, 9), (Family.GAMMA0, 25)])
 def test_act_matches_reference_at_any_size(family, n):
-    """Level 75 (keys up to 75^4) and the narrow Gamma0(12) (index 24) go
-    through the same kernel as every other table."""
+    """The key lookup agrees with the action by membership: at level 75
+    (Gamma keys up to 75^4, index 180000), at prime powers and at the
+    narrow Gamma0(12) (index 24).  Up to 400 elements all of Xi(N) is
+    checked, else a sample of 30 (3 at index 180000)."""
     t = table(family, n)
+    reference = _act_reference(t)
     rng = random.Random(n)
     xi = enumerate_xi(n)
-    for _ in range(30):
-        g = rng.choice(xi)
+    sample = [rng.choice(xi) for _ in range(30 if t.index < 10**4 else 3)]
+    for g in xi if len(xi) <= 400 else sample:
         perm = act(g, t)
         assert perm.dtype == np.int32
-        assert perm.tolist() == _act_reference(g, t)
+        assert perm.tolist() == reference(g)
 
 
 def test_act_block_rows_match_one_row_calls():
@@ -446,9 +457,10 @@ def test_act_block_rows_match_one_row_calls():
     assert act_block([], t).shape == (0, t.index)
 
 
-@pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA])
+@pytest.mark.parametrize("family", list(Family))
 def test_act_refuses_an_element_outside_xi(family):
-    # (2, 0, 0, 2) has determinant 4 mod 7; index 8 and 168
+    # (2, 0, 0, 2) has determinant 4 mod 7 and unimodular columns; index 8,
+    # 24 and 168
     t = table(family, 7)
     with pytest.raises(ValueError, match="not in Xi"):
         act((2, 0, 0, 2), t)
@@ -456,3 +468,55 @@ def test_act_refuses_an_element_outside_xi(family):
         act_block([identity(7), (2, 0, 0, 2)], t)
     with pytest.raises(ValueError):
         splitting_type_cycles((2, 0, 0, 2), t)
+
+
+# ---------------------------------------------------------------------------
+# coset tables without a walk of Xi(N)
+
+from geosplit import cosets
+from geosplit.core import CapExceeded
+
+
+def _refuse(*args):
+    raise AssertionError("walked Xi(N) or built a capped table")
+
+
+@pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA1])
+def test_column_tables_never_enumerate_xi(family, monkeypatch):
+    monkeypatch.setattr(cosets, "enumerate_xi", _refuse)
+    for n in (2, 9, 12, 75):
+        t = build_coset_table(SubgroupSpec(family, n))
+        assert t.reps[0] == identity(n)
+        assert list(act(identity(n), t)) == list(range(t.index))
+
+
+def test_table_faults_are_consistency_errors():
+    """A product whose key the table lacks, or representatives that share a
+    coset, are faults of the table, not bad input."""
+    from geosplit.core import ConsistencyError
+
+    t = table(Family.GAMMA1, 7)
+    t.keys = t.keys[1:]
+    t.cosets = t.cosets[1:]
+    with pytest.raises(ConsistencyError):
+        act_block(enumerate_xi(7), t)
+    t = table(Family.GAMMA0, 5)
+    t.reps = [t.reps[0]] + t.reps[:-1]
+    with pytest.raises(ConsistencyError, match="partition"):
+        _act_reference(t)
+
+
+def test_coset_key_cap_is_checked_before_building(monkeypatch):
+    """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
+    monkeypatch.setattr(cosets, "xi_chain_heads", _refuse)
+    monkeypatch.setattr(cosets, "enumerate_xi", _refuse)
+    for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            build_coset_table(SubgroupSpec(family, n))
+
+
+def test_dual_type_report_refuses_above_the_group_cap(monkeypatch):
+    """Gamma0(1000) has a small table, but the sweep walks |Xi| = 3.6e8."""
+    monkeypatch.setattr(cosets, "build_coset_table", _refuse)
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        dual_type_report(1000, Family.GAMMA0)
