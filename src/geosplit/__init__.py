@@ -8,13 +8,8 @@ from .core import (
     ConsistencyError,
     Family,
     IntegerMatrix,
-    ProjectiveResidueMatrix,
     SubgroupSpec,
     enumerate_xi,
-    is_member,
-    order_in_xi,
-    proj,
-    reduce_mod,
     xi_order,
 )
 from .cosets import (
@@ -46,7 +41,6 @@ from .geodesics import (
     classes_at_trace,
     empirical_tally,
     enumerate_primitive_classes,
-    mark_primitivity,
 )
 from .zeta import (
     ClassData,

@@ -225,18 +225,6 @@ def family_set_sizes(p, r):
     return out
 
 
-def labeled_census(level):
-    """Census with family labels attached (odd prime-power levels only)."""
-    fac = _prime_power(level)
-    classes = conjugacy_classes(level)
-    if fac is None or fac[0] == 2:
-        return classes
-    p, r = fac
-    for rec in classes:
-        rec.family_label = label_str(label_class(rec.representative, rec.order, p, r))
-    return classes
-
-
 def _prime_power(n):
     fac = factorize(n)
     if len(fac) == 1:
@@ -258,9 +246,6 @@ class DensityTable:
         total = sum(self.entries.values(), Fraction(0))
         if total != 1:
             raise ConsistencyError(f"density table for {self.subgroup} sums to {total}")
-
-    def density(self, lam):
-        return self.entries.get(tuple(lam), Fraction(0))
 
 
 def density_table(s: SubgroupSpec, classes=None) -> DensityTable:
@@ -661,23 +646,19 @@ def power_relation_check(level):
 def census_payload(family: Family, level: int):
     """JSON-ready census document for one (family, level)."""
     s = SubgroupSpec(family, level)
-    classes = labeled_census(level)
+    classes = conjugacy_classes(level)
+    fac = _prime_power(level)
+    if fac is not None and fac[0] != 2:
+        # family labels exist for odd prime-power levels only
+        p, r = fac
+        for rec in classes:
+            rec.family_label = label_str(label_class(rec.representative, rec.order, p, r))
     dt = density_table(s, classes=classes)
-    class_rows = []
-    for rec in sorted(classes, key=lambda r: r.representative):
-        class_rows.append(
-            {
-                "rep": list(rec.representative),
-                "size": rec.size,
-                "order": rec.order,
-                "family_label": rec.family_label,
-                "type": list(rec.types[family]),
-            }
-        )
-    densities = {}
-    for lam in sorted(dt.entries, reverse=True):
-        frac = dt.entries[lam]
-        densities[partition_str(lam)] = f"{frac.numerator}/{frac.denominator}"
+    class_rows = [{"rep": list(rec.representative), "size": rec.size, "order": rec.order,
+                   "family_label": rec.family_label, "type": list(rec.types[family])}
+                  for rec in sorted(classes, key=lambda r: r.representative)]
+    densities = {partition_str(lam): f"{frac.numerator}/{frac.denominator}"
+                 for lam, frac in sorted(dt.entries.items(), reverse=True)}
     return {
         "level": level,
         "family": family.value,

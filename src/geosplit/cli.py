@@ -27,11 +27,13 @@ from .core import (
     Family,
     IntegerMatrix,
     SubgroupSpec,
+    canon,
     factorize,
     order_in_xi_tuple,
     partition_str,
 )
-from .cosets import build_coset_table, splitting_type_cycles, splitting_type_moebius
+from .cosets import (build_coset_table, capped_key_count, splitting_type_cycles,
+                     splitting_type_moebius)
 from .geodesics import empirical_tally, tally_cutoff, tally_json, tally_tsv
 from .zeta import (ClassData, ratio_identity_check, require_odd_prime, require_s_above_one,
                    venkov_zograf_check)
@@ -113,16 +115,9 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _table_rows(table):
-    rows = []
-    for lam in sorted(table.entries, reverse=True):
-        frac = table.entries[lam]
-        rows.append((partition_str(lam), f"{frac.numerator}/{frac.denominator}"))
-    return rows
-
-
 def _table_text(table, fmt):
-    rows = _table_rows(table)
+    rows = [(partition_str(lam), f"{frac.numerator}/{frac.denominator}")
+            for lam, frac in sorted(table.entries.items(), reverse=True)]
     if fmt == "tsv":
         lines = ["partition\tdensity"]
         lines += [f"{a}\t{b}" for a, b in rows]
@@ -179,7 +174,7 @@ def cmd_type(args):
         return EXIT_USAGE
     spec = SubgroupSpec(args.family, args.level)
     table = build_coset_table(spec)
-    g = m.reduce_mod(args.level).tuple
+    g = canon(m.a, m.b, m.c, m.d, args.level)
     lam_cycles = splitting_type_cycles(g, table)
     lam_moebius = splitting_type_moebius(g, table)
     print(partition_str(lam_cycles))
@@ -202,12 +197,8 @@ def cmd_empirical(args):
     return EXIT_OK
 
 
-def _cache_dir(args):
-    return os.environ.get("GEODESIC_CACHE_DIR") or args.cache_dir
-
-
 def cmd_census(args):
-    cache_dir = _cache_dir(args)
+    cache_dir = os.environ.get("GEODESIC_CACHE_DIR") or args.cache_dir
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"census-{args.family.value}-{args.level}.json")
     if os.path.exists(path):
@@ -232,14 +223,17 @@ def cmd_census(args):
 
 
 def cmd_zeta_check(args):
-    # refuse bad arguments before the classes are enumerated
+    # refuse bad arguments and over-cap covers before the classes are enumerated
     require_s_above_one(args.s)
     if args.check == "ratio":
         require_odd_prime(args.p)
+        for family in (Family.GAMMA1, Family.GAMMA):
+            capped_key_count(SubgroupSpec(family, args.p))
         result = ratio_identity_check(args.p, args.s, args.x, ClassData(args.x, jobs=args.jobs))
     else:
         level = args.level if args.level is not None else args.p
         spec = SubgroupSpec(args.family, level)
+        capped_key_count(spec)
         result = venkov_zograf_check(args.s, args.x, spec, ClassData(args.x, jobs=args.jobs))
         result = {"p": args.p, "s": args.s, "cutoff": float(args.x),
                   "family": args.family.value, "level": level, **result}

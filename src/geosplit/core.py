@@ -3,9 +3,9 @@ residue group Xi(N) = SL2(Z/N)/{+-I}, congruence subgroup membership,
 partitions and small number-theoretic helpers.
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
-the lexicographically smaller of the tuple and its negation mod N.  All
-hot loops work on bare tuples; the thin wrapper classes below exist for
-the public API and validate their invariants on construction.
+the lexicographically smaller of the tuple and its negation mod N; `canon`
+reduces any integer matrix to that form.  Integer matrices from outside
+arrive as `IntegerMatrix`, which checks det = 1.
 """
 
 from __future__ import annotations
@@ -86,46 +86,6 @@ def matpow(x, k, n):
     return r
 
 
-@dataclass(frozen=True)
-class ProjectiveResidueMatrix:
-    """An element of Xi(N) = SL2(Z/N)/{+-I}, stored canonically."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    level: int
-
-    def __post_init__(self):
-        n = self.level
-        if n < 2:
-            raise ValueError("level must be >= 2")
-        if (self.a * self.d - self.b * self.c) % n != 1 % n:
-            raise ValueError("determinant must be 1 mod level")
-        t = canon(self.a, self.b, self.c, self.d, n)
-        if t != (self.a, self.b, self.c, self.d):
-            object.__setattr__(self, "a", t[0])
-            object.__setattr__(self, "b", t[1])
-            object.__setattr__(self, "c", t[2])
-            object.__setattr__(self, "d", t[3])
-
-    @property
-    def tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-    def __mul__(self, other):
-        if self.level != other.level:
-            raise ValueError("level mismatch")
-        return ProjectiveResidueMatrix(*mul(self.tuple, other.tuple, self.level), self.level)
-
-    def inverse(self):
-        return ProjectiveResidueMatrix(*inv(self.tuple, self.level), self.level)
-
-
-def proj(a, b, c, d, level):
-    return ProjectiveResidueMatrix(a, b, c, d, level)
-
-
 # ---------------------------------------------------------------------------
 # integer matrices (hyperbolic representatives); Python ints are unbounded,
 # so powers of norm ~1e6 matrices need no overflow handling
@@ -153,26 +113,6 @@ class IntegerMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers not needed")
-        r = IntegerMatrix(1, 0, 0, 1)
-        x = self
-        while k:
-            if k & 1:
-                r = r * x
-            x = x * x
-            k >>= 1
-        return r
-
-    def reduce_mod(self, level):
-        """Projection SL2(Z) -> Xi(level)."""
-        return ProjectiveResidueMatrix(self.a, self.b, self.c, self.d, level)
-
-
-def reduce_mod(m: IntegerMatrix, level: int) -> ProjectiveResidueMatrix:
-    return m.reduce_mod(level)
-
 
 # ---------------------------------------------------------------------------
 # subgroup membership and element order
@@ -192,12 +132,6 @@ def is_member_tuple(g, family, n):
     return b % n == 0
 
 
-def is_member(g: ProjectiveResidueMatrix, s: SubgroupSpec) -> bool:
-    if g.level != s.level:
-        raise ValueError("level mismatch")
-    return is_member_tuple(g.tuple, s.family, s.level)
-
-
 def order_in_xi_tuple(g, n):
     """Least m >= 1 with g^m = I in Xi(n)."""
     e = identity(n)
@@ -207,10 +141,6 @@ def order_in_xi_tuple(g, n):
         x = mul(x, g, n)
         m += 1
     return m
-
-
-def order_in_xi(g: ProjectiveResidueMatrix) -> int:
-    return order_in_xi_tuple(g.tuple, g.level)
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +157,36 @@ def xi_order(n):
     return int(f)
 
 
+def unimodular_columns(n):
+    """The unimodular first columns (a, c) of Xi(n) in lexicographic order,
+    one per {+-} pair: the one not above its negation (every column for
+    n = 2, where -I = I)."""
+    for a in range(n // 2 + 1):  # a <= -a mod n
+        ga = math.gcd(a, n)
+        tied = a == (n - a) % n  # a = 0 or n/2: the sign then acts on c alone
+        for c in range(n):
+            if math.gcd(ga, c) == 1 and not (tied and (n - c) % n < c):
+                yield a, c
+
+
+def complete_column(a, c, n):
+    """An element (a, b, c, d) of SL2(Z/n) with the unimodular first column
+    (a, c), entries reduced mod n but not canonical."""
+    g, u, v = _ext_gcd(a, c)
+    ginv = pow(g, -1, n)
+    return (a, (-v * ginv) % n, c, (u * ginv) % n)
+
+
 def xi_chain_heads(n):
     """One element (a, b0, c, d0) per unimodular first column (a, c) of
     Xi(n), taken up to sign.
 
     The completions of a column form the single chain head * T^t,
     (b, d) = (b0 + t*a, d0 + t*c) for t = 0..n-1, so the chains of the
-    heads partition Xi(n).  For n = 2, where -I = I, every column is kept.
+    heads partition Xi(n).
     """
-    for a in range(n):
-        for c in range(n):
-            if math.gcd(math.gcd(a, c), n) != 1:
-                continue
-            if ((n - a) % n, (n - c) % n) < (a, c):
-                continue  # one column per {+-} pair
-            g, u, v = _ext_gcd(a, c)
-            ginv = pow(g, -1, n)
-            yield (a, (-v * ginv) % n, c, (u * ginv) % n)
+    for a, c in unimodular_columns(n):
+        yield complete_column(a, c, n)
 
 
 def capped_xi_order(n):

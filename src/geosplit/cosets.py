@@ -13,18 +13,19 @@ first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole tuple for Gamma(N).  The
 representatives are listed directly, with the identity's coset as coset 0:
-one per first column of `xi_chain_heads` for Gamma1, the first of those in
-each unit orbit for Gamma0, and `enumerate_xi` for Gamma; only Gamma walks
-the whole group.  The table stores the sorted +-canonical keys of every
-vector of every coset with the coset each names.
+the completion (`complete_column`) of every unimodular column for Gamma1,
+of the first column in each unit orbit for Gamma0, and `enumerate_xi` for
+Gamma; only Gamma walks the whole group.  The table stores the sorted
++-canonical keys of every vector of every coset with the coset each names.
 
 The action has one kernel, `act_block`: it computes only the entries of
 g * r_i that name a coset and looks their keys up by binary search.  A
 column alone would also accept matrices of determinant other than 1 (the
 columns of (2,0,0,2) mod 7 are unimodular), so every acting element's
 determinant is checked and an element outside Xi(N) is refused with
-ValueError.  `_act_reference` is the action by the definition, from
-subgroup membership over all of Xi(N); the kernel is tested against it.
+ValueError.  The tests check the kernel against the action by the
+definition, from subgroup membership over all of Xi(N), which lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ from .core import (
     SubgroupSpec,
     canon,
     capped_xi_order,
+    complete_column,
     divisors,
     enumerate_xi,
     identity,
-    is_member_tuple,
-    mul,
     order_in_xi_tuple,
     parts_from_traces,
+    unimodular_columns,
     xi_chain_heads,
     xi_order,
 )
@@ -89,45 +90,55 @@ def _sign_keys(entries, n):
     return np.minimum(key, neg)
 
 
+def capped_key_count(s: SubgroupSpec):
+    """Key count of the coset table of s, |Xi(N)|/N columns up to sign or
+    |Xi(N)| tuples for Gamma; CapExceeded above DEFAULT_INDEX_CAP."""
+    n = s.level
+    count = xi_order(n) if s.family == Family.GAMMA else xi_order(n) // n
+    if count > DEFAULT_INDEX_CAP:
+        raise CapExceeded(f"{count} coset keys of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+    return count
+
+
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
     """Coset table for Gamma~(N) inside Xi(N), by the key rule of the module
-    docstring.  The key count, |Xi(N)|/N columns up to sign or |Xi(N)|
-    tuples, is checked against DEFAULT_INDEX_CAP before anything is built."""
+    docstring.  The key count is checked against DEFAULT_INDEX_CAP before
+    anything is built (`capped_key_count`)."""
     n = s.level
+    key_count = capped_key_count(s)
     whole = s.family == Family.GAMMA
-    key_count = xi_order(n) if whole else xi_order(n) // n
-    if key_count > DEFAULT_INDEX_CAP:
-        raise CapExceeded(f"{key_count} coset keys of {s} exceeds cap {DEFAULT_INDEX_CAP}")
-    heads = enumerate_xi(n) if whole else [canon(*h, n) for h in xi_chain_heads(n)]
-    e = identity(n)
-    heads = [e] + [g for g in heads if g != e]
+    # the identity's vector first: it names coset 0
+    first = identity(n) if whole else (1, 0)
+    vectors = [first] + [v for v in (enumerate_xi(n) if whole else unimodular_columns(n))
+                         if v != first]
     positions = (0, 1, 2, 3) if whole else (0, 2)
-    vectors = np.array(heads, dtype=np.int64)[:, positions]
-    keys = _sign_keys(vectors.T, n)
+    entries = np.array(vectors, dtype=np.int64)
+    keys = _sign_keys(entries.T, n)
     if len(keys) != key_count:
         raise ConsistencyError(f"{len(keys)} coset keys of {s}, expected {key_count}")
     order = keys.argsort()
     keys = keys.take(order)
     if s.family == Family.GAMMA0:
-        reps, cosets = _unit_orbits(heads, vectors, keys, order, n)
+        reps, cosets = _unit_orbits(vectors, keys, order, n)
     else:
-        reps, cosets = heads, np.arange(len(heads), dtype=_PERM_DTYPE)
+        reps = vectors if whole else [canon(*complete_column(a, c, n), n) for a, c in vectors]
+        cosets = np.arange(len(reps), dtype=_PERM_DTYPE)
     return CosetTable(s, reps, positions, keys, cosets.take(order))
 
 
-def _unit_orbits(heads, columns, keys, order, n):
-    """Gamma0 cosets as the orbits of the columns (one per head) under the
-    units mod n: the first head of each orbit becomes its representative.
-    `keys` are the columns' keys in ascending order, `order` their argsort.
-    Returns (reps, coset of each head)."""
+def _unit_orbits(columns, keys, order, n):
+    """Gamma0 cosets as the orbits of the columns under the units mod n:
+    the completion of the first column of each orbit becomes its
+    representative.  `keys` are the columns' keys in ascending order,
+    `order` their argsort.  Returns (reps, coset of each column)."""
     units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1], dtype=np.int64)
-    cosets = np.full(len(heads), -1, dtype=_PERM_DTYPE)
+    cosets = np.full(len(columns), -1, dtype=_PERM_DTYPE)
     reps = []
-    for i, (a, c) in enumerate(columns.tolist()):
+    for i, (a, c) in enumerate(columns):
         if cosets[i] < 0:
             orbit = keys.searchsorted(_sign_keys((units * a % n, units * c % n), n))
             cosets[order.take(orbit)] = len(reps)
-            reps.append(heads[i])
+            reps.append(canon(*complete_column(a, c, n), n))
     return reps, cosets
 
 
@@ -142,7 +153,7 @@ def act_block(elements, table: CosetTable):
     n = table.level
     reps = table.rep_entries
     # keys stay below n^4, far inside int64 for every level the key cap admits
-    g = np.array([_as_tuple(x, n) for x in elements], dtype=np.int64).reshape(-1, 4, 1) % n
+    g = np.array(elements, dtype=np.int64).reshape(-1, 4, 1) % n
     if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
     # entry (i, j) of g * r, at flat position 2*i + j
@@ -157,29 +168,6 @@ def act_block(elements, table: CosetTable):
 def act(g, table: CosetTable):
     """Permutation of coset indices induced by g (a 1-row `act_block`)."""
     return act_block([g], table)[0]
-
-
-def _act_reference(table: CosetTable):
-    """The action by the definition, independent of the key rule: the
-    function g -> [j such that g * r_i lies in r_j * Psi for each i], with
-    Psi the members of the subgroup among all of Xi(N).  Built once per
-    table; raises ConsistencyError when the representatives do not lie in
-    distinct cosets that cover Xi(N).  `act_block` must agree with it."""
-    n = table.level
-    xi = enumerate_xi(n)
-    psi = [h for h in xi if is_member_tuple(h, table.subgroup.family, n)]
-    coset_of = {mul(r, h, n): j for j, r in enumerate(table.reps) for h in psi}
-    if len(coset_of) != len(xi):
-        raise ConsistencyError(f"the representatives of {table.subgroup} do not partition Xi")
-    return lambda g: [coset_of[mul(_as_tuple(g, n), r, n)] for r in table.reps]
-
-
-def _as_tuple(g, level):
-    if isinstance(g, tuple):
-        return g
-    if g.level != level:
-        raise ValueError("level mismatch")
-    return g.tuple
 
 
 def _as_block(perms):
@@ -305,9 +293,8 @@ def moebius_type_from_perm(perm, m_order, index):
 
 def splitting_type_moebius(g, table: CosetTable):
     """Splitting type recovered from permutation-power traces alone."""
-    gt = _as_tuple(g, table.level)
-    m_order = order_in_xi_tuple(gt, table.level)
-    return moebius_type_from_perm(act(gt, table), m_order, table.index)
+    m_order = order_in_xi_tuple(g, table.level)
+    return moebius_type_from_perm(act(g, table), m_order, table.index)
 
 
 # permutation entries held by one block of the dual sweep: small enough that

@@ -133,11 +133,6 @@ def matrix_from_form(t, form):
     return IntegerMatrix((t - b) // 2, -c, a, (t + b) // 2)
 
 
-def form_of_matrix(m):
-    """Fixed-point form (c, d-a, -b) of a matrix; inverse of the lift above."""
-    return (m.c, m.d - m.a, -m.b)
-
-
 def classes_at_trace(t, spf=None):
     """SL2(Z)-classes of trace t as reduction cycles, one record per cycle,
     canonical representative = least reduced form in the cycle."""
@@ -173,7 +168,8 @@ def class_of_matrix(m):
         raise ValueError("need positive hyperbolic trace")
     disc = t * t - 4
     sq = math.isqrt(disc)
-    f = reduce_form(*form_of_matrix(m), disc, sq)
+    # the fixed-point form (c, d-a, -b), inverse of `matrix_from_form`
+    f = reduce_form(m.c, m.d - m.a, -m.b, disc, sq)
     start = f
     best = f
     while True:
@@ -278,12 +274,8 @@ def enumerate_primitive_classes(x, jobs=1):
     sieve_limit = max((t_max * t_max - 4) // 4, 4)
     per_trace = {}
     if jobs > 1:
-        ranges = []
         step = max(8, (t_max - 2) // (jobs * 12) + 1)
-        lo = 3
-        while lo <= t_max:
-            ranges.append((lo, min(lo + step, t_max + 1)))
-            lo += step
+        ranges = [(lo, min(lo + step, t_max + 1)) for lo in range(3, t_max + 1, step)]
         with Pool(jobs, initializer=_init_trace_worker, initargs=(sieve_limit,)) as pool:
             for chunk in pool.imap_unordered(_trace_worker, ranges):
                 for t, fs in chunk:
@@ -311,22 +303,6 @@ def enumerate_primitive_classes(x, jobs=1):
             if f not in imprimitive[t]:
                 out.append((t, f, matrix_from_form(t, f)))
     return out
-
-
-def mark_primitivity(records_by_trace, t_max):
-    """Flag imprimitive classes among full FormClassRecords (all traces up
-    to t_max must be present)."""
-    lookup = {t: {r.canonical_form: r for r in recs} for t, recs in records_by_trace.items()}
-    for t0, recs in sorted(records_by_trace.items()):
-        powers = power_traces(t0, t_max)
-        for rec in recs:
-            m = rec.representative_matrix
-            mk = m
-            for k, tk in powers[1:]:
-                mk = mk * m
-                target = lookup[tk][class_of_matrix(mk)]
-                target.primitive = False
-    return records_by_trace
 
 
 def li(x):
@@ -435,17 +411,9 @@ def tally_tsv(tally: EmpiricalTally, theory: DensityTable):
 
 
 def tally_json(tally: EmpiricalTally, theory: DensityTable):
-    rows = []
-    for lam, count, emp, theo, err in comparison_rows(tally, theory):
-        rows.append(
-            {
-                "partition": ",".join(map(str, lam)),
-                "count": count,
-                "empirical_density": emp,
-                "theoretical_density": f"{theo.numerator}/{theo.denominator}",
-                "abs_error": err,
-            }
-        )
+    rows = [{"partition": ",".join(map(str, lam)), "count": count, "empirical_density": emp,
+             "theoretical_density": f"{theo.numerator}/{theo.denominator}", "abs_error": err}
+            for lam, count, emp, theo, err in comparison_rows(tally, theory)]
     doc = {
         "family": tally.subgroup.family.value,
         "level": tally.subgroup.level,

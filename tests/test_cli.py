@@ -302,10 +302,14 @@ def test_tensor_multiplicity_failure_exits_3(capsys, monkeypatch):
     (["zeta-check", "--p", "5", "--s", "0.5", "--x", "1e6", "--check", "venkov"], 1),
     (["empirical", "--family", "gamma0", "--level", "75", "--x", "5"], 1),
     (["empirical", "--family", "gamma1", "--level", "75", "--x", "1e12"], 2),
+    (["--jobs", "2", "zeta-check", "--p", "5", "--s", "2", "--x", "1e6", "--check", "venkov",
+      "--family", "gamma", "--level", "10000"], 2),
+    (["--jobs", "2", "zeta-check", "--p", "401", "--s", "2", "--x", "1e6"], 2),
 ])
 def test_bad_arguments_refused_before_the_work(capsys, monkeypatch, args, code):
-    """p, s and the cutoff are checked before the classes are enumerated or
-    the census is taken."""
+    """p, s, the cutoff and the coset key cap of every cover a check uses
+    (Gamma(401) for the ratio check at p = 401) are checked before the
+    classes are enumerated or the census is taken."""
     from geosplit import census, geodesics
 
     def refuse(*args, **kwargs):

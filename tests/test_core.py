@@ -10,14 +10,10 @@ from geosplit.core import (
     enumerate_xi,
     identity,
     inv,
-    is_member,
     is_member_tuple,
     matpow,
     mul,
-    order_in_xi,
     order_in_xi_tuple,
-    proj,
-    reduce_mod,
     xi_order,
 )
 
@@ -34,27 +30,27 @@ def test_xi_order_formula(n):
 
 
 def test_multiply_examples():
-    e5 = proj(1, 0, 0, 1, 5)
-    assert (e5 * e5).tuple == identity(5)
+    e5 = identity(5)
+    assert mul(e5, e5, 5) == identity(5)
 
-    m = proj(2, 1, 1, 1, 7)
-    assert (m * m.inverse()).tuple == identity(7)
+    m = canon(2, 1, 1, 1, 7)
+    assert mul(m, inv(m, 7), 7) == identity(7)
 
     # [[2,1],[1,1]]^2 = [[5,3],[3,2]] == -I mod 3, canonically the identity
-    g = proj(2, 1, 1, 1, 3)
-    assert (g * g).tuple == identity(3)
+    g = canon(2, 1, 1, 1, 3)
+    assert mul(g, g, 3) == identity(3)
 
 
-def test_multiply_level_mismatch():
-    with pytest.raises(ValueError):
-        proj(1, 0, 0, 1, 5) * proj(1, 0, 0, 1, 7)
+def _reduce(m, n):
+    """Image of an integer matrix in Xi(n); an IntegerMatrix has det 1."""
+    return canon(m.a, m.b, m.c, m.d, n)
 
 
 def test_reduce_mod_examples():
-    assert reduce_mod(IntegerMatrix(1, 1, 0, 1), 5).tuple == (1, 1, 0, 1)
+    assert _reduce(IntegerMatrix(1, 1, 0, 1), 5) == (1, 1, 0, 1)
     for n in (2, 3, 5, 12):
-        assert reduce_mod(IntegerMatrix(-1, 0, 0, -1), n).tuple == identity(n)
-    assert reduce_mod(IntegerMatrix(4, 9, 7, 16), 3).tuple == canon(1, 0, 1, 1, 3)
+        assert _reduce(IntegerMatrix(-1, 0, 0, -1), n) == identity(n)
+    assert _reduce(IntegerMatrix(4, 9, 7, 16), 3) == canon(1, 0, 1, 1, 3)
 
 
 def test_integer_matrix_det_checked():
@@ -63,22 +59,16 @@ def test_integer_matrix_det_checked():
 
 
 def test_is_member_examples():
-    g0_5 = SubgroupSpec(Family.GAMMA0, 5)
-    assert is_member(proj(1, 1, 0, 1, 5), g0_5)
-    assert not is_member(proj(2, 1, 1, 1, 5), g0_5)
+    assert is_member_tuple(canon(1, 1, 0, 1, 5), Family.GAMMA0, 5)
+    assert not is_member_tuple(canon(2, 1, 1, 1, 5), Family.GAMMA0, 5)
     # [[4,0],[0,4]] = -I mod 5, which lies in Gamma(5)
-    assert is_member(proj(4, 0, 0, 4, 5), SubgroupSpec(Family.GAMMA, 5))
-
-
-def test_is_member_level_mismatch():
-    with pytest.raises(ValueError):
-        is_member(proj(1, 0, 0, 1, 5), SubgroupSpec(Family.GAMMA0, 7))
+    assert is_member_tuple(canon(4, 0, 0, 4, 5), Family.GAMMA, 5)
 
 
 def test_order_examples():
-    assert order_in_xi(proj(1, 0, 0, 1, 7)) == 1
-    assert order_in_xi(proj(1, 1, 0, 1, 5)) == 5
-    assert order_in_xi(proj(2, 1, 1, 1, 3)) == 2
+    assert order_in_xi_tuple(canon(1, 0, 0, 1, 7), 7) == 1
+    assert order_in_xi_tuple(canon(1, 1, 0, 1, 5), 5) == 5
+    assert order_in_xi_tuple(canon(2, 1, 1, 1, 3), 3) == 2
 
 
 def test_canonicalization_idempotent():
@@ -136,7 +126,5 @@ def test_subgroup_chain(n):
 
 
 def test_projective_matrix_validates():
-    with pytest.raises(ValueError):
-        proj(1, 0, 0, 2, 5)  # det 2
     with pytest.raises(ValueError):
         SubgroupSpec(Family.GAMMA0, 1)

@@ -16,7 +16,6 @@ from geosplit.core import (
 )
 from geosplit.cosets import (
     act,
-    _act_reference,
     build_coset_table,
     cycle_type_of,
     dual_type_report,
@@ -25,6 +24,7 @@ from geosplit.cosets import (
     splitting_type_cycles,
     splitting_type_moebius,
 )
+from reference import act_reference
 
 
 def table(family, level):
@@ -172,7 +172,7 @@ def test_type_weight_and_conjugation_invariance():
 def test_vectorized_act_matches_reference():
     rng = random.Random(17)
     t = table(Family.GAMMA, 17)  # index 2448
-    reference = _act_reference(t)
+    reference = act_reference(t)
     xi = enumerate_xi(17)
     for _ in range(20):
         g = rng.choice(xi)
@@ -355,7 +355,7 @@ def test_moebius_rejects_order_missing_a_cycle_length():
 @pytest.mark.parametrize("n", list(range(2, 13)))
 def test_chain_permutations_match_reference(family, n):
     t = table(family, n)
-    reference = _act_reference(t)
+    reference = act_reference(t)
     swept = []
     for elements, block in coset_chain_blocks(t):
         assert block.shape == (len(elements), t.index)
@@ -368,7 +368,7 @@ def test_chain_permutations_match_reference(family, n):
 def _reference_dual_report(level, family):
     """Per-element loop: reference action, both type routes."""
     t = table(family, level)
-    reference = _act_reference(t)
+    reference = act_reference(t)
     mismatches = []
     for g in enumerate_xi(level):
         perm = reference(g)
@@ -432,7 +432,7 @@ def test_act_matches_reference_at_any_size(family, n):
     narrow Gamma0(12) (index 24).  Up to 400 elements all of Xi(N) is
     checked, else a sample of 30 (3 at index 180000)."""
     t = table(family, n)
-    reference = _act_reference(t)
+    reference = act_reference(t)
     rng = random.Random(n)
     xi = enumerate_xi(n)
     sample = [rng.choice(xi) for _ in range(30 if t.index < 10**4 else 3)]
@@ -503,12 +503,13 @@ def test_table_faults_are_consistency_errors():
     t = table(Family.GAMMA0, 5)
     t.reps = [t.reps[0]] + t.reps[:-1]
     with pytest.raises(ConsistencyError, match="partition"):
-        _act_reference(t)
+        act_reference(t)
 
 
 def test_coset_key_cap_is_checked_before_building(monkeypatch):
     """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
     monkeypatch.setattr(cosets, "xi_chain_heads", _refuse)
+    monkeypatch.setattr(cosets, "unimodular_columns", _refuse)
     monkeypatch.setattr(cosets, "enumerate_xi", _refuse)
     for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
         with pytest.raises(CapExceeded, match="exceeds cap"):
@@ -520,3 +521,38 @@ def test_dual_type_report_refuses_above_the_group_cap(monkeypatch):
     monkeypatch.setattr(cosets, "build_coset_table", _refuse)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         dual_type_report(1000, Family.GAMMA0)
+
+
+# ---------------------------------------------------------------------------
+# column walk and Gamma0 completions
+
+import math
+
+from geosplit.core import complete_column
+
+
+def test_unimodular_columns_match_definition():
+    """Columns with gcd(a, c, n) = 1, the one of each {+-} pair whose
+    negation is not lexicographically smaller, in lexicographic order."""
+    for n in range(2, 61):
+        want = [(a, c) for a in range(n) for c in range(n)
+                if math.gcd(a, c, n) == 1 and ((n - a) % n, (n - c) % n) >= (a, c)]
+        assert list(cosets.unimodular_columns(n)) == want, n
+
+
+@pytest.mark.parametrize("n", [12, 75, 200])
+def test_gamma0_table_completes_only_orbit_representatives(n, monkeypatch):
+    """The keys need the bare columns; only each unit orbit's first column
+    is completed to a representative."""
+    calls = []
+
+    def counted(a, c, level):
+        calls.append((a, c))
+        return complete_column(a, c, level)
+
+    monkeypatch.setattr(cosets, "complete_column", counted)
+    t = build_coset_table(SubgroupSpec(Family.GAMMA0, n))
+    assert len(calls) == t.index
+    assert [(r[0], r[2]) in (col, ((n - col[0]) % n, (n - col[1]) % n))
+            for r, col in zip(t.reps, calls)] == [True] * t.index
+    assert list(act(identity(n), t)) == list(range(t.index))

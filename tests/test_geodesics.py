@@ -13,7 +13,6 @@ from geosplit.geodesics import (
     enumerate_primitive_classes,
     is_reduced,
     li,
-    mark_primitivity,
     matrix_from_form,
     max_trace,
     norm_below,
@@ -22,6 +21,7 @@ from geosplit.geodesics import (
     tally_tsv,
 )
 from geosplit.census import density_table
+from reference import mark_primitivity
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,8 @@ def test_cutoff_above_cap_refused_before_allocation(monkeypatch):
 # the tally against a per-class reference loop
 
 def _reference_tally(s, x, classes):
-    """Per-class loop with the exact norm test and the validated reduction."""
-    from geosplit.core import order_in_xi_tuple
+    """Per-class loop with the exact norm test and the reduction of each matrix."""
+    from geosplit.core import canon, order_in_xi_tuple
     from geosplit.cosets import build_coset_table, splitting_type_cycles
 
     table = build_coset_table(s)
@@ -425,7 +425,7 @@ def _reference_tally(s, x, classes):
     for t, f, m in classes:
         if not norm_below(t, x):
             continue
-        g = m.reduce_mod(s.level).tuple
+        g = canon(m.a, m.b, m.c, m.d, s.level)
         lam = splitting_type_cycles(g, table)
         order = order_in_xi_tuple(g, s.level)
         counts[lam] = counts.get(lam, 0) + 1

@@ -1,0 +1,47 @@
+"""The benchmark under perfbench/ reaches into geosplit by name: the traced
+mode rebinds the functions listed in `tracing._TARGETS`, and the workloads
+import their entry points from the package.  A rename or deletion in src
+must fail here rather than in a benchmark run."""
+
+import ast
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _geosplit_imports(name):
+    """(module, attribute) of every `from geosplit... import ...` in a file."""
+    with open(os.path.join(PERFBENCH, f"{name}.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("geosplit")
+            for alias in node.names]
+
+
+def test_every_traced_target_resolves():
+    targets = _load("tracing")._TARGETS
+    assert targets
+    for module, attr, *_ in targets:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+@pytest.mark.parametrize("name", ["workloads", "tracing", "timed_cli", "traced_cli", "worker"])
+def test_every_geosplit_import_resolves(name):
+    imports = _geosplit_imports(name)
+    assert imports
+    for module, attr in imports:
+        mod = importlib.import_module(module)
+        # `from geosplit import cli` names a submodule
+        assert hasattr(mod, attr) or importlib.util.find_spec(f"{module}.{attr}"), (module, attr)

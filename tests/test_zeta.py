@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from geosplit.core import Family, SubgroupSpec
+from geosplit.core import Family, SubgroupSpec, canon, mul
 from geosplit.geodesics import norm_below
 from geosplit.zeta import (
     ClassData,
@@ -64,11 +64,11 @@ def test_zeta_pp_against_independent_loop(data_1e4):
     direct = 0.0
     count = 0
     for t, f, m in data_1e4.classes:
-        red = m.reduce_mod(p)
+        red = canon(m.a, m.b, m.c, m.d, p)
         x = red
         order = 1
-        while x.tuple != (1, 0, 0, 1):
-            x = x * red
+        while x != (1, 0, 0, 1):
+            x = mul(x, red, p)
             order += 1
         if order != p:
             continue
@@ -154,14 +154,14 @@ from geosplit.zeta import FloatArith, MPArith, ZetaTruncation
 
 
 def _ref_types(classes, subgroup):
-    """(type, order) per class through the validated reduction."""
+    """(type, order) per class through the reduction of each matrix."""
     if subgroup is None:
         return [((1,), 1)] * len(classes)
     table = build_coset_table(subgroup)
     memo = {}
     out = []
     for _, _, m in classes:
-        g = m.reduce_mod(subgroup.level).tuple
+        g = canon(m.a, m.b, m.c, m.d, subgroup.level)
         if g not in memo:
             memo[g] = (splitting_type_cycles(g, table), order_in_xi_tuple(g, subgroup.level))
         out.append(memo[g])
