@@ -2,9 +2,13 @@
 
 Three independent routes to the same numbers live here:
 
-* the brute-force census: enumerate Xi(N), split it into conjugacy classes
-  by orbit closure under the two generators, compute each class's splitting
-  type through the coset action, and weight by class size;
+* the brute-force census: hold Xi(N) as the sorted array of its
+  +-canonical int64 keys, turn conjugation by the two generators S and T
+  into two index arrays over it, find the conjugacy classes as their
+  connected components by min-label propagation with pointer jumping, take
+  the representatives' orders in one batched `xi_orders` call, compute each
+  class's splitting type through the coset action, and weight by class
+  size;
 
 * the closed-form route for odd prime powers: an explicit catalog of class
   representatives (diagonal powers, a nonsplit-torus generator's powers,
@@ -38,26 +42,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
 from .core import (
     CapExceeded,
     ConsistencyError,
     Family,
     SubgroupSpec,
     canon,
+    capped_xi_order,
+    decode_keys,
     divisors,
     enumerate_xi,
     euler_phi,
     factorize,
     identity,
-    inv,
     matpow,
     mul,
     order_in_xi_tuple,
     partition_str,
     parse_partition,
     parts_from_traces,
+    sign_keys,
     vp,
+    xi_chain_grid,
+    xi_grid_positions,
     xi_order,
+    xi_orders,
 )
 from .cosets import DEFAULT_INDEX_CAP, build_coset_table, splitting_types
 
@@ -75,38 +86,48 @@ class ConjugacyClassRecord:
 
 
 def conjugacy_classes(level):
-    """Conjugacy classes of Xi(level) by orbit closure under S and T.
+    """Conjugacy classes of Xi(level): the connected components of
+    conjugation by S and by T over the sorted key array.
 
-    Elements are scanned in sorted order, so each class representative is
-    the lexicographically least member of its class and the class order is
-    deterministic.
+    The group is the grid of `xi_chain_grid`, ranked by key.  Conjugation
+    by S, (a, b, c, d) -> (d, -c, -b, a), and by T, (a, b, c, d) ->
+    (a - c, a - c + b - d, c, c + d), become two index arrays over the
+    ranks; `xi_grid_positions` reads each conjugate's place in the grid
+    from its entries, with no search.  The components come from min-label hooking with pointer jumping
+    (Shiloach-Vishkin): label = min(label, label[pS], label[pT]) and
+    label = label[label] until nothing changes, when every label is the
+    least rank of its class.  The least key is the lexicographically least
+    tuple, so each representative is its class's least member and the
+    classes come in tuple order.  Sizes come from `bincount`, orders from
+    one `xi_orders` call.  The cap is checked before anything is allocated
+    (`capped_xi_order`).
     """
     n = level
-    xi = enumerate_xi(n)
-    gen_s = canon(0, -1, 1, 0, n)
-    gen_t = canon(1, 1, 0, 1, n)
-    gens = [(g, inv(g, n)) for g in (gen_s, gen_t)]
-    index = {g: i for i, g in enumerate(xi)}
-    seen = bytearray(len(xi))
-    out = []
-    for i, g in enumerate(xi):
-        if seen[i]:
-            continue
-        seen[i] = 1
-        orbit = [g]
-        stack = [g]
-        while stack:
-            x = stack.pop()
-            for s, si in gens:
-                y = mul(mul(si, x, n), s, n)
-                j = index[y]
-                if not seen[j]:
-                    seen[j] = 1
-                    orbit.append(y)
-                    stack.append(y)
-        out.append(ConjugacyClassRecord(g, len(orbit), order_in_xi_tuple(g, n)))
-    assert sum(c.size for c in out) == len(xi)
-    return out
+    order = capped_xi_order(n)
+    grid = xi_chain_grid(n)
+    keys = sign_keys(grid, n).ravel()
+    if len(keys) != order:
+        raise ConsistencyError(f"{len(keys)} chain elements in Xi({n}), expected {order}")
+    by_rank = keys.argsort()
+    rank = np.empty(order, dtype=np.int32)
+    rank[by_rank] = np.arange(order, dtype=np.int32)
+    a, b, c, d = (v.ravel().take(by_rank) for v in grid)
+    conj_s = rank.take(xi_grid_positions(grid, (d, -c % n, -b % n, a), n))
+    a, b, d = (a - c) % n, (a - c + b - d) % n, (c + d) % n
+    conj_t = rank.take(xi_grid_positions(grid, (a, b, c, d), n))
+    del a, b, c, d
+    label = np.arange(order, dtype=np.int32)
+    while True:
+        nxt = np.minimum(label, np.minimum(label.take(conj_s), label.take(conj_t)))
+        nxt = nxt.take(nxt)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    leaders = np.flatnonzero(label == np.arange(order))
+    sizes = np.bincount(label)[leaders]
+    reps = decode_keys(keys.take(by_rank.take(leaders)), n)
+    return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m
+            in zip(reps.tolist(), sizes.tolist(), xi_orders(reps, n).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +431,18 @@ def closed_class_catalog(p, r):
     n = p**r
     order = xi_order(n)
     e = identity(n)
-    classes = [ClosedClass(e, 1, 1, ("Id",))]
+    reps = [(e, 1)]  # (representative, class size)
 
     def torus_classes(gen, torus_order):
         # gen has order torus_order/2 in Xi; classes <-> exponents mod inversion
-        q_xi = torus_order // 2
-        for exp in range(1, q_xi // 2 + 1):
-            g = matpow(gen, exp, n)
+        g = e
+        for _ in range(torus_order // 4):
+            g = mul(g, gen, n)
             w = max(minus_identity_depth(g, sign, p, r)[0] for sign in (1, -1))
             size = 2 * order // (torus_order * p ** (2 * w))
-            if matpow(g, 2, n) == e:
+            if mul(g, g, n) == e:
                 size //= 2
-            m = order_in_xi_tuple(g, n)
-            classes.append(ClosedClass(g, size, m, label_class(g, m, p, r)))
+            reps.append((g, size))
 
     q = euler_phi(n) // 2
     if q > 1:
@@ -436,18 +456,13 @@ def closed_class_catalog(p, r):
         size = p ** (2 * r - 2 * k - 2) * (p * p - 1) // 2
         for m in range(1, r - k + 1):
             alphas = [a for a in range(p ** (r - k - m)) if a % p != 0] or [0]
-            for tw in (1, nu):
-                for alpha in alphas:
-                    g = canon(
-                        1 + tw * alpha * p ** (2 * k + m),
-                        tw * p**k,
-                        alpha * p ** (k + m),
-                        1,
-                        n,
-                    )
-                    mo = order_in_xi_tuple(g, n)
-                    classes.append(ClosedClass(g, size, mo, label_class(g, mo, p, r)))
+            reps += [(canon(1 + tw * alpha * p ** (2 * k + m), tw * p**k,
+                            alpha * p ** (k + m), 1, n), size)
+                     for tw in (1, nu) for alpha in alphas]
 
+    orders = xi_orders([g for g, _ in reps], n).tolist()
+    classes = [ClosedClass(g, size, m, label_class(g, m, p, r))
+               for (g, size), m in zip(reps, orders)]
     total = sum(c.size for c in classes)
     if total != order:
         raise ConsistencyError(f"closed catalog sizes sum to {total}, expected {order}")
@@ -477,15 +492,18 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         if index > DEFAULT_INDEX_CAP:
             raise CapExceeded(f"index {index} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
         trace_fn = None
-    entries = {}
+    # a type depends on the order and the traces alone, so classes are
+    # pooled by those before any type (a tuple of up to `index` parts) is built
+    sizes = {}
     for rec in closed_class_catalog(p, r):
-        if trace_fn is None:
-            lam = (rec.order,) * (index // rec.order)
-        else:
-            traces = {d: trace_fn(matpow(rec.representative, d, s.level), p, r)
-                      for d in divisors(rec.order)}
-            lam = parts_from_traces(traces, rec.order, index)
-        entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
+        traces = () if trace_fn is None else tuple(
+            trace_fn(matpow(rec.representative, d, s.level), p, r) for d in divisors(rec.order))
+        sizes[rec.order, traces] = sizes.get((rec.order, traces), 0) + rec.size
+    entries = {}
+    for (m, traces), size in sizes.items():
+        lam = ((m,) * (index // m) if trace_fn is None
+               else parts_from_traces(dict(zip(divisors(m), traces)), m, index))
+        entries[lam] = entries.get(lam, Fraction(0)) + Fraction(size, order)
     return DensityTable(s, entries, order, index)
 
 
@@ -525,7 +543,12 @@ def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) 
 
 def density_table_composite(s: SubgroupSpec) -> DensityTable:
     """Density table of a composite level as the convolution of its coprime
-    prime-power factor tables."""
+    prime-power factor tables.  Gamma0 only: -I acts non-trivially on the
+    Gamma1 and Gamma cosets, so the tensor rule does not hold there and
+    those families are refused with ValueError."""
+    if s.family != Family.GAMMA0:
+        raise ValueError(f"the composite rule applies to gamma0 only: -I acts non-trivially "
+                         f"on the {s.family.value} cosets, so the tensor rule does not hold")
     fac = factorize(s.level)
     if len(fac) < 2:
         raise ValueError("composite rule needs at least two prime factors")
@@ -591,9 +614,10 @@ def power_relation_check(level):
     p, r = fac
     n = level
     # the family sets, as sets of elements
+    xi = enumerate_xi(level)
+    label_of = {g: label_class(g, m, p, r) for g, m in zip(xi, xi_orders(xi, level).tolist())}
     sets = {}
-    for g in enumerate_xi(level):
-        lab = label_class(g, order_in_xi_tuple(g, level), p, r)
+    for g, lab in label_of.items():
         sets.setdefault(lab, set()).add(g)
 
     def elements_of(lab):
@@ -618,7 +642,7 @@ def power_relation_check(level):
         for g in computed - expected:
             if g == ident:
                 continue
-            glab = label_class(g, order_in_xi_tuple(g, n), p, r)
+            glab = label_of[g]
             if glab[0] == "B" and glab[1] > min_depth:
                 continue
             return ""

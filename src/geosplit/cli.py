@@ -32,11 +32,9 @@ from .core import (
     order_in_xi_tuple,
     partition_str,
 )
-from .cosets import (build_coset_table, capped_key_count, splitting_type_cycles,
-                     splitting_type_moebius)
+from .cosets import build_coset_table, splitting_type_cycles, splitting_type_moebius
 from .geodesics import empirical_tally, tally_cutoff, tally_json, tally_tsv
-from .zeta import (ClassData, ratio_identity_check, require_odd_prime, require_s_above_one,
-                   venkov_zograf_check)
+from .zeta import ratio_identity_check, venkov_zograf_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,18 +221,14 @@ def cmd_census(args):
 
 
 def cmd_zeta_check(args):
-    # refuse bad arguments and over-cap covers before the classes are enumerated
-    require_s_above_one(args.s)
+    # the checks refuse bad arguments and over-cap covers before they
+    # enumerate the classes
     if args.check == "ratio":
-        require_odd_prime(args.p)
-        for family in (Family.GAMMA1, Family.GAMMA):
-            capped_key_count(SubgroupSpec(family, args.p))
-        result = ratio_identity_check(args.p, args.s, args.x, ClassData(args.x, jobs=args.jobs))
+        result = ratio_identity_check(args.p, args.s, args.x, jobs=args.jobs)
     else:
         level = args.level if args.level is not None else args.p
         spec = SubgroupSpec(args.family, level)
-        capped_key_count(spec)
-        result = venkov_zograf_check(args.s, args.x, spec, ClassData(args.x, jobs=args.jobs))
+        result = venkov_zograf_check(args.s, args.x, spec, jobs=args.jobs)
         result = {"p": args.p, "s": args.s, "cutoff": float(args.x),
                   "family": args.family.value, "level": level, **result}
     sys.stdout.write(json.dumps(result, indent=2) + "\n")

@@ -5,7 +5,11 @@ partitions and small number-theoretic helpers.
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`
 reduces any integer matrix to that form.  Integer matrices from outside
-arrive as `IntegerMatrix`, which checks det = 1.
+arrive as `IntegerMatrix`, which checks det = 1.  Whole blocks of elements
+are numpy arrays: the int64 +-canonical keys ((a*N + b)*N + c)*N + d of
+`sign_keys`, whose order is the tuple order, or rows of entries, such as
+the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
+`xi_orders` takes in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 DEFAULT_GROUP_CAP = 10**7
 
@@ -133,7 +139,8 @@ def is_member_tuple(g, family, n):
 
 
 def order_in_xi_tuple(g, n):
-    """Least m >= 1 with g^m = I in Xi(n)."""
+    """Least m >= 1 with g^m = I in Xi(n), one multiplication at a time:
+    the per-element call, and the reference for `xi_orders`."""
     e = identity(n)
     x = g
     m = 1
@@ -141,6 +148,55 @@ def order_in_xi_tuple(g, n):
         x = mul(x, g, n)
         m += 1
     return m
+
+
+# rows per pass of `xi_orders`: bounds its working set to a few arrays of
+# this many 2 x 2 int64 matrices
+_ORDER_ROWS = 1 << 16
+
+
+def xi_orders(elements, n):
+    """Order in Xi(n) of every row of `elements` (k x 4 integer entries,
+    any sign), as an int64 array: one numpy pass over the block.
+
+    For each prime power q^e exactly dividing |Xi(n)|, x = g^(|Xi(n)|/q^e)
+    has order q^j with j <= e, and q^j is the q-part of the order of g; j
+    counts the q-th powers x takes to reach +-I.  The powers are products
+    of stacks of 2 x 2 int64 matrices by repeated squaring (entries stay
+    below n, so a product entry stays below 2 n^2).  Rows are taken in
+    passes of _ORDER_ROWS.  A row whose determinant is not 1 mod n is
+    refused with ValueError.
+    """
+    g = np.asarray(elements, dtype=np.int64).reshape(-1, 2, 2) % n
+    if len(g) > _ORDER_ROWS:
+        return np.concatenate([xi_orders(g[i:i + _ORDER_ROWS], n)
+                               for i in range(0, len(g), _ORDER_ROWS)])
+    if not ((g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % n == 1 % n).all():
+        raise ValueError(f"element not in Xi({n}) among {len(g)} rows")
+    group_order = xi_order(n)
+    m = np.ones(len(g), dtype=np.int64)
+    for q, e in factorize(group_order):
+        x = _matrix_power(g, group_order // q**e, n)
+        for _ in range(e):
+            live = ~((x[:, 0, 1] == 0) & (x[:, 1, 0] == 0) & (x[:, 0, 0] == x[:, 1, 1])
+                     & ((x[:, 0, 0] == 1 % n) | (x[:, 0, 0] == n - 1)))
+            if not live.any():
+                break
+            m[live] *= q
+            x = _matrix_power(x, q, n)
+    return m
+
+
+def _matrix_power(x, k, n):
+    """x^k mod n for a stack of 2 x 2 matrices and k >= 1."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out @ x % n
+        k >>= 1
+        if not k:
+            return out
+        x = x @ x % n
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +248,75 @@ def xi_chain_heads(n):
 def capped_xi_order(n):
     """|Xi(n)| for a route that walks the whole group; CapExceeded above
     DEFAULT_GROUP_CAP."""
-    if xi_order(n) > DEFAULT_GROUP_CAP:
-        raise CapExceeded(f"|Xi({n})| = {xi_order(n)} exceeds cap {DEFAULT_GROUP_CAP}")
-    return xi_order(n)
+    order = xi_order(n)
+    if order > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"|Xi({n})| = {order} exceeds cap {DEFAULT_GROUP_CAP}")
+    return order
+
+
+def sign_keys(entries, n):
+    """+-canonical keys of vectors given entry by entry (arrays of residues
+    mod n): a vector's key reads its entries in base n, so the key order is
+    the tuple order, and the smaller of the keys of v and -v is kept."""
+    key = neg = 0
+    for entry in entries:
+        entry = np.asarray(entry, dtype=np.int64)  # the keys reach n^4
+        key, neg = key * n + entry, neg * n + (n - entry) % n
+    return np.minimum(key, neg)
+
+
+def decode_keys(keys, n):
+    """The canonical tuples of 4-entry keys as a k x 4 int64 array."""
+    abc, d = np.divmod(keys, n)
+    ab, c = np.divmod(abc, n)
+    a, b = np.divmod(ab, n)
+    return np.stack((a, b, c, d), axis=1)
+
+
+def xi_chain_grid(n):
+    """Xi(n) as the grid of the chains of `xi_chain_heads`: the entries
+    (a, b, c, d) of head_h * T^t, not sign-reduced, as four arrays of shape
+    heads x n.  Row h is the chain (b, d) = (b0, d0) + t*(a, c).  The
+    entries are int32, which holds a product of two entries for every level
+    the group cap admits (n < 2^15)."""
+    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32)
+    a, b0, c, d0 = (v[:, None] for v in heads.T)
+    t = np.arange(n, dtype=np.int32)
+    return np.broadcast_arrays(a, (b0 + t * a) % n, c, (d0 + t * c) % n)
+
+
+def xi_grid_positions(grid, entries, n):
+    """Flat positions h*n + t in `grid`, the `xi_chain_grid` of Xi(n), of
+    elements given by their entries, each up to sign.
+
+    The row is the head whose first column is (a, c), or (-a, -c) for the
+    negated element, read from an n x n table.  Along row h,
+    (b, d) = (b0, d0) + t*(a, c), and the head's determinant
+    a*d0 - b0*c = 1 inverts that: t = d0*(b - b0) - b0*(d - d0) mod n.
+    """
+    a0, b0, c0, d0 = (v[:, 0] for v in grid)
+    rows = len(a0)
+    row_of = np.full(n * n, -1, dtype=np.int32)
+    row_of[(-a0 % n) * n + (-c0 % n)] = np.arange(rows, 2 * rows)  # head h negated: rows + h
+    row_of[a0 * n + c0] = np.arange(rows)
+    a, b, c, d = entries
+    h = row_of.take(a * n + c)
+    sign = np.where(h < rows, 1, -1).astype(np.int32)
+    h %= rows
+    b0, d0 = b0.take(h), d0.take(h)
+    return h * n + (d0 * (sign * b - b0) - b0 * (sign * d - d0)) % n
 
 
 @lru_cache(maxsize=32)
 def enumerate_xi(n):
-    """Sorted list of all canonical tuples of Xi(n): the chains of
-    `xi_chain_heads`, each element produced exactly once.  Refused above
+    """Sorted list of all canonical tuples of Xi(n): the decoded sorted keys
+    of `xi_chain_grid`, each element exactly once.  Refused above
     DEFAULT_GROUP_CAP elements (`capped_xi_order`)."""
     order = capped_xi_order(n)
-    out = [
-        canon(a, b0 + t * a, c, d0 + t * c, n)
-        for a, b0, c, d0 in xi_chain_heads(n)
-        for t in range(n)
-    ]
-    out.sort()
-    assert len(out) == order
-    return out
+    keys = np.sort(sign_keys(xi_chain_grid(n), n), axis=None)
+    if len(keys) != order or not (keys[1:] > keys[:-1]).all():
+        raise ConsistencyError(f"the chains of Xi({n}) do not partition the group")
+    return list(map(tuple, decode_keys(keys, n).tolist()))
 
 
 def _ext_gcd(a, b):

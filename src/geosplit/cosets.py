@@ -47,9 +47,12 @@ from .core import (
     identity,
     order_in_xi_tuple,
     parts_from_traces,
+    sign_keys,
     unimodular_columns,
+    xi_chain_grid,
     xi_chain_heads,
     xi_order,
+    xi_orders,
 )
 
 # bounds the key array of a coset table, and with it the index
@@ -80,16 +83,6 @@ class CosetTable:
         self.rep_entries = np.array(reps, dtype=np.int64).T  # 4 x index
 
 
-def _sign_keys(entries, n):
-    """+-canonical keys of vectors given entry by entry (arrays of residues
-    mod n): a vector's key reads its entries in base n, so the key order is
-    the tuple order, and the smaller of the keys of v and -v is kept."""
-    key = neg = 0
-    for entry in entries:
-        key, neg = key * n + entry, neg * n + (n - entry) % n
-    return np.minimum(key, neg)
-
-
 def capped_key_count(s: SubgroupSpec):
     """Key count of the coset table of s, |Xi(N)|/N columns up to sign or
     |Xi(N)| tuples for Gamma; CapExceeded above DEFAULT_INDEX_CAP."""
@@ -113,7 +106,7 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
                          if v != first]
     positions = (0, 1, 2, 3) if whole else (0, 2)
     entries = np.array(vectors, dtype=np.int64)
-    keys = _sign_keys(entries.T, n)
+    keys = sign_keys(entries.T, n)
     if len(keys) != key_count:
         raise ConsistencyError(f"{len(keys)} coset keys of {s}, expected {key_count}")
     order = keys.argsort()
@@ -136,7 +129,7 @@ def _unit_orbits(columns, keys, order, n):
     reps = []
     for i, (a, c) in enumerate(columns):
         if cosets[i] < 0:
-            orbit = keys.searchsorted(_sign_keys((units * a % n, units * c % n), n))
+            orbit = keys.searchsorted(sign_keys((units * a % n, units * c % n), n))
             cosets[order.take(orbit)] = len(reps)
             reps.append(canon(*complete_column(a, c, n), n))
     return reps, cosets
@@ -157,8 +150,8 @@ def act_block(elements, table: CosetTable):
     if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
     # entry (i, j) of g * r, at flat position 2*i + j
-    key = _sign_keys(((g[:, 2 * i] * reps[j] + g[:, 2 * i + 1] * reps[j + 2]) % n
-                      for i, j in (divmod(p, 2) for p in table.positions)), n)
+    key = sign_keys(((g[:, 2 * i] * reps[j] + g[:, 2 * i + 1] * reps[j + 2]) % n
+                     for i, j in (divmod(p, 2) for p in table.positions)), n)
     pos = np.minimum(table.keys.searchsorted(key), len(table.keys) - 1)
     if not np.array_equal(table.keys.take(pos), key):
         raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
@@ -313,7 +306,8 @@ def coset_chain_blocks(table: CosetTable):
     Yields (elements, block) with the canonical element tuples and a
     rows x index array of their permutations, holding whole chains where
     one fits into _BLOCK_ENTRIES entries and consecutive pieces of one
-    chain otherwise.
+    chain otherwise.  So the rows of all blocks, in turn, are the flattened
+    grid of `xi_chain_grid`: head by head, k along each chain.
     """
     n, index = table.level, table.index
     t_perm = act(canon(1, 1, 0, 1, n), table)
@@ -348,12 +342,13 @@ def dual_type_report(level, family):
     """
     capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
+    # the orders of the whole group in one `xi_orders` call, in sweep order
+    orders = xi_orders(np.stack([v.ravel() for v in xi_chain_grid(level)], axis=1), level)
     count = 0
     mismatches = []
     for elements, block in coset_chain_blocks(table):
-        orders = [order_in_xi_tuple(g, level) for g in elements]
         by_cycles = cycle_types(block)
-        by_moebius = moebius_types(block, orders, table.index)
+        by_moebius = moebius_types(block, orders[count:count + len(elements)], table.index)
         for g, lam_c, lam_m in zip(elements, by_cycles, by_moebius):
             if lam_c != lam_m:
                 mismatches.append((g, lam_c, lam_m))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Family, SubgroupSpec, canon, prime_factors
-from .cosets import build_coset_table
+from .cosets import build_coset_table, capped_key_count
 from .geodesics import classes_below, max_trace, residue_keys, residue_types
 
 
@@ -178,11 +178,20 @@ def require_odd_prime(p):
         raise ValueError(f"require an odd prime p, got {p}")
 
 
+def _class_data(x, data, covers, jobs=1):
+    """`data`, or else the class data at cutoff x; either way only after
+    the coset key cap of every cover (None for the trivial one) is checked,
+    so an over-cap cover is refused before any class is enumerated."""
+    for cover in covers:
+        if cover is not None:
+            capped_key_count(cover)
+    return ClassData(x, jobs=jobs) if data is None else data
+
+
 def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
     """log of the truncated Euler product over classes of the given type."""
     require_s_above_one(s)
-    if data is None:
-        data = ClassData(x)
+    data = _class_data(x, data, [subgroup])
     t_max = data.trace_bound(x)
     ar = FloatArith()
     lam = tuple(lam)
@@ -201,17 +210,17 @@ def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
 
 
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
-                        use_mpmath=False, dps=40):
+                        use_mpmath=False, dps=40, jobs=1):
     """|LHS - RHS| for the cover-zeta factorization at matched truncation.
 
     LHS groups by class: sum over classes of -log det(I - sigma(g) N^-s),
     the determinant expanded through the cycle type.  RHS groups by type:
     for each type lambda and each part m_i, the lambda-product at m_i * s.
     The identity is exact per class, so the discrepancy is pure rounding.
+    Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
-    if data is None:
-        data = ClassData(x)
+    data = _class_data(x, data, [subgroup], jobs)
     t_max = data.trace_bound(x)
     ar = _arith(use_mpmath, dps)
     lhs = ar.acc()
@@ -235,7 +244,8 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     }
 
 
-def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=False, dps=40):
+def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=False, dps=40,
+                         jobs=1):
     """|log LHS - log RHS| for the prime-level ratio identity
 
         { zeta^(p,p)(s)^p / zeta^(p,p)(ps) }^((p-1)/2)
@@ -243,16 +253,16 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
 
     all four factors expanded over one base-class set via the cover
     factorization.  Classes entering zeta^(p,p) are exactly those whose
-    reduction mod p has order p.
+    reduction mod p has order p.  Without `data`, the classes are
+    enumerated with `jobs` processes.
     """
-    require_odd_prime(p)
     require_s_above_one(s)
-    if data is None:
-        data = ClassData(x)
-    t_max = data.trace_bound(x)
-    ar = _arith(use_mpmath, dps)
+    require_odd_prime(p)
     sub1 = SubgroupSpec(Family.GAMMA1, p)
     subp = SubgroupSpec(Family.GAMMA, p)
+    data = _class_data(x, data, [sub1, subp], jobs)
+    t_max = data.trace_bound(x)
+    ar = _arith(use_mpmath, dps)
     half = ar.frac(p - 1, 2)
     lhs = ar.acc()
     rhs = ar.acc()

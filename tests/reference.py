@@ -1,11 +1,13 @@
 """Reference implementations that the tests check the library against.
 
 Each is the slow, direct form of a library route: the coset action from
-subgroup membership over all of Xi(N), and the primitivity marking of full
-FormClassRecords by their powers.
+subgroup membership over all of Xi(N), the primitivity marking of full
+FormClassRecords by their powers, and the conjugacy classes by orbit
+closure over tuples.
 """
 
-from geosplit.core import ConsistencyError, enumerate_xi, is_member_tuple, mul
+from geosplit.core import (ConsistencyError, canon, enumerate_xi, inv, is_member_tuple, mul,
+                           order_in_xi_tuple, xi_chain_heads)
 from geosplit.cosets import CosetTable
 from geosplit.geodesics import class_of_matrix, power_traces
 
@@ -39,3 +41,35 @@ def mark_primitivity(records_by_trace, t_max):
                 target = lookup[tk][class_of_matrix(mk)]
                 target.primitive = False
     return records_by_trace
+
+
+def orbit_closure_classes(level):
+    """(representative, size, order) of every conjugacy class of Xi(level),
+    by orbit closure under conjugation by S and T over a {tuple: index}
+    dict.  The group is listed tuple by tuple from the chains of
+    `xi_chain_heads` (no key array), scanned in sorted order, so each
+    representative is the least member of its class; the orders come from
+    `order_in_xi_tuple`.  `census.conjugacy_classes` must agree with it."""
+    n = level
+    xi = sorted({canon(a, b0 + t * a, c, d0 + t * c, n)
+                 for a, b0, c, d0 in xi_chain_heads(n) for t in range(n)})
+    gens = [(g, inv(g, n)) for g in (canon(0, -1, 1, 0, n), canon(1, 1, 0, 1, n))]
+    index = {g: i for i, g in enumerate(xi)}
+    seen = bytearray(len(xi))
+    out = []
+    for i, g in enumerate(xi):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        size = 1
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for s, si in gens:
+                j = index[mul(mul(si, x, n), s, n)]
+                if not seen[j]:
+                    seen[j] = 1
+                    size += 1
+                    stack.append(xi[j])
+        out.append((g, size, order_in_xi_tuple(g, n)))
+    return out

@@ -346,6 +346,18 @@ def test_composite_rejects_prime_powers():
         density_table_composite(SubgroupSpec(Family.GAMMA0, 25))
 
 
+@pytest.mark.parametrize("family", [Family.GAMMA1, Family.GAMMA])
+def test_composite_refuses_families_outside_gamma0(family):
+    """-I acts non-trivially on the Gamma1 and Gamma cosets, so the tensor
+    rule gives wrong tables there (index 24 for Gamma1(12), where the census
+    has 48); the library refuses them as the CLI does, and gamma0 at the
+    same level still convolves to the census table."""
+    with pytest.raises(ValueError, match="gamma0 only"):
+        density_table_composite(SubgroupSpec(family, 12))
+    s = SubgroupSpec(Family.GAMMA0, 12)
+    assert density_table_composite(s).entries == density_table(s).entries
+
+
 # ---------------------------------------------------------------------------
 # power relations
 

@@ -26,7 +26,7 @@ from geosplit.core import Family
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "census_sha256.json")
 CASES = [(f, n) for n in (12, 25, 27) for f in ("gamma0", "gamma1", "gamma")] + [
-    (f, n) for n in (32, 75) for f in ("gamma0", "gamma1")
+    (f, n) for n in (32, 75, 105) for f in ("gamma0", "gamma1")
 ]
 
 

@@ -292,3 +292,24 @@ def test_class_list_below_the_cutoff_is_refused(classes_1e4):
     assert ratio_identity_check(3, 2.0, 5000, data) == ratio_identity_check(3, 2.0, 5000)
     # no trace below a cutoff of one: an empty list is complete there
     assert ClassData(0.5, classes=[]).classes == []
+
+
+def test_over_cap_covers_are_refused_before_the_classes(monkeypatch, data_1e4):
+    """Each check tests the coset key cap of every cover it uses before it
+    enumerates a class (Gamma(401) for the ratio check at p = 401), with or
+    without class data."""
+    import geosplit.zeta as zeta
+    from geosplit.core import CapExceeded
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated the classes of an over-cap cover")
+
+    monkeypatch.setattr(zeta, "ClassData", refuse)
+    big = SubgroupSpec(Family.GAMMA, 10000)
+    calls = [lambda d: zeta_lambda_log(2.0, 1e6, big, (1,), d),
+             lambda d: venkov_zograf_check(2.0, 1e6, big, d),
+             lambda d: ratio_identity_check(401, 2.0, 1e6, d)]
+    for call in calls:
+        for data in (None, data_1e4):
+            with pytest.raises(CapExceeded, match="exceeds cap"):
+                call(data)
