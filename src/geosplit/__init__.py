@@ -36,9 +36,7 @@ from .census import (
 )
 from .geodesics import (
     EmpiricalTally,
-    FormClassRecord,
     anomalous_type_scan,
-    classes_at_trace,
     empirical_tally,
     enumerate_primitive_classes,
 )

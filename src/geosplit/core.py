@@ -307,16 +307,21 @@ def xi_grid_positions(grid, entries, n):
     return h * n + (d0 * (sign * b - b0) - b0 * (sign * d - d0)) % n
 
 
-@lru_cache(maxsize=32)
-def enumerate_xi(n):
-    """Sorted list of all canonical tuples of Xi(n): the decoded sorted keys
-    of `xi_chain_grid`, each element exactly once.  Refused above
-    DEFAULT_GROUP_CAP elements (`capped_xi_order`)."""
+def xi_keys(n):
+    """The sorted +-canonical keys of Xi(n), from `xi_chain_grid`, each
+    element exactly once.  Refused above DEFAULT_GROUP_CAP elements
+    (`capped_xi_order`)."""
     order = capped_xi_order(n)
     keys = np.sort(sign_keys(xi_chain_grid(n), n), axis=None)
     if len(keys) != order or not (keys[1:] > keys[:-1]).all():
         raise ConsistencyError(f"the chains of Xi({n}) do not partition the group")
-    return list(map(tuple, decode_keys(keys, n).tolist()))
+    return keys
+
+
+@lru_cache(maxsize=32)
+def enumerate_xi(n):
+    """Sorted list of all canonical tuples of Xi(n): the decoded `xi_keys`."""
+    return list(map(tuple, decode_keys(xi_keys(n), n).tolist()))
 
 
 def _ext_gcd(a, b):

@@ -14,9 +14,10 @@ it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole tuple for Gamma(N).  The
 representatives are listed directly, with the identity's coset as coset 0:
 the completion (`complete_column`) of every unimodular column for Gamma1,
-of the first column in each unit orbit for Gamma0, and `enumerate_xi` for
-Gamma; only Gamma walks the whole group.  The table stores the sorted
-+-canonical keys of every vector of every coset with the coset each names.
+of the first column in each unit orbit for Gamma0, and the decoded sorted
+key array of Xi(N) (`xi_keys`) for Gamma; only Gamma walks the whole
+group.  The table stores the sorted +-canonical keys of every vector of
+every coset with the coset each names.
 
 The action has one kernel, `act_block`: it computes only the entries of
 g * r_i that name a coset and looks their keys up by binary search.  A
@@ -42,8 +43,8 @@ from .core import (
     canon,
     capped_xi_order,
     complete_column,
+    decode_keys,
     divisors,
-    enumerate_xi,
     identity,
     order_in_xi_tuple,
     parts_from_traces,
@@ -51,6 +52,7 @@ from .core import (
     unimodular_columns,
     xi_chain_grid,
     xi_chain_heads,
+    xi_keys,
     xi_order,
     xi_orders,
 )
@@ -72,15 +74,15 @@ class CosetTable:
     are the flat indices (a, b, c, d) = (0, 1, 2, 3) of the entries in a
     vector."""
 
-    def __init__(self, subgroup: SubgroupSpec, reps, positions, keys, cosets):
+    def __init__(self, subgroup: SubgroupSpec, reps, rep_entries, positions, keys, cosets):
         self.subgroup = subgroup
         self.level = subgroup.level
         self.reps = reps
         self.index = len(reps)
+        self.rep_entries = rep_entries  # 4 x index int64
         self.positions = positions
         self.keys = keys
         self.cosets = cosets
-        self.rep_entries = np.array(reps, dtype=np.int64).T  # 4 x index
 
 
 def capped_key_count(s: SubgroupSpec):
@@ -99,14 +101,11 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     anything is built (`capped_key_count`)."""
     n = s.level
     key_count = capped_key_count(s)
-    whole = s.family == Family.GAMMA
-    # the identity's vector first: it names coset 0
-    first = identity(n) if whole else (1, 0)
-    vectors = [first] + [v for v in (enumerate_xi(n) if whole else unimodular_columns(n))
-                         if v != first]
-    positions = (0, 1, 2, 3) if whole else (0, 2)
-    entries = np.array(vectors, dtype=np.int64)
-    keys = sign_keys(entries.T, n)
+    if s.family == Family.GAMMA:
+        return _gamma_table(s)
+    # the identity's column first: it names coset 0
+    vectors = [(1, 0)] + [v for v in unimodular_columns(n) if v != (1, 0)]
+    keys = sign_keys(np.array(vectors, dtype=np.int64).T, n)
     if len(keys) != key_count:
         raise ConsistencyError(f"{len(keys)} coset keys of {s}, expected {key_count}")
     order = keys.argsort()
@@ -114,9 +113,26 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     if s.family == Family.GAMMA0:
         reps, cosets = _unit_orbits(vectors, keys, order, n)
     else:
-        reps = vectors if whole else [canon(*complete_column(a, c, n), n) for a, c in vectors]
+        reps = [canon(*complete_column(a, c, n), n) for a, c in vectors]
         cosets = np.arange(len(reps), dtype=_PERM_DTYPE)
-    return CosetTable(s, reps, positions, keys, cosets.take(order))
+    return CosetTable(s, reps, np.array(reps, dtype=np.int64).T, (0, 2), keys,
+                      cosets.take(order))
+
+
+def _gamma_table(s):
+    """The Gamma(N) table straight from the sorted key array of Xi(N)
+    (`xi_keys` checks that it holds |Xi(N)| distinct keys): the cosets are
+    the elements, listed in key order after the identity."""
+    n = s.level
+    keys = xi_keys(n)
+    first = int(keys.searchsorted(sign_keys(np.array(identity(n))[:, None], n)[0]))
+    rank = np.arange(len(keys))  # key rank of each coset
+    rank[:first + 1] = np.roll(rank[:first + 1], 1)
+    entries = decode_keys(keys, n).take(rank, axis=0)
+    cosets = np.empty(len(keys), dtype=_PERM_DTYPE)
+    cosets[rank] = np.arange(len(keys), dtype=_PERM_DTYPE)
+    return CosetTable(s, list(map(tuple, entries.tolist())), entries.T, (0, 1, 2, 3), keys,
+                      cosets)
 
 
 def _unit_orbits(columns, keys, order, n):

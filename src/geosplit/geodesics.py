@@ -9,6 +9,17 @@ the trace taken positive, which matches working projectively everywhere
 else: a positive-trace matrix can only be a power of another
 positive-trace matrix, so primitivity marking never needs negative traces.
 
+The enumeration runs on numpy arrays, one chunk of traces at a time (at
+most _CHUNK_PAIRS pairs (t, b) per chunk, or one trace).  A chunk lists its
+reduced forms from the divisors of (t^2 - 4 - b^2)/4, read off an int32
+smallest-prime-factor sieve; sorts them by an int64 key in tuple order;
+maps every form to its reduction-cycle neighbour at once (`rho_steps`,
+found by `searchsorted`); and takes the least form of every cycle by
+pointer doubling.  The chunks go to a process pool only when `jobs` > 1
+and there is more than one chunk; each worker builds its own sieve.  The
+classes then pass one primitivity marking (`class_of_matrix` on powers).
+The per-trace reduction walk this replaces is the tests' reference.
+
 The norm cutoff N(gamma) < x is decided in exact arithmetic:
 
     ((t + sqrt(t^2-4))/2)^2 < x   <=>   t*sqrt(x) < x + 1   <=>   t^2 x < (x+1)^2,
@@ -26,16 +37,20 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from multiprocessing import Pool
 
-from .core import CapExceeded, IntegerMatrix, SubgroupSpec, canon, divisors, order_in_xi_tuple
+import numpy as np
+
+from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, canon,
+                   order_in_xi_tuple)
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
 
 MIN_CUTOFF = 7  # the shortest geodesic (t = 3) has norm ((3+sqrt5)/2)^2 ~ 6.854
-# largest cutoff enumerated; the smallest-prime-factor sieve holds about x/4
-# entries in every pool worker
+# largest cutoff enumerated; the int32 smallest-prime-factor sieve holds about
+# x/4 entries in the process and in every pool worker
 MAX_CUTOFF = 10**7
 
 
@@ -73,57 +88,123 @@ def reduce_form(a, b, c, disc, sqrt_disc):
 
 
 def _spf_sieve(limit):
-    """Smallest-prime-factor table up to limit (inclusive)."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    """Smallest-prime-factor table up to limit (inclusive), int32."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # 0, 1 and the primes
     return spf
 
 
-def _divisors_from_spf(n, spf):
-    divs = [1]
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+def _reduced_forms(lo, hi, spf):
+    """Every reduced form of discriminant t^2 - 4, lo <= t < hi, as int32
+    arrays (t, a, b, c).
+
+    isqrt(t^2 - 4) = t - 1 for t >= 3, so (a, b, c) is reduced exactly when
+    0 < b < t and t - b <= 2|a| <= t - 1 + b.  For each pair (t, b) with
+    b = t mod 2, the divisors a of n = (t^2 - 4 - b^2)/4 = |ac| are expanded
+    one prime of the smallest-prime-factor table at a time.  A partial
+    divisor d is dropped once it is above the window (it only grows) or once
+    d times the unfactored rest is below it.  Each divisor in the window
+    gives (a, b, -n/a) and (-a, b, n/a).  Every value stays below t^2 <
+    2^31 under the cap.
+    """
+    trace = np.arange(lo, hi, dtype=np.int32)
+    counts = (trace - 1) // 2  # b = 2 - t % 2, ..., t - 1 in steps of 2
+    row = np.repeat(np.arange(len(trace), dtype=np.int32), counts)
+    t = trace.take(row)
+    b = 2 - t % 2 + 2 * (np.arange(len(row), dtype=np.int32)
+                         - np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts))
+    n = (t * t - 4 - b * b) // 4
+    top, bottom = (t - 1 + b) // 2, t - b
+    pair, rest, d = np.arange(len(n), dtype=np.int32), n.copy(), np.ones_like(n)
+    found = []
+    while len(pair):
+        finished = rest == 1
+        found.append((pair[finished], d[finished]))
+        keep = ~finished & (2 * d * rest >= bottom.take(pair))
+        pair, rest, d = pair[keep], rest[keep], d[keep]
+        p = spf.take(rest)
+        e = np.zeros_like(rest)  # the exponent of p in rest
+        live = np.arange(len(rest), dtype=np.int32)
+        while len(live):
+            q, r = np.divmod(rest.take(live), p.take(live))
+            live, q = live[r == 0], q[r == 0]
+            rest[live] = q
+            e[live] += 1
+        e += 1  # rows per partial divisor: p^0, ..., p^e
+        k = np.arange(int(e.sum()), dtype=np.int32) - np.repeat(np.cumsum(e, dtype=np.int32) - e, e)
+        pair, rest = np.repeat(pair, e), np.repeat(rest, e)
+        d = np.repeat(d, e) * np.repeat(p, e) ** k
+        keep = d <= top.take(pair)
+        pair, rest, d = pair[keep], rest[keep], d[keep]
+    pair = np.concatenate([q for q, _ in found])
+    a = np.concatenate([a for _, a in found])
+    keep = 2 * a >= bottom.take(pair)
+    pair, a = pair[keep], a[keep]
+    t, b, c = t.take(pair), b.take(pair), n.take(pair) // a
+    return (np.concatenate((t, t)), np.concatenate((a, -a)), np.concatenate((b, b)),
+            np.concatenate((-c, c)))
 
 
-def reduced_forms_at_trace(t, spf=None):
-    """All reduced integral forms of discriminant t^2 - 4."""
-    disc = t * t - 4
-    sq = math.isqrt(disc)
-    forms = []
-    b = 2 - (t % 2)
-    while b <= sq:
-        n = (disc - b * b) // 4  # = |a*c|, signs of a and c are opposite
-        if n > 0:
-            divs = _divisors_from_spf(n, spf) if spf is not None else divisors(n)
-            for a in divs:
-                lo = 2 * a - b
-                if lo * lo < disc and (2 * a + b) ** 2 > disc:
-                    forms.append((a, b, -(n // a)))
-                    forms.append((-a, b, n // a))
-        b += 2
-    return forms
+def rho_steps(t, b, c):
+    """`rho_step` on arrays of reduced forms (a, b, c) of discriminant
+    t^2 - 4: the images (c, r, c') and whether each c' = (r^2 - D)/(4c)
+    is exact."""
+    r = t - 1 - (t - 1 + b) % (2 * np.abs(c))
+    num = r * r - (t * t - 4)
+    return c, r, num // (4 * c), num % (4 * c) == 0
 
 
-@dataclass
-class FormClassRecord:
-    trace: int
-    cycle: list  # reduction cycle of reduced forms, starting at the canonical one
-    representative_matrix: IntegerMatrix
-    primitive: bool = True
+def _cycle_leaders(lo, hi, spf):
+    """The least reduced form of every reduction cycle of trace lo <= t < hi,
+    as int32 arrays (t, a, b, c) in tuple order.
 
-    @property
-    def canonical_form(self):
-        return self.cycle[0]
+    The forms are sorted by an int64 key that reads (t, a, b) in tuple order
+    (c is fixed by them, and |a|, b < t < hi).  `rho_steps` maps every row
+    at once, and each image is found by `searchsorted`.  The cycle minima
+    come from pointer doubling: label = min(label, label[p]); p = p[p], as
+    in `cosets.cycle_types`.  ConsistencyError if an image is not exact or
+    not among the forms, or if the step is not a permutation.
+    """
+    t, a, b, c = _reduced_forms(lo, hi, spf)
+    row = (t.astype(np.int64) - lo) * (2 * hi) + hi  # the key of (t, a, b) is (row + a) * hi + b
+    key = (row + a) * hi + b
+    order = key.argsort()
+    key, row, t, a, b, c = (v.take(order) for v in (key, row, t, a, b, c))
+    na, nb, nc, exact = rho_steps(t, b, c)
+    step = key.searchsorted((row + na) * hi + nb).clip(0, len(key) - 1)
+    bad = ~exact | (t.take(step) != t) | (a.take(step) != na) | (b.take(step) != nb)
+    bad |= c.take(step) != nc
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ConsistencyError(f"the reduction step at trace {t[i]} takes "
+                               f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
+    if not (np.bincount(step, minlength=len(step)) == 1).all():
+        raise ConsistencyError(f"the reduction step on traces {lo}..{hi - 1} is not a permutation")
+    points = np.arange(len(step))
+    label = points
+    while True:
+        nxt = np.minimum(label, label.take(step))
+        if not (nxt < label).any():
+            break
+        label = nxt
+        step = step.take(step)
+    leaders = label == points
+    return t[leaders], a[leaders], b[leaders], c[leaders]
+
+
+def _by_trace(bounds, leaders):
+    """[(t, canonical forms of the classes of trace t)] for lo <= t < hi from
+    the chunk's `_cycle_leaders`, the forms in ascending order."""
+    lo, hi = bounds
+    t, a, b, c = leaders
+    forms = zip(a.tolist(), b.tolist(), c.tolist())
+    counts = np.bincount(t - lo, minlength=hi - lo).tolist()
+    return [(u, list(islice(forms, k))) for u, k in zip(range(lo, hi), counts)]
 
 
 def matrix_from_form(t, form):
@@ -131,34 +212,6 @@ def matrix_from_form(t, form):
     discriminant t^2 - 4 (t and b always share parity)."""
     a, b, c = form
     return IntegerMatrix((t - b) // 2, -c, a, (t + b) // 2)
-
-
-def classes_at_trace(t, spf=None):
-    """SL2(Z)-classes of trace t as reduction cycles, one record per cycle,
-    canonical representative = least reduced form in the cycle."""
-    if t < 3:
-        raise ValueError("hyperbolic classes need trace >= 3")
-    disc = t * t - 4
-    sq = math.isqrt(disc)
-    forms = reduced_forms_at_trace(t, spf)
-    unvisited = set(forms)
-    records = []
-    for start in forms:
-        if start not in unvisited:
-            continue
-        cycle = []
-        f = start
-        while f in unvisited:
-            unvisited.discard(f)
-            cycle.append(f)
-            f = rho_step(*f, disc, sq)
-        if f != start:
-            raise RuntimeError(f"reduction walk at trace {t} did not close: {start} -> {f}")
-        best = min(range(len(cycle)), key=lambda i: cycle[i])
-        cycle = cycle[best:] + cycle[:best]
-        records.append(FormClassRecord(t, cycle, matrix_from_form(t, cycle[0])))
-    records.sort(key=lambda r: r.canonical_form)
-    return records
 
 
 def class_of_matrix(m):
@@ -229,21 +282,33 @@ def power_traces(t0, t_max):
     return out
 
 
-_WORKER_SPF = None
+# pairs (t, b) per enumeration chunk; a pass of the divisor expansion holds at
+# most about 6 rows per pair up to the cap, so this bounds the arrays a chunk
+# allocates to a few MB
+_CHUNK_PAIRS = 1 << 14
+
+_POOL_SIEVE = None  # a pool worker's sieve, built by the pool's initializer
 
 
-def _init_trace_worker(limit):
-    global _WORKER_SPF
-    _WORKER_SPF = _spf_sieve(limit)
+def _load_sieve(limit):
+    global _POOL_SIEVE
+    _POOL_SIEVE = _spf_sieve(limit)
 
 
-def _trace_worker(args):
-    lo, hi = args
-    out = []
-    for t in range(lo, hi):
-        recs = classes_at_trace(t, _WORKER_SPF)
-        out.append((t, [r.canonical_form for r in recs]))
-    return out
+def _pool_chunk(bounds):
+    return bounds, _cycle_leaders(*bounds, _POOL_SIEVE)
+
+
+def _trace_chunks(t_max):
+    """Trace ranges (lo, hi) covering 3..t_max in order, each with at most
+    _CHUNK_PAIRS pairs (t, b), or one trace; trace t has (t - 1) // 2."""
+    chunks, lo, pairs = [], 3, 0
+    for t in range(3, t_max + 1):
+        if pairs + (t - 1) // 2 > _CHUNK_PAIRS and t > lo:
+            chunks.append((lo, t))
+            lo, pairs = t, 0
+        pairs += (t - 1) // 2
+    return chunks + [(lo, t_max + 1)]
 
 
 def classes_below(x, t_max, classes=None, jobs=1):
@@ -272,18 +337,17 @@ def enumerate_primitive_classes(x, jobs=1):
     if t_max < 3:
         return []
     sieve_limit = max((t_max * t_max - 4) // 4, 4)
+    chunks = _trace_chunks(t_max)
     per_trace = {}
-    if jobs > 1:
-        step = max(8, (t_max - 2) // (jobs * 12) + 1)
-        ranges = [(lo, min(lo + step, t_max + 1)) for lo in range(3, t_max + 1, step)]
-        with Pool(jobs, initializer=_init_trace_worker, initargs=(sieve_limit,)) as pool:
-            for chunk in pool.imap_unordered(_trace_worker, ranges):
-                for t, fs in chunk:
-                    per_trace[t] = fs
+    if jobs > 1 and len(chunks) > 1:
+        with Pool(min(jobs, len(chunks)), initializer=_load_sieve,
+                  initargs=(sieve_limit,)) as pool:
+            for bounds, leaders in pool.imap_unordered(_pool_chunk, chunks):
+                per_trace.update(_by_trace(bounds, leaders))
     else:
         spf = _spf_sieve(sieve_limit)
-        for t in range(3, t_max + 1):
-            per_trace[t] = [r.canonical_form for r in classes_at_trace(t, spf)]
+        for bounds in chunks:
+            per_trace.update(_by_trace(bounds, _cycle_leaders(*bounds, spf)))
 
     imprimitive = {t: set() for t in per_trace}
     for t0 in range(3, t_max + 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import Family, SubgroupSpec, canon, prime_factors
 from .cosets import build_coset_table, capped_key_count
@@ -30,14 +31,29 @@ class KahanSum:
         self.total = t
 
 
-class FloatArith:
-    """Plain doubles with compensated summation."""
+class _Arith:
+    def factors(self, e, t_max):
+        """-log(1 - N^{-e}) for the norm N of trace t, at index t for every
+        trace 3 <= t <= t_max."""
+        return [None] * 3 + [self.euler_term(self.log_norm(t), e) for t in range(3, t_max + 1)]
 
-    def __init__(self):
-        self._factors = {}
+
+class FloatArith(_Arith):
+    """Plain doubles with compensated summation."""
 
     def acc(self):
         return KahanSum()
+
+    def total(self, terms):
+        """The Kahan sum of the terms in order: KahanSum.add's operations on
+        local variables."""
+        total = c = 0.0
+        for x in terms:
+            y = x - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+        return total
 
     def log_norm(self, t):
         # log N(gamma) = 2 log((t + sqrt(t^2-4))/2)
@@ -47,19 +63,11 @@ class FloatArith:
         # -log(1 - N^{-s})
         return -math.log1p(-math.exp(-s * log_n))
 
-    def factor(self, t, e):
-        """-log(1 - N^{-e}) for the norm N of trace t, memoized per (t, e)."""
-        key = (t, e)
-        got = self._factors.get(key)
-        if got is None:
-            got = self._factors[key] = self.euler_term(self.log_norm(t), e)
-        return got
-
     def frac(self, a, b):
         return a / b
 
 
-class MPArith:
+class MPArith(_Arith):
     """mpmath at a configurable precision, same interface."""
 
     def __init__(self, dps=40):
@@ -79,15 +87,16 @@ class MPArith:
 
         return Acc(self.mp)
 
+    def total(self, terms):
+        """The terms added in order to mpf(0), as Acc.add does."""
+        return sum(terms, self.mp.mpf(0))
+
     def log_norm(self, t):
         t = self.mp.mpf(t)
         return 2 * self.mp.log((t + self.mp.sqrt(t * t - 4)) / 2)
 
     def euler_term(self, log_n, s):
         return -self.mp.log1p(-self.mp.e ** (-self.mp.mpf(s) * log_n))
-
-    def factor(self, t, e):
-        return self.euler_term(self.log_norm(t), e)
 
     def frac(self, a, b):
         return self.mp.mpf(a) / self.mp.mpf(b)
@@ -195,18 +204,20 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
     t_max = data.trace_bound(x)
     ar = FloatArith()
     lam = tuple(lam)
-    acc = ar.acc()
-    count = 0
-    for (t, _, _), (got, _) in zip(data.classes, data.types(subgroup)):
-        if t <= t_max and got == lam:
-            acc.add(ar.factor(t, s))
-            count += 1
-    return ZetaTruncation(s, float(x), acc.total, count)
+    traces = [t for (t, _, _), (got, _) in zip(data.classes, data.types(subgroup))
+              if t <= t_max and got == lam]
+    factor = ar.factors(s, t_max)
+    return ZetaTruncation(s, float(x), ar.total(map(factor.__getitem__, traces)), len(traces))
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
     """Truncated log zeta of the base group itself."""
     return zeta_lambda_log(s, x, None, (1,), data)
+
+
+def _factor_tables(ar, exponents, t_max):
+    """{e: ar.factors(e, t_max)} for each distinct exponent."""
+    return {e: ar.factors(e, t_max) for e in set(exponents)}
 
 
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
@@ -217,30 +228,35 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     the determinant expanded through the cycle type.  RHS groups by type:
     for each type lambda and each part m_i, the lambda-product at m_i * s.
     The identity is exact per class, so the discrepancy is pure rounding.
-    Without `data`, the classes are enumerated with `jobs` processes.
+    Each side is one stream of terms, summed by `ar.total`: the factors come
+    from one table per exponent and each class's LHS terms from a memo by
+    (trace, type).  Without `data`, the classes are enumerated with `jobs`
+    processes.
     """
     require_s_above_one(s)
     data = _class_data(x, data, [subgroup], jobs)
     t_max = data.trace_bound(x)
     ar = _arith(use_mpmath, dps)
-    lhs = ar.acc()
+    types = data.types(subgroup)
+
+    def kept():  # (trace, type) of each class, a fresh pass each call
+        return ((t, lam) for (t, _, _), (lam, _) in zip(data.classes, types) if t <= t_max)
+
+    terms = dict.fromkeys(kept())
+    factor = _factor_tables(ar, (part * s for _, lam in terms for part in lam), t_max)
+    for t, lam in terms:
+        terms[t, lam] = tuple(factor[part * s][t] for part in lam)
+    lhs = ar.total(chain.from_iterable(map(terms.__getitem__, kept())))
     by_type = {}
-    for (t, _, _), (lam, _) in zip(data.classes, data.types(subgroup)):
-        if t > t_max:
-            continue
-        for part in lam:
-            lhs.add(ar.factor(t, part * s))
+    for t, lam in kept():
         by_type.setdefault(lam, []).append(t)
-    rhs = ar.acc()
-    for lam in sorted(by_type):
-        for part in sorted(lam):
-            for t in by_type[lam]:
-                rhs.add(ar.factor(t, part * s))
+    rhs = ar.total(chain.from_iterable(map(factor[part * s].__getitem__, by_type[lam])
+                                       for lam in sorted(by_type) for part in sorted(lam)))
     return {
-        "lhs_log": float(lhs.total),
-        "rhs_log": float(rhs.total),
-        "discrepancy": abs(float(lhs.total - rhs.total)),
-        "term_count": sum(len(v) for v in by_type.values()),
+        "lhs_log": float(lhs),
+        "rhs_log": float(rhs),
+        "discrepancy": abs(float(lhs - rhs)),
+        "term_count": sum(map(len, by_type.values())),
     }
 
 
@@ -253,7 +269,8 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
 
     all four factors expanded over one base-class set via the cover
     factorization.  Classes entering zeta^(p,p) are exactly those whose
-    reduction mod p has order p.  Without `data`, the classes are
+    reduction mod p has order p.  Each side is one stream of terms, built
+    as in `venkov_zograf_check`.  Without `data`, the classes are
     enumerated with `jobs` processes.
     """
     require_s_above_one(s)
@@ -264,26 +281,29 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     t_max = data.trace_bound(x)
     ar = _arith(use_mpmath, dps)
     half = ar.frac(p - 1, 2)
-    lhs = ar.acc()
-    rhs = ar.acc()
-    count = 0
-    for (t, _, _), (lam1, order), (lamp, _) in zip(data.classes, data.types(sub1),
-                                                   data.types(subp)):
-        if t > t_max:
-            continue
-        count += 1
-        if order == p:
-            lhs.add(half * (p * ar.factor(t, s) - ar.factor(t, p * s)))
-        for part in lam1:
-            rhs.add(p * ar.factor(t, part * s))
-        for part in lamp:
-            rhs.add(-ar.factor(t, part * s))
+    types1, typesp = data.types(sub1), data.types(subp)
+
+    def kept():  # (trace, Gamma1 type, Gamma type) of each class, a fresh pass each call
+        return ((t, lam1, lamp) for (t, _, _), (lam1, _), (lamp, _)
+                in zip(data.classes, types1, typesp) if t <= t_max)
+
+    full = [t for (t, _, _), (_, order) in zip(data.classes, types1)
+            if t <= t_max and order == p]
+    terms = dict.fromkeys(kept())
+    factor = _factor_tables(ar, [s, p * s] + [part * s for _, lam1, lamp in terms
+                                              for part in lam1 + lamp], t_max)
+    for t, lam1, lamp in terms:
+        terms[t, lam1, lamp] = (tuple(p * factor[part * s][t] for part in lam1)
+                                + tuple(-factor[part * s][t] for part in lamp))
+    lhs_of = {t: half * (p * factor[s][t] - factor[p * s][t]) for t in set(full)}
+    lhs = ar.total(map(lhs_of.__getitem__, full))
+    rhs = ar.total(chain.from_iterable(map(terms.__getitem__, kept())))
     return {
         "p": p,
         "s": s,
         "cutoff": float(x),
-        "lhs_log": float(lhs.total),
-        "rhs_log": float(rhs.total),
-        "discrepancy": abs(float(lhs.total - rhs.total)),
-        "term_count": count,
+        "lhs_log": float(lhs),
+        "rhs_log": float(rhs),
+        "discrepancy": abs(float(lhs - rhs)),
+        "term_count": sum(1 for t, _, _ in data.classes if t <= t_max),
     }

@@ -1,15 +1,19 @@
 """Reference implementations that the tests check the library against.
 
 Each is the slow, direct form of a library route: the coset action from
-subgroup membership over all of Xi(N), the primitivity marking of full
+subgroup membership over all of Xi(N), the reduction cycles of one trace
+by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, and the conjugacy classes by orbit
 closure over tuples.
 """
 
-from geosplit.core import (ConsistencyError, canon, enumerate_xi, inv, is_member_tuple, mul,
-                           order_in_xi_tuple, xi_chain_heads)
+import math
+from dataclasses import dataclass
+
+from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi, inv,
+                           is_member_tuple, mul, order_in_xi_tuple, xi_chain_heads)
 from geosplit.cosets import CosetTable
-from geosplit.geodesics import class_of_matrix, power_traces
+from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, power_traces, rho_step
 
 
 def act_reference(table: CosetTable):
@@ -27,6 +31,92 @@ def act_reference(table: CosetTable):
     return lambda g: [coset_of[mul(g, r, n)] for r in table.reps]
 
 
+def spf_list(limit):
+    """Smallest-prime-factor table up to limit (inclusive), as a list."""
+    spf = list(range(limit + 1))
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == i:
+            for j in range(i * i, limit + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
+def _divisors_from_spf(n, spf):
+    divs = [1]
+    while n > 1:
+        p = spf[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return divs
+
+
+def reduced_forms_at_trace(t, spf=None):
+    """All reduced integral forms of discriminant t^2 - 4, pair (t, b) by
+    pair, from the divisors of (t^2 - 4 - b^2)/4: by trial division, or
+    from a `spf_list` table that reaches (t^2 - 4)/4."""
+    disc = t * t - 4
+    sq = math.isqrt(disc)
+    forms = []
+    b = 2 - (t % 2)
+    while b <= sq:
+        n = (disc - b * b) // 4  # = |a*c|, signs of a and c are opposite
+        if n > 0:
+            divs = _divisors_from_spf(n, spf) if spf is not None else divisors(n)
+            for a in divs:
+                lo = 2 * a - b
+                if lo * lo < disc and (2 * a + b) ** 2 > disc:
+                    forms.append((a, b, -(n // a)))
+                    forms.append((-a, b, n // a))
+        b += 2
+    return forms
+
+
+@dataclass
+class FormClassRecord:
+    trace: int
+    cycle: list  # reduction cycle of reduced forms, starting at the canonical one
+    representative_matrix: IntegerMatrix
+    primitive: bool = True
+
+    @property
+    def canonical_form(self):
+        return self.cycle[0]
+
+
+def classes_at_trace(t, spf=None):
+    """SL2(Z)-classes of trace t as reduction cycles, one record per cycle,
+    canonical representative = least reduced form in the cycle.  The walk
+    follows `rho_step` through a set of the unvisited forms;
+    `geodesics.enumerate_primitive_classes` must agree with it."""
+    if t < 3:
+        raise ValueError("hyperbolic classes need trace >= 3")
+    disc = t * t - 4
+    sq = math.isqrt(disc)
+    forms = reduced_forms_at_trace(t, spf)
+    unvisited = set(forms)
+    records = []
+    for start in forms:
+        if start not in unvisited:
+            continue
+        cycle = []
+        f = start
+        while f in unvisited:
+            unvisited.discard(f)
+            cycle.append(f)
+            f = rho_step(*f, disc, sq)
+        if f != start:
+            raise RuntimeError(f"reduction walk at trace {t} did not close: {start} -> {f}")
+        best = min(range(len(cycle)), key=lambda i: cycle[i])
+        cycle = cycle[best:] + cycle[:best]
+        records.append(FormClassRecord(t, cycle, matrix_from_form(t, cycle[0])))
+    records.sort(key=lambda r: r.canonical_form)
+    return records
+
+
 def mark_primitivity(records_by_trace, t_max):
     """Flag imprimitive classes among full FormClassRecords (all traces up
     to t_max must be present)."""
@@ -41,6 +131,18 @@ def mark_primitivity(records_by_trace, t_max):
                 target = lookup[tk][class_of_matrix(mk)]
                 target.primitive = False
     return records_by_trace
+
+
+def primitive_classes(x):
+    """(trace, canonical form, representative matrix) of every primitive
+    class with N(gamma) < x, trace by trace from `classes_at_trace` and
+    marked by `mark_primitivity`: the enumeration's oracle."""
+    t_max = max_trace(x)
+    spf = spf_list(max((t_max * t_max - 4) // 4, 4))
+    records = {t: classes_at_trace(t, spf) for t in range(3, t_max + 1)}
+    mark_primitivity(records, t_max)
+    return [(t, r.canonical_form, r.representative_matrix)
+            for t, recs in sorted(records.items()) for r in recs if r.primitive]
 
 
 def orbit_closure_classes(level):

@@ -483,7 +483,8 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA1])
 def test_column_tables_never_enumerate_xi(family, monkeypatch):
-    monkeypatch.setattr(cosets, "enumerate_xi", _refuse)
+    """Only the Gamma table lists Xi(N), through its key array."""
+    monkeypatch.setattr(cosets, "xi_keys", _refuse)
     for n in (2, 9, 12, 75):
         t = build_coset_table(SubgroupSpec(family, n))
         assert t.reps[0] == identity(n)
@@ -510,7 +511,7 @@ def test_coset_key_cap_is_checked_before_building(monkeypatch):
     """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
     monkeypatch.setattr(cosets, "xi_chain_heads", _refuse)
     monkeypatch.setattr(cosets, "unimodular_columns", _refuse)
-    monkeypatch.setattr(cosets, "enumerate_xi", _refuse)
+    monkeypatch.setattr(cosets, "xi_keys", _refuse)
     for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
         with pytest.raises(CapExceeded, match="exceeds cap"):
             build_coset_table(SubgroupSpec(family, n))

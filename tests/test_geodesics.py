@@ -8,7 +8,6 @@ from geosplit.core import Family, IntegerMatrix, SubgroupSpec
 from geosplit.geodesics import (
     anomalous_type_scan,
     class_of_matrix,
-    classes_at_trace,
     empirical_tally,
     enumerate_primitive_classes,
     is_reduced,
@@ -16,12 +15,11 @@ from geosplit.geodesics import (
     matrix_from_form,
     max_trace,
     norm_below,
-    reduced_forms_at_trace,
     tally_json,
     tally_tsv,
 )
 from geosplit.census import density_table
-from reference import mark_primitivity
+from reference import classes_at_trace, mark_primitivity, reduced_forms_at_trace
 
 
 # ---------------------------------------------------------------------------

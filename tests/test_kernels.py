@@ -1,25 +1,37 @@
 """The array routes against their element-by-element references: the
 conjugacy census on the sorted key array against the orbit closure of
-tests/reference.py, and the batched order kernel `xi_orders` against the
-scalar loop `order_in_xi_tuple`."""
+tests/reference.py, the batched order kernel `xi_orders` against the
+scalar loop `order_in_xi_tuple`, and the enumeration of primitive classes
+by trace chunks against the per-trace reduction walk of tests/reference.py."""
 
 import itertools
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import geosplit.census as census
+import geosplit.geodesics as geodesics
 from geosplit.census import closed_class_catalog, conjugacy_classes, nonsplit_generator
+from geosplit.cli import main
 from geosplit.core import (
     CapExceeded,
+    ConsistencyError,
+    Family,
+    SubgroupSpec,
     canon,
     complete_column,
     enumerate_xi,
+    identity,
     order_in_xi_tuple,
+    sign_keys,
     unimodular_columns,
     xi_orders,
 )
-from reference import orbit_closure_classes
+from geosplit.cosets import build_coset_table
+from geosplit.geodesics import enumerate_primitive_classes, max_trace
+from reference import classes_at_trace, orbit_closure_classes, primitive_classes, spf_list
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)) + [75])
@@ -101,3 +113,100 @@ def test_nonsplit_generator_is_pinned(p, r, want):
     """The first companion matrix of the target order in the scan order;
     the closed catalogs and their census payloads depend on this choice."""
     assert nonsplit_generator(p, r) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 12, 25, 75])
+def test_gamma_table_from_the_key_array_is_the_listed_one(n):
+    """The Gamma(N) table equals the one built from the tuples of
+    `enumerate_xi`, identity first, down to the pickled bytes of its arrays."""
+    table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
+    reps = [identity(n)] + [g for g in enumerate_xi(n) if g != identity(n)]
+    entries = np.array(reps, dtype=np.int64)
+    keys = sign_keys(entries.T, n)
+    order = keys.argsort()
+    cosets = np.arange(len(reps), dtype=np.int32).take(order)
+    assert table.reps == reps
+    assert (pickle.dumps((table.keys, table.cosets, table.rep_entries))
+            == pickle.dumps((keys.take(order), cosets, entries.T)))
+
+
+# ---------------------------------------------------------------------------
+# primitive classes from the trace-chunk kernel
+
+def _kernel_per_trace(lo, hi):
+    spf = geodesics._spf_sieve((hi * hi - 4) // 4)
+    return geodesics._by_trace((lo, hi), geodesics._cycle_leaders(lo, hi, spf))
+
+
+def test_kernel_matches_reduction_walk_trace_by_trace():
+    """Every class of every trace 3..200, in one chunk and one trace per
+    chunk, is the least form of a walked reduction cycle, in order."""
+    want = [(t, [r.canonical_form for r in classes_at_trace(t)]) for t in range(3, 201)]
+    assert _kernel_per_trace(3, 201) == want
+    assert [_kernel_per_trace(t, t + 1)[0] for t in range(3, 201)] == want
+
+
+@pytest.mark.parametrize("x", [7, 2000, 10**5])
+def test_enumeration_matches_reference(x):
+    assert enumerate_primitive_classes(x) == primitive_classes(x)
+
+
+def test_enumeration_matches_reference_at_1e6(classes_1e6):
+    assert classes_1e6 == primitive_classes(10**6)
+
+
+@pytest.mark.parametrize("pairs", [40, 1000])
+def test_jobs_agree_with_a_small_row_budget(monkeypatch, pairs):
+    """A small budget of pairs (t, b) cuts the trace range into many chunks;
+    at 40 pairs every trace above 81 has more pairs than the budget and is a
+    chunk of its own.  The pool and the single process agree."""
+    want = enumerate_primitive_classes(10**5)
+    monkeypatch.setattr(geodesics, "_CHUNK_PAIRS", pairs)
+    t_max = max_trace(10**5)
+    chunks = geodesics._trace_chunks(t_max)
+    assert chunks[0][0] == 3 and chunks[-1][1] == t_max + 1 and len(chunks) > 8
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(sum((t - 1) // 2 for t in range(lo, hi)) <= pairs or hi == lo + 1
+               for lo, hi in chunks)
+    assert enumerate_primitive_classes(10**5, jobs=1) == want
+    assert enumerate_primitive_classes(10**5, jobs=2) == want
+
+
+RHO_STEPS = geodesics.rho_steps
+
+
+def _merge_first_two(t, b, c):
+    """`rho_steps` except that the second form maps where the first does,
+    so the step is no permutation."""
+    na, nb, nc, exact = (v.copy() for v in RHO_STEPS(t, b, c))
+    for v in (na, nb, nc):
+        v[1] = v[0]
+    return na, nb, nc, exact
+
+
+def _off_the_forms(t, b, c):
+    """`rho_steps` with every image's b moved off the parity of t."""
+    na, nb, nc, exact = RHO_STEPS(t, b, c)
+    return na, nb + 1, nc, exact
+
+
+@pytest.mark.parametrize("step, match", [(_merge_first_two, "not a permutation"),
+                                         (_off_the_forms, "out of the reduced forms")])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_broken_reduction_step_is_a_consistency_error(monkeypatch, capsys, step, match, jobs):
+    """Raised in every chunk (two at 1e5), in the process or a pool worker."""
+    monkeypatch.setattr(geodesics, "rho_steps", step)
+    assert len(geodesics._trace_chunks(max_trace(10**5))) == 2
+    with pytest.raises(ConsistencyError, match=match):
+        enumerate_primitive_classes(10**5, jobs=jobs)
+    code = main(["--jobs", str(jobs), "empirical", "--family", "gamma0", "--level", "5",
+                 "--x", "1e5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert match in captured.err
+
+
+def test_sieve_is_the_smallest_prime_factor():
+    spf = geodesics._spf_sieve(10**5)
+    assert spf.dtype == np.int32
+    assert spf.tolist() == spf_list(10**5)

@@ -252,6 +252,44 @@ def test_mpmath_sums_equal_per_class_loop(data_2e4):
         3, 2.0, x, data_2e4.classes, MPArith())
 
 
+@pytest.fixture(scope="module")
+def data_1e5(classes_1e5):
+    return ClassData(10**5, classes=classes_1e5)
+
+
+@pytest.mark.parametrize("sub", [SubgroupSpec(Family.GAMMA0, 11), SubgroupSpec(Family.GAMMA1, 7),
+                                 SubgroupSpec(Family.GAMMA, 5)])
+def test_term_streams_equal_per_class_loop_at_1e5(data_1e5, sub):
+    """The one-stream sums are bit-identical to per-class accumulation."""
+    x, classes = 10**5, data_1e5.classes
+    assert venkov_zograf_check(2.0, x, sub, data_1e5) == _ref_venkov(2.0, x, classes, sub,
+                                                                     FloatArith())
+    for lam in sorted({got for got, _ in _ref_types(classes, sub)}):
+        assert zeta_lambda_log(1.5, x, sub, lam, data_1e5) == _ref_lambda(1.5, x, classes,
+                                                                          sub, lam)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ratio_stream_equals_per_class_loop_at_1e5(data_1e5, p):
+    assert ratio_identity_check(p, 2.0, 10**5, data_1e5) == _ref_ratio(
+        p, 2.0, 10**5, data_1e5.classes, FloatArith())
+
+
+def test_total_is_the_accumulator_loop():
+    """`total` sums a stream as `acc().add` does, term by term: Kahan for
+    floats (on terms whose plain sum loses digits), mpf additions for mpmath."""
+    import random
+
+    rng = random.Random(5)
+    terms = [rng.choice([1e16, -1e16, 1.0, 1e-8, 3.3]) * rng.random() for _ in range(5000)]
+    for ar in (FloatArith(), MPArith(30)):
+        acc = ar.acc()
+        for term in terms:
+            acc.add(term)
+        assert ar.total(iter(terms)) == acc.total
+    assert FloatArith().total(terms) != sum(terms)
+
+
 # ---------------------------------------------------------------------------
 # class data is refused above the trace bound it was built at
 
