@@ -16,8 +16,9 @@ smallest-prime-factor sieve; sorts them by an int64 key in tuple order;
 maps every form to its reduction-cycle neighbour at once (`rho_steps`,
 found by `searchsorted`); and takes the least form of every cycle by
 pointer doubling.  The chunks go to a process pool only when `jobs` > 1
-and there is more than one chunk; each worker builds its own sieve.  The
-classes then pass one primitivity marking (`class_of_matrix` on powers).
+and there are at least _POOL_MIN_CHUNKS of them; each worker builds its own
+sieve.  The classes then pass one primitivity marking (`class_of_matrix` on
+powers).
 The per-trace reduction walk this replaces is the tests' reference.
 
 The norm cutoff N(gamma) < x is decided in exact arithmetic:
@@ -287,6 +288,11 @@ def power_traces(t0, t_max):
 # allocates to a few MB
 _CHUNK_PAIRS = 1 << 14
 
+# fewest chunks for which `jobs` > 1 starts a pool: on 2 vCPUs one process was
+# faster at 16 chunks (x = 1e6) and two workers at 20 chunks (x = 1.25e6) and
+# above; below that, pool start-up and a sieve per worker outweigh the split
+_POOL_MIN_CHUNKS = 20
+
 _POOL_SIEVE = None  # a pool worker's sieve, built by the pool's initializer
 
 
@@ -339,7 +345,7 @@ def enumerate_primitive_classes(x, jobs=1):
     sieve_limit = max((t_max * t_max - 4) // 4, 4)
     chunks = _trace_chunks(t_max)
     per_trace = {}
-    if jobs > 1 and len(chunks) > 1:
+    if jobs > 1 and len(chunks) >= _POOL_MIN_CHUNKS:
         with Pool(min(jobs, len(chunks)), initializer=_load_sieve,
                   initargs=(sieve_limit,)) as pool:
             for bounds, leaders in pool.imap_unordered(_pool_chunk, chunks):

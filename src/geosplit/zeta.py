@@ -19,18 +19,6 @@ from .cosets import build_coset_table, capped_key_count
 from .geodesics import classes_below, max_trace, residue_keys, residue_types
 
 
-class KahanSum:
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x):
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 class _Arith:
     def factors(self, e, t_max):
         """-log(1 - N^{-e}) for the norm N of trace t, at index t for every
@@ -41,12 +29,8 @@ class _Arith:
 class FloatArith(_Arith):
     """Plain doubles with compensated summation."""
 
-    def acc(self):
-        return KahanSum()
-
     def total(self, terms):
-        """The Kahan sum of the terms in order: KahanSum.add's operations on
-        local variables."""
+        """The compensated (Kahan) sum of the terms in order."""
         total = c = 0.0
         for x in terms:
             y = x - c
@@ -77,18 +61,8 @@ class MPArith(_Arith):
         self.dps = dps
         mpmath.mp.dps = max(mpmath.mp.dps, dps)
 
-    def acc(self):
-        class Acc:
-            def __init__(self, mp):
-                self.total = mp.mpf(0)
-
-            def add(self, x):
-                self.total += x
-
-        return Acc(self.mp)
-
     def total(self, terms):
-        """The terms added in order to mpf(0), as Acc.add does."""
+        """The terms added in order to mpf(0)."""
         return sum(terms, self.mp.mpf(0))
 
     def log_norm(self, t):
@@ -215,11 +189,6 @@ def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
     return zeta_lambda_log(s, x, None, (1,), data)
 
 
-def _factor_tables(ar, exponents, t_max):
-    """{e: ar.factors(e, t_max)} for each distinct exponent."""
-    return {e: ar.factors(e, t_max) for e in set(exponents)}
-
-
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
                         use_mpmath=False, dps=40, jobs=1):
     """|LHS - RHS| for the cover-zeta factorization at matched truncation.
@@ -243,7 +212,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
         return ((t, lam) for (t, _, _), (lam, _) in zip(data.classes, types) if t <= t_max)
 
     terms = dict.fromkeys(kept())
-    factor = _factor_tables(ar, (part * s for _, lam in terms for part in lam), t_max)
+    factor = {e: ar.factors(e, t_max) for e in {part * s for _, lam in terms for part in lam}}
     for t, lam in terms:
         terms[t, lam] = tuple(factor[part * s][t] for part in lam)
     lhs = ar.total(chain.from_iterable(map(terms.__getitem__, kept())))
@@ -290,8 +259,8 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     full = [t for (t, _, _), (_, order) in zip(data.classes, types1)
             if t <= t_max and order == p]
     terms = dict.fromkeys(kept())
-    factor = _factor_tables(ar, [s, p * s] + [part * s for _, lam1, lamp in terms
-                                              for part in lam1 + lamp], t_max)
+    exponents = {s, p * s} | {part * s for _, lam1, lamp in terms for part in lam1 + lamp}
+    factor = {e: ar.factors(e, t_max) for e in exponents}
     for t, lam1, lamp in terms:
         terms[t, lam1, lamp] = (tuple(p * factor[part * s][t] for part in lam1)
                                 + tuple(-factor[part * s][t] for part in lamp))

@@ -3,8 +3,8 @@
 Each is the slow, direct form of a library route: the coset action from
 subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
-FormClassRecords by their powers, and the conjugacy classes by orbit
-closure over tuples.
+FormClassRecords by their powers, the conjugacy classes by orbit closure
+over tuples, and the zeta sums' term-by-term accumulators.
 """
 
 import math
@@ -14,6 +14,7 @@ from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enu
                            is_member_tuple, mul, order_in_xi_tuple, xi_chain_heads)
 from geosplit.cosets import CosetTable
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, power_traces, rho_step
+from geosplit.zeta import MPArith
 
 
 def act_reference(table: CosetTable):
@@ -175,3 +176,34 @@ def orbit_closure_classes(level):
                     stack.append(xi[j])
         out.append((g, size, order_in_xi_tuple(g, n)))
     return out
+
+
+class KahanSum:
+    """Compensated summation, one term at a time."""
+
+    def __init__(self):
+        self.total = 0.0
+        self._c = 0.0
+
+    def add(self, x):
+        y = x - self._c
+        t = self.total + y
+        self._c = (t - self.total) - y
+        self.total = t
+
+
+class MPSum:
+    """mpf additions from mpf(0), one term at a time."""
+
+    def __init__(self, mp):
+        self.total = mp.mpf(0)
+
+    def add(self, x):
+        self.total += x
+
+
+def acc(ar):
+    """A fresh accumulator for the arithmetic `ar` of `geosplit.zeta`:
+    KahanSum for floats, MPSum for mpmath.  `ar.total` must equal adding
+    a stream's terms to it in order."""
+    return MPSum(ar.mp) if isinstance(ar, MPArith) else KahanSum()

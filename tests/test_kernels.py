@@ -164,12 +164,36 @@ def test_jobs_agree_with_a_small_row_budget(monkeypatch, pairs):
     monkeypatch.setattr(geodesics, "_CHUNK_PAIRS", pairs)
     t_max = max_trace(10**5)
     chunks = geodesics._trace_chunks(t_max)
-    assert chunks[0][0] == 3 and chunks[-1][1] == t_max + 1 and len(chunks) > 8
+    assert chunks[0][0] == 3 and chunks[-1][1] == t_max + 1
+    assert len(chunks) >= geodesics._POOL_MIN_CHUNKS  # so jobs=2 runs the pool
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     assert all(sum((t - 1) // 2 for t in range(lo, hi)) <= pairs or hi == lo + 1
                for lo, hi in chunks)
     assert enumerate_primitive_classes(10**5, jobs=1) == want
     assert enumerate_primitive_classes(10**5, jobs=2) == want
+
+
+POOL = geodesics.Pool
+
+
+def test_pool_starts_from_the_chunk_threshold(monkeypatch):
+    """jobs=2 runs in the process below _POOL_MIN_CHUNKS chunks and in a
+    pool from there on; both give the same list."""
+    started = []
+
+    def counting_pool(*args, **kwargs):
+        started.append(args)
+        return POOL(*args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "Pool", counting_pool)
+    chunks = len(geodesics._trace_chunks(max_trace(10**5)))
+    assert 1 < chunks < geodesics._POOL_MIN_CHUNKS
+    want = enumerate_primitive_classes(10**5, jobs=2)
+    assert started == []
+    monkeypatch.setattr(geodesics, "_POOL_MIN_CHUNKS", chunks)
+    assert enumerate_primitive_classes(10**5, jobs=2) == want
+    assert enumerate_primitive_classes(10**5, jobs=1) == want
+    assert len(started) == 1
 
 
 RHO_STEPS = geodesics.rho_steps
@@ -194,8 +218,10 @@ def _off_the_forms(t, b, c):
                                          (_off_the_forms, "out of the reduced forms")])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_broken_reduction_step_is_a_consistency_error(monkeypatch, capsys, step, match, jobs):
-    """Raised in every chunk (two at 1e5), in the process or a pool worker."""
+    """Raised in every chunk (two at 1e5), in the process or, with the pool
+    threshold lowered to two chunks, a pool worker."""
     monkeypatch.setattr(geodesics, "rho_steps", step)
+    monkeypatch.setattr(geodesics, "_POOL_MIN_CHUNKS", 2)
     assert len(geodesics._trace_chunks(max_trace(10**5))) == 2
     with pytest.raises(ConsistencyError, match=match):
         enumerate_primitive_classes(10**5, jobs=jobs)

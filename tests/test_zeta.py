@@ -152,6 +152,8 @@ from geosplit.core import order_in_xi_tuple
 from geosplit.cosets import build_coset_table, splitting_type_cycles
 from geosplit.zeta import FloatArith, MPArith, ZetaTruncation
 
+from reference import acc
+
 
 def _ref_types(classes, subgroup):
     """(type, order) per class through the reduction of each matrix."""
@@ -170,17 +172,17 @@ def _ref_types(classes, subgroup):
 
 def _ref_lambda(s, x, classes, subgroup, lam):
     ar = FloatArith()
-    acc = ar.acc()
+    total = acc(ar)
     count = 0
     for (t, _, _), (got, _) in zip(classes, _ref_types(classes, subgroup)):
         if norm_below(t, x) and got == tuple(lam):
-            acc.add(ar.euler_term(ar.log_norm(t), s))
+            total.add(ar.euler_term(ar.log_norm(t), s))
             count += 1
-    return ZetaTruncation(s, float(x), acc.total, count)
+    return ZetaTruncation(s, float(x), total.total, count)
 
 
 def _ref_venkov(s, x, classes, subgroup, ar):
-    lhs = ar.acc()
+    lhs = acc(ar)
     by_type = {}
     for (t, _, _), (lam, _) in zip(classes, _ref_types(classes, subgroup)):
         if not norm_below(t, x):
@@ -189,7 +191,7 @@ def _ref_venkov(s, x, classes, subgroup, ar):
         for part in lam:
             lhs.add(ar.euler_term(log_n, part * s))
         by_type.setdefault(lam, []).append(log_n)
-    rhs = ar.acc()
+    rhs = acc(ar)
     for lam in sorted(by_type):
         for part in sorted(lam):
             for log_n in by_type[lam]:
@@ -203,7 +205,7 @@ def _ref_ratio(p, s, x, classes, ar):
     types1 = _ref_types(classes, SubgroupSpec(Family.GAMMA1, p))
     typesp = _ref_types(classes, SubgroupSpec(Family.GAMMA, p))
     half = ar.frac(p - 1, 2)
-    lhs, rhs, count = ar.acc(), ar.acc(), 0
+    lhs, rhs, count = acc(ar), acc(ar), 0
     for (t, _, _), (lam1, order), (lamp, _) in zip(classes, types1, typesp):
         if not norm_below(t, x):
             continue
@@ -276,17 +278,18 @@ def test_ratio_stream_equals_per_class_loop_at_1e5(data_1e5, p):
 
 
 def test_total_is_the_accumulator_loop():
-    """`total` sums a stream as `acc().add` does, term by term: Kahan for
-    floats (on terms whose plain sum loses digits), mpf additions for mpmath."""
+    """`total` sums a stream as the reference accumulator's `add` does, term
+    by term: Kahan for floats (on terms whose plain sum loses digits), mpf
+    additions for mpmath."""
     import random
 
     rng = random.Random(5)
     terms = [rng.choice([1e16, -1e16, 1.0, 1e-8, 3.3]) * rng.random() for _ in range(5000)]
     for ar in (FloatArith(), MPArith(30)):
-        acc = ar.acc()
+        reference = acc(ar)
         for term in terms:
-            acc.add(term)
-        assert ar.total(iter(terms)) == acc.total
+            reference.add(term)
+        assert ar.total(iter(terms)) == reference.total
     assert FloatArith().total(terms) != sum(terms)
 
 
