@@ -165,7 +165,12 @@ def cmd_densities(args):
 
 def cmd_type(args):
     try:
-        a, b, c, d = (int(v) for v in args.matrix.split(","))
+        a, b, c, d = map(int, args.matrix.split(","))
+    except ValueError:
+        print(f"error: --matrix takes four integers a,b,c,d, got {args.matrix!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    try:
         m = IntegerMatrix(a, b, c, d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -238,6 +243,8 @@ def cmd_zeta_check(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     handlers = {
         "densities": cmd_densities,
         "type": cmd_type,

@@ -17,9 +17,16 @@ maps every form to its reduction-cycle neighbour at once (`rho_steps`,
 found by `searchsorted`); and takes the least form of every cycle by
 pointer doubling.  The chunks go to a process pool only when `jobs` > 1
 and there are at least _POOL_MIN_CHUNKS of them; each worker builds its own
-sieve.  The classes then pass one primitivity marking (`class_of_matrix` on
-powers).
+sieve.  The chunks' leaders are concatenated in trace order and pass one
+primitivity marking (`class_of_matrix` on the powers of the few traces
+that have them).
 The per-trace reduction walk this replaces is the tests' reference.
+
+The classes stay int64 columns (trace, a, b, c) from the chunk kernel to
+the last sum (`PrimitiveClasses`, about 32 bytes per class): a tally
+reduces the representatives' entry columns mod N in numpy, finds the
+splitting type once per distinct residue and counts with `bincount`.  No
+object is built per class unless the columns are iterated.
 
 The norm cutoff N(gamma) < x is decided in exact arithmetic:
 
@@ -38,13 +45,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from multiprocessing import Pool
 
 import numpy as np
 
-from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, canon,
-                   order_in_xi_tuple)
+from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, decode_keys,
+                   order_in_xi_tuple, sign_keys)
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
@@ -198,16 +204,6 @@ def _cycle_leaders(lo, hi, spf):
     return t[leaders], a[leaders], b[leaders], c[leaders]
 
 
-def _by_trace(bounds, leaders):
-    """[(t, canonical forms of the classes of trace t)] for lo <= t < hi from
-    the chunk's `_cycle_leaders`, the forms in ascending order."""
-    lo, hi = bounds
-    t, a, b, c = leaders
-    forms = zip(a.tolist(), b.tolist(), c.tolist())
-    counts = np.bincount(t - lo, minlength=hi - lo).tolist()
-    return [(u, list(islice(forms, k))) for u, k in zip(range(lo, hi), counts)]
-
-
 def matrix_from_form(t, form):
     """Determinant-one lift [[(t-b)/2, -c], [a, (t+b)/2]] of a form of
     discriminant t^2 - 4 (t and b always share parity)."""
@@ -302,7 +298,7 @@ def _load_sieve(limit):
 
 
 def _pool_chunk(bounds):
-    return bounds, _cycle_leaders(*bounds, _POOL_SIEVE)
+    return _cycle_leaders(*bounds, _POOL_SIEVE)
 
 
 def _trace_chunks(t_max):
@@ -317,62 +313,103 @@ def _trace_chunks(t_max):
     return chunks + [(lo, t_max + 1)]
 
 
+class PrimitiveClasses:
+    """Primitive classes as int64 columns (trace, a, b, c), sorted by
+    (trace, canonical form): the class of trace t and least reduced form
+    (a, b, c) is represented by [[(t-b)/2, -c], [a, (t+b)/2]]
+    (`matrix_from_form`).  About 32 bytes per class.  Iterating yields the
+    (trace, form, IntegerMatrix) triples."""
+
+    def __init__(self, trace, a, b, c):
+        self.trace, self.a, self.b, self.c = trace, a, b, c
+
+    @classmethod
+    def from_triples(cls, triples):
+        """The columns of (trace, form, matrix) triples, in sorted order."""
+        rows = sorted((t, *form) for t, form, _ in triples)
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+    def __len__(self):
+        return len(self.trace)
+
+    def __iter__(self):
+        for t, a, b, c in zip(*(v.tolist() for v in (self.trace, self.a, self.b, self.c))):
+            yield t, (a, b, c), matrix_from_form(t, (a, b, c))
+
+    def below(self, t_max):
+        """The classes of trace <= t_max: a prefix, as views of the columns."""
+        k = int(self.trace.searchsorted(t_max, side="right"))
+        return PrimitiveClasses(self.trace[:k], self.a[:k], self.b[:k], self.c[:k])
+
+    @property
+    def entries(self):
+        """The representative matrices' entries (a, b, c, d), four columns."""
+        t, a, b, c = self.trace, self.a, self.b, self.c
+        return (t - b) // 2, -c, a, (t + b) // 2
+
+
 def classes_below(x, t_max, classes=None, jobs=1):
     """The primitive classes of trace <= t_max = max_trace(x): enumerated at
-    x when `classes` is None, else taken from that list, which is refused
-    with ValueError when its largest trace is below t_max.  The check is
-    exact: every trace t >= 3 has a primitive class, the one of the
-    content-1 form (1, t, 1), while a k-th power has content divisible by
-    U_{k-1}(t0) >= 3."""
+    x when `classes` is None, else cut from those classes (PrimitiveClasses,
+    or (trace, form, matrix) triples), which are refused with ValueError
+    when their largest trace is below t_max.  The check is exact: every
+    trace t >= 3 has a primitive class, the one of the content-1 form
+    (1, t, 1), while a k-th power has content divisible by U_{k-1}(t0) >= 3."""
     if classes is None:
         return enumerate_primitive_classes(x, jobs=jobs)
-    top = max((c[0] for c in classes), default=2)
+    if not isinstance(classes, PrimitiveClasses):
+        classes = PrimitiveClasses.from_triples(classes)
+    top = int(classes.trace[-1]) if len(classes) else 2
     if top < t_max:
         raise ValueError(f"cutoff {x} needs traces up to {t_max}, but the class list "
                          f"stops at trace {top}")
-    return [c for c in classes if c[0] <= t_max]
+    return classes.below(t_max)
 
 
-def enumerate_primitive_classes(x, jobs=1):
-    """All primitive classes with N(gamma) < x as (trace, canonical form,
-    representative matrix) triples, sorted by (trace, form).  A cutoff above
-    MAX_CUTOFF raises CapExceeded before anything is allocated."""
+def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
+    """All primitive classes with N(gamma) < x, sorted by (trace, form).  A
+    cutoff above MAX_CUTOFF raises CapExceeded before anything is allocated.
+
+    The chunks' cycle leaders are concatenated in trace order.  The powers
+    of the classes of every trace t0 with t0^2 - 2 <= t_max are reduced by
+    `class_of_matrix`, and those classes are removed by a `searchsorted`
+    mask on the key that reads (t, a, b) in tuple order."""
     if exact_cutoff(x) > MAX_CUTOFF:
         raise CapExceeded(f"cutoff {x} exceeds cap {MAX_CUTOFF}")
     t_max = max_trace(x)
     if t_max < 3:
-        return []
+        return PrimitiveClasses(*np.zeros((4, 0), dtype=np.int64))
     sieve_limit = max((t_max * t_max - 4) // 4, 4)
     chunks = _trace_chunks(t_max)
-    per_trace = {}
     if jobs > 1 and len(chunks) >= _POOL_MIN_CHUNKS:
         with Pool(min(jobs, len(chunks)), initializer=_load_sieve,
                   initargs=(sieve_limit,)) as pool:
-            for bounds, leaders in pool.imap_unordered(_pool_chunk, chunks):
-                per_trace.update(_by_trace(bounds, leaders))
+            leaders = list(pool.imap(_pool_chunk, chunks))
     else:
         spf = _spf_sieve(sieve_limit)
-        for bounds in chunks:
-            per_trace.update(_by_trace(bounds, _cycle_leaders(*bounds, spf)))
+        leaders = [_cycle_leaders(*bounds, spf) for bounds in chunks]
+    classes = PrimitiveClasses(*(np.concatenate(v).astype(np.int64) for v in zip(*leaders)))
 
-    imprimitive = {t: set() for t in per_trace}
-    for t0 in range(3, t_max + 1):
-        powers = power_traces(t0, t_max)
-        if len(powers) < 2:
-            continue
-        for f in per_trace[t0]:
-            m = matrix_from_form(t0, f)
-            mk = m
-            for k, tk in powers[1:]:
-                mk = mk * m
-                assert mk.trace == tk
-                imprimitive[tk].add(class_of_matrix(mk))
-    out = []
-    for t in sorted(per_trace):
-        for f in per_trace[t]:
-            if f not in imprimitive[t]:
-                out.append((t, f, matrix_from_form(t, f)))
-    return out
+    imprimitive = []
+    for t0, _, m in classes.below(math.isqrt(t_max + 2)):
+        mk = m
+        for k, tk in power_traces(t0, t_max)[1:]:
+            mk = mk * m
+            assert mk.trace == tk
+            imprimitive.append((tk, *class_of_matrix(mk)[:2]))
+    h = t_max + 1  # |a|, b < t <= t_max: the key reads (t, a, b) in base 2h, 2h, h
+
+    def key(t, a, b):
+        return (t * (2 * h) + h + a) * h + b
+
+    keys = key(classes.trace, classes.a, classes.b)
+    marked = key(*np.array(imprimitive, dtype=np.int64).reshape(-1, 3).T)
+    pos = keys.searchsorted(marked).clip(0, len(keys) - 1)
+    if not np.array_equal(keys.take(pos), marked):
+        raise ConsistencyError("a power reduces to a form outside the enumerated classes")
+    keep = np.ones(len(keys), dtype=bool)
+    keep[pos] = False
+    return PrimitiveClasses(*(v[keep] for v in (classes.trace, classes.a, classes.b, classes.c)))
 
 
 def li(x):
@@ -395,51 +432,50 @@ class EmpiricalTally:
     witnesses: list = field(default_factory=list)
 
 
-def residue_keys(classes, n):
-    """Reductions mod n of the classes' matrices as canonical tuples, one
-    shared tuple per distinct residue.  The canonical tuple of an
-    IntegerMatrix needs no determinant check: it was made at construction."""
-    shared = {}
-    return [shared.setdefault(g, g) for g in (canon(m.a, m.b, m.c, m.d, n) for _, _, m in classes)]
+def residues_mod(classes, n):
+    """The reductions mod n of the classes' matrices: the distinct
+    +-canonical residues as a k x 4 array in tuple order, and the index of
+    each class's residue in it.  The matrices have determinant one, so the
+    residues need no check."""
+    keys = sign_keys([v % n for v in classes.entries], n)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    return decode_keys(keys, n), inverse
 
 
-def residue_types(keys, table, memo):
-    """Fill memo[g] = (splitting type, order in Xi(N)) for every residue g
-    among keys that memo lacks; the misses share one blocked cycle-type
-    pass.  Returns memo."""
-    missing = list(dict.fromkeys(g for g in keys if g not in memo))
+def residue_types(residues, table):
+    """(splitting type, order in Xi(N)) of every row of an array of
+    residues; the types come from one blocked cycle-type pass."""
     n = table.level
-    for g, lam in zip(missing, splitting_types(missing, table)):
-        memo[g] = (lam, order_in_xi_tuple(g, n))
-    return memo
+    return [(lam, order_in_xi_tuple(tuple(g), n))
+            for g, lam in zip(residues.tolist(), splitting_types(residues, table))]
 
 
 def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=False) -> EmpiricalTally:
     """Tally splitting types of all primitive classes with norm < x.
 
-    Splitting types only depend on the reduction mod N, so they are
-    memoized per projected element (at most |Xi(N)| distinct keys).
+    Splitting types only depend on the reduction mod N, so they are found
+    once per distinct residue (at most |Xi(N)| of them) and counted with
+    `bincount`; `counts` lists the types in the order of their first class.
     """
     t_max = tally_cutoff(x)
     table = build_coset_table(s)
     kept = classes_below(x, t_max, classes, jobs)
-    keys = residue_keys(kept, s.level)
-    memo = residue_types(keys, table, {})
+    residues, inverse = residues_mod(kept, s.level)
+    types = residue_types(residues, table)
+    per_residue = np.bincount(inverse, minlength=len(types)).tolist()
     counts = {}
-    anomalous = 0
-    witnesses = []
-    for (t, f, _), g in zip(kept, keys):
-        lam, m_gamma = memo[g]
-        counts[lam] = counts.get(lam, 0) + 1
-        if m_gamma not in lam:
-            anomalous += 1
-            if len(witnesses) < 50:
-                witnesses.append({"trace": t, "form": list(f), "order": m_gamma,
-                                  "type": list(lam)})
+    for r in np.argsort(np.unique(inverse, return_index=True)[1]).tolist():
+        lam = types[r][0]
+        counts[lam] = counts.get(lam, 0) + per_residue[r]
     tally = EmpiricalTally(s, float(x), counts, len(kept))
     if scan_anomalous:
-        tally.anomalous = anomalous
-        tally.witnesses = witnesses
+        bad = np.array([order not in lam for lam, order in types], dtype=bool).take(inverse)
+        tally.anomalous = int(bad.sum())
+        for i in np.flatnonzero(bad)[:50].tolist():
+            lam, order = types[inverse[i]]
+            tally.witnesses.append({"trace": int(kept.trace[i]),
+                                    "form": [int(kept.a[i]), int(kept.b[i]), int(kept.c[i])],
+                                    "order": order, "type": list(lam)})
     return tally
 
 

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+import numpy as np
+
 from .core import Family, SubgroupSpec, canon, prime_factors
 from .cosets import build_coset_table, capped_key_count
-from .geodesics import classes_below, max_trace, residue_keys, residue_types
+from .geodesics import classes_below, max_trace, residue_types, residues_mod
 
 
 class _Arith:
@@ -94,8 +96,9 @@ class ClassData:
 
     `t_max` is the largest trace of that cutoff; a check at a cutoff x uses
     the classes of trace <= max_trace(x) and is refused with ValueError when
-    that exceeds `t_max`.  A given class list must reach `t_max` as well
-    (`geodesics.classes_below`).
+    that exceeds `t_max`.  Given classes must reach `t_max` as well
+    (`geodesics.classes_below`).  The reduction mod N is made once per
+    level and shared by the subgroups of that level.
     """
 
     def __init__(self, x, classes=None, jobs=1):
@@ -103,7 +106,8 @@ class ClassData:
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
         self._tables = {}
-        self._memo = {}  # subgroup -> {residue: (type, order)}
+        self._residues = {}  # level -> (distinct residues, residue index of each class)
+        self._types = {}  # subgroup -> [(type, order)] per residue of its level
 
     def trace_bound(self, x):
         """max_trace(x); ValueError if the data stops below it."""
@@ -116,12 +120,11 @@ class ClassData:
         return t_max
 
     def restrict(self, x):
-        sub = ClassData.__new__(ClassData)
-        sub.cutoff = float(x)
-        sub.t_max = self.trace_bound(x)
-        sub.classes = [c for c in self.classes if c[0] <= sub.t_max]
+        """The class data at a cutoff x that this data reaches; it shares the
+        coset tables."""
+        self.trace_bound(x)
+        sub = ClassData(x, classes=self.classes)
         sub._tables = self._tables
-        sub._memo = self._memo
         return sub
 
     def _table(self, subgroup):
@@ -129,18 +132,20 @@ class ClassData:
             self._tables[subgroup] = build_coset_table(subgroup)
         return self._tables[subgroup]
 
-    def _residue_memo(self, subgroup, keys):
-        return residue_types(keys, self._table(subgroup), self._memo.setdefault(subgroup, {}))
-
     def types(self, subgroup):
-        """(splitting type, order of the reduction) of every class, aligned
-        with `classes`; subgroup None means the trivial cover (type (1),
-        order 1)."""
+        """The (splitting type, order of the reduction) of every distinct
+        residue mod the level, and the index of each class's residue,
+        aligned with `classes`; subgroup None means the trivial cover, one
+        pair ((1,), 1)."""
         if subgroup is None:
-            return [((1,), 1)] * len(self.classes)
-        keys = residue_keys(self.classes, subgroup.level)
-        memo = self._residue_memo(subgroup, keys)
-        return [memo[g] for g in keys]
+            return [((1,), 1)], np.zeros(len(self.classes), dtype=np.intp)
+        table = self._table(subgroup)
+        if subgroup.level not in self._residues:
+            self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
+        residues, inverse = self._residues[subgroup.level]
+        if subgroup not in self._types:
+            self._types[subgroup] = residue_types(residues, table)
+        return self._types[subgroup], inverse
 
     def type_and_order(self, m, subgroup):
         """Splitting type in the subgroup and the order of the reduction;
@@ -148,10 +153,20 @@ class ClassData:
         if subgroup is None:
             return (1,), 1
         g = canon(m.a, m.b, m.c, m.d, subgroup.level)
-        return self._residue_memo(subgroup, [g])[g]
+        return residue_types(np.array([g]), self._table(subgroup))[0]
+
+    def kept(self, t_max, subgroup):
+        """The traces of the classes of trace <= t_max, the types of the
+        distinct residues and the residue index of each of those classes."""
+        trace = self.classes.below(t_max).trace
+        pairs, index = self.types(subgroup)
+        return trace, pairs, index[:len(trace)]
 
 
 def require_s_above_one(s):
+    """Refuse s <= 1, and an s that is not finite (nan passes `s <= 1`)."""
+    if isinstance(s, float) and not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if s <= 1:
         raise ValueError("require s > 1")
 
@@ -171,17 +186,65 @@ def _class_data(x, data, covers, jobs=1):
     return ClassData(x, jobs=jobs) if data is None else data
 
 
+def _flat(tables):
+    """The tables end to end as one object array, and the offset of each by
+    key: a term stream is an index array into it."""
+    flat, offset = [], {}
+    for key, table in tables.items():
+        offset[key] = len(flat)
+        flat += table
+    return np.array(flat, dtype=object), offset
+
+
+# classes per block of a class-ordered term stream: bounds the index arrays
+# a check holds at once to about a MB
+_STREAM_CLASSES = 1 << 12
+
+
+def _class_stream(rows, index, trace):
+    """Index arrays into a flat table, class by class in class order: for
+    class i, offset + trace[i] for each offset in rows[index[i]], in row
+    order; one array per block of _STREAM_CLASSES classes."""
+    width = np.array([len(r) for r in rows], dtype=np.int64)
+    offsets = np.array([o for r in rows for o in r], dtype=np.int64)
+    start = np.cumsum(width) - width
+    for lo in range(0, len(index), _STREAM_CLASSES):
+        block, t = index[lo:lo + _STREAM_CLASSES], trace[lo:lo + _STREAM_CLASSES]
+        count = width.take(block)
+        pos = np.arange(count.sum()) + np.repeat(start.take(block) - (np.cumsum(count) - count),
+                                                 count)
+        yield offsets.take(pos) + np.repeat(t, count)
+
+
+def _type_stream(pairs, index, trace, offset, s):
+    """Index arrays into a flat table, type by type in sorted order, then
+    part by part in sorted order: offset[part * s] + t for the trace t of
+    every class of that type, in class order."""
+    lams = sorted({lam for lam, _ in pairs})
+    lam_of = np.array([lams.index(lam) for lam, _ in pairs], dtype=np.int64).take(index)
+    order = np.argsort(lam_of, kind="stable")
+    bounds = lam_of.take(order).searchsorted(np.arange(len(lams) + 1))
+    for lam, lo, hi in zip(lams, bounds, bounds[1:]):
+        for part in sorted(lam):
+            yield offset[part * s] + trace.take(order[lo:hi])
+
+
+def _sum(ar, flat, stream):
+    """`ar.total` of the terms a stream of index arrays picks from flat."""
+    return ar.total(chain.from_iterable(flat.take(block).tolist() for block in stream))
+
+
 def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
     """log of the truncated Euler product over classes of the given type."""
     require_s_above_one(s)
     data = _class_data(x, data, [subgroup])
     t_max = data.trace_bound(x)
-    ar = FloatArith()
+    trace, pairs, index = data.kept(t_max, subgroup)
     lam = tuple(lam)
-    traces = [t for (t, _, _), (got, _) in zip(data.classes, data.types(subgroup))
-              if t <= t_max and got == lam]
-    factor = ar.factors(s, t_max)
-    return ZetaTruncation(s, float(x), ar.total(map(factor.__getitem__, traces)), len(traces))
+    traces = trace[np.array([got == lam for got, _ in pairs], dtype=bool).take(index)]
+    ar = FloatArith()
+    flat, _ = _flat({s: ar.factors(s, t_max)})
+    return ZetaTruncation(s, float(x), _sum(ar, flat, [traces]), len(traces))
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
@@ -197,35 +260,25 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     the determinant expanded through the cycle type.  RHS groups by type:
     for each type lambda and each part m_i, the lambda-product at m_i * s.
     The identity is exact per class, so the discrepancy is pure rounding.
-    Each side is one stream of terms, summed by `ar.total`: the factors come
-    from one table per exponent and each class's LHS terms from a memo by
-    (trace, type).  Without `data`, the classes are enumerated with `jobs`
-    processes.
+    Each side is one stream of terms, summed by `ar.total`: an index array
+    into the factor tables, one table per exponent, laid end to end.
+    Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
     data = _class_data(x, data, [subgroup], jobs)
     t_max = data.trace_bound(x)
+    trace, pairs, index = data.kept(t_max, subgroup)
     ar = _arith(use_mpmath, dps)
-    types = data.types(subgroup)
-
-    def kept():  # (trace, type) of each class, a fresh pass each call
-        return ((t, lam) for (t, _, _), (lam, _) in zip(data.classes, types) if t <= t_max)
-
-    terms = dict.fromkeys(kept())
-    factor = {e: ar.factors(e, t_max) for e in {part * s for _, lam in terms for part in lam}}
-    for t, lam in terms:
-        terms[t, lam] = tuple(factor[part * s][t] for part in lam)
-    lhs = ar.total(chain.from_iterable(map(terms.__getitem__, kept())))
-    by_type = {}
-    for t, lam in kept():
-        by_type.setdefault(lam, []).append(t)
-    rhs = ar.total(chain.from_iterable(map(factor[part * s].__getitem__, by_type[lam])
-                                       for lam in sorted(by_type) for part in sorted(lam)))
+    exponents = sorted({part * s for lam, _ in pairs for part in lam})
+    flat, offset = _flat({e: ar.factors(e, t_max) for e in exponents})
+    rows = [[offset[part * s] for part in lam] for lam, _ in pairs]
+    lhs = _sum(ar, flat, _class_stream(rows, index, trace))
+    rhs = _sum(ar, flat, _type_stream(pairs, index, trace, offset, s))
     return {
         "lhs_log": float(lhs),
         "rhs_log": float(rhs),
         "discrepancy": abs(float(lhs - rhs)),
-        "term_count": sum(map(len, by_type.values())),
+        "term_count": len(trace),
     }
 
 
@@ -239,8 +292,8 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     all four factors expanded over one base-class set via the cover
     factorization.  Classes entering zeta^(p,p) are exactly those whose
     reduction mod p has order p.  Each side is one stream of terms, built
-    as in `venkov_zograf_check`.  Without `data`, the classes are
-    enumerated with `jobs` processes.
+    as in `venkov_zograf_check`; both subgroups share one reduction mod p.
+    Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
     require_odd_prime(p)
@@ -248,25 +301,24 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     subp = SubgroupSpec(Family.GAMMA, p)
     data = _class_data(x, data, [sub1, subp], jobs)
     t_max = data.trace_bound(x)
+    trace, pairs1, index = data.kept(t_max, sub1)
+    pairsp = data.types(subp)[0]  # the residues mod p, so the index, are shared
     ar = _arith(use_mpmath, dps)
     half = ar.frac(p - 1, 2)
-    types1, typesp = data.types(sub1), data.types(subp)
-
-    def kept():  # (trace, Gamma1 type, Gamma type) of each class, a fresh pass each call
-        return ((t, lam1, lamp) for (t, _, _), (lam1, _), (lamp, _)
-                in zip(data.classes, types1, typesp) if t <= t_max)
-
-    full = [t for (t, _, _), (_, order) in zip(data.classes, types1)
-            if t <= t_max and order == p]
-    terms = dict.fromkeys(kept())
-    exponents = {s, p * s} | {part * s for _, lam1, lamp in terms for part in lam1 + lamp}
+    exponents = sorted({s, p * s} | {part * s for (lam1, _), (lamp, _) in zip(pairs1, pairsp)
+                                     for part in lam1 + lamp})
     factor = {e: ar.factors(e, t_max) for e in exponents}
-    for t, lam1, lamp in terms:
-        terms[t, lam1, lamp] = (tuple(p * factor[part * s][t] for part in lam1)
-                                + tuple(-factor[part * s][t] for part in lamp))
-    lhs_of = {t: half * (p * factor[s][t] - factor[p * s][t]) for t in set(full)}
-    lhs = ar.total(map(lhs_of.__getitem__, full))
-    rhs = ar.total(chain.from_iterable(map(terms.__getitem__, kept())))
+    scaled = {"lhs": [None] * 3 + [half * (p * factor[s][t] - factor[p * s][t])
+                                   for t in range(3, t_max + 1)]}
+    for e, table in factor.items():
+        scaled["p", e] = [None] * 3 + [p * v for v in table[3:]]
+        scaled["-", e] = [None] * 3 + [-v for v in table[3:]]
+    flat, offset = _flat(scaled)
+    rows = [[offset["p", part * s] for part in lam1] + [offset["-", part * s] for part in lamp]
+            for (lam1, _), (lamp, _) in zip(pairs1, pairsp)]
+    full = np.array([order == p for _, order in pairs1], dtype=bool).take(index)
+    lhs = _sum(ar, flat, [offset["lhs"] + trace[full]])
+    rhs = _sum(ar, flat, _class_stream(rows, index, trace))
     return {
         "p": p,
         "s": s,
@@ -274,5 +326,5 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
         "lhs_log": float(lhs),
         "rhs_log": float(rhs),
         "discrepancy": abs(float(lhs - rhs)),
-        "term_count": sum(1 for t, _, _ in data.classes if t <= t_max),
+        "term_count": len(trace),
     }

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from geosplit.geodesics import enumerate_primitive_classes, norm_below
+from geosplit.geodesics import enumerate_primitive_classes, max_trace
 
 JOBS = min(2, os.cpu_count() or 1)
 
@@ -15,9 +15,9 @@ def classes_1e6():
 
 @pytest.fixture(scope="session")
 def classes_1e5(classes_1e6):
-    return [c for c in classes_1e6 if norm_below(c[0], 10**5)]
+    return classes_1e6.below(max_trace(10**5))
 
 
 @pytest.fixture(scope="session")
 def classes_1e4(classes_1e6):
-    return [c for c in classes_1e6 if norm_below(c[0], 10**4)]
+    return classes_1e6.below(max_trace(10**4))

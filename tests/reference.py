@@ -4,7 +4,8 @@ Each is the slow, direct form of a library route: the coset action from
 subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
-over tuples, and the zeta sums' term-by-term accumulators.
+over tuples, the empirical tally by one reduction per class, and the zeta
+sums' term-by-term accumulators.
 """
 
 import math
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi, inv,
                            is_member_tuple, mul, order_in_xi_tuple, xi_chain_heads)
-from geosplit.cosets import CosetTable
-from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, power_traces, rho_step
+from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
+from geosplit.geodesics import (class_of_matrix, matrix_from_form, max_trace, norm_below,
+                                power_traces, rho_step)
 from geosplit.zeta import MPArith
 
 
@@ -144,6 +146,31 @@ def primitive_classes(x):
     mark_primitivity(records, t_max)
     return [(t, r.canonical_form, r.representative_matrix)
             for t, recs in sorted(records.items()) for r in recs if r.primitive]
+
+
+def residue_keys(classes, n):
+    """The reduction mod n of each class's matrix as a canonical tuple, one
+    `canon` per class: the oracle of `geodesics.residues_mod`."""
+    return [canon(m.a, m.b, m.c, m.d, n) for _, _, m in classes]
+
+
+def tally_reference(s, x, classes):
+    """(counts, total, anomalous, witnesses) of the (trace, form, matrix)
+    triples with norm < x, class by class: the exact norm test,
+    `residue_keys`, and the type and order of each residue by
+    `splitting_type_cycles` and `order_in_xi_tuple`.
+    `geodesics.empirical_tally` must agree with it."""
+    table = build_coset_table(s)
+    kept = [c for c in classes if norm_below(c[0], x)]
+    counts, anomalous, witnesses = {}, 0, []
+    for (t, f, _), g in zip(kept, residue_keys(kept, s.level)):
+        lam = splitting_type_cycles(g, table)
+        order = order_in_xi_tuple(g, s.level)
+        counts[lam] = counts.get(lam, 0) + 1
+        if order not in lam:
+            anomalous += 1
+            witnesses.append({"trace": t, "form": list(f), "order": order, "type": list(lam)})
+    return counts, len(kept), anomalous, witnesses[:50]
 
 
 def orbit_closure_classes(level):

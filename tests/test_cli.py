@@ -116,6 +116,24 @@ def test_type_rejects_bad_determinant(capsys):
     assert "determinant" in err
 
 
+@pytest.mark.parametrize("matrix", ["2,1,1", "2,1,1,1,1", "2,1,x,1"])
+def test_type_matrix_needs_four_integers(capsys, matrix):
+    code, out, err = run(capsys, "type", "--matrix", matrix, "--family", "gamma0",
+                         "--level", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: --matrix takes four integers a,b,c,d, got {matrix!r}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", jobs, "empirical", "--family", "gamma0", "--level", "5",
+              "--x", "100"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --jobs must be at least 1" in captured.err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["densities", "--family", "gamma0", "--level", "3", "--frobnicate"])
@@ -223,6 +241,15 @@ def test_non_finite_cutoff_is_usage_error(capsys, cmd, x):
     code, out, err = run(capsys, "--jobs", "1", *args, "--x", x)
     assert code == 1 and out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("check", ["ratio", "venkov"])
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_non_finite_s_is_usage_error(capsys, check, s):
+    code, out, err = run(capsys, "--jobs", "1", "zeta-check", "--p", "3", "--s", s,
+                         "--x", "100", "--check", check)
+    assert code == 1 and out == ""
+    assert err == f"error: s must be finite, got {s}\n"
 
 
 def test_zeta_check_venkov(capsys):

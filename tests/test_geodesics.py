@@ -19,7 +19,8 @@ from geosplit.geodesics import (
     tally_tsv,
 )
 from geosplit.census import density_table
-from reference import classes_at_trace, mark_primitivity, reduced_forms_at_trace
+from reference import (classes_at_trace, mark_primitivity, primitive_classes,
+                       reduced_forms_at_trace, tally_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def test_enumerate_primitive_matches_marking():
 def test_parallel_enumeration_agrees():
     a = enumerate_primitive_classes(5000, jobs=1)
     b = enumerate_primitive_classes(5000, jobs=2)
-    assert a == b
+    assert list(a) == list(b)
 
 
 # ---------------------------------------------------------------------------
@@ -413,37 +414,31 @@ def test_cutoff_above_cap_refused_before_allocation(monkeypatch):
 # ---------------------------------------------------------------------------
 # the tally against a per-class reference loop
 
-def _reference_tally(s, x, classes):
-    """Per-class loop with the exact norm test and the reduction of each matrix."""
-    from geosplit.core import canon, order_in_xi_tuple
-    from geosplit.cosets import build_coset_table, splitting_type_cycles
-
-    table = build_coset_table(s)
-    counts, total, anomalous, witnesses = {}, 0, 0, []
-    for t, f, m in classes:
-        if not norm_below(t, x):
-            continue
-        g = canon(m.a, m.b, m.c, m.d, s.level)
-        lam = splitting_type_cycles(g, table)
-        order = order_in_xi_tuple(g, s.level)
-        counts[lam] = counts.get(lam, 0) + 1
-        total += 1
-        if order not in lam:
-            anomalous += 1
-            witnesses.append({"trace": t, "form": list(f), "order": order, "type": list(lam)})
-    return counts, total, anomalous, witnesses[:50]
-
-
 @pytest.mark.parametrize("x", [3000, 4321.5, Fraction(25001, 7)])
 @pytest.mark.parametrize("family, level", [(Family.GAMMA0, 5), (Family.GAMMA, 4),
                                            (Family.GAMMA1, 7)])
 def test_tally_equals_per_class_loop(classes_1e4, x, family, level):
     s = SubgroupSpec(family, level)
     tally = empirical_tally(s, x, classes=classes_1e4, scan_anomalous=True)
-    counts, total, anomalous, witnesses = _reference_tally(s, x, classes_1e4)
+    counts, total, anomalous, witnesses = tally_reference(s, x, classes_1e4)
     assert list(tally.counts.items()) == list(counts.items())
     assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
     assert tally.cutoff == float(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(7, 2 * 10**4), st.floats(7, 2e4),
+                 st.fractions(7, 2 * 10**4)),
+       st.sampled_from(list(Family)), st.integers(2, 13))
+def test_column_tally_equals_per_class_reference(x, family, level):
+    """The tally from the enumerated columns, reduced mod N in numpy, against
+    one reduction per class of the reference enumeration; Gamma0(8) and
+    Gamma0(12) have anomalous classes, so the witness list is filled."""
+    s = SubgroupSpec(family, level)
+    tally = empirical_tally(s, x, scan_anomalous=True)
+    counts, total, anomalous, witnesses = tally_reference(s, x, primitive_classes(x))
+    assert list(tally.counts.items()) == list(counts.items())
+    assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +450,7 @@ def test_tally_equals_per_class_loop(classes_1e4, x, family, level):
 def test_max_trace_is_the_exact_rule_at_or_below_one(x):
     _check_bound(x)
     assert max_trace(x) == 2
-    assert enumerate_primitive_classes(x) == []
+    assert list(enumerate_primitive_classes(x)) == []
 
 
 def test_class_list_below_the_cutoff_is_refused(classes_1e4):

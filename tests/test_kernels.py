@@ -135,7 +135,8 @@ def test_gamma_table_from_the_key_array_is_the_listed_one(n):
 
 def _kernel_per_trace(lo, hi):
     spf = geodesics._spf_sieve((hi * hi - 4) // 4)
-    return geodesics._by_trace((lo, hi), geodesics._cycle_leaders(lo, hi, spf))
+    t, a, b, c = (v.tolist() for v in geodesics._cycle_leaders(lo, hi, spf))
+    return [(u, [f for v, f in zip(t, zip(a, b, c)) if v == u]) for u in range(lo, hi)]
 
 
 def test_kernel_matches_reduction_walk_trace_by_trace():
@@ -148,11 +149,11 @@ def test_kernel_matches_reduction_walk_trace_by_trace():
 
 @pytest.mark.parametrize("x", [7, 2000, 10**5])
 def test_enumeration_matches_reference(x):
-    assert enumerate_primitive_classes(x) == primitive_classes(x)
+    assert list(enumerate_primitive_classes(x)) == primitive_classes(x)
 
 
 def test_enumeration_matches_reference_at_1e6(classes_1e6):
-    assert classes_1e6 == primitive_classes(10**6)
+    assert list(classes_1e6) == primitive_classes(10**6)
 
 
 @pytest.mark.parametrize("pairs", [40, 1000])
@@ -160,7 +161,7 @@ def test_jobs_agree_with_a_small_row_budget(monkeypatch, pairs):
     """A small budget of pairs (t, b) cuts the trace range into many chunks;
     at 40 pairs every trace above 81 has more pairs than the budget and is a
     chunk of its own.  The pool and the single process agree."""
-    want = enumerate_primitive_classes(10**5)
+    want = list(enumerate_primitive_classes(10**5))
     monkeypatch.setattr(geodesics, "_CHUNK_PAIRS", pairs)
     t_max = max_trace(10**5)
     chunks = geodesics._trace_chunks(t_max)
@@ -169,8 +170,8 @@ def test_jobs_agree_with_a_small_row_budget(monkeypatch, pairs):
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     assert all(sum((t - 1) // 2 for t in range(lo, hi)) <= pairs or hi == lo + 1
                for lo, hi in chunks)
-    assert enumerate_primitive_classes(10**5, jobs=1) == want
-    assert enumerate_primitive_classes(10**5, jobs=2) == want
+    assert list(enumerate_primitive_classes(10**5, jobs=1)) == want
+    assert list(enumerate_primitive_classes(10**5, jobs=2)) == want
 
 
 POOL = geodesics.Pool
@@ -188,11 +189,11 @@ def test_pool_starts_from_the_chunk_threshold(monkeypatch):
     monkeypatch.setattr(geodesics, "Pool", counting_pool)
     chunks = len(geodesics._trace_chunks(max_trace(10**5)))
     assert 1 < chunks < geodesics._POOL_MIN_CHUNKS
-    want = enumerate_primitive_classes(10**5, jobs=2)
+    want = list(enumerate_primitive_classes(10**5, jobs=2))
     assert started == []
     monkeypatch.setattr(geodesics, "_POOL_MIN_CHUNKS", chunks)
-    assert enumerate_primitive_classes(10**5, jobs=2) == want
-    assert enumerate_primitive_classes(10**5, jobs=1) == want
+    assert list(enumerate_primitive_classes(10**5, jobs=2)) == want
+    assert list(enumerate_primitive_classes(10**5, jobs=1)) == want
     assert len(started) == 1
 
 

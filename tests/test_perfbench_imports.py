@@ -45,3 +45,18 @@ def test_every_geosplit_import_resolves(name):
         mod = importlib.import_module(module)
         # `from geosplit import cli` names a submodule
         assert hasattr(mod, attr) or importlib.util.find_spec(f"{module}.{attr}"), (module, attr)
+
+
+def test_geodesic_tally_jobs_pass(tmp_path):
+    """Every job of the geodesic_tally workload runs once, in its order, and
+    every check passes: the workload relies on `len()` of the enumeration,
+    `classes=` on `empirical_tally` and `ClassData`, and the tally's `total`
+    and `counts`."""
+    import random
+
+    workloads = _load("workloads")
+    ctx = workloads.Context(str(tmp_path))
+    for job in workloads.geodesic_tally(random.Random(0)):
+        job.fn(ctx)
+    assert ctx.checks
+    assert [c for c in ctx.checks if not c[1]] == []

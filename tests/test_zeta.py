@@ -87,7 +87,7 @@ def test_order_p_classes_define_zeta_pp(data_1e4):
     subp = SubgroupSpec(Family.GAMMA, p)
     n1 = data_1e4._table(sub1).index
     np_ = data_1e4._table(subp).index
-    for t, f, m in data_1e4.classes[:400]:
+    for t, f, m in list(data_1e4.classes)[:400]:
         lam1, order = data_1e4.type_and_order(m, sub1)
         lamp = data_1e4.type_and_order(m, subp)[0]
         assert lamp == (order,) * (np_ // order)
@@ -230,7 +230,7 @@ def data_2e4(classes_1e5):
 @pytest.mark.parametrize("x", [10**4, 12345.5, Fraction(100001, 7)])
 def test_sums_equal_per_class_loop(data_2e4, x):
     classes = data_2e4.classes
-    assert data_2e4.restrict(x).classes == [c for c in classes if norm_below(c[0], x)]
+    assert list(data_2e4.restrict(x).classes) == [c for c in classes if norm_below(c[0], x)]
     for p, s in ((3, 2.0), (5, 1.5)):
         assert ratio_identity_check(p, s, x, data_2e4) == _ref_ratio(p, s, x, classes,
                                                                       FloatArith())
@@ -332,7 +332,7 @@ def test_class_list_below_the_cutoff_is_refused(classes_1e4):
     assert data.t_max == 70 and len(data.classes) == 654
     assert ratio_identity_check(3, 2.0, 5000, data) == ratio_identity_check(3, 2.0, 5000)
     # no trace below a cutoff of one: an empty list is complete there
-    assert ClassData(0.5, classes=[]).classes == []
+    assert list(ClassData(0.5, classes=[]).classes) == []
 
 
 def test_over_cap_covers_are_refused_before_the_classes(monkeypatch, data_1e4):
@@ -354,3 +354,41 @@ def test_over_cap_covers_are_refused_before_the_classes(monkeypatch, data_1e4):
         for data in (None, data_1e4):
             with pytest.raises(CapExceeded, match="exceeds cap"):
                 call(data)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_non_finite_s_is_refused(data_1e4, s):
+    """nan passes `s <= 1` and inf gives a sum of zeros: both are refused."""
+    sub = SubgroupSpec(Family.GAMMA0, 5)
+    calls = [lambda d: zeta_lambda_log(s, 100, sub, (5, 1), d),
+             lambda d: zeta_gamma_log(s, 100, d),
+             lambda d: venkov_zograf_check(s, 100, sub, d),
+             lambda d: ratio_identity_check(3, s, 100, d)]
+    for call in calls:
+        for data in (None, data_1e4):
+            with pytest.raises(ValueError, match="finite"):
+                call(data)
+
+
+def test_one_reduction_per_level(monkeypatch, classes_1e4):
+    """Gamma1(p) and Gamma(p) share the reduction mod p, and every later
+    check at that level reuses it."""
+    import geosplit.zeta as zeta
+
+    levels = []
+    residues_mod = zeta.residues_mod
+
+    def counting(classes, n):
+        levels.append(n)
+        return residues_mod(classes, n)
+
+    monkeypatch.setattr(zeta, "residues_mod", counting)
+    data = ClassData(10**4, classes=classes_1e4)
+    ratio_identity_check(5, 2.0, 10**4, data)
+    assert levels == [5]
+    ratio_identity_check(5, 1.5, 5000, data)
+    venkov_zograf_check(2.0, 10**4, SubgroupSpec(Family.GAMMA0, 5), data)
+    zeta_lambda_log(2.0, 10**4, SubgroupSpec(Family.GAMMA, 5), (5,) * 12, data)
+    assert levels == [5]
+    venkov_zograf_check(2.0, 10**4, SubgroupSpec(Family.GAMMA1, 7), data)
+    assert levels == [5, 7]
