@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -151,7 +150,7 @@ def order_in_xi_tuple(g, n):
 
 
 # rows per pass of `xi_orders`: bounds its working set to a few arrays of
-# this many 2 x 2 int64 matrices
+# this many 2 x 2 matrices
 _ORDER_ROWS = 1 << 16
 
 
@@ -161,11 +160,10 @@ def xi_orders(elements, n):
 
     For each prime power q^e exactly dividing |Xi(n)|, x = g^(|Xi(n)|/q^e)
     has order q^j with j <= e, and q^j is the q-part of the order of g; j
-    counts the q-th powers x takes to reach +-I.  The powers are products
-    of stacks of 2 x 2 int64 matrices by repeated squaring (entries stay
-    below n, so a product entry stays below 2 n^2).  Rows are taken in
-    passes of _ORDER_ROWS.  A row whose determinant is not 1 mod n is
-    refused with ValueError.
+    counts the q-th powers x takes to reach +-I.  The powers of all the
+    primes come from one `matrix_powers` call.  Rows are taken in passes
+    of _ORDER_ROWS.  A row whose determinant is not 1 mod n is refused with
+    ValueError.
     """
     g = np.asarray(elements, dtype=np.int64).reshape(-1, 2, 2) % n
     if len(g) > _ORDER_ROWS:
@@ -174,27 +172,39 @@ def xi_orders(elements, n):
     if not ((g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} rows")
     group_order = xi_order(n)
+    primes = factorize(group_order)
     m = np.ones(len(g), dtype=np.int64)
-    for q, e in factorize(group_order):
-        x = _matrix_power(g, group_order // q**e, n)
+    exponents = [group_order // q**e for q, e in primes]
+    for (q, e), x in zip(primes, matrix_powers(g.astype(_residue_dtype(n)), exponents, n)):
         for _ in range(e):
             live = ~((x[:, 0, 1] == 0) & (x[:, 1, 0] == 0) & (x[:, 0, 0] == x[:, 1, 1])
                      & ((x[:, 0, 0] == 1 % n) | (x[:, 0, 0] == n - 1)))
             if not live.any():
                 break
             m[live] *= q
-            x = _matrix_power(x, q, n)
+            x = matrix_powers(x, [q], n)[0]
     return m
 
 
-def _matrix_power(x, k, n):
-    """x^k mod n for a stack of 2 x 2 matrices and k >= 1."""
-    out = None
+def _residue_dtype(n):
+    """int32 when it holds a*e + b*g for residues mod n, which is for
+    n <= 2^15 and so at every level the group cap admits; else int64."""
+    return np.int32 if 2 * (n - 1) ** 2 < 2**31 else np.int64
+
+
+def matrix_powers(x, exponents, n):
+    """x^k mod n for a stack x of 2 x 2 matrices of residues, of
+    `_residue_dtype(n)`, and each k >= 1 in `exponents`, as a list of
+    stacks.  Every power is the product of the squarings x^(2^i) its bits
+    select, and all the exponents share those squarings."""
+    out = [None] * len(exponents)
+    bit = 0
     while True:
-        if k & 1:
-            out = x if out is None else out @ x % n
-        k >>= 1
-        if not k:
+        for j, k in enumerate(exponents):
+            if k >> bit & 1:
+                out[j] = x if out[j] is None else out[j] @ x % n
+        bit += 1
+        if not any(k >> bit for k in exponents):
             return out
         x = x @ x % n
 
@@ -203,14 +213,16 @@ def _matrix_power(x, k, n):
 # enumeration of Xi(N)
 
 def xi_order(n):
-    """|Xi(N)|: |SL2(Z/N)| / 2 for N > 2 (where -I != I), 6 for N = 2."""
+    """|Xi(N)|: |SL2(Z/N)| / 2 for N > 2 (where -I != I), 6 for N = 2.
+    A level below 2 is refused with ValueError, as `SubgroupSpec` does."""
+    if n < 2:
+        raise ValueError("level must be >= 2")
     if n == 2:
         return 6
-    f = Fraction(n**3, 2)
+    order = n**3  # |SL2(Z/N)| = N^3 prod_{p | N} (1 - 1/p^2), even for N > 2
     for p in prime_factors(n):
-        f *= Fraction(p * p - 1, p * p)
-    assert f.denominator == 1
-    return int(f)
+        order = order // (p * p) * (p * p - 1)
+    return order // 2
 
 
 def unimodular_columns(n):

@@ -5,8 +5,13 @@ Cosets are the left cosets r*Psi of Psi = image of the subgroup in Xi(N);
 an element g acts by image[i] = j where r_j^-1 g r_i lies in the subgroup.
 The cycle type of that permutation is the splitting type of any hyperbolic
 class of SL2(Z) reducing to g, and can be recovered independently from the
-traces of the permutation powers by Moebius inversion; the two routes are
-kept separate so they can cross-check each other.
+permutation character chi(g^d) = tr sigma(g)^d = #fixed cosets of g^d by
+Moebius inversion; the two routes are kept separate so they can
+cross-check each other.  For one element (`splitting_type_moebius`) the
+traces are those of the powers of its permutation.  The exhaustive sweep
+(`dual_type_report`) reads them instead from the permutations of the
+elements g^d themselves, so there the Moebius route never sees the
+permutation it checks beyond its fixed points.
 
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
@@ -46,12 +51,14 @@ from .core import (
     decode_keys,
     divisors,
     identity,
+    matrix_powers,
     order_in_xi_tuple,
     parts_from_traces,
     sign_keys,
     unimodular_columns,
     xi_chain_grid,
     xi_chain_heads,
+    xi_grid_positions,
     xi_keys,
     xi_order,
     xi_orders,
@@ -193,8 +200,9 @@ def _flat_successors(block):
     return (block + offsets[:, None]).ravel()
 
 
-def cycle_types(block):
-    """Cycle type of every row of a 2-D block of permutations.
+def _cycles(block):
+    """The row and the length of every cycle of every row of a 2-D block of
+    permutations, rows ascending.
 
     Pointer doubling (Wyllie): after k rounds of
     label = min(label, label[p]); p = p[p], label[i] is the least point among
@@ -202,7 +210,6 @@ def cycle_types(block):
     one is the least point of its cycle.  The cycle lengths are then the
     point counts per leader.
     """
-    block = _as_block(block)
     rows, width = block.shape
     p = _flat_successors(block)
     points = np.arange(rows * width, dtype=_PERM_DTYPE)
@@ -214,10 +221,15 @@ def cycle_types(block):
         label = nxt
         p = p.take(p)
     leaders = np.flatnonzero(label == points)
-    lengths = np.bincount(label, minlength=rows * width)[leaders]
-    owner = leaders // width
+    return leaders // width, np.bincount(label, minlength=rows * width)[leaders]
+
+
+def cycle_types(block):
+    """Cycle type of every row of a 2-D block of permutations (`_cycles`)."""
+    block = _as_block(block)
+    owner, lengths = _cycles(block)
     lengths = lengths[np.lexsort((-lengths, owner))].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=rows)).tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(block))).tolist()
     return [tuple(lengths[start:end]) for start, end in zip([0] + ends, ends)]
 
 
@@ -313,14 +325,13 @@ _BLOCK_ENTRIES = 1 << 14
 
 
 def coset_chain_blocks(table: CosetTable):
-    """Every element of Xi(N) with its coset permutation, in blocks.
+    """The coset permutation of every element of Xi(N), in blocks.
 
     Xi(N) is swept as the chains head * T^k of `xi_chain_heads`.  The action
     is a homomorphism, so sigma(head * T^k) = sigma(head)[sigma(T)^k]: one
     `act_block` row per chain head (one call per block of heads) and one
     gather from the table of powers of sigma(T) give the whole chain.
-    Yields (elements, block) with the canonical element tuples and a
-    rows x index array of their permutations, holding whole chains where
+    Yields rows x index arrays of permutations, holding whole chains where
     one fits into _BLOCK_ENTRIES entries and consecutive pieces of one
     chain otherwise.  So the rows of all blocks, in turn, are the flattened
     grid of `xi_chain_grid`: head by head, k along each chain.
@@ -331,21 +342,97 @@ def coset_chain_blocks(table: CosetTable):
     t_powers[0] = np.arange(index)
     for k in range(1, n):
         t_powers[k] = t_powers[k - 1].take(t_perm)
-    chains = max(1, _BLOCK_ENTRIES // (n * index))
-    step = max(1, min(n, _BLOCK_ENTRIES // index))
+    acted = max(1, _BLOCK_ENTRIES // index)  # heads per `act_block` call
+    chains = max(1, acted // n)
+    step = min(n, acted)
     heads = list(xi_chain_heads(n))
-    for h0 in range(0, len(heads), chains):
-        group = heads[h0:h0 + chains]
-        head_perms = act_block(group, table)
-        for k0 in range(0, n, step):
-            ks = range(k0, min(k0 + step, n))
-            elements = [
-                canon(a, b0 + k * a, c, d0 + k * c, n)
-                for a, b0, c, d0 in group
-                for k in ks
-            ]
-            block = head_perms.take(t_powers[k0:k0 + step], axis=1)
-            yield elements, block.reshape(-1, index)
+    for h0 in range(0, len(heads), acted):
+        head_perms = act_block(heads[h0:h0 + acted], table)
+        for c0 in range(0, len(head_perms), chains):
+            for k0 in range(0, n, step):
+                block = head_perms[c0:c0 + chains].take(t_powers[k0:k0 + step], axis=1)
+                yield block.reshape(-1, index)
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D integer array, and for each row the index
+    of its value among them: np.unique(rows, axis=0, return_inverse=True)
+    without the structured sort, which costs far more on small arrays.
+    Sorting the rows as raw bytes puts equal rows together."""
+    rows = np.ascontiguousarray(rows)
+    order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    rows = rows.take(order, axis=0)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
+def _cycle_type_ids(block, ids, memo):
+    """The id in `ids` (type -> id, grown as types appear) of the cycle
+    type of every row of a block: the cycle lengths of `_cycles` counted
+    per row.  A distinct row of counts becomes a type tuple only the first
+    time it is seen: `memo` maps its bytes, with the trailing zero counts
+    dropped so that the block's width does not matter, to the id."""
+    owner, lengths = _cycles(block)
+    width = int(lengths.max()) + 1
+    counts = np.bincount(owner * width + lengths, minlength=len(block) * width)
+    distinct, inverse = _distinct_rows(counts.reshape(-1, width))
+    descending = np.arange(width - 1, 0, -1)
+    row_ids = []
+    for row in distinct:
+        key = row.tobytes().rstrip(b"\0")
+        if key not in memo:
+            lam = tuple(np.repeat(descending, row[:0:-1]).tolist())
+            memo[key] = ids.setdefault(lam, len(ids))
+        row_ids.append(memo[key])
+    return np.array(row_ids, dtype=np.int32).take(inverse)
+
+
+def _moebius_type_ids(grid, start, stop, fixed, index, ids, memo):
+    """The id in `ids` of the type of elements start..stop of the grid (the
+    flat `xi_chain_grid`), from the fixed-point counts `fixed` of the
+    permutations of the whole grid alone.
+
+    The action is a homomorphism, so tr sigma(g)^d = fixed[g^d]: for the
+    divisors d of the order m of g, the power g^d is formed as a matrix
+    (`matrix_powers`, sharing the squarings) and its place in the grid is
+    read from its entries (`xi_grid_positions`).  `parts_from_traces` runs
+    once per distinct (m, trace vector), memoised in `memo` across calls.
+    Never inspects cycles, nor the permutation of g beyond its fixed points.
+    """
+    n = grid[0].shape[1]
+    g = _grid_entries(grid, np.arange(start, stop))
+    orders = xi_orders(g.T, n)
+    out = np.empty(len(orders), dtype=np.int32)
+    for m in np.flatnonzero(np.bincount(orders)).tolist():
+        sel = np.flatnonzero(orders == m)
+        ds = divisors(m)
+        powers = np.stack(matrix_powers(g.take(sel, axis=1).T.reshape(-1, 2, 2), ds, n))
+        pos = xi_grid_positions(grid, powers.reshape(-1, 4).T, n)
+        traces = fixed.take(pos).reshape(len(ds), len(sel)).T
+        distinct, inverse = _distinct_rows(traces)
+        row_ids = []
+        for tr in map(tuple, distinct.tolist()):
+            if (m, tr) not in memo:
+                lam = parts_from_traces(dict(zip(ds, tr)), m, index)
+                memo[m, tr] = ids.setdefault(lam, len(ids))
+            row_ids.append(memo[m, tr])
+        out[sel] = np.array(row_ids, dtype=np.int32).take(inverse)
+    return out
+
+
+def _grid_entries(grid, flat):
+    """The entries (a, b, c, d) of the elements at flat positions h*n + t
+    of the grid, as the rows of a 4 x k int32 array."""
+    h, t = np.divmod(flat, grid[0].shape[1])
+    return np.stack([v[h, t] for v in grid])
+
+
+# elements per block of the Moebius step of `dual_type_report`: bounds its
+# matrix powers to a few MB
+_MOEBIUS_ROWS = 1 << 14
 
 
 def dual_type_report(level, family):
@@ -353,21 +440,40 @@ def dual_type_report(level, family):
     with CapExceeded above DEFAULT_GROUP_CAP elements before anything is
     built.
 
-    Returns (element count, mismatch list sorted by element); one shared
-    permutation per element feeds both extraction routes.
+    Returns (element count, mismatch list sorted by element).  One pass
+    over `coset_chain_blocks` keeps two int32 numbers per element, in grid
+    order: the fixed-point count of its permutation and the id of its cycle
+    type (`_cycle_type_ids`).  The Moebius route (`_moebius_type_ids`) then
+    reads only fixed-point counts, those of the powers of each element, so
+    an action that is not a homomorphism shows as a mismatch too.  Elements
+    are decoded from the grid only for the mismatches.
     """
     capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
-    # the orders of the whole group in one `xi_orders` call, in sweep order
-    orders = xi_orders(np.stack([v.ravel() for v in xi_chain_grid(level)], axis=1), level)
-    count = 0
-    mismatches = []
-    for elements, block in coset_chain_blocks(table):
-        by_cycles = cycle_types(block)
-        by_moebius = moebius_types(block, orders[count:count + len(elements)], table.index)
-        for g, lam_c, lam_m in zip(elements, by_cycles, by_moebius):
-            if lam_c != lam_m:
-                mismatches.append((g, lam_c, lam_m))
-        count += len(elements)
+    grid = xi_chain_grid(level)
+    size = grid[0].size
+    fixed = np.empty(size, dtype=np.int32)
+    by_cycles = np.empty(size, dtype=np.int32)
+    ids = {}  # every type seen, by either route -> its id
+    points = np.arange(table.index, dtype=_PERM_DTYPE)
+    count, by_counts, by_traces = 0, {}, {}
+    for block in coset_chain_blocks(table):
+        rows = slice(count, count + len(block))
+        fixed[rows] = np.count_nonzero(block == points, axis=1)
+        by_cycles[rows] = _cycle_type_ids(block, ids, by_counts)
+        count += len(block)
+    if count != size:
+        raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")
+    bad, by_moebius = [], []
+    for start in range(0, size, _MOEBIUS_ROWS):
+        stop = min(start + _MOEBIUS_ROWS, size)
+        lam_m = _moebius_type_ids(grid, start, stop, fixed, table.index, ids, by_traces)
+        miss = np.flatnonzero(lam_m != by_cycles[start:stop])
+        bad.append(miss + start)
+        by_moebius.append(lam_m.take(miss))
+    bad, by_moebius = np.concatenate(bad), np.concatenate(by_moebius)
+    types = list(ids)
+    mismatches = [(canon(*g, level), types[c], types[m]) for g, c, m in zip(
+        _grid_entries(grid, bad).T.tolist(), by_cycles.take(bad).tolist(), by_moebius.tolist())]
     mismatches.sort(key=lambda row: row[0])
     return count, mismatches

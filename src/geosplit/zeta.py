@@ -106,7 +106,8 @@ class ClassData:
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
         self._tables = {}
-        self._residues = {}  # level -> (distinct residues, residue index of each class)
+        self._base = self.classes  # the classes reduced mod N; `restrict` keeps them
+        self._residues = {}  # level -> (distinct residues, residue index of each base class)
         self._types = {}  # subgroup -> [(type, order)] per residue of its level
 
     def trace_bound(self, x):
@@ -120,11 +121,13 @@ class ClassData:
         return t_max
 
     def restrict(self, x):
-        """The class data at a cutoff x that this data reaches; it shares the
-        coset tables."""
+        """The class data at a cutoff x that this data reaches.  Its classes
+        are a prefix of these, so it shares the coset tables, the residues
+        and the types, and `types` cuts the residue index to its classes."""
         self.trace_bound(x)
         sub = ClassData(x, classes=self.classes)
-        sub._tables = self._tables
+        sub._tables, sub._base = self._tables, self._base
+        sub._residues, sub._types = self._residues, self._types
         return sub
 
     def _table(self, subgroup):
@@ -141,11 +144,11 @@ class ClassData:
             return [((1,), 1)], np.zeros(len(self.classes), dtype=np.intp)
         table = self._table(subgroup)
         if subgroup.level not in self._residues:
-            self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
+            self._residues[subgroup.level] = residues_mod(self._base, subgroup.level)
         residues, inverse = self._residues[subgroup.level]
         if subgroup not in self._types:
             self._types[subgroup] = residue_types(residues, table)
-        return self._types[subgroup], inverse
+        return self._types[subgroup], inverse[:len(self.classes)]
 
     def type_and_order(self, m, subgroup):
         """Splitting type in the subgroup and the order of the reduction;

@@ -29,6 +29,21 @@ def test_xi_order_formula(n):
     assert len(enumerate_xi(n)) == xi_order(n)
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_levels_below_two_are_refused(n):
+    """Every route that sizes Xi(n) refuses the level as `SubgroupSpec`
+    does, with no assert involved, so also under `python -O`."""
+    from geosplit.census import conjugacy_classes
+    from geosplit.core import xi_keys
+    from geosplit.cosets import dual_type_report
+
+    calls = [xi_order, xi_keys, enumerate_xi, conjugacy_classes]
+    calls += [lambda n, f=f: dual_type_report(n, f) for f in Family]
+    for call in calls:
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            call(n)
+
+
 def test_multiply_examples():
     e5 = identity(5)
     assert mul(e5, e5, 5) == identity(5)

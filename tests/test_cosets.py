@@ -267,7 +267,7 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
-from geosplit.core import ConsistencyError
+from geosplit.core import ConsistencyError, xi_chain_grid
 from geosplit.cosets import coset_chain_blocks, cycle_types, moebius_types
 
 
@@ -334,6 +334,22 @@ def test_block_kernels_match_cycle_walk(block, multiple):
     assert [cycle_type_of(perm) for perm in block] == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32), st.sampled_from([3, 1000]))
+def test_distinct_rows_group_equal_rows(rows, width, seed, spread):
+    """The byte-sorted grouping of the sweep: every row is its distinct
+    row, and the distinct rows are the set of rows (np.unique's)."""
+    import numpy as np
+
+    from geosplit.cosets import _distinct_rows
+
+    rng = np.random.default_rng(seed)
+    block = rng.integers(-spread, spread, size=(rows, width))
+    distinct, inverse = _distinct_rows(block)
+    assert (distinct[inverse] == block).all()
+    assert sorted(map(tuple, distinct.tolist())) == sorted(set(map(tuple, block.tolist())))
+
+
 def test_block_kernel_edge_cases():
     assert cycle_types([[0]]) == [(1,)]
     assert moebius_types([[0]], [1], 1) == [(1,)]
@@ -354,15 +370,19 @@ def test_moebius_rejects_order_missing_a_cycle_length():
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("n", list(range(2, 13)))
 def test_chain_permutations_match_reference(family, n):
+    """The rows of the blocks, in turn, are the permutations of the
+    flattened chain grid."""
     t = table(family, n)
     reference = act_reference(t)
-    swept = []
-    for elements, block in coset_chain_blocks(t):
-        assert block.shape == (len(elements), t.index)
-        for g, perm in zip(elements, block.tolist()):
+    elements = [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in xi_chain_grid(n)))]
+    rows = 0
+    for block in coset_chain_blocks(t):
+        assert block.shape[1] == t.index
+        for g, perm in zip(elements[rows:], block.tolist()):
             assert perm == reference(g), g
-        swept.extend(elements)
-    assert sorted(swept) == enumerate_xi(n)
+        rows += len(block)
+    assert rows == len(elements)
+    assert sorted(elements) == enumerate_xi(n)
 
 
 def _reference_dual_report(level, family):
@@ -379,25 +399,60 @@ def _reference_dual_report(level, family):
     return len(enumerate_xi(level)), mismatches
 
 
-@pytest.mark.parametrize("family,n", [(Family.GAMMA0, 7), (Family.GAMMA1, 8), (Family.GAMMA, 6)])
+@pytest.mark.parametrize("family,n", [(Family.GAMMA0, 7), (Family.GAMMA1, 8), (Family.GAMMA, 6),
+                                      (Family.GAMMA, 13), (Family.GAMMA1, 16)]
+                         + [(family, 2) for family in Family])
 def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
+    """Also across block edges (Gamma(13) has index 1092, so 15 heads per
+    action call and one 13-row block per chain; Gamma1(16) has 96 cosets,
+    so 170 heads per call and 10 chains per block) and at level 2, where
+    -I = I."""
     import geosplit.cosets as cosets
 
     assert dual_type_report(n, family) == _reference_dual_report(n, family)
 
-    # with a Moebius route that is wrong for even orders, both report the
-    # same mismatches, sorted by element
-    exact = cosets.moebius_types
+    # with a Moebius recursion that is wrong for even orders, the sweep and
+    # the per-element loop report the same mismatches, sorted by element
+    exact = cosets.parts_from_traces
 
-    def skewed(block, orders, index):
-        return [lam + (0,) if m % 2 == 0 else lam
-                for lam, m in zip(exact(block, orders, index), orders)]
+    def skewed(traces, order, weight):
+        lam = exact(traces, order, weight)
+        return lam + (0,) if order % 2 == 0 else lam
 
-    monkeypatch.setattr(cosets, "moebius_types", skewed)
+    monkeypatch.setattr(cosets, "parts_from_traces", skewed)
     count, mismatches = dual_type_report(n, family)
     assert mismatches
     assert (count, mismatches) == _reference_dual_report(n, family)
     assert [m[0] for m in mismatches] == sorted(m[0] for m in mismatches)
+
+
+@pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3)), (Family.GAMMA1, 8, (0, 100)),
+                                         (Family.GAMMA, 13, (40, 12))])
+def test_dual_report_sees_an_action_that_is_no_homomorphism(family, n, at, monkeypatch):
+    """One row of one block composed with a transposition: the Moebius
+    route reads the fixed points of the other elements' permutations, so
+    the report is not empty, or the recursion refuses the traces."""
+    import geosplit.cosets as cosets
+
+    exact = cosets.coset_chain_blocks
+    swapped = []
+
+    def corrupted(table):
+        for b, block in enumerate(exact(table)):
+            if b == at[0]:
+                block[at[1], [0, 1]] = block[at[1], [1, 0]]
+                swapped.append(b)
+            yield block
+
+    monkeypatch.setattr(cosets, "coset_chain_blocks", corrupted)
+    try:
+        count, mismatches = dual_type_report(n, family)
+    except ConsistencyError:
+        assert swapped
+        return
+    assert swapped
+    assert count == xi_order(n)
+    assert mismatches
 
 
 @pytest.mark.parametrize("family, n", [(Family.GAMMA0, 5), (Family.GAMMA, 13),

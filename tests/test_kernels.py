@@ -92,6 +92,15 @@ def test_xi_orders_read_entries_of_any_sign():
     assert xi_orders([], n).tolist() == []
 
 
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1, 99991])
+def test_xi_orders_on_both_sides_of_the_int32_bound(n):
+    """The powers run in int32 up to level 2^15, where a*e + b*g of two
+    residues still fits, and in int64 above; at 99991 int32 would wrap."""
+    elements = [canon(1, 1, 0, 1, n), canon(0, -1, 1, 0, n), canon(0, -1, 1, 1, n),
+                canon(n - 1, n - 2, 1, 1, n), canon(*complete_column(n - 3, n - 5, n), n)]
+    assert xi_orders(elements, n).tolist() == [order_in_xi_tuple(g, n) for g in elements]
+
+
 def test_xi_orders_refuse_elements_outside_xi():
     with pytest.raises(ValueError, match="not in Xi"):
         xi_orders([(1, 0, 0, 1), (2, 0, 0, 2)], 7)

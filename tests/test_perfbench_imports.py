@@ -60,3 +60,17 @@ def test_geodesic_tally_jobs_pass(tmp_path):
         job.fn(ctx)
     assert ctx.checks
     assert [c for c in ctx.checks if not c[1]] == []
+
+
+def test_dual_sweep_jobs_pass(tmp_path):
+    """Every job of the dual_sweep workload runs once, in its order, and
+    every check passes: the workload relies on `dual_type_report` returning
+    the element count and an empty mismatch list on its whole level grid."""
+    import random
+
+    workloads = _load("workloads")
+    ctx = workloads.Context(str(tmp_path))
+    for job in workloads.dual_sweep(random.Random(0)):
+        job.fn(ctx)
+    assert len(ctx.checks) == 2 * len(workloads.DUAL_GRID)
+    assert [c for c in ctx.checks if not c[1]] == []

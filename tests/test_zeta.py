@@ -392,3 +392,37 @@ def test_one_reduction_per_level(monkeypatch, classes_1e4):
     assert levels == [5]
     venkov_zograf_check(2.0, 10**4, SubgroupSpec(Family.GAMMA1, 7), data)
     assert levels == [5, 7]
+
+
+def test_restricted_views_share_the_reduction(monkeypatch, classes_1e4):
+    """A restricted view's classes are a prefix of its parent's, so it
+    reduces nothing again, whichever of the two asks first, and its sums
+    equal those of class data built at its own cutoff."""
+    import geosplit.zeta as zeta
+
+    s0, s1 = SubgroupSpec(Family.GAMMA0, 3), SubgroupSpec(Family.GAMMA1, 5)
+    fresh = ClassData(5000, classes=classes_1e4)
+    want = (ratio_identity_check(3, 2.0, 5000, fresh), venkov_zograf_check(2.0, 5000, s0, fresh),
+            venkov_zograf_check(2.0, 5000, s1, fresh))
+    parent_want = venkov_zograf_check(2.0, 10**4, s1, ClassData(10**4, classes=classes_1e4))
+
+    levels = []
+    residues_mod = zeta.residues_mod
+
+    def counting(classes, n):
+        levels.append(n)
+        return residues_mod(classes, n)
+
+    monkeypatch.setattr(zeta, "residues_mod", counting)
+    data = ClassData(10**4, classes=classes_1e4)
+    ratio_identity_check(3, 2.0, 10**4, data)
+    assert levels == [3]
+    ratio_identity_check(3, 2.0, 10**4, data.restrict(10**4))
+    view = data.restrict(5000)
+    assert ratio_identity_check(3, 2.0, 5000, view) == want[0]
+    assert venkov_zograf_check(2.0, 5000, s0, view) == want[1]
+    assert levels == [3]
+    # the view reduces mod 5 first; the parent then reuses that reduction
+    assert venkov_zograf_check(2.0, 5000, s1, view) == want[2]
+    assert venkov_zograf_check(2.0, 10**4, s1, data) == parent_want
+    assert levels == [3, 5]
