@@ -28,7 +28,6 @@ from .core import (
     IntegerMatrix,
     SubgroupSpec,
     canon,
-    factorize,
     order_in_xi_tuple,
     partition_str,
 )
@@ -132,22 +131,11 @@ def _table_text(table, fmt):
 
 def cmd_densities(args):
     spec = SubgroupSpec(args.family, args.level)
-    if args.composite:
-        if args.family != Family.GAMMA0:
-            print(f"error: --composite applies to gamma0 only: -I acts non-trivially on "
-                  f"the {args.family.value} cosets, so the tensor rule does not hold",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if len(factorize(args.level)) < 2:
-            print("error: --composite needs a level with at least two prime factors",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        table = density_table_composite(spec)
-    else:
-        table = density_table(spec)
+    # the closed form refuses a level without one before the census runs
+    closed = density_table_closed_form(spec) if args.closed_form else None
+    table = density_table_composite(spec) if args.composite else density_table(spec)
     out = _table_text(table, args.format)
-    if args.closed_form:
-        closed = density_table_closed_form(spec)
+    if closed is not None:
         out += _table_text(closed, args.format)
         diff = {
             lam: (table.entries.get(lam), closed.entries.get(lam))

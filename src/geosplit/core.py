@@ -1,6 +1,7 @@
 """Exact arithmetic foundation: 2x2 integer matrices, the projective
 residue group Xi(N) = SL2(Z/N)/{+-I}, congruence subgroup membership,
-partitions and small number-theoretic helpers.
+partitions, small number-theoretic helpers and the one pointer-doubling
+kernel for the cycles of a permutation (`cycle_labels`).
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`
@@ -334,6 +335,22 @@ def xi_keys(n):
 def enumerate_xi(n):
     """Sorted list of all canonical tuples of Xi(n): the decoded `xi_keys`."""
     return list(map(tuple, decode_keys(xi_keys(n), n).tolist()))
+
+
+def cycle_labels(successor):
+    """The least point of the cycle through every point of a permutation
+    given as an array of successors, in the array's dtype, by pointer
+    doubling (Wyllie): after j rounds of label = min(label, label[p]);
+    p = p[p], label[i] is the least point among the 2^j successors of i, so
+    the labels stop changing exactly when each is its cycle's least point."""
+    p = successor
+    label = np.arange(len(p), dtype=p.dtype)
+    while True:
+        nxt = np.minimum(label, label.take(p))
+        if not (nxt < label).any():
+            return label
+        label = nxt
+        p = p.take(p)
 
 
 def _ext_gcd(a, b):

@@ -32,6 +32,11 @@ determinant is checked and an element outside Xi(N) is refused with
 ValueError.  The tests check the kernel against the action by the
 definition, from subgroup membership over all of Xi(N), which lives in
 tests/reference.py.
+
+Cycle types have one kernel too: `core.cycle_labels` (pointer doubling,
+shared with the reduction cycles of `geodesics`) labels every point of a
+block by the least point of its cycle, and `_cycle_type_ids` bins the
+cycle lengths per row.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .core import (
     canon,
     capped_xi_order,
     complete_column,
+    cycle_labels,
     decode_keys,
     divisors,
     identity,
@@ -202,35 +208,19 @@ def _flat_successors(block):
 
 def _cycles(block):
     """The row and the length of every cycle of every row of a 2-D block of
-    permutations, rows ascending.
-
-    Pointer doubling (Wyllie): after k rounds of
-    label = min(label, label[p]); p = p[p], label[i] is the least point among
-    the 2^k successors of i, so the labels stop changing exactly when each
-    one is the least point of its cycle.  The cycle lengths are then the
-    point counts per leader.
-    """
-    rows, width = block.shape
-    p = _flat_successors(block)
-    points = np.arange(rows * width, dtype=_PERM_DTYPE)
-    label = points
-    while True:
-        nxt = np.minimum(label, label.take(p))
-        if not (nxt < label).any():
-            break
-        label = nxt
-        p = p.take(p)
-    leaders = np.flatnonzero(label == points)
-    return leaders // width, np.bincount(label, minlength=rows * width)[leaders]
+    permutations, rows ascending: the points per leader of `cycle_labels`."""
+    label = cycle_labels(_flat_successors(block))
+    leaders = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
+    return leaders // block.shape[1], np.bincount(label, minlength=label.size)[leaders]
 
 
 def cycle_types(block):
-    """Cycle type of every row of a 2-D block of permutations (`_cycles`)."""
-    block = _as_block(block)
-    owner, lengths = _cycles(block)
-    lengths = lengths[np.lexsort((-lengths, owner))].tolist()
-    ends = np.cumsum(np.bincount(owner, minlength=len(block))).tolist()
-    return [tuple(lengths[start:end]) for start, end in zip([0] + ends, ends)]
+    """Cycle type of every row of a 2-D block of permutations, as tuples
+    (`_cycle_type_ids`)."""
+    ids = {}
+    row_ids = _cycle_type_ids(_as_block(block), ids, {}).tolist()
+    types = list(ids)
+    return [types[i] for i in row_ids]
 
 
 def cycle_type_of(perm):
@@ -260,7 +250,7 @@ def induced_trace(g, table: CosetTable):
 
 
 def _flat_power(memo, k):
-    """sigma^k of a flat permutation, memo[1] = sigma, by halving k and
+    """sigma^k of a permutation array, memo[1] = sigma, by halving k and
     composing by gathers; every power it builds is kept in memo."""
     q = memo.get(k)
     if q is None:
@@ -272,44 +262,17 @@ def _flat_power(memo, k):
     return q
 
 
-def moebius_types(block, orders, index):
-    """Type of every row of a block of permutations from the traces of its
-    powers alone, via the Moebius recursion of `parts_from_traces`.
-
-    orders[r] is a multiple of every cycle length of row r (the order of
-    the group element); rows are grouped by it, the powers sigma^d for the
-    divisors d are composed by gathers and only their fixed points are
-    counted.  The recursion runs once per distinct (order, trace vector).
-    Never inspects cycles.
-    """
-    block = _as_block(block)
-    width = block.shape[1]
-    out = [None] * len(block)
-    groups = {}
-    for r, m in enumerate(orders):
-        groups.setdefault(int(m), []).append(r)
-    for m, sel in groups.items():
-        memo = {1: _flat_successors(block.take(sel, axis=0))}
-        points = np.arange(len(sel) * width, dtype=_PERM_DTYPE)
-        ds = divisors(m)
-        fixed = np.empty((len(ds), len(points)), dtype=bool)
-        for j, d in enumerate(ds):
-            np.equal(_flat_power(memo, d), points, out=fixed[j])
-        traces = fixed.reshape(len(ds), len(sel), width).sum(axis=2).T
-        types = {}
-        for r, tr in zip(sel, map(tuple, traces.tolist())):
-            lam = types.get(tr)
-            if lam is None:
-                lam = types[tr] = parts_from_traces(dict(zip(ds, tr)), m, index)
-            out[r] = lam
-    return out
-
-
 def moebius_type_from_perm(perm, m_order, index):
-    """Type of one permutation from the traces of its powers alone (a 1-row
-    `moebius_types`); m_order is the order of g in Xi, which every part
-    divides.  Never inspects cycles."""
-    return moebius_types(perm, [m_order], index)[0]
+    """Type of one permutation from the traces of its powers alone, via the
+    Moebius recursion of `parts_from_traces`.  m_order is the order of g in
+    Xi, which every cycle length divides: the powers sigma^d for its
+    divisors d are composed by gathers (`_flat_power`) and only their fixed
+    points are counted.  Never inspects cycles."""
+    memo = {1: np.asarray(perm, dtype=_PERM_DTYPE)}
+    points = np.arange(len(memo[1]), dtype=_PERM_DTYPE)
+    traces = {d: int(np.count_nonzero(_flat_power(memo, d) == points))
+              for d in divisors(m_order)}
+    return parts_from_traces(traces, m_order, index)
 
 
 def splitting_type_moebius(g, table: CosetTable):
@@ -376,7 +339,7 @@ def _cycle_type_ids(block, ids, memo):
     time it is seen: `memo` maps its bytes, with the trailing zero counts
     dropped so that the block's width does not matter, to the id."""
     owner, lengths = _cycles(block)
-    width = int(lengths.max()) + 1
+    width = int(lengths.max(initial=0)) + 1
     counts = np.bincount(owner * width + lengths, minlength=len(block) * width)
     distinct, inverse = _distinct_rows(counts.reshape(-1, width))
     descending = np.arange(width - 1, 0, -1)

@@ -15,12 +15,13 @@ reduced forms from the divisors of (t^2 - 4 - b^2)/4, read off an int32
 smallest-prime-factor sieve; sorts them by an int64 key in tuple order;
 maps every form to its reduction-cycle neighbour at once (`rho_steps`,
 found by `searchsorted`); and takes the least form of every cycle by
-pointer doubling.  The chunks go to a process pool only when `jobs` > 1
-and there are at least _POOL_MIN_CHUNKS of them; each worker builds its own
-sieve.  The chunks' leaders are concatenated in trace order and pass one
-primitivity marking (`class_of_matrix` on the powers of the few traces
-that have them).
-The per-trace reduction walk this replaces is the tests' reference.
+pointer doubling (`core.cycle_labels`).  The chunks go to a process pool
+only when `jobs` > 1 and there are at least _POOL_MIN_CHUNKS of them; each
+worker builds its own sieve.  The chunks' leaders are concatenated in trace
+order and pass one primitivity marking by content scaling: the k-th power
+of the class with least form f at trace t0 has least form U_{k-1}(t0) f.
+The per-trace reduction walk, with `class_of_matrix` on the powers, is the
+tests' reference.
 
 The classes stay int64 columns (trace, a, b, c) from the chunk kernel to
 the last sum (`PrimitiveClasses`, about 32 bytes per class): a tally
@@ -49,8 +50,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, decode_keys,
-                   order_in_xi_tuple, sign_keys)
+from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, cycle_labels,
+                   decode_keys, sign_keys, xi_orders)
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
@@ -170,20 +171,19 @@ def _cycle_leaders(lo, hi, spf):
     """The least reduced form of every reduction cycle of trace lo <= t < hi,
     as int32 arrays (t, a, b, c) in tuple order.
 
-    The forms are sorted by an int64 key that reads (t, a, b) in tuple order
-    (c is fixed by them, and |a|, b < t < hi).  `rho_steps` maps every row
-    at once, and each image is found by `searchsorted`.  The cycle minima
-    come from pointer doubling: label = min(label, label[p]); p = p[p], as
-    in `cosets.cycle_types`.  ConsistencyError if an image is not exact or
-    not among the forms, or if the step is not a permutation.
+    The forms are sorted by their `_form_keys` (c is fixed by (t, a, b), and
+    |a|, b < t < hi).  `rho_steps` maps every row at once, and each image is
+    found by `searchsorted`.  The cycle minima are the `cycle_labels` of the
+    step, the pointer doubling that also bins the cycles of coset
+    permutations.  ConsistencyError if an image is not exact or not among
+    the forms, or if the step is not a permutation.
     """
     t, a, b, c = _reduced_forms(lo, hi, spf)
-    row = (t.astype(np.int64) - lo) * (2 * hi) + hi  # the key of (t, a, b) is (row + a) * hi + b
-    key = (row + a) * hi + b
+    key = _form_keys(t, a, b, lo, hi)
     order = key.argsort()
-    key, row, t, a, b, c = (v.take(order) for v in (key, row, t, a, b, c))
+    key, t, a, b, c = (v.take(order) for v in (key, t, a, b, c))
     na, nb, nc, exact = rho_steps(t, b, c)
-    step = key.searchsorted((row + na) * hi + nb).clip(0, len(key) - 1)
+    step = key.searchsorted(_form_keys(t, na, nb, lo, hi)).clip(0, len(key) - 1)
     bad = ~exact | (t.take(step) != t) | (a.take(step) != na) | (b.take(step) != nb)
     bad |= c.take(step) != nc
     if bad.any():
@@ -192,16 +192,14 @@ def _cycle_leaders(lo, hi, spf):
                                f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
     if not (np.bincount(step, minlength=len(step)) == 1).all():
         raise ConsistencyError(f"the reduction step on traces {lo}..{hi - 1} is not a permutation")
-    points = np.arange(len(step))
-    label = points
-    while True:
-        nxt = np.minimum(label, label.take(step))
-        if not (nxt < label).any():
-            break
-        label = nxt
-        step = step.take(step)
-    leaders = label == points
+    leaders = cycle_labels(step) == np.arange(len(step))
     return t[leaders], a[leaders], b[leaders], c[leaders]
+
+
+def _form_keys(t, a, b, lo, hi):
+    """int64 keys that read (t, a, b) in tuple order, for lo <= t < hi and
+    |a|, b < hi: the digits t - lo, a + hi and b in bases 2*hi and hi."""
+    return ((t.astype(np.int64) - lo) * (2 * hi) + hi + a) * hi + b
 
 
 def matrix_from_form(t, form):
@@ -370,10 +368,13 @@ def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
     """All primitive classes with N(gamma) < x, sorted by (trace, form).  A
     cutoff above MAX_CUTOFF raises CapExceeded before anything is allocated.
 
-    The chunks' cycle leaders are concatenated in trace order.  The powers
-    of the classes of every trace t0 with t0^2 - 2 <= t_max are reduced by
-    `class_of_matrix`, and those classes are removed by a `searchsorted`
-    mask on the key that reads (t, a, b) in tuple order."""
+    The chunks' cycle leaders are concatenated in trace order.  Proper
+    powers are marked by content scaling: M^k = U_{k-1}(t0) M - U_{k-2}(t0) I
+    with U_k = t0 U_{k-1} - U_{k-2}, so the fixed-point form of M^k is
+    U_{k-1}(t0) times that of M, and scaling keeps forms reduced and cycles
+    in order.  Every trace t0 with t0^2 - 2 <= t_max marks the columns
+    (t_k, U_{k-1} a, U_{k-1} b) of its leaders, removed by a `searchsorted`
+    mask on their `_form_keys`."""
     if exact_cutoff(x) > MAX_CUTOFF:
         raise CapExceeded(f"cutoff {x} exceeds cap {MAX_CUTOFF}")
     t_max = max_trace(x)
@@ -390,20 +391,15 @@ def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
         leaders = [_cycle_leaders(*bounds, spf) for bounds in chunks]
     classes = PrimitiveClasses(*(np.concatenate(v).astype(np.int64) for v in zip(*leaders)))
 
-    imprimitive = []
-    for t0, _, m in classes.below(math.isqrt(t_max + 2)):
-        mk = m
-        for k, tk in power_traces(t0, t_max)[1:]:
-            mk = mk * m
-            assert mk.trace == tk
-            imprimitive.append((tk, *class_of_matrix(mk)[:2]))
-    h = t_max + 1  # |a|, b < t <= t_max: the key reads (t, a, b) in base 2h, 2h, h
-
-    def key(t, a, b):
-        return (t * (2 * h) + h + a) * h + b
-
-    keys = key(classes.trace, classes.a, classes.b)
-    marked = key(*np.array(imprimitive, dtype=np.int64).reshape(-1, 3).T)
+    base, marks = classes.below(math.isqrt(t_max + 2)), [np.zeros((3, 0), dtype=np.int64)]
+    for t0 in range(3, math.isqrt(t_max + 2) + 1):  # t0^2 - 2 <= t_max
+        a, b = base.a[base.trace == t0], base.b[base.trace == t0]
+        u_prev, u = 0, 1  # U_{k-2}(t0), U_{k-1}(t0) at k = 1
+        for _, tk in power_traces(t0, t_max)[1:]:
+            u_prev, u = u, t0 * u - u_prev
+            marks.append(np.stack((np.full(len(a), tk), u * a, u * b)))
+    keys = _form_keys(classes.trace, classes.a, classes.b, 0, t_max + 1)
+    marked = _form_keys(*np.concatenate(marks, axis=1), 0, t_max + 1)
     pos = keys.searchsorted(marked).clip(0, len(keys) - 1)
     if not np.array_equal(keys.take(pos), marked):
         raise ConsistencyError("a power reduces to a form outside the enumerated classes")
@@ -444,10 +440,9 @@ def residues_mod(classes, n):
 
 def residue_types(residues, table):
     """(splitting type, order in Xi(N)) of every row of an array of
-    residues; the types come from one blocked cycle-type pass."""
-    n = table.level
-    return [(lam, order_in_xi_tuple(tuple(g), n))
-            for g, lam in zip(residues.tolist(), splitting_types(residues, table))]
+    residues; the types come from one blocked cycle-type pass, the orders
+    from one `xi_orders` pass."""
+    return list(zip(splitting_types(residues, table), xi_orders(residues, table.level).tolist()))
 
 
 def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=False) -> EmpiricalTally:

@@ -69,6 +69,20 @@ def test_densities_composite_refused_outside_gamma0(capsys, family):
     assert "gamma0 only" in err and len(err.strip().splitlines()) == 1
 
 
+def test_densities_closed_form_refused_before_the_census(capsys, monkeypatch):
+    """A level with no closed form exits 1 without running the census."""
+    import geosplit.census
+
+    def no_census(level):
+        raise AssertionError(f"the census of Xi({level}) ran")
+
+    monkeypatch.setattr(geosplit.census, "conjugacy_classes", no_census)
+    code, out, err = run(capsys, "densities", "--family", "gamma0", "--level", "240",
+                         "--closed-form")
+    assert code == 1 and out == ""
+    assert "closed forms require" in err
+
+
 def test_densities_cap_exit(capsys):
     code, _, err = run(capsys, "densities", "--family", "gamma0", "--level", "9973")
     assert code == 2

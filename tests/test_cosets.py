@@ -268,7 +268,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 from geosplit.core import ConsistencyError, xi_chain_grid
-from geosplit.cosets import coset_chain_blocks, cycle_types, moebius_types
+from geosplit.cosets import coset_chain_blocks, cycle_types
 
 
 def walk_cycle_type(perm):
@@ -329,8 +329,9 @@ def test_block_kernels_match_cycle_walk(block, multiple):
     assert cycle_types(block) == expected
     width = len(block[0])
     orders = [lcm(*lam) for lam in expected]
-    assert moebius_types(block, orders, width) == expected
-    assert moebius_types(block, [m * multiple for m in orders], width) == expected
+    assert [moebius_type_from_perm(perm, m, width) for perm, m in zip(block, orders)] == expected
+    assert [moebius_type_from_perm(perm, m * multiple, width)
+            for perm, m in zip(block, orders)] == expected
     assert [cycle_type_of(perm) for perm in block] == expected
 
 
@@ -351,18 +352,22 @@ def test_distinct_rows_group_equal_rows(rows, width, seed, spread):
 
 
 def test_block_kernel_edge_cases():
+    import numpy as np
+
     assert cycle_types([[0]]) == [(1,)]
-    assert moebius_types([[0]], [1], 1) == [(1,)]
+    assert cycle_types(np.zeros((0, 5), dtype=np.int32)) == []
+    assert moebius_type_from_perm([0], 1, 1) == (1,)
     rng = random.Random(3)
     long = _perm_from_cycles([997], rng)
     assert cycle_type_of(long) == (997,)
-    assert moebius_types([long, list(range(997))], [997, 1], 997) == [(997,), (1,) * 997]
+    assert [moebius_type_from_perm(perm, m, 997) for perm, m in
+            zip([long, list(range(997))], [997, 1])] == [(997,), (1,) * 997]
 
 
 def test_moebius_rejects_order_missing_a_cycle_length():
     perm = _perm_from_cycles([3, 2], random.Random(1))
     with pytest.raises(ConsistencyError):
-        moebius_types([perm], [3], 5)
+        moebius_type_from_perm(perm, 3, 5)
     with pytest.raises(ConsistencyError):
         moebius_type_from_perm(perm, 2, 5)
 

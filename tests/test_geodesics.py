@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geosplit.core import Family, IntegerMatrix, SubgroupSpec
 from geosplit.geodesics import (
@@ -242,6 +243,20 @@ def test_enumerate_primitive_matches_marking():
     }
     got = {(t, f) for t, f, m in enumerate_primitive_classes(2000)}
     assert got == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=5))
+def test_power_class_is_content_scaled(k):
+    """The lemma behind the primitivity marking: M^k = U_{k-1}(t) M -
+    U_{k-2}(t) I, so the least form of the class of M^k is U_{k-1}(t) times
+    that of M.  Checked by the reduction walk on the k-th power of every
+    class at x = 1e4, also where the power's trace is far beyond t_max."""
+    for t, form, m in enumerate_primitive_classes(10**4):
+        u_prev, u, mk = 0, 1, m
+        for _ in range(k - 1):
+            u_prev, u, mk = u, t * u - u_prev, mk * m
+        assert class_of_matrix(mk) == tuple(u * f for f in form)
 
 
 def test_parallel_enumeration_agrees():
