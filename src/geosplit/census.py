@@ -14,7 +14,10 @@ Three independent routes to the same numbers live here:
   representatives (diagonal powers, a nonsplit-torus generator's powers,
   and the two-parameter unipotent-like families), with sizes from
   centralizer orders and induced-representation traces from exact
-  quadratic-congruence root counts.  No group enumeration is involved, so
+  quadratic-congruence root counts (Gamma0) or the p-adic depth of g - I
+  (Gamma1).  The representatives' orders and, per order, all the powers
+  g^d whose traces are counted come from batched matrix powers
+  (`xi_orders`, `matrix_powers`).  No group enumeration is involved, so
   it can cross-check the census;
 
 * the composite route: a convolution of coprime prime-power tables under
@@ -28,7 +31,7 @@ table this is built from misstates element orders at p = 3, r >= 2.  Any
 matrix with trace == -1 (mod 3^r) satisfies g^2 = -g - 1, hence g^3 = I,
 so part of the "order 3^(r-k)" unipotent-like stratum collapses to order
 3 (e.g. [[7,1],[6,1]] mod 9).  The closed-form route therefore computes
-orders by actual matrix powering and traces by root counts instead of
+orders by actual matrix powering and traces by exact counts instead of
 trusting the printed order column, and the power-relation report exposes
 the one relation this breaks.
 """
@@ -58,6 +61,7 @@ from .core import (
     factorize,
     identity,
     matpow,
+    matrix_powers,
     mul,
     order_in_xi_tuple,
     partition_str,
@@ -209,48 +213,19 @@ def label_str(label):
     raise ValueError(label)
 
 
-def family_set_sizes(p, r):
-    """Predicted family-set sizes (the eq.-number closed forms), including
-    the even-m split halves."""
-    out = {("Id",): 1}
-    for k in range(1, r + 1):
-        for l in divisors((p - 1) // 2):
-            if l > 1:
-                out[("A0", k, l)] = (
-                    euler_phi(l) * p ** (3 * r - k - 2) * (p * p - 1) // 2
-                    if k < r
-                    else euler_phi(l) * p ** (2 * r - 1) * (p + 1) // 2
-                )
-        for l in divisors((p + 1) // 2):
-            if l > 1:
-                out[("C0", k, l)] = (
-                    euler_phi(l) * p ** (3 * r - k - 2) * (p - 1) ** 2 // 2
-                    if k < r
-                    else euler_phi(l) * p ** (2 * r - 1) * (p - 1) // 2
-                )
-    for k in range(1, r):
-        out[("A", k)] = p ** (3 * r - 3 * k - 2) * (p * p - 1) // 2
-        out[("C", k)] = p ** (3 * r - 3 * k - 2) * (p - 1) ** 2 // 2
-    for k in range(r):
-        for m in range(1, r - k + 1):
-            full = (
-                p ** (3 * r - 3 * k - m - 3) * (p - 1) ** 2 * (p + 1)
-                if m < r - k
-                else p ** (2 * r - 2 * k - 2) * (p * p - 1)
-            )
-            if m % 2 == 0 and m < r - k:
-                out[("B", k, m, 1)] = full // 2
-                out[("B", k, m, -1)] = full // 2
-            else:
-                out[("B", k, m, 0)] = full
-    return out
-
-
 def _prime_power(n):
     fac = factorize(n)
     if len(fac) == 1:
         return fac[0]
     return None
+
+
+def closed_form_prime_power(level):
+    """(p, r) with level = p^r, p odd; ValueError for any other level."""
+    fac = _prime_power(level)
+    if fac is None or fac[0] == 2:
+        raise ValueError("closed forms require an odd prime-power level")
+    return fac
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +329,26 @@ def sigma_gamma0(g, p, r):
 
 
 def _fixed_row_count(g, sign, p, r):
-    """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0}."""
+    """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0} for
+    every row (a, b, c, d) of the k x 4 integer array g, as an int64 array.
+    The p-adic depth k of h = sign*g - I is the number of j <= r with p^j
+    dividing all its entries.  At k = r every vector is fixed; below, p^k *
+    phi(p^r) are when h / p^k is singular mod p^(r-k), else none."""
     pr = p**r
-    k, h = minus_identity_depth(g, sign, p, r)
-    if k == r:
-        return pr * pr - (pr * pr) // (p * p)
-    prk = p ** (r - k)
-    a, b, c, d = ((x // p**k) % prk for x in h)
-    if (a * d - b * c) % prk == 0:
-        return p**k * (pr - pr // p)
-    return 0
+    if pr >= 2**31:  # the counts reach p^(2r), and int64 holds them below that
+        raise ValueError(f"fixed-row counts at {p}^{r} exceed int64")
+    h = (sign * np.asarray(g, dtype=np.int64) - (1, 0, 0, 1)) % pr
+    k = sum((h % p**j == 0).all(axis=1) for j in range(1, r + 1))
+    pk = p**k
+    prk = pr // pk
+    a, b, c, d = (h // pk[:, None] % prk[:, None]).T
+    singular = pk * (pr - pr // p) * ((a * d - b * c) % prk == 0)
+    return np.where(k == r, pr * pr - (pr * pr) // (p * p), singular)
 
 
 def sigma_gamma1(g, p, r):
     """tr Ind_{Gamma1(p^r)} 1 at g: cosets are +-(row vector) pairs."""
-    return (_fixed_row_count(g, 1, p, r) + _fixed_row_count(g, -1, p, r)) // 2
+    return int(_fixed_row_count([g], 1, p, r)[0] + _fixed_row_count([g], -1, p, r)[0]) // 2
 
 
 @dataclass
@@ -475,34 +455,39 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     """Assemble the density table for an odd prime-power level from the
     closed class catalog, exact trace formulas and the Moebius recursion;
     entirely independent of the brute-force census."""
-    fac = _prime_power(s.level)
-    if fac is None or fac[0] == 2:
-        raise ValueError("closed forms require an odd prime-power level")
-    p, r = fac
+    p, r = closed_form_prime_power(s.level)
     order = xi_order(s.level)
     if s.family == Family.GAMMA0:
         index = p ** (r - 1) * (p + 1)
-        trace_fn = sigma_gamma0
     elif s.family == Family.GAMMA1:
         index = p ** (2 * r - 2) * (p * p - 1) // 2
-        trace_fn = sigma_gamma1
     else:
         # every type is an explicit tuple of index/m parts
         index = order
         if index > DEFAULT_INDEX_CAP:
             raise CapExceeded(f"index {index} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
-        trace_fn = None
+    catalog = closed_class_catalog(p, r)
+    traces = {}  # catalog position -> traces at the divisors of its order
+    orders = np.array([rec.order for rec in catalog])
+    for m in np.flatnonzero(np.bincount(orders)).tolist() if s.family != Family.GAMMA else ():
+        sel = np.flatnonzero(orders == m)
+        g = np.array([catalog[i].representative for i in sel]).reshape(-1, 2, 2)
+        powers = np.concatenate(matrix_powers(g, divisors(m), s.level)).reshape(-1, 4)
+        if s.family == Family.GAMMA1:
+            tr = (_fixed_row_count(powers, 1, p, r) + _fixed_row_count(powers, -1, p, r)) // 2
+        else:
+            tr = np.array([sigma_gamma0(h, p, r) for h in powers.tolist()])
+        traces.update(zip(sel.tolist(), map(tuple, tr.reshape(-1, len(sel)).T.tolist())))
     # a type depends on the order and the traces alone, so classes are
     # pooled by those before any type (a tuple of up to `index` parts) is built
     sizes = {}
-    for rec in closed_class_catalog(p, r):
-        traces = () if trace_fn is None else tuple(
-            trace_fn(matpow(rec.representative, d, s.level), p, r) for d in divisors(rec.order))
-        sizes[rec.order, traces] = sizes.get((rec.order, traces), 0) + rec.size
+    for i, rec in enumerate(catalog):
+        key = rec.order, traces.get(i, ())
+        sizes[key] = sizes.get(key, 0) + rec.size
     entries = {}
-    for (m, traces), size in sizes.items():
-        lam = ((m,) * (index // m) if trace_fn is None
-               else parts_from_traces(dict(zip(divisors(m), traces)), m, index))
+    for (m, tr), size in sizes.items():
+        lam = ((m,) * (index // m) if s.family == Family.GAMMA
+               else parts_from_traces(dict(zip(divisors(m), tr)), m, index))
         entries[lam] = entries.get(lam, Fraction(0)) + Fraction(size, order)
     return DensityTable(s, entries, order, index)
 

@@ -15,6 +15,7 @@ import sys
 
 from .census import (
     census_payload,
+    closed_form_prime_power,
     density_table,
     density_table_closed_form,
     density_table_composite,
@@ -28,6 +29,7 @@ from .core import (
     IntegerMatrix,
     SubgroupSpec,
     canon,
+    capped_xi_order,
     order_in_xi_tuple,
     partition_str,
 )
@@ -131,8 +133,14 @@ def _table_text(table, fmt):
 
 def cmd_densities(args):
     spec = SubgroupSpec(args.family, args.level)
-    # the closed form refuses a level without one before the census runs
-    closed = density_table_closed_form(spec) if args.closed_form else None
+    closed = None
+    if args.closed_form:
+        # refuse a level without a closed form, then a census over the cap,
+        # before either table is built
+        closed_form_prime_power(args.level)
+        if not args.composite:
+            capped_xi_order(args.level)
+        closed = density_table_closed_form(spec)
     table = density_table_composite(spec) if args.composite else density_table(spec)
     out = _table_text(table, args.format)
     if closed is not None:

@@ -298,22 +298,31 @@ def xi_chain_grid(n):
     return np.broadcast_arrays(a, (b0 + t * a) % n, c, (d0 + t * c) % n)
 
 
+def column_rows(a, c, n):
+    """The n x n table, flat at a*n + c, of unimodular columns (a_i, c_i),
+    one per {+-} pair: i at column i, rows + i at its negation where that
+    is another column, and -1 at a column not listed."""
+    rows = len(a)
+    row_of = np.full(n * n, -1, dtype=np.int32)
+    row_of[(-a % n) * n + (-c % n)] = np.arange(rows, 2 * rows)
+    row_of[a * n + c] = np.arange(rows)
+    return row_of
+
+
 def xi_grid_positions(grid, entries, n):
     """Flat positions h*n + t in `grid`, the `xi_chain_grid` of Xi(n), of
-    elements given by their entries, each up to sign.
+    elements given by their entries, each up to sign.  Only the heads in
+    column 0 of the grid are read, so it may be cut to that column.
 
     The row is the head whose first column is (a, c), or (-a, -c) for the
-    negated element, read from an n x n table.  Along row h,
+    negated element (`column_rows`).  Along row h,
     (b, d) = (b0, d0) + t*(a, c), and the head's determinant
     a*d0 - b0*c = 1 inverts that: t = d0*(b - b0) - b0*(d - d0) mod n.
     """
     a0, b0, c0, d0 = (v[:, 0] for v in grid)
     rows = len(a0)
-    row_of = np.full(n * n, -1, dtype=np.int32)
-    row_of[(-a0 % n) * n + (-c0 % n)] = np.arange(rows, 2 * rows)  # head h negated: rows + h
-    row_of[a0 * n + c0] = np.arange(rows)
     a, b, c, d = entries
-    h = row_of.take(a * n + c)
+    h = column_rows(a0, c0, n).take(a * n + c)
     sign = np.where(h < rows, 1, -1).astype(np.int32)
     h %= rows
     b0, d0 = b0.take(h), d0.take(h)

@@ -16,16 +16,20 @@ permutation it checks beyond its fixed points.
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
-[[u, y], [0, 1/u]] scale it by u; the whole tuple for Gamma(N).  The
+[[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  The
 representatives are listed directly, with the identity's coset as coset 0:
 the completion (`complete_column`) of every unimodular column for Gamma1,
 of the first column in each unit orbit for Gamma0, and the decoded sorted
 key array of Xi(N) (`xi_keys`) for Gamma; only Gamma walks the whole
-group.  The table stores the sorted +-canonical keys of every vector of
-every coset with the coset each names.
+group.  The table reads the coset off a vector by direct address, from one
+int32 array: for Gamma0 and Gamma1 an n x n array over the columns a*n + c
+(both signs, from `core.column_rows`), for Gamma an array over the flat
+positions h*n + t of the element in `xi_chain_grid` (`xi_grid_positions`).
 
 The action has one kernel, `act_block`: it computes only the entries of
-g * r_i that name a coset and looks their keys up by binary search.  A
+g * r_i that name a coset and reads the coset at their address; for Gamma
+it places only the products with the chain heads and shifts along the
+chains (head * T^t).  A
 column alone would also accept matrices of determinant other than 1 (the
 columns of (2,0,0,2) mod 7 are unimodular), so every acting element's
 determinant is checked and an element outside Xi(N) is refused with
@@ -52,6 +56,7 @@ from .core import (
     SubgroupSpec,
     canon,
     capped_xi_order,
+    column_rows,
     complete_column,
     cycle_labels,
     decode_keys,
@@ -70,7 +75,7 @@ from .core import (
     xi_orders,
 )
 
-# bounds the key array of a coset table, and with it the index
+# bounds the vectors a coset table lists, and with it the index
 DEFAULT_INDEX_CAP = 10**7
 
 # Permutation blocks are int32: gathers through ndarray.take with int32 indices
@@ -82,84 +87,85 @@ _PERM_DTYPE = np.int32
 
 class CosetTable:
     """The cosets of one congruence subgroup: representatives (the
-    identity's coset first) and, for the lookup, the sorted +-canonical keys
-    of the vectors that name a coset with the coset of each.  `positions`
-    are the flat indices (a, b, c, d) = (0, 1, 2, 3) of the entries in a
-    vector."""
+    identity's coset first) and the int32 `lookup` from the address of a
+    vector to its coset, -1 where it names none: a*n + c of the first column
+    for Gamma0 and Gamma1, the place h*n + t in `xi_chain_grid` for Gamma.
+    `acted` holds the entries (4 x k int32) of the matrices an element
+    multiplies, the representatives or for Gamma the chain heads, whose
+    row h and step t for each coset are `chains`."""
 
-    def __init__(self, subgroup: SubgroupSpec, reps, rep_entries, positions, keys, cosets):
+    def __init__(self, subgroup: SubgroupSpec, reps, lookup, acted, chains=None):
         self.subgroup = subgroup
         self.level = subgroup.level
         self.reps = reps
         self.index = len(reps)
-        self.rep_entries = rep_entries  # 4 x index int64
-        self.positions = positions
-        self.keys = keys
-        self.cosets = cosets
+        self.lookup = lookup
+        self.acted = acted
+        self.chains = chains
 
 
 def capped_key_count(s: SubgroupSpec):
-    """Key count of the coset table of s, |Xi(N)|/N columns up to sign or
-    |Xi(N)| tuples for Gamma; CapExceeded above DEFAULT_INDEX_CAP."""
+    """Count of the vectors the coset table of s lists, |Xi(N)|/N columns
+    or |Xi(N)| elements for Gamma; CapExceeded above DEFAULT_INDEX_CAP."""
     n = s.level
     count = xi_order(n) if s.family == Family.GAMMA else xi_order(n) // n
     if count > DEFAULT_INDEX_CAP:
-        raise CapExceeded(f"{count} coset keys of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+        raise CapExceeded(f"{count} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")
     return count
 
 
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
-    """Coset table for Gamma~(N) inside Xi(N), by the key rule of the module
-    docstring.  The key count is checked against DEFAULT_INDEX_CAP before
-    anything is built (`capped_key_count`)."""
+    """Coset table for Gamma~(N) inside Xi(N), by the rule of the module
+    docstring.  The vector count is checked against DEFAULT_INDEX_CAP
+    before anything is built (`capped_key_count`)."""
     n = s.level
-    key_count = capped_key_count(s)
+    count = capped_key_count(s)
     if s.family == Family.GAMMA:
         return _gamma_table(s)
     # the identity's column first: it names coset 0
-    vectors = [(1, 0)] + [v for v in unimodular_columns(n) if v != (1, 0)]
-    keys = sign_keys(np.array(vectors, dtype=np.int64).T, n)
-    if len(keys) != key_count:
-        raise ConsistencyError(f"{len(keys)} coset keys of {s}, expected {key_count}")
-    order = keys.argsort()
-    keys = keys.take(order)
+    columns = [(1, 0)] + [v for v in unimodular_columns(n) if v != (1, 0)]
+    if len(columns) != count:
+        raise ConsistencyError(f"{len(columns)} columns of {s}, expected {count}")
+    rows = column_rows(*np.array(columns, dtype=np.int64).T, n)
     if s.family == Family.GAMMA0:
-        reps, cosets = _unit_orbits(vectors, keys, order, n)
+        reps, cosets = _unit_orbits(columns, rows, n)
     else:
-        reps = [canon(*complete_column(a, c, n), n) for a, c in vectors]
-        cosets = np.arange(len(reps), dtype=_PERM_DTYPE)
-    return CosetTable(s, reps, np.array(reps, dtype=np.int64).T, (0, 2), keys,
-                      cosets.take(order))
+        reps = [canon(*complete_column(a, c, n), n) for a, c in columns]
+        cosets = np.arange(count, dtype=_PERM_DTYPE)
+    return CosetTable(s, reps, np.where(rows < 0, -1, cosets.take(rows % count)),
+                      np.array(reps, dtype=np.int32).T)
 
 
 def _gamma_table(s):
     """The Gamma(N) table straight from the sorted key array of Xi(N)
     (`xi_keys` checks that it holds |Xi(N)| distinct keys): the cosets are
-    the elements, listed in key order after the identity."""
+    the elements, listed in key order after the identity, and the lookup
+    holds each at its place in the chain grid (a place left at -1 fails
+    `act_block`)."""
     n = s.level
     keys = xi_keys(n)
     first = int(keys.searchsorted(sign_keys(np.array(identity(n))[:, None], n)[0]))
     rank = np.arange(len(keys))  # key rank of each coset
     rank[:first + 1] = np.roll(rank[:first + 1], 1)
     entries = decode_keys(keys, n).take(rank, axis=0)
-    cosets = np.empty(len(keys), dtype=_PERM_DTYPE)
-    cosets[rank] = np.arange(len(keys), dtype=_PERM_DTYPE)
-    return CosetTable(s, list(map(tuple, entries.tolist())), entries.T, (0, 1, 2, 3), keys,
-                      cosets)
+    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32).T
+    place = xi_grid_positions(heads[:, :, None], entries.T, n).astype(_PERM_DTYPE)
+    lookup = np.full(len(keys), -1, dtype=_PERM_DTYPE)
+    lookup[place] = np.arange(len(keys), dtype=_PERM_DTYPE)
+    return CosetTable(s, list(map(tuple, entries.tolist())), lookup, heads, np.divmod(place, n))
 
 
-def _unit_orbits(columns, keys, order, n):
+def _unit_orbits(columns, rows, n):
     """Gamma0 cosets as the orbits of the columns under the units mod n:
     the completion of the first column of each orbit becomes its
-    representative.  `keys` are the columns' keys in ascending order,
-    `order` their argsort.  Returns (reps, coset of each column)."""
+    representative.  `rows` is the `column_rows` table of the columns.
+    Returns (reps, coset of each column)."""
     units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1], dtype=np.int64)
     cosets = np.full(len(columns), -1, dtype=_PERM_DTYPE)
     reps = []
     for i, (a, c) in enumerate(columns):
         if cosets[i] < 0:
-            orbit = keys.searchsorted(sign_keys((units * a % n, units * c % n), n))
-            cosets[order.take(orbit)] = len(reps)
+            cosets[rows.take(units * a % n * n + units * c % n) % len(columns)] = len(reps)
             reps.append(canon(*complete_column(a, c, n), n))
     return reps, cosets
 
@@ -169,22 +175,30 @@ def act_block(elements, table: CosetTable):
     block: row r maps coset i to the coset of elements[r] * reps[i].
 
     Only the entries of the products that name a coset are computed, and
-    their +-canonical keys are looked up by binary search.  An element
-    whose determinant is not 1 mod N is refused with ValueError.
+    the coset is read from `table.lookup` at their address.  For Gamma only
+    g * head_h is placed, at h'*n + t': then g * head_h * T^t = +-head_h' *
+    T^(t' + t), so each coset moves to chain h' with its step shifted by t'.
+    An element whose determinant is not 1 mod N is refused with ValueError.
     """
     n = table.level
-    reps = table.rep_entries
-    # keys stay below n^4, far inside int64 for every level the key cap admits
+    r = table.acted
     g = np.array(elements, dtype=np.int64).reshape(-1, 4, 1) % n
     if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
-    # entry (i, j) of g * r, at flat position 2*i + j
-    key = sign_keys(((g[:, 2 * i] * reps[j] + g[:, 2 * i + 1] * reps[j + 2]) % n
-                     for i, j in (divmod(p, 2) for p in table.positions)), n)
-    pos = np.minimum(table.keys.searchsorted(key), len(table.keys) - 1)
-    if not np.array_equal(table.keys.take(pos), key):
+    g = g.astype(np.int32)  # holds a*e + b*g of residues at every level the caps admit
+    # the entries (i, j) of every g * r: the first column, or all four for Gamma
+    e = [(g[:, 2 * i] * r[j] + g[:, 2 * i + 1] * r[j + 2]) % n
+         for i, j in ([(0, 0), (1, 0)] if table.chains is None else np.ndindex(2, 2))]
+    if table.chains is None:
+        address = e[0] * n + e[1]
+    else:
+        row, step = table.chains
+        h, t = np.divmod(xi_grid_positions(r[:, :, None], e, n), n)
+        address = h.take(row, axis=1) * n + (t.take(row, axis=1) + step) % n
+    perm = table.lookup.take(address)
+    if perm.min(initial=0) < 0:
         raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
-    return table.cosets.take(pos)
+    return perm
 
 
 def act(g, table: CosetTable):

@@ -5,14 +5,17 @@ subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
 over tuples, the empirical tally by one reduction per class, and the zeta
-sums' term-by-term accumulators.
+sums' term-by-term accumulators.  Two closed forms live here too, as the
+independent side of a check: the family-set sizes of an odd prime-power
+level and the scalar fixed-row count of the Gamma1 trace.
 """
 
 import math
 from dataclasses import dataclass
 
-from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi, inv,
-                           is_member_tuple, mul, order_in_xi_tuple, xi_chain_heads)
+from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi,
+                           euler_phi, inv, is_member_tuple, mul, order_in_xi_tuple, vp,
+                           xi_chain_heads)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import (class_of_matrix, matrix_from_form, max_trace, norm_below,
                                 power_traces, rho_step)
@@ -32,6 +35,60 @@ def act_reference(table: CosetTable):
     if len(coset_of) != len(xi):
         raise ConsistencyError(f"the representatives of {table.subgroup} do not partition Xi")
     return lambda g: [coset_of[mul(g, r, n)] for r in table.reps]
+
+
+def fixed_row_count_reference(g, sign, p, r):
+    """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0} for one
+    element, by the scalar depth formula: with k the least p-adic valuation
+    of the entries of h = sign*g - I (r when h = 0), every vector is fixed
+    at k = r, and below p^k * phi(p^r) are when h / p^k is singular mod
+    p^(r-k), none otherwise."""
+    pr = p**r
+    a, b, c, d = g
+    h = ((sign * a - 1) % pr, (sign * b) % pr, (sign * c) % pr, (sign * d - 1) % pr)
+    k = min((vp(x, p) for x in h if x), default=r)
+    if k == r:
+        return pr * pr - (pr * pr) // (p * p)
+    prk = p ** (r - k)
+    a, b, c, d = ((x // p**k) % prk for x in h)
+    return p**k * (pr - pr // p) if (a * d - b * c) % prk == 0 else 0
+
+
+def family_set_sizes(p, r):
+    """Predicted family-set sizes (the eq.-number closed forms), including
+    the even-m split halves."""
+    out = {("Id",): 1}
+    for k in range(1, r + 1):
+        for l in divisors((p - 1) // 2):
+            if l > 1:
+                out[("A0", k, l)] = (
+                    euler_phi(l) * p ** (3 * r - k - 2) * (p * p - 1) // 2
+                    if k < r
+                    else euler_phi(l) * p ** (2 * r - 1) * (p + 1) // 2
+                )
+        for l in divisors((p + 1) // 2):
+            if l > 1:
+                out[("C0", k, l)] = (
+                    euler_phi(l) * p ** (3 * r - k - 2) * (p - 1) ** 2 // 2
+                    if k < r
+                    else euler_phi(l) * p ** (2 * r - 1) * (p - 1) // 2
+                )
+    for k in range(1, r):
+        out[("A", k)] = p ** (3 * r - 3 * k - 2) * (p * p - 1) // 2
+        out[("C", k)] = p ** (3 * r - 3 * k - 2) * (p - 1) ** 2 // 2
+    for k in range(r):
+        for m in range(1, r - k + 1):
+            full = (
+                p ** (3 * r - 3 * k - m - 3) * (p - 1) ** 2 * (p + 1)
+                if m < r - k
+                else p ** (2 * r - 2 * k - 2) * (p * p - 1)
+            )
+            if m % 2 == 0 and m < r - k:
+                out[("B", k, m, 1)] = full // 2
+                out[("B", k, m, -1)] = full // 2
+            else:
+                out[("B", k, m, 0)] = full
+    return out
 
 
 def spf_list(limit):

@@ -26,7 +26,6 @@ from geosplit.census import (
     density_table,
     density_table_closed_form,
     density_table_composite,
-    family_set_sizes,
     label_class,
     power_relation_check,
     rectangle_density_table,

@@ -13,7 +13,6 @@ from geosplit.census import (
     density_table,
     density_table_closed_form,
     density_table_composite,
-    family_set_sizes,
     label_class,
     label_str,
     power_relation_check,
@@ -35,6 +34,7 @@ from geosplit.core import (
     xi_order,
 )
 from geosplit.cosets import build_coset_table, induced_trace
+from reference import family_set_sizes
 
 
 def F(s):
@@ -223,6 +223,13 @@ def test_sigma_formulas_exhaustive(p, r):
     for g in enumerate_xi(n):
         assert sigma_gamma0(g, p, r) == induced_trace(g, t0)
         assert sigma_gamma1(g, p, r) == induced_trace(g, t1)
+
+
+def test_sigma_gamma1_refuses_levels_beyond_int64():
+    """The fixed-row counts reach p^(2r); int64 holds them below 2^31."""
+    assert sigma_gamma1((1, 1, 0, 1), 46337, 2) == (46337**2 - 46337) // 2
+    with pytest.raises(ValueError, match="exceed int64"):
+        sigma_gamma1((1, 1, 0, 1), 65537, 2)
 
 
 def test_quadratic_root_counters():

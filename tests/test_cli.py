@@ -83,6 +83,22 @@ def test_densities_closed_form_refused_before_the_census(capsys, monkeypatch):
     assert "closed forms require" in err
 
 
+@pytest.mark.parametrize("level, code", [(729, 2), (1024, 1)])
+def test_densities_closed_form_over_the_cap_refused_first(capsys, monkeypatch, level, code):
+    """An odd prime power over the census cap exits 2 before the closed
+    table is built; a level with no closed form still exits 1 first."""
+    import geosplit.cli
+
+    def no_closed_form(spec):
+        raise AssertionError(f"the closed table of {spec} was built")
+
+    monkeypatch.setattr(geosplit.cli, "density_table_closed_form", no_closed_form)
+    got, out, err = run(capsys, "densities", "--family", "gamma0", "--level", str(level),
+                        "--closed-form")
+    assert got == code and out == ""
+    assert ("exceeds cap" if code == 2 else "closed forms require") in err
+
+
 def test_densities_cap_exit(capsys):
     code, _, err = run(capsys, "densities", "--family", "gamma0", "--level", "9973")
     assert code == 2

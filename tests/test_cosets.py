@@ -518,6 +518,36 @@ def test_act_block_rows_match_one_row_calls():
 
 
 @pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 25])
+def test_act_block_is_the_action_by_definition(family, n):
+    """The direct-address lookup agrees with the action by membership, on
+    all of Xi(N) while that stays under 1e5 permutation entries, else on a
+    seeded sample of that many."""
+    t = table(family, n)
+    reference = act_reference(t)
+    xi = enumerate_xi(n)
+    rows = max(8, 10**5 // t.index)
+    elements = xi if len(xi) <= rows else random.Random(n).sample(xi, rows)
+    assert act_block(elements, t).tolist() == [reference(g) for g in elements]
+
+
+@pytest.fixture(scope="module")
+def tables_75():
+    """Each family's table at level 75 with its action by the definition."""
+    return {f: (t, act_reference(t)) for f in Family for t in [table(f, 75)]}
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(list(Family)),
+       picks=st.lists(st.integers(0, xi_order(75) - 1), min_size=1, max_size=3))
+def test_act_block_matches_the_definition_at_75(tables_75, family, picks):
+    """Sampled elements of Xi(75) (index 180000 for Gamma), in one block."""
+    t, reference = tables_75[family]
+    elements = [enumerate_xi(75)[i] for i in picks]
+    assert act_block(elements, t).tolist() == [reference(g) for g in elements]
+
+
+@pytest.mark.parametrize("family", list(Family))
 def test_act_refuses_an_element_outside_xi(family):
     # (2, 0, 0, 2) has determinant 4 mod 7 and unimodular columns; index 8,
     # 24 and 168
@@ -552,13 +582,18 @@ def test_column_tables_never_enumerate_xi(family, monkeypatch):
 
 
 def test_table_faults_are_consistency_errors():
-    """A product whose key the table lacks, or representatives that share a
-    coset, are faults of the table, not bad input."""
+    """A product at an address the lookup lacks, or representatives that
+    share a coset, are faults of the table, not bad input."""
     from geosplit.core import ConsistencyError
 
     t = table(Family.GAMMA1, 7)
-    t.keys = t.keys[1:]
-    t.cosets = t.cosets[1:]
+    t.lookup = t.lookup.copy()
+    t.lookup[1 * 7 + 0] = -1  # the identity's column (1, 0)
+    with pytest.raises(ConsistencyError):
+        act_block(enumerate_xi(7), t)
+    t = table(Family.GAMMA, 7)
+    t.lookup = t.lookup.copy()
+    t.lookup[t.lookup == 0] = -1  # the identity's place in the chain grid
     with pytest.raises(ConsistencyError):
         act_block(enumerate_xi(7), t)
     t = table(Family.GAMMA0, 5)

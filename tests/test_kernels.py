@@ -1,11 +1,11 @@
 """The array routes against their element-by-element references: the
 conjugacy census on the sorted key array against the orbit closure of
 tests/reference.py, the batched order kernel `xi_orders` against the
-scalar loop `order_in_xi_tuple`, and the enumeration of primitive classes
-by trace chunks against the per-trace reduction walk of tests/reference.py."""
+scalar loop `order_in_xi_tuple`, the closed form's fixed-row kernel against
+its scalar formula, and the enumeration of primitive classes by trace
+chunks against the per-trace reduction walk of tests/reference.py."""
 
 import itertools
-import pickle
 
 import numpy as np
 import pytest
@@ -22,16 +22,19 @@ from geosplit.core import (
     SubgroupSpec,
     canon,
     complete_column,
+    divisors,
     enumerate_xi,
     identity,
+    matpow,
     order_in_xi_tuple,
-    sign_keys,
     unimodular_columns,
+    xi_chain_grid,
     xi_orders,
 )
 from geosplit.cosets import build_coset_table
 from geosplit.geodesics import enumerate_primitive_classes, max_trace
-from reference import classes_at_trace, orbit_closure_classes, primitive_classes, spf_list
+from reference import (classes_at_trace, fixed_row_count_reference, orbit_closure_classes,
+                       primitive_classes, spf_list)
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)) + [75])
@@ -124,19 +127,37 @@ def test_nonsplit_generator_is_pinned(p, r, want):
     assert nonsplit_generator(p, r) == want
 
 
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3),
+                                 (7, 1), (7, 2), (29, 2)])
+def test_fixed_row_count_matches_the_scalar_formula(p, r):
+    """The array kernel of the closed form, at both signs, on every power
+    g^d (d dividing the order) of every catalog class, in one call."""
+    n = p**r
+    powers = [matpow(c.representative, d, n) for c in closed_class_catalog(p, r)
+              for d in divisors(c.order)]
+    for sign in (1, -1):
+        got = census._fixed_row_count(np.array(powers), sign, p, r)
+        assert got.tolist() == [fixed_row_count_reference(g, sign, p, r) for g in powers]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 25, 75])
 def test_gamma_table_from_the_key_array_is_the_listed_one(n):
     """The Gamma(N) table equals the one built from the tuples of
-    `enumerate_xi`, identity first, down to the pickled bytes of its arrays."""
+    `enumerate_xi`, identity first, down to the dtypes and values of its
+    arrays: the lookup holds at each place of `xi_chain_grid` the coset of
+    the element there, found by its canonical tuple; the acted matrices are
+    the chain heads, and each coset's chain row and step are its place."""
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
     reps = [identity(n)] + [g for g in enumerate_xi(n) if g != identity(n)]
-    entries = np.array(reps, dtype=np.int64)
-    keys = sign_keys(entries.T, n)
-    order = keys.argsort()
-    cosets = np.arange(len(reps), dtype=np.int32).take(order)
+    grid = xi_chain_grid(n)
+    coset_of = {g: i for i, g in enumerate(reps)}
+    lookup = np.array([coset_of[canon(*g, n)] for g in zip(
+        *(v.ravel().tolist() for v in grid))], dtype=np.int32)
+    row, step = np.divmod(lookup.argsort().astype(np.int32), n)
     assert table.reps == reps
-    assert (pickle.dumps((table.keys, table.cosets, table.rep_entries))
-            == pickle.dumps((keys.take(order), cosets, entries.T)))
+    for got, want in zip((table.lookup, table.acted, *table.chains),
+                         (lookup, np.stack([v[:, 0] for v in grid]), row, step)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
