@@ -45,6 +45,7 @@ cycle lengths per row.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,22 +87,28 @@ _PERM_DTYPE = np.int32
 
 
 class CosetTable:
-    """The cosets of one congruence subgroup: representatives (the
-    identity's coset first) and the int32 `lookup` from the address of a
-    vector to its coset, -1 where it names none: a*n + c of the first column
-    for Gamma0 and Gamma1, the place h*n + t in `xi_chain_grid` for Gamma.
-    `acted` holds the entries (4 x k int32) of the matrices an element
-    multiplies, the representatives or for Gamma the chain heads, whose
-    row h and step t for each coset are `chains`."""
+    """The cosets of one congruence subgroup: the entries (index x 4) of
+    their representatives (the identity's coset first) and the int32
+    `lookup` from the address of a vector to its coset, -1 where it names
+    none: a*n + c of the first column for Gamma0 and Gamma1, the place
+    h*n + t in `xi_chain_grid` for Gamma.  `acted` holds the entries
+    (4 x k int32) of the matrices an element multiplies, the
+    representatives or for Gamma the chain heads, whose row h and step t
+    for each coset are `chains`."""
 
-    def __init__(self, subgroup: SubgroupSpec, reps, lookup, acted, chains=None):
+    def __init__(self, subgroup: SubgroupSpec, entries, lookup, acted, chains=None):
         self.subgroup = subgroup
         self.level = subgroup.level
-        self.reps = reps
-        self.index = len(reps)
+        self.entries = entries
+        self.index = len(entries)
         self.lookup = lookup
         self.acted = acted
         self.chains = chains
+
+    @functools.cached_property
+    def reps(self):
+        """The representatives as tuples, built on first use."""
+        return list(map(tuple, self.entries.tolist()))
 
 
 def capped_key_count(s: SubgroupSpec):
@@ -132,8 +139,8 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     else:
         reps = [canon(*complete_column(a, c, n), n) for a, c in columns]
         cosets = np.arange(count, dtype=_PERM_DTYPE)
-    return CosetTable(s, reps, np.where(rows < 0, -1, cosets.take(rows % count)),
-                      np.array(reps, dtype=np.int32).T)
+    entries = np.array(reps, dtype=np.int32)
+    return CosetTable(s, entries, np.where(rows < 0, -1, cosets.take(rows % count)), entries.T)
 
 
 def _gamma_table(s):
@@ -152,7 +159,7 @@ def _gamma_table(s):
     place = xi_grid_positions(heads[:, :, None], entries.T, n).astype(_PERM_DTYPE)
     lookup = np.full(len(keys), -1, dtype=_PERM_DTYPE)
     lookup[place] = np.arange(len(keys), dtype=_PERM_DTYPE)
-    return CosetTable(s, list(map(tuple, entries.tolist())), lookup, heads, np.divmod(place, n))
+    return CosetTable(s, entries, lookup, heads, np.divmod(place, n))
 
 
 def _unit_orbits(columns, rows, n):

@@ -9,17 +9,21 @@ the trace taken positive, which matches working projectively everywhere
 else: a positive-trace matrix can only be a power of another
 positive-trace matrix, so primitivity marking never needs negative traces.
 
-The enumeration runs on numpy arrays, one chunk of traces at a time (at
-most _CHUNK_PAIRS pairs (t, b) per chunk, or one trace).  A chunk lists its
-reduced forms from the divisors of (t^2 - 4 - b^2)/4, read off an int32
-smallest-prime-factor sieve; sorts them by an int64 key in tuple order;
-maps every form to its reduction-cycle neighbour at once (`rho_steps`,
-found by `searchsorted`); and takes the least form of every cycle by
-pointer doubling (`core.cycle_labels`).  The chunks go to a process pool
-only when `jobs` > 1 and there are at least _POOL_MIN_CHUNKS of them; each
-worker builds its own sieve.  The chunks' leaders are concatenated in trace
-order and pass one primitivity marking by content scaling: the k-th power
-of the class with least form f at trace t0 has least form U_{k-1}(t0) f.
+The enumeration runs on numpy arrays.  The reduced forms of every trace
+come from a generator with no factoring (`_chunk_forms`): with
+u = (t - b)/2 and w = (t + b)/2, the forms (a, b, c) with a > 0 are the
+progressions w = u^-1 mod a, w > a, over the coprime pairs u <= a, and
+the Stern-Brocot tree yields each pair with its inverse as the denominator
+of a Farey neighbour.  The forms are held as int16 columns (t, a, b) and
+split into chunks of traces (at most _CHUNK_PAIRS pairs (t, b) per chunk,
+or one trace).  A chunk adds the forms with a < 0; sorts them by an int64
+key in tuple order; maps every form to its reduction-cycle neighbour at
+once (`rho_steps`, found by `searchsorted`); and takes the least form of
+every cycle by pointer doubling (`core.cycle_labels`).  The chunks go to a
+process pool only when `jobs` > 1 and there are at least _POOL_MIN_CHUNKS
+of them.  The chunks' leaders are concatenated in trace order and pass one
+primitivity marking by content scaling: the k-th power of the class with
+least form f at trace t0 has least form U_{k-1}(t0) f.
 The per-trace reduction walk, with `class_of_matrix` on the powers, is the
 tests' reference.
 
@@ -57,8 +61,8 @@ from .cosets import build_coset_table, splitting_types
 
 
 MIN_CUTOFF = 7  # the shortest geodesic (t = 3) has norm ((3+sqrt5)/2)^2 ~ 6.854
-# largest cutoff enumerated; the int32 smallest-prime-factor sieve holds about
-# x/4 entries in the process and in every pool worker
+# largest cutoff enumerated (traces up to 3162): the 2.1e6 forms with a > 0 take
+# 13 MB as int16 columns, and the enumeration peaks at 95 MB RSS in a fresh process
 MAX_CUTOFF = 10**7
 
 
@@ -95,67 +99,82 @@ def reduce_form(a, b, c, disc, sqrt_disc):
     return (a, b, c)
 
 
-def _spf_sieve(limit):
-    """Smallest-prime-factor table up to limit (inclusive), int32."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p::p]
-            multiples[multiples == 0] = p
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset  # 0, 1 and the primes
-    return spf
+def _progressions(start, step, count):
+    """The rows start + k * step, k = 1..count, of each column of the (m, n)
+    arrays start and step, one column's progression after the other, as an
+    (m, count.sum()) array of start's dtype."""
+    k = np.arange(1, count.sum() + 1) - np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(start, count, axis=1) + k.astype(start.dtype) * np.repeat(step, count, axis=1)
 
 
-def _reduced_forms(lo, hi, spf):
-    """Every reduced form of discriminant t^2 - 4, lo <= t < hi, as int32
-    arrays (t, a, b, c).
+def _run(start, step, t_max):
+    """`_progressions` of the rows start + k * step while the first three
+    entries of a row sum to at most t_max."""
+    count = (t_max - start[:3].sum(axis=0)) // step[:3].sum(axis=0)
+    return _progressions(start, step, count.clip(0))
 
-    isqrt(t^2 - 4) = t - 1 for t >= 3, so (a, b, c) is reduced exactly when
-    0 < b < t and t - b <= 2|a| <= t - 1 + b.  For each pair (t, b) with
-    b = t mod 2, the divisors a of n = (t^2 - 4 - b^2)/4 = |ac| are expanded
-    one prime of the smallest-prime-factor table at a time.  A partial
-    divisor d is dropped once it is above the window (it only grows) or once
-    d times the unfactored rest is below it.  Each divisor in the window
-    gives (a, b, -n/a) and (-a, b, n/a).  Every value stays below t^2 <
-    2^31 under the cap.
+
+def _coprime_pairs(t_max, dtype):
+    """Every fraction u/a in (0, 1] in lowest terms with u + a + q <= t_max,
+    where q in 1..a is the inverse of u mod a (q = 1 at a = 1), as a
+    (3, m) array of rows (u, a, q) of dtype.
+
+    The fractions are 1/1 and the Stern-Brocot tree below 0/1 and 1/1.  A
+    node u/a is the mediant of Farey neighbours p/q < p'/q', so
+    u q - p a = p' q - p q' = 1 and its inverse is q, with no gcd or
+    division.  A left child has the sum u + a + q of its parent plus
+    p + q, a right child plus p' + 2q', so a subtree is cut at its first
+    node above t_max.  The tree is walked one run of same-side children at
+    a time, an arithmetic progression of rows (u, a, q, u0, a0) with u0/a0
+    the previous node of the run: below (p/q, p'/q') the left run is
+    (p' + kp)/(q' + kq) with inverse q, the right run (p + kp')/(q + kq')
+    with inverse q + (k - 1)q'.  The k-th node of a left run starts a right
+    run below it and the (k - 1)-th node, and the other way round.
     """
-    trace = np.arange(lo, hi, dtype=np.int32)
-    counts = (trace - 1) // 2  # b = 2 - t % 2, ..., t - 1 in steps of 2
-    row = np.repeat(np.arange(len(trace), dtype=np.int32), counts)
-    t = trace.take(row)
-    b = 2 - t % 2 + 2 * (np.arange(len(row), dtype=np.int32)
-                         - np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts))
-    n = (t * t - 4 - b * b) // 4
-    top, bottom = (t - 1 + b) // 2, t - b
-    pair, rest, d = np.arange(len(n), dtype=np.int32), n.copy(), np.ones_like(n)
-    found = []
-    while len(pair):
-        finished = rest == 1
-        found.append((pair[finished], d[finished]))
-        keep = ~finished & (2 * d * rest >= bottom.take(pair))
-        pair, rest, d = pair[keep], rest[keep], d[keep]
-        p = spf.take(rest)
-        e = np.zeros_like(rest)  # the exponent of p in rest
-        live = np.arange(len(rest), dtype=np.int32)
-        while len(live):
-            q, r = np.divmod(rest.take(live), p.take(live))
-            live, q = live[r == 0], q[r == 0]
-            rest[live] = q
-            e[live] += 1
-        e += 1  # rows per partial divisor: p^0, ..., p^e
-        k = np.arange(int(e.sum()), dtype=np.int32) - np.repeat(np.cumsum(e, dtype=np.int32) - e, e)
-        pair, rest = np.repeat(pair, e), np.repeat(rest, e)
-        d = np.repeat(d, e) * np.repeat(p, e) ** k
-        keep = d <= top.take(pair)
-        pair, rest, d = pair[keep], rest[keep], d[keep]
-    pair = np.concatenate([q for q, _ in found])
-    a = np.concatenate([a for _, a in found])
-    keep = 2 * a >= bottom.take(pair)
-    pair, a = pair[keep], a[keep]
-    t, b, c = t.take(pair), b.take(pair), n.take(pair) // a
-    return (np.concatenate((t, t)), np.concatenate((a, -a)), np.concatenate((b, b)),
-            np.concatenate((-c, c)))
+    found = [np.ones((3, 1), dtype=dtype)]  # 1/1, the mediant of 0/1 and 1/0
+    left = np.array([[0], [1], [1], [1]], dtype=dtype)  # neighbours (p, q, p', q') per run
+    right = left[:, :0]
+    while left.size or right.size:
+        p, q, p2, q2 = left
+        lrun = _run(np.stack((p2, q2, q, p2 - p, q2 - q)),
+                    np.stack((p, q, np.zeros_like(q), p, q)), t_max)
+        p, q, p2, q2 = right
+        rrun = _run(np.stack((p, q, q - q2, p - p2, q - q2)), np.stack((p2, q2, q2, p2, q2)),
+                    t_max)
+        found += [lrun[:3], rrun[:3]]
+        left, right = rrun[[3, 4, 0, 1]], lrun[[0, 1, 3, 4]]
+    return np.concatenate(found, axis=1)
+
+
+def _chunk_forms(t_max, chunks):
+    """The reduced forms (t, a, b) with a > 0 of every trace 3..t_max, as
+    (3, m) int16 arrays, one per trace range (lo, hi) of `chunks` (which
+    cover 3..t_max in order).  OverflowError if t_max does not fit int16;
+    the chunk kernel's int32 holds t^2 for every trace that does.
+
+    With u = (t - b)/2 and w = (t + b)/2, isqrt(t^2 - 4) = t - 1 makes
+    (a, b, c) reduced exactly when 0 < b < t and u <= |a| < w, and
+    |ac| = (t^2 - 4 - b^2)/4 = uw - 1.  So the forms with a > 0 are, for
+    every coprime pair u <= a of `_coprime_pairs` with inverse q, the
+    progression w = q + ka, k >= 1, while u + w <= t_max (at a = 1 every
+    w >= 2).  The progressions are expanded about _BATCH_ROWS forms at a
+    time into one array, which a stable sort of its traces splits by chunk.
+    """
+    if t_max > np.iinfo(np.int16).max:
+        raise OverflowError(f"traces up to {t_max} exceed the int16 form columns")
+    u, a, q = _coprime_pairs(t_max, np.int16)
+    count = (t_max - u - q) // a
+    ends = np.cumsum(count)
+    forms = np.empty((3, int(ends[-1])), dtype=np.int16)
+    cuts = [0, *ends.searchsorted(np.arange(_BATCH_ROWS, ends[-1], _BATCH_ROWS)), len(u)]
+    for i, j in zip(cuts, cuts[1:]):
+        start = np.stack((u[i:j] + q[i:j], a[i:j], q[i:j] - u[i:j]))
+        step = np.stack((a[i:j], np.zeros_like(a[i:j]), a[i:j]))
+        forms[:, ends[i] - count[i]:ends[j - 1]] = _progressions(start, step, count[i:j])
+    order = forms[0].argsort(kind="stable")
+    for row in forms:
+        row[:] = row.take(order)
+    return np.split(forms, forms[0].searchsorted([lo for lo, _ in chunks[1:]]), axis=1)
 
 
 def rho_steps(t, b, c):
@@ -167,10 +186,12 @@ def rho_steps(t, b, c):
     return c, r, num // (4 * c), num % (4 * c) == 0
 
 
-def _cycle_leaders(lo, hi, spf):
+def _cycle_leaders(lo, hi, forms):
     """The least reduced form of every reduction cycle of trace lo <= t < hi,
-    as int32 arrays (t, a, b, c) in tuple order.
+    as int32 arrays (t, a, b, c) in tuple order, from the forms (t, a, b)
+    with a > 0 of those traces (`_chunk_forms`).
 
+    Each form gives (a, b, -n/a) and (-a, b, n/a), n = (t^2 - 4 - b^2)/4.
     The forms are sorted by their `_form_keys` (c is fixed by (t, a, b), and
     |a|, b < t < hi).  `rho_steps` maps every row at once, and each image is
     found by `searchsorted`.  The cycle minima are the `cycle_labels` of the
@@ -178,7 +199,9 @@ def _cycle_leaders(lo, hi, spf):
     permutations.  ConsistencyError if an image is not exact or not among
     the forms, or if the step is not a permutation.
     """
-    t, a, b, c = _reduced_forms(lo, hi, spf)
+    t, a, b = forms.astype(np.int32)
+    c = (t * t - 4 - b * b) // (4 * a)
+    t, a, b, c = (np.concatenate(v) for v in ((t, t), (a, -a), (b, b), (-c, c)))
     key = _form_keys(t, a, b, lo, hi)
     order = key.argsort()
     key, t, a, b, c = (v.take(order) for v in (key, t, a, b, c))
@@ -277,26 +300,25 @@ def power_traces(t0, t_max):
     return out
 
 
-# pairs (t, b) per enumeration chunk; a pass of the divisor expansion holds at
-# most about 6 rows per pair up to the cap, so this bounds the arrays a chunk
-# allocates to a few MB
+# pairs (t, b) per enumeration chunk; there are about 0.85 forms (t, a, b) with
+# a > 0 per pair, so a chunk holds some 14k of them and its kernel a few MB
 _CHUNK_PAIRS = 1 << 14
 
-# fewest chunks for which `jobs` > 1 starts a pool: on 2 vCPUs one process was
-# faster at 16 chunks (x = 1e6) and two workers at 20 chunks (x = 1.25e6) and
-# above; below that, pool start-up and a sieve per worker outweigh the split
+# forms per batch of `_chunk_forms`, whose int64 temporaries are a few MB
+_BATCH_ROWS = 1 << 16
+
+# fewest chunks for which `jobs` > 1 starts a pool.  The forms are generated in
+# the parent and only the chunk kernels are split; on 2 vCPUs (medians of 5-8
+# fresh processes) one process and two workers took the same time within the
+# noise at 16 chunks (x = 1e6, 0.10 s) and 31 chunks (2e6, 0.17 s), two workers
+# were 4-6 % faster at 47 and 63 chunks (3e6, 4e6) and 19 % at 158 chunks
+# (1e7, 0.86 s against 1.07 s)
 _POOL_MIN_CHUNKS = 20
 
-_POOL_SIEVE = None  # a pool worker's sieve, built by the pool's initializer
 
-
-def _load_sieve(limit):
-    global _POOL_SIEVE
-    _POOL_SIEVE = _spf_sieve(limit)
-
-
-def _pool_chunk(bounds):
-    return _cycle_leaders(*bounds, _POOL_SIEVE)
+def _pool_chunk(task):
+    i, bounds = task
+    return i, _cycle_leaders(*bounds)
 
 
 def _trace_chunks(t_max):
@@ -380,15 +402,15 @@ def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
     t_max = max_trace(x)
     if t_max < 3:
         return PrimitiveClasses(*np.zeros((4, 0), dtype=np.int64))
-    sieve_limit = max((t_max * t_max - 4) // 4, 4)
     chunks = _trace_chunks(t_max)
+    tasks = [(lo, hi, forms) for (lo, hi), forms in zip(chunks, _chunk_forms(t_max, chunks))]
     if jobs > 1 and len(chunks) >= _POOL_MIN_CHUNKS:
-        with Pool(min(jobs, len(chunks)), initializer=_load_sieve,
-                  initargs=(sieve_limit,)) as pool:
-            leaders = list(pool.imap(_pool_chunk, chunks))
+        with Pool(min(jobs, len(chunks))) as pool:
+            done = dict(pool.imap_unordered(_pool_chunk, enumerate(tasks)))
+        leaders = [done[i] for i in range(len(tasks))]
     else:
-        spf = _spf_sieve(sieve_limit)
-        leaders = [_cycle_leaders(*bounds, spf) for bounds in chunks]
+        leaders = [_cycle_leaders(*task) for task in tasks]
+    del tasks  # the forms go before the class columns are built
     classes = PrimitiveClasses(*(np.concatenate(v).astype(np.int64) for v in zip(*leaders)))
 
     base, marks = classes.below(math.isqrt(t_max + 2)), [np.zeros((3, 0), dtype=np.int64)]

@@ -5,13 +5,18 @@ subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
 over tuples, the empirical tally by one reduction per class, and the zeta
-sums' term-by-term accumulators.  Two closed forms live here too, as the
-independent side of a check: the family-set sizes of an odd prime-power
-level and the scalar fixed-row count of the Gamma1 trace.
+sums' term-by-term accumulators.  The reduced forms of a range of traces
+are also listed from the divisors of |ac|, read off a smallest-prime-factor
+sieve, as the independent side of the sieve-free form generator.  Two
+closed forms live here too, as the independent side of a check: the
+family-set sizes of an odd prime-power level and the scalar fixed-row
+count of the Gamma1 trace.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi,
                            euler_phi, inv, is_member_tuple, mul, order_in_xi_tuple, vp,
@@ -100,6 +105,71 @@ def spf_list(limit):
                 if spf[j] == j:
                     spf[j] = i
     return spf
+
+
+def spf_sieve(limit):
+    """Smallest-prime-factor table up to limit (inclusive), int32."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # 0, 1 and the primes
+    return spf
+
+
+def reduced_forms_by_divisors(lo, hi, spf):
+    """Every reduced form of discriminant t^2 - 4, lo <= t < hi, as int32
+    arrays (t, a, b, c), from the divisors of (t^2 - 4 - b^2)/4 read off a
+    `spf_sieve` that reaches (hi^2 - 4)/4: the independent side of the
+    form generator `geodesics._chunk_forms`.
+
+    isqrt(t^2 - 4) = t - 1 for t >= 3, so (a, b, c) is reduced exactly when
+    0 < b < t and t - b <= 2|a| <= t - 1 + b.  For each pair (t, b) with
+    b = t mod 2, the divisors a of n = (t^2 - 4 - b^2)/4 = |ac| are expanded
+    one prime of the smallest-prime-factor table at a time.  A partial
+    divisor d is dropped once it is above the window (it only grows) or once
+    d times the unfactored rest is below it.  Each divisor in the window
+    gives (a, b, -n/a) and (-a, b, n/a).  Every value stays below t^2 <
+    2^31 under the cap.
+    """
+    trace = np.arange(lo, hi, dtype=np.int32)
+    counts = (trace - 1) // 2  # b = 2 - t % 2, ..., t - 1 in steps of 2
+    row = np.repeat(np.arange(len(trace), dtype=np.int32), counts)
+    t = trace.take(row)
+    b = 2 - t % 2 + 2 * (np.arange(len(row), dtype=np.int32)
+                         - np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts))
+    n = (t * t - 4 - b * b) // 4
+    top, bottom = (t - 1 + b) // 2, t - b
+    pair, rest, d = np.arange(len(n), dtype=np.int32), n.copy(), np.ones_like(n)
+    found = []
+    while len(pair):
+        finished = rest == 1
+        found.append((pair[finished], d[finished]))
+        keep = ~finished & (2 * d * rest >= bottom.take(pair))
+        pair, rest, d = pair[keep], rest[keep], d[keep]
+        p = spf.take(rest)
+        e = np.zeros_like(rest)  # the exponent of p in rest
+        live = np.arange(len(rest), dtype=np.int32)
+        while len(live):
+            q, r = np.divmod(rest.take(live), p.take(live))
+            live, q = live[r == 0], q[r == 0]
+            rest[live] = q
+            e[live] += 1
+        e += 1  # rows per partial divisor: p^0, ..., p^e
+        k = np.arange(int(e.sum()), dtype=np.int32) - np.repeat(np.cumsum(e, dtype=np.int32) - e, e)
+        pair, rest = np.repeat(pair, e), np.repeat(rest, e)
+        d = np.repeat(d, e) * np.repeat(p, e) ** k
+        keep = d <= top.take(pair)
+        pair, rest, d = pair[keep], rest[keep], d[keep]
+    pair = np.concatenate([q for q, _ in found])
+    a = np.concatenate([a for _, a in found])
+    keep = 2 * a >= bottom.take(pair)
+    pair, a = pair[keep], a[keep]
+    t, b, c = t.take(pair), b.take(pair), n.take(pair) // a
+    return (np.concatenate((t, t)), np.concatenate((a, -a)), np.concatenate((b, b)),
+            np.concatenate((-c, c)))
 
 
 def _divisors_from_spf(n, spf):

@@ -320,7 +320,7 @@ def test_cutoff_above_cap_exits_2(capsys, monkeypatch, cmd):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated for a capped cutoff")
 
-    monkeypatch.setattr(geodesics, "_spf_sieve", refuse)
+    monkeypatch.setattr(geodesics, "_coprime_pairs", refuse)
     monkeypatch.setattr(geodesics, "Pool", refuse)
     args = (["empirical", "--family", "gamma0", "--level", "5"] if cmd == "empirical"
             else ["zeta-check", "--p", "3", "--s", "2"])

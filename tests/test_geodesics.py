@@ -417,7 +417,7 @@ def test_cutoff_above_cap_refused_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated for a capped cutoff")
 
-    monkeypatch.setattr(geodesics, "_spf_sieve", refuse)
+    monkeypatch.setattr(geodesics, "_coprime_pairs", refuse)
     monkeypatch.setattr(geodesics, "Pool", refuse)
     for x in (MAX_CUTOFF + 1, 1e12, Fraction(10**7 * 3 + 1, 3)):
         with pytest.raises(CapExceeded):

@@ -2,10 +2,12 @@
 conjugacy census on the sorted key array against the orbit closure of
 tests/reference.py, the batched order kernel `xi_orders` against the
 scalar loop `order_in_xi_tuple`, the closed form's fixed-row kernel against
-its scalar formula, and the enumeration of primitive classes by trace
-chunks against the per-trace reduction walk of tests/reference.py."""
+its scalar formula, the sieve-free form generator against the divisor
+expansion, and the enumeration of primitive classes by trace chunks
+against the per-trace reduction walk of tests/reference.py."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,9 +34,10 @@ from geosplit.core import (
     xi_orders,
 )
 from geosplit.cosets import build_coset_table
-from geosplit.geodesics import enumerate_primitive_classes, max_trace
+from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
 from reference import (classes_at_trace, fixed_row_count_reference, orbit_closure_classes,
-                       primitive_classes, spf_list)
+                       primitive_classes, reduced_forms_by_divisors, spf_list, spf_sieve)
+from test_geodesics import brute_reduced_forms
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)) + [75])
@@ -164,9 +167,67 @@ def test_gamma_table_from_the_key_array_is_the_listed_one(n):
 # primitive classes from the trace-chunk kernel
 
 def _kernel_per_trace(lo, hi):
-    spf = geodesics._spf_sieve((hi * hi - 4) // 4)
-    t, a, b, c = (v.tolist() for v in geodesics._cycle_leaders(lo, hi, spf))
+    forms = geodesics._chunk_forms(hi - 1, [(3, lo), (lo, hi)])[1]
+    t, a, b, c = (v.tolist() for v in geodesics._cycle_leaders(lo, hi, forms))
     return [(u, [f for v, f in zip(t, zip(a, b, c)) if v == u]) for u in range(lo, hi)]
+
+
+def test_stern_brocot_inverses_are_the_modular_inverses():
+    """Every coprime pair u < a <= 400 comes once with q = u^-1 mod a, and
+    at t_max = 400 the pairs are exactly those with u + a + q <= t_max."""
+    lim = 400
+    u, a, q = geodesics._coprime_pairs(3 * lim, np.int16).tolist()
+    got = sorted((x, y, z) for x, y, z in zip(u, a, q) if y <= lim)
+    want = [(1, 1, 1)] + sorted((x, y, pow(x, -1, y)) for y in range(2, lim + 1)
+                                for x in range(1, y) if math.gcd(x, y) == 1)
+    assert got == want
+    u, a, q = geodesics._coprime_pairs(lim, np.int16).tolist()
+    assert sorted(zip(u, a, q)) == [row for row in want if sum(row) <= lim]
+
+
+def _forms_by_trace(t_max):
+    """`_chunk_forms` in its chunks at t_max, with c and the forms with
+    a < 0 added, as a sorted list of (t, a, b, c) per trace."""
+    chunks = geodesics._trace_chunks(t_max)
+    out = {t: [] for t in range(3, t_max + 1)}
+    for (lo, hi), forms in zip(chunks, geodesics._chunk_forms(t_max, chunks)):
+        assert forms.dtype == np.int16
+        for t, a, b in forms.T.tolist():
+            assert lo <= t < hi
+            c = (t * t - 4 - b * b) // (4 * a)
+            out[t] += [(t, a, b, -c), (t, -a, b, c)]
+    return {t: sorted(v) for t, v in out.items()}
+
+
+def test_form_generator_matches_the_divisor_expansion():
+    """Every trace up to max_trace(1e5), against the reduced forms listed
+    from the divisors of (t^2 - 4 - b^2)/4 by the sieve reference."""
+    t_max = max_trace(10**5)
+    rows = zip(*(v.tolist() for v in reduced_forms_by_divisors(
+        3, t_max + 1, spf_sieve((t_max * t_max - 4) // 4))))
+    want = {t: [] for t in range(3, t_max + 1)}
+    for row in rows:
+        want[row[0]].append(row)
+    assert _forms_by_trace(t_max) == {t: sorted(v) for t, v in want.items()}
+
+
+def test_form_generator_matches_the_box_scan():
+    """Every trace up to 60, against the float box scan of test_geodesics."""
+    got = _forms_by_trace(60)
+    for t in range(3, 61):
+        assert got[t] == sorted((t, *f) for f in brute_reduced_forms(t * t - 4))
+
+
+def test_form_columns_refuse_traces_beyond_int16(monkeypatch):
+    """Refused before the pairs are generated; the cap stays far below."""
+    monkeypatch.setattr(geodesics, "_coprime_pairs", _refuse_pairs)
+    with pytest.raises(OverflowError):
+        geodesics._chunk_forms(2**15, [(3, 2**15 + 1)])
+    assert max_trace(MAX_CUTOFF) < 2**15
+
+
+def _refuse_pairs(*args):
+    raise AssertionError("generated pairs beyond the int16 columns")
 
 
 def test_kernel_matches_reduction_walk_trace_by_trace():
@@ -227,6 +288,35 @@ def test_pool_starts_from_the_chunk_threshold(monkeypatch):
     assert len(started) == 1
 
 
+class _UnorderedOnlyPool:
+    """A process pool with `imap_unordered` as its only map, like the
+    timed pool the benchmark puts in place of `geodesics.Pool`; it hands
+    the results back last first."""
+
+    def __init__(self, processes):
+        self._pool = POOL(processes)
+
+    def __enter__(self):
+        self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
+
+    def imap_unordered(self, func, iterable, chunksize=1):
+        return reversed(list(self._pool.imap_unordered(func, iterable, chunksize)))
+
+
+def test_pool_with_only_imap_unordered_keeps_the_trace_order(monkeypatch):
+    want = enumerate_primitive_classes(10**5, jobs=1)
+    monkeypatch.setattr(geodesics, "Pool", _UnorderedOnlyPool)
+    monkeypatch.setattr(geodesics, "_POOL_MIN_CHUNKS", 2)
+    got = enumerate_primitive_classes(10**5, jobs=2)
+    for name in ("trace", "a", "b", "c"):
+        v, w = getattr(got, name), getattr(want, name)
+        assert v.dtype == w.dtype and np.array_equal(v, w)
+
+
 RHO_STEPS = geodesics.rho_steps
 
 
@@ -264,6 +354,6 @@ def test_broken_reduction_step_is_a_consistency_error(monkeypatch, capsys, step,
 
 
 def test_sieve_is_the_smallest_prime_factor():
-    spf = geodesics._spf_sieve(10**5)
+    spf = spf_sieve(10**5)
     assert spf.dtype == np.int32
     assert spf.tolist() == spf_list(10**5)
