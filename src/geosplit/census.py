@@ -356,7 +356,6 @@ class ClosedClass:
     representative: tuple
     size: int
     order: int
-    label: tuple
 
 
 def smallest_unit_generator(p, r):
@@ -441,8 +440,7 @@ def closed_class_catalog(p, r):
                      for tw in (1, nu) for alpha in alphas]
 
     orders = xi_orders([g for g, _ in reps], n).tolist()
-    classes = [ClosedClass(g, size, m, label_class(g, m, p, r))
-               for (g, size), m in zip(reps, orders)]
+    classes = [ClosedClass(g, size, m) for (g, size), m in zip(reps, orders)]
     total = sum(c.size for c in classes)
     if total != order:
         raise ConsistencyError(f"closed catalog sizes sum to {total}, expected {order}")
@@ -457,19 +455,19 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     entirely independent of the brute-force census."""
     p, r = closed_form_prime_power(s.level)
     order = xi_order(s.level)
+    if s.family == Family.GAMMA:
+        # the regular cover: every type is an explicit tuple of index/m parts
+        if order > DEFAULT_INDEX_CAP:
+            raise CapExceeded(f"index {order} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+        return rectangle_density_table(s, closed_class_catalog(p, r))
     if s.family == Family.GAMMA0:
         index = p ** (r - 1) * (p + 1)
-    elif s.family == Family.GAMMA1:
-        index = p ** (2 * r - 2) * (p * p - 1) // 2
     else:
-        # every type is an explicit tuple of index/m parts
-        index = order
-        if index > DEFAULT_INDEX_CAP:
-            raise CapExceeded(f"index {index} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+        index = p ** (2 * r - 2) * (p * p - 1) // 2
     catalog = closed_class_catalog(p, r)
     traces = {}  # catalog position -> traces at the divisors of its order
     orders = np.array([rec.order for rec in catalog])
-    for m in np.flatnonzero(np.bincount(orders)).tolist() if s.family != Family.GAMMA else ():
+    for m in np.flatnonzero(np.bincount(orders)).tolist():
         sel = np.flatnonzero(orders == m)
         g = np.array([catalog[i].representative for i in sel]).reshape(-1, 2, 2)
         powers = np.concatenate(matrix_powers(g, divisors(m), s.level)).reshape(-1, 4)
@@ -482,12 +480,11 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     # pooled by those before any type (a tuple of up to `index` parts) is built
     sizes = {}
     for i, rec in enumerate(catalog):
-        key = rec.order, traces.get(i, ())
+        key = rec.order, traces[i]
         sizes[key] = sizes.get(key, 0) + rec.size
     entries = {}
     for (m, tr), size in sizes.items():
-        lam = ((m,) * (index // m) if s.family == Family.GAMMA
-               else parts_from_traces(dict(zip(divisors(m), tr)), m, index))
+        lam = parts_from_traces(dict(zip(divisors(m), tr)), m, index)
         entries[lam] = entries.get(lam, Fraction(0)) + Fraction(size, order)
     return DensityTable(s, entries, order, index)
 

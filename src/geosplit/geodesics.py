@@ -55,7 +55,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, cycle_labels,
-                   decode_keys, sign_keys, xi_orders)
+                   decode_keys, partition_str, sign_keys, xi_orders)
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
@@ -343,12 +343,6 @@ class PrimitiveClasses:
     def __init__(self, trace, a, b, c):
         self.trace, self.a, self.b, self.c = trace, a, b, c
 
-    @classmethod
-    def from_triples(cls, triples):
-        """The columns of (trace, form, matrix) triples, in sorted order."""
-        rows = sorted((t, *form) for t, form, _ in triples)
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
-
     def __len__(self):
         return len(self.trace)
 
@@ -370,15 +364,15 @@ class PrimitiveClasses:
 
 def classes_below(x, t_max, classes=None, jobs=1):
     """The primitive classes of trace <= t_max = max_trace(x): enumerated at
-    x when `classes` is None, else cut from those classes (PrimitiveClasses,
-    or (trace, form, matrix) triples), which are refused with ValueError
-    when their largest trace is below t_max.  The check is exact: every
+    x when `classes` is None, else cut from those `PrimitiveClasses`, which
+    are refused with ValueError when their largest trace is below t_max
+    (TypeError for anything else).  The check is exact: every
     trace t >= 3 has a primitive class, the one of the content-1 form
     (1, t, 1), while a k-th power has content divisible by U_{k-1}(t0) >= 3."""
     if classes is None:
         return enumerate_primitive_classes(x, jobs=jobs)
     if not isinstance(classes, PrimitiveClasses):
-        classes = PrimitiveClasses.from_triples(classes)
+        raise TypeError(f"classes must be PrimitiveClasses, got {type(classes).__name__}")
     top = int(classes.trace[-1]) if len(classes) else 2
     if top < t_max:
         raise ValueError(f"cutoff {x} needs traces up to {t_max}, but the class list "
@@ -524,7 +518,7 @@ def tally_tsv(tally: EmpiricalTally, theory: DensityTable):
     for lam, count, emp, theo, err in comparison_rows(tally, theory):
         lines.append(
             "%s\t%d\t%.10f\t%s\t%.10f"
-            % (",".join(map(str, lam)), count, emp, f"{theo.numerator}/{theo.denominator}", err)
+            % (partition_str(lam), count, emp, f"{theo.numerator}/{theo.denominator}", err)
         )
     if tally.anomalous is not None:
         lines.append(f"# anomalous_count\t{tally.anomalous}")
@@ -534,7 +528,7 @@ def tally_tsv(tally: EmpiricalTally, theory: DensityTable):
 
 
 def tally_json(tally: EmpiricalTally, theory: DensityTable):
-    rows = [{"partition": ",".join(map(str, lam)), "count": count, "empirical_density": emp,
+    rows = [{"partition": partition_str(lam), "count": count, "empirical_density": emp,
              "theoretical_density": f"{theo.numerator}/{theo.denominator}", "abs_error": err}
             for lam, count, emp, theo, err in comparison_rows(tally, theory)]
     doc = {

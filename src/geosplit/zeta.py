@@ -4,7 +4,8 @@ Everything is evaluated over one shared set of base classes of SL2(Z) with
 norm below the cutoff, so both sides of each identity are finite sums over
 the same data and agree class-by-class up to floating-point error.  Sums
 use compensated (Kahan) accumulation in a fixed order (trace, then class),
-and every check can be re-run under mpmath to confirm the discrepancy is
+and every check can be re-run under mpmath, in a private context that
+leaves the process-wide precision alone, to confirm the discrepancy is
 pure rounding.
 """
 
@@ -16,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Family, SubgroupSpec, canon, prime_factors
+from .core import Family, SubgroupSpec, prime_factors
 from .cosets import build_coset_table, capped_key_count
 from .geodesics import classes_below, max_trace, residue_types, residues_mod
 
@@ -54,14 +55,13 @@ class FloatArith(_Arith):
 
 
 class MPArith(_Arith):
-    """mpmath at a configurable precision, same interface."""
+    """mpmath at a given precision in a context of its own, same interface."""
 
     def __init__(self, dps=40):
         import mpmath
 
-        self.mp = mpmath
-        self.dps = dps
-        mpmath.mp.dps = max(mpmath.mp.dps, dps)
+        self.mp = mpmath.MPContext()
+        self.mp.dps = dps
 
     def total(self, terms):
         """The terms added in order to mpf(0)."""
@@ -78,10 +78,6 @@ class MPArith(_Arith):
         return self.mp.mpf(a) / self.mp.mpf(b)
 
 
-def _arith(use_mpmath, dps=40):
-    return MPArith(dps) if use_mpmath else FloatArith()
-
-
 @dataclass
 class ZetaTruncation:
     s: float
@@ -96,9 +92,9 @@ class ClassData:
 
     `t_max` is the largest trace of that cutoff; a check at a cutoff x uses
     the classes of trace <= max_trace(x) and is refused with ValueError when
-    that exceeds `t_max`.  Given classes must reach `t_max` as well
-    (`geodesics.classes_below`).  The reduction mod N is made once per
-    level and shared by the subgroups of that level.
+    that exceeds `t_max`.  Given classes (`PrimitiveClasses`) must reach
+    `t_max` as well (`geodesics.classes_below`).  The reduction mod N is
+    made once per level and shared by the subgroups of that level.
     """
 
     def __init__(self, x, classes=None, jobs=1):
@@ -106,8 +102,7 @@ class ClassData:
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
         self._tables = {}
-        self._base = self.classes  # the classes reduced mod N; `restrict` keeps them
-        self._residues = {}  # level -> (distinct residues, residue index of each base class)
+        self._residues = {}  # level -> (distinct residues, residue index of each class)
         self._types = {}  # subgroup -> [(type, order)] per residue of its level
 
     def trace_bound(self, x):
@@ -119,16 +114,6 @@ class ClassData:
                 f"built at cutoff {self.cutoff} and stops at trace {self.t_max}"
             )
         return t_max
-
-    def restrict(self, x):
-        """The class data at a cutoff x that this data reaches.  Its classes
-        are a prefix of these, so it shares the coset tables, the residues
-        and the types, and `types` cuts the residue index to its classes."""
-        self.trace_bound(x)
-        sub = ClassData(x, classes=self.classes)
-        sub._tables, sub._base = self._tables, self._base
-        sub._residues, sub._types = self._residues, self._types
-        return sub
 
     def _table(self, subgroup):
         if subgroup not in self._tables:
@@ -144,19 +129,11 @@ class ClassData:
             return [((1,), 1)], np.zeros(len(self.classes), dtype=np.intp)
         table = self._table(subgroup)
         if subgroup.level not in self._residues:
-            self._residues[subgroup.level] = residues_mod(self._base, subgroup.level)
+            self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
         residues, inverse = self._residues[subgroup.level]
         if subgroup not in self._types:
             self._types[subgroup] = residue_types(residues, table)
-        return self._types[subgroup], inverse[:len(self.classes)]
-
-    def type_and_order(self, m, subgroup):
-        """Splitting type in the subgroup and the order of the reduction;
-        subgroup None means the trivial cover (type (1), order 1)."""
-        if subgroup is None:
-            return (1,), 1
-        g = canon(m.a, m.b, m.c, m.d, subgroup.level)
-        return residue_types(np.array([g]), self._table(subgroup))[0]
+        return self._types[subgroup], inverse
 
     def kept(self, t_max, subgroup):
         """The traces of the classes of trace <= t_max, the types of the
@@ -256,7 +233,7 @@ def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
 
 
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
-                        use_mpmath=False, dps=40, jobs=1):
+                        use_mpmath=False, jobs=1):
     """|LHS - RHS| for the cover-zeta factorization at matched truncation.
 
     LHS groups by class: sum over classes of -log det(I - sigma(g) N^-s),
@@ -271,7 +248,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     data = _class_data(x, data, [subgroup], jobs)
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
-    ar = _arith(use_mpmath, dps)
+    ar = MPArith() if use_mpmath else FloatArith()
     exponents = sorted({part * s for lam, _ in pairs for part in lam})
     flat, offset = _flat({e: ar.factors(e, t_max) for e in exponents})
     rows = [[offset[part * s] for part in lam] for lam, _ in pairs]
@@ -285,8 +262,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     }
 
 
-def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=False, dps=40,
-                         jobs=1):
+def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=False, jobs=1):
     """|log LHS - log RHS| for the prime-level ratio identity
 
         { zeta^(p,p)(s)^p / zeta^(p,p)(ps) }^((p-1)/2)
@@ -306,7 +282,7 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     t_max = data.trace_bound(x)
     trace, pairs1, index = data.kept(t_max, sub1)
     pairsp = data.types(subp)[0]  # the residues mod p, so the index, are shared
-    ar = _arith(use_mpmath, dps)
+    ar = MPArith() if use_mpmath else FloatArith()
     half = ar.frac(p - 1, 2)
     exponents = sorted({s, p * s} | {part * s for (lam1, _), (lamp, _) in zip(pairs1, pairsp)
                                      for part in lam1 + lamp})

@@ -4,10 +4,11 @@ Each is the slow, direct form of a library route: the coset action from
 subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
-over tuples, the empirical tally by one reduction per class, and the zeta
-sums' term-by-term accumulators.  The reduced forms of a range of traces
-are also listed from the divisors of |ac|, read off a smallest-prime-factor
-sieve, as the independent side of the sieve-free form generator.  Two
+over tuples, the type and order of each class's reduction, the empirical
+tally by one reduction per class, and the zeta sums' term-by-term
+accumulators.  The reduced forms of a range of traces are also listed
+from the divisors of |ac|, read off a smallest-prime-factor sieve, as the
+independent side of the sieve-free form generator.  Two
 closed forms live here too, as the independent side of a check: the
 family-set sizes of an odd prime-power level and the scalar fixed-row
 count of the Gamma1 trace.
@@ -281,18 +282,29 @@ def residue_keys(classes, n):
     return [canon(m.a, m.b, m.c, m.d, n) for _, _, m in classes]
 
 
+def class_types(classes, s):
+    """(splitting type, order in Xi(N)) of each (trace, form, matrix)
+    triple's reduction: `residue_keys`, then `splitting_type_cycles` and
+    `order_in_xi_tuple` once per distinct residue, independent of
+    `geodesics.residue_types`.  s None is the trivial cover, ((1,), 1)."""
+    if s is None:
+        return [((1,), 1)] * len(classes)
+    table = build_coset_table(s)
+    memo = {}
+    keys = residue_keys(classes, s.level)
+    for g in keys:
+        if g not in memo:
+            memo[g] = splitting_type_cycles(g, table), order_in_xi_tuple(g, s.level)
+    return [memo[g] for g in keys]
+
+
 def tally_reference(s, x, classes):
     """(counts, total, anomalous, witnesses) of the (trace, form, matrix)
-    triples with norm < x, class by class: the exact norm test,
-    `residue_keys`, and the type and order of each residue by
-    `splitting_type_cycles` and `order_in_xi_tuple`.
-    `geodesics.empirical_tally` must agree with it."""
-    table = build_coset_table(s)
+    triples with norm < x, class by class: the exact norm test and
+    `class_types`.  `geodesics.empirical_tally` must agree with it."""
     kept = [c for c in classes if norm_below(c[0], x)]
     counts, anomalous, witnesses = {}, 0, []
-    for (t, f, _), g in zip(kept, residue_keys(kept, s.level)):
-        lam = splitting_type_cycles(g, table)
-        order = order_in_xi_tuple(g, s.level)
+    for (t, f, _), (lam, order) in zip(kept, class_types(kept, s)):
         counts[lam] = counts.get(lam, 0) + 1
         if order not in lam:
             anomalous += 1

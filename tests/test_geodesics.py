@@ -475,7 +475,7 @@ def test_class_list_below_the_cutoff_is_refused(classes_1e4):
     with pytest.raises(ValueError, match="stops at trace 31"):
         empirical_tally(s, 5000, classes=short)
     with pytest.raises(ValueError):
-        empirical_tally(s, 5000, classes=[])
+        empirical_tally(s, 5000, classes=enumerate_primitive_classes(1))
     # a list from a larger cutoff is cut to the trace bound
     assert empirical_tally(s, 5000, classes=classes_1e4).total == 654
     assert empirical_tally(s, 5000).total == 654

@@ -12,6 +12,8 @@ from geosplit.zeta import (
     zeta_lambda_log,
 )
 
+from reference import class_types
+
 
 @pytest.fixture(scope="module")
 def data_1e4(classes_1e4):
@@ -44,9 +46,7 @@ def test_types_partition_the_class_set(data_1e4):
     the term counts add up to pi(x)."""
     s = SubgroupSpec(Family.GAMMA1, 5)
     full = zeta_gamma_log(2.0, 10**4, data_1e4)
-    seen_types = set()
-    for t, f, m in data_1e4.classes:
-        seen_types.add(data_1e4.type_and_order(m, s)[0])
+    seen_types = {lam for lam, _ in class_types(data_1e4.classes, s)}
     parts = [zeta_lambda_log(2.0, 10**4, s, lam, data_1e4) for lam in seen_types]
     assert sum(z.term_count for z in parts) == full.term_count
     assert math.isclose(sum(z.log_value for z in parts), full.log_value, rel_tol=1e-12)
@@ -87,9 +87,8 @@ def test_order_p_classes_define_zeta_pp(data_1e4):
     subp = SubgroupSpec(Family.GAMMA, p)
     n1 = data_1e4._table(sub1).index
     np_ = data_1e4._table(subp).index
-    for t, f, m in list(data_1e4.classes)[:400]:
-        lam1, order = data_1e4.type_and_order(m, sub1)
-        lamp = data_1e4.type_and_order(m, subp)[0]
+    first = list(data_1e4.classes)[:400]
+    for (lam1, order), (lamp, _) in zip(class_types(first, sub1), class_types(first, subp)):
         assert lamp == (order,) * (np_ // order)
         assert sum(lam1) == n1
         if order == p:
@@ -121,7 +120,7 @@ def test_truncation_monotonicity(data_1e4):
     s = SubgroupSpec(Family.GAMMA0, 3)
     lam = (3, 1)
     values_x = [
-        zeta_lambda_log(2.0, x, s, lam, data_1e4.restrict(x)).log_value
+        zeta_lambda_log(2.0, x, s, lam, data_1e4).log_value
         for x in (100, 1000, 10**4)
     ]
     assert values_x == sorted(values_x)
@@ -148,33 +147,16 @@ def test_precision_scaling(data_1e4):
 
 from fractions import Fraction
 
-from geosplit.core import order_in_xi_tuple
-from geosplit.cosets import build_coset_table, splitting_type_cycles
 from geosplit.zeta import FloatArith, MPArith, ZetaTruncation
 
 from reference import acc
-
-
-def _ref_types(classes, subgroup):
-    """(type, order) per class through the reduction of each matrix."""
-    if subgroup is None:
-        return [((1,), 1)] * len(classes)
-    table = build_coset_table(subgroup)
-    memo = {}
-    out = []
-    for _, _, m in classes:
-        g = canon(m.a, m.b, m.c, m.d, subgroup.level)
-        if g not in memo:
-            memo[g] = (splitting_type_cycles(g, table), order_in_xi_tuple(g, subgroup.level))
-        out.append(memo[g])
-    return out
 
 
 def _ref_lambda(s, x, classes, subgroup, lam):
     ar = FloatArith()
     total = acc(ar)
     count = 0
-    for (t, _, _), (got, _) in zip(classes, _ref_types(classes, subgroup)):
+    for (t, _, _), (got, _) in zip(classes, class_types(classes, subgroup)):
         if norm_below(t, x) and got == tuple(lam):
             total.add(ar.euler_term(ar.log_norm(t), s))
             count += 1
@@ -184,7 +166,7 @@ def _ref_lambda(s, x, classes, subgroup, lam):
 def _ref_venkov(s, x, classes, subgroup, ar):
     lhs = acc(ar)
     by_type = {}
-    for (t, _, _), (lam, _) in zip(classes, _ref_types(classes, subgroup)):
+    for (t, _, _), (lam, _) in zip(classes, class_types(classes, subgroup)):
         if not norm_below(t, x):
             continue
         log_n = ar.log_norm(t)
@@ -202,8 +184,8 @@ def _ref_venkov(s, x, classes, subgroup, ar):
 
 
 def _ref_ratio(p, s, x, classes, ar):
-    types1 = _ref_types(classes, SubgroupSpec(Family.GAMMA1, p))
-    typesp = _ref_types(classes, SubgroupSpec(Family.GAMMA, p))
+    types1 = class_types(classes, SubgroupSpec(Family.GAMMA1, p))
+    typesp = class_types(classes, SubgroupSpec(Family.GAMMA, p))
     half = ar.frac(p - 1, 2)
     lhs, rhs, count = acc(ar), acc(ar), 0
     for (t, _, _), (lam1, order), (lamp, _) in zip(classes, types1, typesp):
@@ -230,7 +212,8 @@ def data_2e4(classes_1e5):
 @pytest.mark.parametrize("x", [10**4, 12345.5, Fraction(100001, 7)])
 def test_sums_equal_per_class_loop(data_2e4, x):
     classes = data_2e4.classes
-    assert list(data_2e4.restrict(x).classes) == [c for c in classes if norm_below(c[0], x)]
+    kept = classes.below(data_2e4.trace_bound(x))
+    assert list(kept) == [c for c in classes if norm_below(c[0], x)]
     for p, s in ((3, 2.0), (5, 1.5)):
         assert ratio_identity_check(p, s, x, data_2e4) == _ref_ratio(p, s, x, classes,
                                                                       FloatArith())
@@ -238,11 +221,12 @@ def test_sums_equal_per_class_loop(data_2e4, x):
         assert venkov_zograf_check(2.0, x, sub, data_2e4) == _ref_venkov(
             2.0, x, classes, sub, FloatArith())
     s0 = SubgroupSpec(Family.GAMMA0, 5)
-    for lam in sorted({got for got, _ in _ref_types(classes, s0)}):
+    for lam in sorted({got for got, _ in class_types(classes, s0)}):
         assert zeta_lambda_log(2.5, x, s0, lam, data_2e4) == _ref_lambda(2.5, x, classes,
                                                                          s0, lam)
     assert zeta_gamma_log(2.0, x, data_2e4) == _ref_lambda(2.0, x, classes, None, (1,))
-    assert zeta_gamma_log(2.0, x, data_2e4.restrict(x)) == zeta_gamma_log(2.0, x, data_2e4)
+    assert zeta_gamma_log(2.0, x, ClassData(x, classes=classes)) == zeta_gamma_log(2.0, x,
+                                                                                  data_2e4)
 
 
 def test_mpmath_sums_equal_per_class_loop(data_2e4):
@@ -266,7 +250,7 @@ def test_term_streams_equal_per_class_loop_at_1e5(data_1e5, sub):
     x, classes = 10**5, data_1e5.classes
     assert venkov_zograf_check(2.0, x, sub, data_1e5) == _ref_venkov(2.0, x, classes, sub,
                                                                      FloatArith())
-    for lam in sorted({got for got, _ in _ref_types(classes, sub)}):
+    for lam in sorted({got for got, _ in class_types(classes, sub)}):
         assert zeta_lambda_log(1.5, x, sub, lam, data_1e5) == _ref_lambda(1.5, x, classes,
                                                                           sub, lam)
 
@@ -275,6 +259,23 @@ def test_term_streams_equal_per_class_loop_at_1e5(data_1e5, sub):
 def test_ratio_stream_equals_per_class_loop_at_1e5(data_1e5, p):
     assert ratio_identity_check(p, 2.0, 10**5, data_1e5) == _ref_ratio(
         p, 2.0, 10**5, data_1e5.classes, FloatArith())
+
+
+def test_mpmath_checks_leave_the_global_precision_alone(data_1e4):
+    """The mpmath reruns work in a context of their own: the process-wide
+    precision, and so `li`, are the same after them, and an explicit
+    precision is the one used whatever was built before."""
+    import mpmath
+
+    from geosplit.geodesics import li
+
+    sub = SubgroupSpec(Family.GAMMA1, 5)
+    with mpmath.workdps(15):
+        before = li(3e5)
+        venkov_zograf_check(2.0, 1500, sub, data_1e4, use_mpmath=True)
+        ratio_identity_check(3, 2.0, 1500, data_1e4, use_mpmath=True)
+        assert MPArith().mp.dps == 40 and MPArith(30).mp.dps == 30
+        assert mpmath.mp.dps == 15 and li(3e5) == before
 
 
 def test_total_is_the_accumulator_loop():
@@ -303,7 +304,7 @@ def test_larger_cutoff_than_class_data_is_refused():
     with pytest.raises(ValueError, match="stops at trace 31"):
         ratio_identity_check(3, 2.0, 5000, data)
     with pytest.raises(ValueError):
-        data.restrict(5000)
+        data.trace_bound(5000)
     with pytest.raises(ValueError):
         venkov_zograf_check(2.0, 5000, s, data)
     with pytest.raises(ValueError):
@@ -315,24 +316,36 @@ def test_larger_cutoff_than_class_data_is_refused():
     # a larger cutoff that adds no trace is still served, and in full
     assert ratio_identity_check(3, 2.0, 1001, data) == ratio_identity_check(
         3, 2.0, 1001, ClassData(1001))
-    assert data.restrict(1001).t_max == 31
+    assert data.trace_bound(1001) == 31
     assert ratio_identity_check(3, 2.0, 5000)["term_count"] == 654
 
 
-from geosplit.geodesics import enumerate_primitive_classes
+from geosplit.geodesics import empirical_tally, enumerate_primitive_classes
 
 
 def test_class_list_below_the_cutoff_is_refused(classes_1e4):
     short = enumerate_primitive_classes(1000)
+    empty = enumerate_primitive_classes(1)
     with pytest.raises(ValueError, match="stops at trace 31"):
         ClassData(5000, classes=short)
     with pytest.raises(ValueError):
-        ClassData(5000, classes=[])
+        ClassData(5000, classes=empty)
     data = ClassData(5000, classes=classes_1e4)
     assert data.t_max == 70 and len(data.classes) == 654
     assert ratio_identity_check(3, 2.0, 5000, data) == ratio_identity_check(3, 2.0, 5000)
-    # no trace below a cutoff of one: an empty list is complete there
-    assert list(ClassData(0.5, classes=[]).classes) == []
+    # an empty class list is complete at a cutoff of one or below
+    assert list(ClassData(0.5, classes=empty).classes) == []
+
+
+def test_classes_other_than_primitive_classes_are_refused(classes_1e4):
+    """Class data and tallies take their classes as `PrimitiveClasses`
+    columns only: a plain list, even of the same triples, is a TypeError."""
+    s = SubgroupSpec(Family.GAMMA0, 3)
+    for plain in ([], list(classes_1e4)):
+        with pytest.raises(TypeError, match="PrimitiveClasses"):
+            ClassData(5000, classes=plain)
+        with pytest.raises(TypeError, match="PrimitiveClasses"):
+            empirical_tally(s, 5000, classes=plain)
 
 
 def test_over_cap_covers_are_refused_before_the_classes(monkeypatch, data_1e4):
@@ -394,10 +407,10 @@ def test_one_reduction_per_level(monkeypatch, classes_1e4):
     assert levels == [5, 7]
 
 
-def test_restricted_views_share_the_reduction(monkeypatch, classes_1e4):
-    """A restricted view's classes are a prefix of its parent's, so it
-    reduces nothing again, whichever of the two asks first, and its sums
-    equal those of class data built at its own cutoff."""
+def test_smaller_cutoffs_share_the_reduction(monkeypatch, classes_1e4):
+    """A check at a smaller cutoff sums over a prefix of the classes, so it
+    reduces nothing again, whichever cutoff asks first, and its sums equal
+    those of class data built at that cutoff."""
     import geosplit.zeta as zeta
 
     s0, s1 = SubgroupSpec(Family.GAMMA0, 3), SubgroupSpec(Family.GAMMA1, 5)
@@ -417,12 +430,10 @@ def test_restricted_views_share_the_reduction(monkeypatch, classes_1e4):
     data = ClassData(10**4, classes=classes_1e4)
     ratio_identity_check(3, 2.0, 10**4, data)
     assert levels == [3]
-    ratio_identity_check(3, 2.0, 10**4, data.restrict(10**4))
-    view = data.restrict(5000)
-    assert ratio_identity_check(3, 2.0, 5000, view) == want[0]
-    assert venkov_zograf_check(2.0, 5000, s0, view) == want[1]
+    assert ratio_identity_check(3, 2.0, 5000, data) == want[0]
+    assert venkov_zograf_check(2.0, 5000, s0, data) == want[1]
     assert levels == [3]
-    # the view reduces mod 5 first; the parent then reuses that reduction
-    assert venkov_zograf_check(2.0, 5000, s1, view) == want[2]
+    # the smaller cutoff reduces mod 5 first; the full one then reuses that reduction
+    assert venkov_zograf_check(2.0, 5000, s1, data) == want[2]
     assert venkov_zograf_check(2.0, 10**4, s1, data) == parent_want
     assert levels == [3, 5]
