@@ -2,13 +2,15 @@
 
 Three independent routes to the same numbers live here:
 
-* the brute-force census: hold Xi(N) as the sorted array of its
-  +-canonical int64 keys, turn conjugation by the two generators S and T
-  into two index arrays over it, find the conjugacy classes as their
-  connected components by min-label propagation with pointer jumping, take
-  the representatives' orders in one batched `xi_orders` call, compute each
-  class's splitting type through the coset action, and weight by class
-  size;
+* the brute-force census: walk Xi(N) by its positions h*n + t in the
+  chain grid (head h times T^t), holding only the chain heads, turn
+  conjugation by the two generators S and T into two int32 position
+  arrays built chunk by chunk, find the conjugacy classes as their
+  connected components by min-label propagation with pointer jumping,
+  take each class's least +-canonical key chunk by chunk as its
+  representative, take the representatives' orders in one batched
+  `xi_orders` call, compute each class's splitting type through the coset
+  action, and weight by class size;
 
 * the closed-form route for odd prime powers: an explicit catalog of class
   representatives (diagonal powers, a nonsplit-torus generator's powers,
@@ -69,7 +71,7 @@ from .core import (
     parts_from_traces,
     sign_keys,
     vp,
-    xi_chain_grid,
+    xi_chain_heads,
     xi_grid_positions,
     xi_order,
     xi_orders,
@@ -89,49 +91,92 @@ class ConjugacyClassRecord:
     types: dict = field(default_factory=dict)
 
 
+# elements per chunk of the census's element-wise passes: bounds their
+# temporaries (entries, keys, conjugates) to a few MB
+_CENSUS_CHUNK = 1 << 14
+
+
+def _chain_entries(heads, chunk, n):
+    """The entries (a, b, c, d) of the elements at the flat positions
+    h*n + t of the chain grid in the slice `chunk`, from the grid's column
+    0 `heads` (4 x heads x 1 int32): row h is the chain
+    (b, d) = (b0, d0) + t*(a, c)."""
+    h, t = np.divmod(np.arange(chunk.start, chunk.stop, dtype=np.int32), n)
+    a, b0, c, d0 = (v[:, 0].take(h) for v in heads)
+    return a, (b0 + t * a) % n, c, (d0 + t * c) % n
+
+
 def conjugacy_classes(level):
     """Conjugacy classes of Xi(level): the connected components of
-    conjugation by S and by T over the sorted key array.
+    conjugation by S and by T over the positions h*n + t of the chain grid.
 
-    The group is the grid of `xi_chain_grid`, ranked by key.  Conjugation
-    by S, (a, b, c, d) -> (d, -c, -b, a), and by T, (a, b, c, d) ->
-    (a - c, a - c + b - d, c, c + d), become two index arrays over the
-    ranks; `xi_grid_positions` reads each conjugate's place in the grid
-    from its entries, with no search.  The components come from min-label hooking with pointer jumping
-    (Shiloach-Vishkin): label = min(label, label[pS], label[pT]) and
+    The positions of `xi_chain_grid` are Xi(n) once each, and only the
+    grid's column 0, the chain heads, is held: the entries at a position
+    are rebuilt from its head (`_chain_entries`).  Conjugation by S,
+    (a, b, c, d) -> (d, -c, -b, a), and by T, (a, b, c, d) ->
+    (a - c, a - c + b - d, c, c + d), become two int32 position arrays,
+    filled chunk by chunk (_CENSUS_CHUNK elements) through
+    `xi_grid_positions`, which reads each conjugate's place from its
+    entries.  The components come from min-label hooking with pointer
+    jumping (Shiloach-Vishkin) in two preallocated int32 buffers, gathered
+    chunk by chunk: label = min(label, label[pS], label[pT]) and
     label = label[label] until nothing changes, when every label is the
-    least rank of its class.  The least key is the lexicographically least
-    tuple, so each representative is its class's least member and the
-    classes come in tuple order.  Sizes come from `bincount`, orders from
-    one `xi_orders` call.  The cap is checked before anything is allocated
-    (`capped_xi_order`).
+    least position of its class.  Each element then carries its class id,
+    and a last chunked pass takes each class's least +-canonical key
+    (`sign_keys`, `np.minimum.at`).  The least key is the
+    lexicographically least tuple, so each representative is its class's
+    least member, and sorting the classes by it puts them in tuple order.
+    Sizes come from `bincount`, orders from one `xi_orders` call.  So the
+    working set is four int32 numbers per element and chunk-sized
+    temporaries: no int64 array and no sort spans the group.  The cap is
+    checked before anything is allocated (`capped_xi_order`).
     """
     n = level
     order = capped_xi_order(n)
-    grid = xi_chain_grid(n)
-    keys = sign_keys(grid, n).ravel()
-    if len(keys) != order:
-        raise ConsistencyError(f"{len(keys)} chain elements in Xi({n}), expected {order}")
-    by_rank = keys.argsort()
-    rank = np.empty(order, dtype=np.int32)
-    rank[by_rank] = np.arange(order, dtype=np.int32)
-    a, b, c, d = (v.ravel().take(by_rank) for v in grid)
-    conj_s = rank.take(xi_grid_positions(grid, (d, -c % n, -b % n, a), n))
-    a, b, d = (a - c) % n, (a - c + b - d) % n, (c + d) % n
-    conj_t = rank.take(xi_grid_positions(grid, (a, b, c, d), n))
-    del a, b, c, d
+    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32).T[:, :, None]
+    if heads.shape[1] * n != order:
+        raise ConsistencyError(f"{heads.shape[1] * n} chain elements in Xi({n}), expected {order}")
+    chunks = [slice(start, min(start + _CENSUS_CHUNK, order))
+              for start in range(0, order, _CENSUS_CHUNK)]
+    conj_s = np.empty(order, dtype=np.int32)
+    conj_t = np.empty(order, dtype=np.int32)
+    for ch in chunks:
+        a, b, c, d = _chain_entries(heads, ch, n)
+        # the S-conjugates in row 0, the T-conjugates in row 1
+        conj = ((d, (a - c) % n), (-c % n, (a - c + b - d) % n), (-b % n, c), (a, (c + d) % n))
+        conj_s[ch], conj_t[ch] = xi_grid_positions(heads, np.array(conj), n)
+    # the gathers go chunk by chunk: `take` widens its indices to intp, so
+    # a whole-array gather would hold 8 more bytes per element (mode="clip"
+    # only skips the bounds check: every position is below `order`)
     label = np.arange(order, dtype=np.int32)
-    while True:
-        nxt = np.minimum(label, np.minimum(label.take(conj_s), label.take(conj_t)))
-        nxt = nxt.take(nxt)
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-    leaders = np.flatnonzero(label == np.arange(order))
-    sizes = np.bincount(label)[leaders]
-    reps = decode_keys(keys.take(by_rank.take(leaders)), n)
+    nxt = np.empty_like(label)
+    changed = True
+    while changed:
+        for ch in chunks:
+            np.minimum(np.minimum(label[ch], label.take(conj_s[ch], mode="clip")),
+                       label.take(conj_t[ch], mode="clip"), out=nxt[ch])
+        changed = False
+        for ch in chunks:
+            jumped = nxt.take(nxt[ch], mode="clip")
+            changed = changed or not np.array_equal(jumped, label[ch])
+            label[ch] = jumped
+    del conj_s, conj_t
+    # class ids, numbered in order of the classes' least positions
+    rank = np.cumsum(label == np.arange(order, dtype=np.int32), dtype=np.int32, out=nxt)
+    rank -= 1
+    count = int(rank[-1]) + 1
+    for ch in chunks:
+        label[ch] = rank.take(label[ch], mode="clip")
+    del rank, nxt
+    cls = label
+    sizes = np.bincount(cls)
+    least = np.full(count, np.iinfo(np.int64).max)
+    for ch in chunks:
+        np.minimum.at(least, cls[ch], sign_keys(_chain_entries(heads, ch, n), n))
+    by_key = least.argsort()
+    reps = decode_keys(least.take(by_key), n)
     return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m
-            in zip(reps.tolist(), sizes.tolist(), xi_orders(reps, n).tolist())]
+            in zip(reps.tolist(), sizes.take(by_key).tolist(), xi_orders(reps, n).tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact arithmetic foundation: 2x2 integer matrices, the projective
-residue group Xi(N) = SL2(Z/N)/{+-I}, congruence subgroup membership,
-partitions, small number-theoretic helpers and the one pointer-doubling
-kernel for the cycles of a permutation (`cycle_labels`).
+residue group Xi(N) = SL2(Z/N)/{+-I}, element orders, partitions, small
+number-theoretic helpers and the one pointer-doubling kernel for the
+cycles of a permutation (`cycle_labels`).
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`
@@ -15,6 +15,7 @@ the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -121,22 +122,7 @@ class IntegerMatrix:
 
 
 # ---------------------------------------------------------------------------
-# subgroup membership and element order
-
-def is_member_tuple(g, family, n):
-    """Does some lift +-M of g satisfy the congruences of the family mod n?"""
-    a, b, c, d = g
-    if c % n != 0:
-        return False
-    if family == Family.GAMMA0:
-        return True
-    diag_ok = (a % n == 1 % n and d % n == 1 % n) or (a % n == n - 1 and d % n == n - 1)
-    if not diag_ok:
-        return False
-    if family == Family.GAMMA1:
-        return True
-    return b % n == 0
-
+# element order
 
 def order_in_xi_tuple(g, n):
     """Least m >= 1 with g^m = I in Xi(n), one multiplication at a time:
@@ -406,19 +392,19 @@ def parts_from_traces(traces, order, weight):
     """
     ds = divisors(order)
     mu = {d: moebius(d) for d in ds}
-    parts = []
+    counts = {}
     for m in ds:
         s = sum(mu[m // d] * traces[d] for d in ds if m % d == 0)
         if s < 0 or s % m != 0:
             raise ConsistencyError(
                 f"Moebius recursion produced invalid multiplicity {s}/{m}"
             )
-        parts.extend([m] * (s // m))
-    parts.sort(reverse=True)
-    lam = tuple(parts)
-    if sum(lam) != weight:
+        counts[m] = s // m
+    if sum(m * k for m, k in counts.items()) != weight:
         raise ConsistencyError("Moebius-reconstructed type has wrong weight")
-    return lam
+    # the divisors ascend, so the parts come out weakly decreasing
+    return tuple(itertools.chain.from_iterable(itertools.repeat(m, counts[m])
+                                               for m in reversed(ds)))
 
 
 # ---------------------------------------------------------------------------

@@ -256,12 +256,16 @@ def splitting_type_cycles(g, table: CosetTable):
 
 def splitting_types(elements, table: CosetTable):
     """Splitting types of a list of elements, in blocks of at most
-    _BLOCK_ENTRIES entries (at least one row)."""
+    _BLOCK_ENTRIES entries (at least one row).  One `_cycle_type_ids`
+    registry serves every block, so each distinct type tuple is built once
+    and equal types are the same object."""
     rows = max(1, _BLOCK_ENTRIES // table.index)
-    out = []
+    ids, memo, row_ids = {}, {}, []
     for start in range(0, len(elements), rows):
-        out += cycle_types(act_block(elements[start:start + rows], table))
-    return out
+        block = act_block(elements[start:start + rows], table)
+        row_ids += _cycle_type_ids(block, ids, memo).tolist()
+    types = list(ids)
+    return [types[i] for i in row_ids]
 
 
 def induced_trace(g, table: CosetTable):

@@ -19,13 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geosplit.core import (ConsistencyError, IntegerMatrix, canon, divisors, enumerate_xi,
-                           euler_phi, inv, is_member_tuple, mul, order_in_xi_tuple, vp,
+from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
+                           enumerate_xi, euler_phi, inv, mul, order_in_xi_tuple, vp,
                            xi_chain_heads)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import (class_of_matrix, matrix_from_form, max_trace, norm_below,
                                 power_traces, rho_step)
 from geosplit.zeta import MPArith
+
+
+def is_member_tuple(g, family, n):
+    """Does some lift +-M of g satisfy the congruences of the family mod n?"""
+    a, b, c, d = g
+    if c % n != 0:
+        return False
+    if family == Family.GAMMA0:
+        return True
+    diag_ok = (a % n == 1 % n and d % n == 1 % n) or (a % n == n - 1 and d % n == n - 1)
+    if not diag_ok:
+        return False
+    if family == Family.GAMMA1:
+        return True
+    return b % n == 0
 
 
 def act_reference(table: CosetTable):

@@ -28,13 +28,12 @@ from geosplit.core import (
     enumerate_xi,
     identity,
     inv,
-    is_member_tuple,
     mul,
     order_in_xi_tuple,
     xi_order,
 )
 from geosplit.cosets import build_coset_table, induced_trace
-from reference import family_set_sizes
+from reference import family_set_sizes, is_member_tuple
 
 
 def F(s):

@@ -9,7 +9,6 @@ from geosplit.core import (
     enumerate_xi,
     identity,
     inv,
-    is_member_tuple,
     mul,
     order_in_xi_tuple,
     xi_order,
@@ -24,7 +23,7 @@ from geosplit.cosets import (
     splitting_type_cycles,
     splitting_type_moebius,
 )
-from reference import act_reference
+from reference import act_reference, is_member_tuple
 
 
 def table(family, level):
@@ -472,6 +471,20 @@ def test_splitting_types_match_per_element(family, n):
     assert splitting_types(elements, table) == [splitting_type_cycles(g, table)
                                                 for g in elements]
     assert splitting_types([], table) == []
+
+
+@pytest.mark.parametrize("n", [13, 32])
+def test_equal_splitting_types_are_one_object(n):
+    """Each distinct type is built once per call, also across blocks
+    (Gamma(32) has index 12288, so one row per block)."""
+    from geosplit.cosets import splitting_types
+
+    table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
+    types = splitting_types(enumerate_xi(n)[::97][:40], table)
+    first = {}
+    for lam in types:
+        assert first.setdefault(lam, lam) is lam
+    assert len(first) < len(types)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The array routes against their element-by-element references: the
-conjugacy census on the sorted key array against the orbit closure of
+conjugacy census on chain-grid positions against the orbit closure of
 tests/reference.py, the batched order kernel `xi_orders` against the
 scalar loop `order_in_xi_tuple`, the closed form's fixed-row kernel against
 its scalar formula, the sieve-free form generator against the divisor
@@ -8,6 +8,7 @@ against the per-trace reduction walk of tests/reference.py."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from geosplit.core import (
     order_in_xi_tuple,
     unimodular_columns,
     xi_chain_grid,
+    xi_order,
     xi_orders,
 )
 from geosplit.cosets import build_coset_table
@@ -46,11 +48,36 @@ def test_census_matches_orbit_closure(n):
     assert got == orbit_closure_classes(n)
 
 
+@pytest.mark.parametrize("n", [12, 25, 27, 32])
+def test_census_across_partial_chunks(monkeypatch, n):
+    """97 elements per chunk: each level spans many chunks, the last one
+    partial, in every chunked pass of the census."""
+    monkeypatch.setattr(census, "_CENSUS_CHUNK", 97)
+    assert xi_order(n) > 97 * 5 and xi_order(n) % 97
+    got = [(c.representative, c.size, c.order) for c in conjugacy_classes(n)]
+    assert got == orbit_closure_classes(n)
+
+
+@pytest.mark.parametrize("n", [75, 105])
+def test_census_working_set_is_int32_sized(n):
+    """The census holds a few int32 numbers per element of Xi(n) at its
+    peak, and no int64 array over the whole group: at most 40 bytes per
+    element, traced."""
+    conjugacy_classes(5)  # module-level and first-call allocations
+    tracemalloc.start()
+    try:
+        conjugacy_classes(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * xi_order(n)
+
+
 def test_census_cap_is_checked_before_the_grid(monkeypatch):
     def refuse(n):
         raise AssertionError("built the grid of a capped level")
 
-    monkeypatch.setattr(census, "xi_chain_grid", refuse)
+    monkeypatch.setattr(census, "xi_chain_heads", refuse)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         conjugacy_classes(1000)
 
