@@ -56,11 +56,13 @@ from .core import (
     SubgroupSpec,
     canon,
     capped_xi_order,
+    chain_heads,
     decode_keys,
     divisors,
     enumerate_xi,
     euler_phi,
     factorize,
+    grid_entries,
     identity,
     matpow,
     matrix_powers,
@@ -71,7 +73,6 @@ from .core import (
     parts_from_traces,
     sign_keys,
     vp,
-    xi_chain_heads,
     xi_grid_positions,
     xi_order,
     xi_orders,
@@ -96,23 +97,13 @@ class ConjugacyClassRecord:
 _CENSUS_CHUNK = 1 << 14
 
 
-def _chain_entries(heads, chunk, n):
-    """The entries (a, b, c, d) of the elements at the flat positions
-    h*n + t of the chain grid in the slice `chunk`, from the grid's column
-    0 `heads` (4 x heads x 1 int32): row h is the chain
-    (b, d) = (b0, d0) + t*(a, c)."""
-    h, t = np.divmod(np.arange(chunk.start, chunk.stop, dtype=np.int32), n)
-    a, b0, c, d0 = (v[:, 0].take(h) for v in heads)
-    return a, (b0 + t * a) % n, c, (d0 + t * c) % n
-
-
 def conjugacy_classes(level):
     """Conjugacy classes of Xi(level): the connected components of
     conjugation by S and by T over the positions h*n + t of the chain grid.
 
     The positions of `xi_chain_grid` are Xi(n) once each, and only the
     grid's column 0, the chain heads, is held: the entries at a position
-    are rebuilt from its head (`_chain_entries`).  Conjugation by S,
+    are rebuilt from its head (`grid_entries`).  Conjugation by S,
     (a, b, c, d) -> (d, -c, -b, a), and by T, (a, b, c, d) ->
     (a - c, a - c + b - d, c, c + d), become two int32 position arrays,
     filled chunk by chunk (_CENSUS_CHUNK elements) through
@@ -133,18 +124,17 @@ def conjugacy_classes(level):
     """
     n = level
     order = capped_xi_order(n)
-    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32).T[:, :, None]
-    if heads.shape[1] * n != order:
-        raise ConsistencyError(f"{heads.shape[1] * n} chain elements in Xi({n}), expected {order}")
+    if chain_heads(n)[0].shape[1] * n != order:
+        raise ConsistencyError(f"the chains of Xi({n}) do not hold its {order} elements")
     chunks = [slice(start, min(start + _CENSUS_CHUNK, order))
               for start in range(0, order, _CENSUS_CHUNK)]
     conj_s = np.empty(order, dtype=np.int32)
     conj_t = np.empty(order, dtype=np.int32)
     for ch in chunks:
-        a, b, c, d = _chain_entries(heads, ch, n)
+        a, b, c, d = grid_entries(np.arange(ch.start, ch.stop, dtype=np.int32), n)
         # the S-conjugates in row 0, the T-conjugates in row 1
         conj = ((d, (a - c) % n), (-c % n, (a - c + b - d) % n), (-b % n, c), (a, (c + d) % n))
-        conj_s[ch], conj_t[ch] = xi_grid_positions(heads, np.array(conj), n)
+        conj_s[ch], conj_t[ch] = xi_grid_positions(np.array(conj), n)
     # the gathers go chunk by chunk: `take` widens its indices to intp, so
     # a whole-array gather would hold 8 more bytes per element (mode="clip"
     # only skips the bounds check: every position is below `order`)
@@ -172,7 +162,8 @@ def conjugacy_classes(level):
     sizes = np.bincount(cls)
     least = np.full(count, np.iinfo(np.int64).max)
     for ch in chunks:
-        np.minimum.at(least, cls[ch], sign_keys(_chain_entries(heads, ch, n), n))
+        flat = np.arange(ch.start, ch.stop, dtype=np.int32)
+        np.minimum.at(least, cls[ch], sign_keys(grid_entries(flat, n), n))
     by_key = least.argsort()
     reps = decode_keys(least.take(by_key), n)
     return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m
@@ -389,11 +380,6 @@ def _fixed_row_count(g, sign, p, r):
     a, b, c, d = (h // pk[:, None] % prk[:, None]).T
     singular = pk * (pr - pr // p) * ((a * d - b * c) % prk == 0)
     return np.where(k == r, pr * pr - (pr * pr) // (p * p), singular)
-
-
-def sigma_gamma1(g, p, r):
-    """tr Ind_{Gamma1(p^r)} 1 at g: cosets are +-(row vector) pairs."""
-    return int(_fixed_row_count([g], 1, p, r)[0] + _fixed_row_count([g], -1, p, r)[0]) // 2
 
 
 @dataclass

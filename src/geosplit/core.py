@@ -72,12 +72,6 @@ def mul(x, y, n):
     return canon(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, n)
 
 
-def inv(x, n):
-    """Inverse in Xi(n): adjugate of a determinant-one matrix."""
-    a, b, c, d = x
-    return canon(d, -b, -c, a, n)
-
-
 def identity(n):
     return canon(1, 0, 0, 1, n)
 
@@ -232,18 +226,6 @@ def complete_column(a, c, n):
     return (a, (-v * ginv) % n, c, (u * ginv) % n)
 
 
-def xi_chain_heads(n):
-    """One element (a, b0, c, d0) per unimodular first column (a, c) of
-    Xi(n), taken up to sign.
-
-    The completions of a column form the single chain head * T^t,
-    (b, d) = (b0 + t*a, d0 + t*c) for t = 0..n-1, so the chains of the
-    heads partition Xi(n).
-    """
-    for a, c in unimodular_columns(n):
-        yield complete_column(a, c, n)
-
-
 def capped_xi_order(n):
     """|Xi(n)| for a route that walks the whole group; CapExceeded above
     DEFAULT_GROUP_CAP."""
@@ -272,16 +254,39 @@ def decode_keys(keys, n):
     return np.stack((a, b, c, d), axis=1)
 
 
+@lru_cache(maxsize=8)
+def chain_heads(n):
+    """One element (a, b0, c, d0) per unimodular first column (a, c) of
+    Xi(n), taken up to sign, as the columns of a 4 x k int32 array, and the
+    `column_rows` table of those columns: both read-only, built once per
+    level.  The completions of a column form the single chain head * T^t,
+    (b, d) = (b0 + t*a, d0 + t*c) for t = 0..n-1, so the chains of the
+    heads partition Xi(n)."""
+    heads = np.array([complete_column(a, c, n) for a, c in unimodular_columns(n)],
+                     dtype=np.int32).T
+    rows = column_rows(heads[0], heads[2], n)
+    heads.setflags(write=False)
+    rows.setflags(write=False)
+    return heads, rows
+
+
 def xi_chain_grid(n):
-    """Xi(n) as the grid of the chains of `xi_chain_heads`: the entries
+    """Xi(n) as the grid of the chains of `chain_heads`: the entries
     (a, b, c, d) of head_h * T^t, not sign-reduced, as four arrays of shape
     heads x n.  Row h is the chain (b, d) = (b0, d0) + t*(a, c).  The
     entries are int32, which holds a product of two entries for every level
     the group cap admits (n < 2^15)."""
-    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32)
-    a, b0, c, d0 = (v[:, None] for v in heads.T)
+    a, b0, c, d0 = (v[:, None] for v in chain_heads(n)[0])
     t = np.arange(n, dtype=np.int32)
     return np.broadcast_arrays(a, (b0 + t * a) % n, c, (d0 + t * c) % n)
+
+
+def grid_entries(flat, n):
+    """The entries (a, b, c, d) of the elements at the flat positions
+    h*n + t of `xi_chain_grid(n)`, rebuilt from the chain heads alone."""
+    h, t = np.divmod(flat, n)
+    a, b0, c, d0 = (v.take(h) for v in chain_heads(n)[0])
+    return a, (b0 + t * a) % n, c, (d0 + t * c) % n
 
 
 def column_rows(a, c, n):
@@ -295,23 +300,26 @@ def column_rows(a, c, n):
     return row_of
 
 
-def xi_grid_positions(grid, entries, n):
-    """Flat positions h*n + t in `grid`, the `xi_chain_grid` of Xi(n), of
-    elements given by their entries, each up to sign.  Only the heads in
-    column 0 of the grid are read, so it may be cut to that column.
+def xi_grid_positions(entries, n):
+    """Flat positions h*n + t in `xi_chain_grid(n)` of elements given by
+    their entries, each up to sign, read off the heads of `chain_heads`.
 
     The row is the head whose first column is (a, c), or (-a, -c) for the
-    negated element (`column_rows`).  Along row h,
+    negated element (the heads' `column_rows` table).  Along row h,
     (b, d) = (b0, d0) + t*(a, c), and the head's determinant
-    a*d0 - b0*c = 1 inverts that: t = d0*(b - b0) - b0*(d - d0) mod n.
+    a*d0 - b0*c = 1 inverts that: t = d0*(b - b0) - b0*(d - d0) mod n.  A
+    first column that names no head is a fault of the table:
+    ConsistencyError.
     """
-    a0, b0, c0, d0 = (v[:, 0] for v in grid)
-    rows = len(a0)
+    heads, head_rows = chain_heads(n)
+    rows = heads.shape[1]
     a, b, c, d = entries
-    h = column_rows(a0, c0, n).take(a * n + c)
+    h = head_rows.take(a * n + c)
+    if h.min(initial=0) < 0:
+        raise ConsistencyError(f"a first column names no chain head of Xi({n})")
     sign = np.where(h < rows, 1, -1).astype(np.int32)
     h %= rows
-    b0, d0 = b0.take(h), d0.take(h)
+    b0, d0 = heads[1].take(h), heads[3].take(h)
     return h * n + (d0 * (sign * b - b0) - b0 * (sign * d - d0)) % n
 
 

@@ -9,38 +9,40 @@ permutation character chi(g^d) = tr sigma(g)^d = #fixed cosets of g^d by
 Moebius inversion; the two routes are kept separate so they can
 cross-check each other.  For one element (`splitting_type_moebius`) the
 traces are those of the powers of its permutation.  The exhaustive sweep
-(`dual_type_report`) reads them instead from the permutations of the
+(`dual_type_report`) reads them instead from the fixed-coset counts of the
 elements g^d themselves, so there the Moebius route never sees the
-permutation it checks beyond its fixed points.
+action it checks beyond its fixed points.
 
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  The
-representatives are listed directly, with the identity's coset as coset 0:
-the completion (`complete_column`) of every unimodular column for Gamma1,
-of the first column in each unit orbit for Gamma0, and the decoded sorted
-key array of Xi(N) (`xi_keys`) for Gamma; only Gamma walks the whole
-group.  The table reads the coset off a vector by direct address, from one
-int32 array: for Gamma0 and Gamma1 an n x n array over the columns a*n + c
-(both signs, from `core.column_rows`), for Gamma an array over the flat
-positions h*n + t of the element in `xi_chain_grid` (`xi_grid_positions`).
+Gamma0 and Gamma1 representatives are listed directly, the identity's coset
+first: the completion (`complete_column`) of every unimodular column for
+Gamma1, of the first column in each unit orbit for Gamma0.  Their table
+reads a coset by direct address from an n x n int32 array over the columns
+a*n + c (both signs, `core.column_rows`).  Gamma(N) is normal and its
+cosets are the elements, numbered by their places h*n + t (head_h * T^t)
+in `xi_chain_grid`; its table holds only the |Xi(N)|/N chain heads.
 
-The action has one kernel, `act_block`: it computes only the entries of
-g * r_i that name a coset and reads the coset at their address; for Gamma
-it places only the products with the chain heads and shifts along the
-chains (head * T^t).  A
-column alone would also accept matrices of determinant other than 1 (the
-columns of (2,0,0,2) mod 7 are unimodular), so every acting element's
-determinant is checked and an element outside Xi(N) is refused with
-ValueError.  The tests check the kernel against the action by the
-definition, from subgroup membership over all of Xi(N), which lives in
-tests/reference.py.
+The action has one kernel, `act_block`, which returns it in block (wreath)
+form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
+the matrices the table holds plus a shift in Z/m at each, m = N for Gamma
+and m = 1 (no shifts) for Gamma0 and Gamma1.  It computes only the entries
+of g * r that name a coset.  A column alone would also accept matrices of
+determinant other than 1 (the columns of (2,0,0,2) mod 7 are unimodular),
+so every acting element's determinant is checked and an element outside
+Xi(N) is refused with ValueError.  Only `act` writes the block form out as
+a permutation of all the cosets (`expand_block`), for one element.  The
+tests check the kernel against the action by the definition, from subgroup
+membership over all of Xi(N), which lives in tests/reference.py.
 
 Cycle types have one kernel too: `core.cycle_labels` (pointer doubling,
-shared with the reduction cycles of `geodesics`) labels every point of a
-block by the least point of its cycle, and `_cycle_type_ids` bins the
-cycle lengths per row.
+shared with the reduction cycles of `geodesics`) labels the points of a
+block's base permutations by the least point of their cycle, `_cycles`
+turns each base cycle and its summed shift into coset cycles, and
+`_cycle_type_ids` bins them per row.  So no sweep or census holds a
+permutation of all |Xi(N)| cosets of Gamma(N).
 """
 
 from __future__ import annotations
@@ -57,63 +59,63 @@ from .core import (
     SubgroupSpec,
     canon,
     capped_xi_order,
+    chain_heads,
     column_rows,
     complete_column,
     cycle_labels,
-    decode_keys,
     divisors,
-    identity,
+    grid_entries,
     matrix_powers,
     order_in_xi_tuple,
     parts_from_traces,
-    sign_keys,
     unimodular_columns,
     xi_chain_grid,
-    xi_chain_heads,
     xi_grid_positions,
-    xi_keys,
     xi_order,
     xi_orders,
 )
 
-# bounds the vectors a coset table lists, and with it the index
+# bounds the index of a coset table
 DEFAULT_INDEX_CAP = 10**7
 
 # Permutation blocks are int32: gathers through ndarray.take with int32 indices
 # run as fast as with intp and move half the bytes.  Flat indices need a
-# block below 2^31 entries; the sweep's blocks hold at most
-# max(_BLOCK_ENTRIES, index) and the index is capped at DEFAULT_INDEX_CAP.
+# block below 2^31 entries; the blocks hold at most max(_BLOCK_ENTRIES, k)
+# for k <= index matrices per row, and the index is capped at
+# DEFAULT_INDEX_CAP.
 _PERM_DTYPE = np.int32
 
 
 class CosetTable:
-    """The cosets of one congruence subgroup: the entries (index x 4) of
-    their representatives (the identity's coset first) and the int32
-    `lookup` from the address of a vector to its coset, -1 where it names
-    none: a*n + c of the first column for Gamma0 and Gamma1, the place
-    h*n + t in `xi_chain_grid` for Gamma.  `acted` holds the entries
-    (4 x k int32) of the matrices an element multiplies, the
-    representatives or for Gamma the chain heads, whose row h and step t
-    for each coset are `chains`."""
+    """The cosets of one congruence subgroup in the block form of
+    `act_block`: the entries (4 x k int32) `acted` of the matrices an
+    element multiplies, each standing for `modulus` m cosets, so that the
+    index is k*m.  For Gamma0 and Gamma1 they are the representatives (the
+    identity's coset first), m = 1, and the int32 `lookup` maps the address
+    a*n + c of a first column to its coset, -1 where it names none.  For
+    Gamma they are the chain heads, m = N, coset h*N + t is head_h * T^t,
+    and `lookup` is None."""
 
-    def __init__(self, subgroup: SubgroupSpec, entries, lookup, acted, chains=None):
+    def __init__(self, subgroup: SubgroupSpec, acted, lookup=None):
         self.subgroup = subgroup
         self.level = subgroup.level
-        self.entries = entries
-        self.index = len(entries)
-        self.lookup = lookup
         self.acted = acted
-        self.chains = chains
+        self.lookup = lookup
+        self.modulus = self.level if subgroup.family == Family.GAMMA else 1
+        self.index = acted.shape[1] * self.modulus
 
     @functools.cached_property
     def reps(self):
-        """The representatives as tuples, built on first use."""
-        return list(map(tuple, self.entries.tolist()))
+        """The representatives as canonical tuples in coset order, built on
+        first use: for Gamma the elements of `xi_chain_grid`, row by row."""
+        entries = self.acted if self.modulus == 1 else xi_chain_grid(self.level)
+        return [canon(*g, self.level) for g in zip(*(v.ravel().tolist() for v in entries))]
 
 
 def capped_key_count(s: SubgroupSpec):
-    """Count of the vectors the coset table of s lists, |Xi(N)|/N columns
-    or |Xi(N)| elements for Gamma; CapExceeded above DEFAULT_INDEX_CAP."""
+    """The index of s as its table counts it, |Xi(N)|/N columns for Gamma0
+    and Gamma1 or |Xi(N)| elements for Gamma; CapExceeded above
+    DEFAULT_INDEX_CAP."""
     n = s.level
     count = xi_order(n) if s.family == Family.GAMMA else xi_order(n) // n
     if count > DEFAULT_INDEX_CAP:
@@ -123,12 +125,15 @@ def capped_key_count(s: SubgroupSpec):
 
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
     """Coset table for Gamma~(N) inside Xi(N), by the rule of the module
-    docstring.  The vector count is checked against DEFAULT_INDEX_CAP
-    before anything is built (`capped_key_count`)."""
+    docstring.  The count is checked against DEFAULT_INDEX_CAP before
+    anything is built (`capped_key_count`)."""
     n = s.level
     count = capped_key_count(s)
     if s.family == Family.GAMMA:
-        return _gamma_table(s)
+        heads = chain_heads(n)[0]
+        if heads.shape[1] * n != count:
+            raise ConsistencyError(f"{heads.shape[1]} chains of {n} for {s}, expected {count}")
+        return CosetTable(s, heads)
     # the identity's column first: it names coset 0
     columns = [(1, 0)] + [v for v in unimodular_columns(n) if v != (1, 0)]
     if len(columns) != count:
@@ -139,27 +144,8 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     else:
         reps = [canon(*complete_column(a, c, n), n) for a, c in columns]
         cosets = np.arange(count, dtype=_PERM_DTYPE)
-    entries = np.array(reps, dtype=np.int32)
-    return CosetTable(s, entries, np.where(rows < 0, -1, cosets.take(rows % count)), entries.T)
-
-
-def _gamma_table(s):
-    """The Gamma(N) table straight from the sorted key array of Xi(N)
-    (`xi_keys` checks that it holds |Xi(N)| distinct keys): the cosets are
-    the elements, listed in key order after the identity, and the lookup
-    holds each at its place in the chain grid (a place left at -1 fails
-    `act_block`)."""
-    n = s.level
-    keys = xi_keys(n)
-    first = int(keys.searchsorted(sign_keys(np.array(identity(n))[:, None], n)[0]))
-    rank = np.arange(len(keys))  # key rank of each coset
-    rank[:first + 1] = np.roll(rank[:first + 1], 1)
-    entries = decode_keys(keys, n).take(rank, axis=0)
-    heads = np.array(list(xi_chain_heads(n)), dtype=np.int32).T
-    place = xi_grid_positions(heads[:, :, None], entries.T, n).astype(_PERM_DTYPE)
-    lookup = np.full(len(keys), -1, dtype=_PERM_DTYPE)
-    lookup[place] = np.arange(len(keys), dtype=_PERM_DTYPE)
-    return CosetTable(s, entries, lookup, heads, np.divmod(place, n))
+    acted = np.array(reps, dtype=np.int32).T
+    return CosetTable(s, acted, np.where(rows < 0, -1, cosets.take(rows % count)))
 
 
 def _unit_orbits(columns, rows, n):
@@ -178,14 +164,17 @@ def _unit_orbits(columns, rows, n):
 
 
 def act_block(elements, table: CosetTable):
-    """Coset permutations of a list of elements as a rows x index int32
-    block: row r maps coset i to the coset of elements[r] * reps[i].
+    """The action of a list of elements in block form: two rows x k int32
+    arrays (perm, shift) over the k matrices x_i of `table.acted`.
 
-    Only the entries of the products that name a coset are computed, and
-    the coset is read from `table.lookup` at their address.  For Gamma only
-    g * head_h is placed, at h'*n + t': then g * head_h * T^t = +-head_h' *
-    T^(t' + t), so each coset moves to chain h' with its step shifted by t'.
-    An element whose determinant is not 1 mod N is refused with ValueError.
+    For Gamma, g * x_i = +-x_perm[i] * T^shift[i] with x the chain heads,
+    read off the place h'*n + t' of the product in the chain grid
+    (`xi_grid_positions`): coset h*n + t goes to perm[h]*n + (t + shift[h])
+    mod n (`expand_block`).  For Gamma0 and Gamma1 perm is the coset
+    permutation, g * r_i in coset perm[i], read from `table.lookup` at the
+    address of the product's first column, and every shift is 0.  Only the
+    entries of the products that name a coset are computed.  An element
+    whose determinant is not 1 mod N is refused with ValueError.
     """
     n = table.level
     r = table.acted
@@ -193,30 +182,29 @@ def act_block(elements, table: CosetTable):
     if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
     g = g.astype(np.int32)  # holds a*e + b*g of residues at every level the caps admit
-    # the entries (i, j) of every g * r: the first column, or all four for Gamma
+    # the entries (i, j) of every g * x: the first column, or all four for Gamma
     e = [(g[:, 2 * i] * r[j] + g[:, 2 * i + 1] * r[j + 2]) % n
-         for i, j in ([(0, 0), (1, 0)] if table.chains is None else np.ndindex(2, 2))]
-    if table.chains is None:
-        address = e[0] * n + e[1]
-    else:
-        row, step = table.chains
-        h, t = np.divmod(xi_grid_positions(r[:, :, None], e, n), n)
-        address = h.take(row, axis=1) * n + (t.take(row, axis=1) + step) % n
-    perm = table.lookup.take(address)
+         for i, j in ([(0, 0), (1, 0)] if table.lookup is not None else np.ndindex(2, 2))]
+    if table.lookup is None:
+        return np.divmod(xi_grid_positions(e, n), n)
+    perm = table.lookup.take(e[0] * n + e[1])
     if perm.min(initial=0) < 0:
         raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
-    return perm
+    return perm, np.zeros_like(perm)
+
+
+def expand_block(perm, shift, m):
+    """The coset permutations of a block in block form (`act_block`), k*m
+    points per row: coset h*m + t goes to perm[h]*m + (t + shift[h]) mod m."""
+    t = np.arange(m, dtype=_PERM_DTYPE)
+    rows, k = perm.shape
+    return (perm[:, :, None] * m + (shift[:, :, None] + t) % m).reshape(rows, k * m)
 
 
 def act(g, table: CosetTable):
-    """Permutation of coset indices induced by g (a 1-row `act_block`)."""
-    return act_block([g], table)[0]
-
-
-def _as_block(perms):
-    """2-D array of permutations, one per row."""
-    block = np.asarray(perms, dtype=_PERM_DTYPE)
-    return block[None, :] if block.ndim == 1 else block
+    """Permutation of coset indices induced by g: its 1-row `act_block`,
+    expanded to all index cosets."""
+    return expand_block(*act_block([g], table), table.modulus)[0]
 
 
 def _flat_successors(block):
@@ -227,19 +215,40 @@ def _flat_successors(block):
     return (block + offsets[:, None]).ravel()
 
 
-def _cycles(block):
-    """The row and the length of every cycle of every row of a 2-D block of
-    permutations, rows ascending: the points per leader of `cycle_labels`."""
-    label = cycle_labels(_flat_successors(block))
+def _cycles(perm, shift, m):
+    """The row, the length and the multiplicity (None for 1) of the coset
+    cycles of every row of a block in block form, rows ascending, from the
+    points per leader of `cycle_labels` on the base permutations.
+
+    A base cycle of length l whose shifts sum to sigma returns to its start
+    shifted by sigma, so each of its cosets returns after l*m/gcd(sigma, m)
+    steps: it is gcd(sigma, m) coset cycles of that length."""
+    label = cycle_labels(_flat_successors(perm))
     leaders = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
-    return leaders // block.shape[1], np.bincount(label, minlength=label.size)[leaders]
+    owner = leaders // perm.shape[1]
+    lengths = np.bincount(label, minlength=label.size)[leaders]
+    if m == 1:
+        return owner, lengths, None
+    sigma = np.bincount(label, weights=shift.ravel(), minlength=label.size)[leaders]
+    copies = np.gcd(sigma.astype(np.int64), m)
+    return owner, lengths * (m // copies), copies
+
+
+def _fixed_counts(perm, shift, m):
+    """The fixed-coset count of every row of a block in block form: m for
+    each base point fixed with shift 0."""
+    fixed = perm == np.arange(perm.shape[1], dtype=_PERM_DTYPE)
+    if m > 1:
+        fixed &= shift == 0
+    return m * np.count_nonzero(fixed, axis=1)
 
 
 def cycle_types(block):
     """Cycle type of every row of a 2-D block of permutations, as tuples
     (`_cycle_type_ids`)."""
     ids = {}
-    row_ids = _cycle_type_ids(_as_block(block), ids, {}).tolist()
+    block = np.atleast_2d(np.asarray(block, dtype=_PERM_DTYPE))
+    row_ids = _cycle_type_ids(block, None, 1, ids, {}).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -255,23 +264,23 @@ def splitting_type_cycles(g, table: CosetTable):
 
 
 def splitting_types(elements, table: CosetTable):
-    """Splitting types of a list of elements, in blocks of at most
-    _BLOCK_ENTRIES entries (at least one row).  One `_cycle_type_ids`
-    registry serves every block, so each distinct type tuple is built once
-    and equal types are the same object."""
-    rows = max(1, _BLOCK_ENTRIES // table.index)
+    """Splitting types of a list of elements, from the block form of their
+    action, in blocks of at most _BLOCK_ENTRIES acted points (at least one
+    row).  One `_cycle_type_ids` registry serves every block, so each
+    distinct type tuple is built once and equal types are the same
+    object."""
+    rows = max(1, _BLOCK_ENTRIES // table.acted.shape[1])
     ids, memo, row_ids = {}, {}, []
     for start in range(0, len(elements), rows):
-        block = act_block(elements[start:start + rows], table)
-        row_ids += _cycle_type_ids(block, ids, memo).tolist()
+        perm, shift = act_block(elements[start:start + rows], table)
+        row_ids += _cycle_type_ids(perm, shift, table.modulus, ids, memo).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
 
 def induced_trace(g, table: CosetTable):
     """Number of fixed cosets of g (the induced-representation character)."""
-    perm = act(g, table)
-    return int(np.count_nonzero(perm == np.arange(len(perm))))
+    return int(_fixed_counts(*act_block([g], table), table.modulus)[0])
 
 
 def _flat_power(memo, k):
@@ -306,40 +315,43 @@ def splitting_type_moebius(g, table: CosetTable):
     return moebius_type_from_perm(act(g, table), m_order, table.index)
 
 
-# permutation entries held by one block of the dual sweep: small enough that
-# the sweep's working set stays near the cache size, large enough that the
-# per-block numpy overhead is paid rarely
+# acted points held by one block of `splitting_types` and of the dual sweep:
+# small enough that the sweep's working set stays near the cache size, large
+# enough that the per-block numpy overhead is paid rarely
 _BLOCK_ENTRIES = 1 << 14
 
 
 def coset_chain_blocks(table: CosetTable):
-    """The coset permutation of every element of Xi(N), in blocks.
+    """The action of every element of Xi(N) in block form, in blocks.
 
-    Xi(N) is swept as the chains head * T^k of `xi_chain_heads`.  The action
-    is a homomorphism, so sigma(head * T^k) = sigma(head)[sigma(T)^k]: one
-    `act_block` row per chain head (one call per block of heads) and one
-    gather from the table of powers of sigma(T) give the whole chain.
-    Yields rows x index arrays of permutations, holding whole chains where
-    one fits into _BLOCK_ENTRIES entries and consecutive pieces of one
-    chain otherwise.  So the rows of all blocks, in turn, are the flattened
-    grid of `xi_chain_grid`: head by head, k along each chain.
+    Xi(N) is swept as the chains head * T^k of `chain_heads`.  The action
+    is a homomorphism, and in block form a product g * g' has the base
+    permutation perm_g[perm_g'] and the shifts shift_g[perm_g'] + shift_g'
+    (mod m).  So one `act_block` row per chain head (one call per block of
+    heads) and one gather from the block form of T^k, k < N, give the whole
+    chain.  Yields (perm, shift) pairs of rows x k arrays, holding whole
+    chains where one fits into _BLOCK_ENTRIES entries and consecutive
+    pieces of one chain otherwise.  So the rows of all blocks, in turn, are
+    the flattened grid of `xi_chain_grid`: head by head, k along each chain.
     """
-    n, index = table.level, table.index
-    t_perm = act(canon(1, 1, 0, 1, n), table)
-    t_powers = np.empty((n, index), dtype=_PERM_DTYPE)
-    t_powers[0] = np.arange(index)
-    for k in range(1, n):
-        t_powers[k] = t_powers[k - 1].take(t_perm)
-    acted = max(1, _BLOCK_ENTRIES // index)  # heads per `act_block` call
+    n, m = table.level, table.modulus
+    width = table.acted.shape[1]
+    t_perm, t_shift = act_block([(1, k, 0, 1) for k in range(n)], table)
+    acted = max(1, _BLOCK_ENTRIES // width)  # heads per `act_block` call
     chains = max(1, acted // n)
     step = min(n, acted)
-    heads = list(xi_chain_heads(n))
+    heads = chain_heads(n)[0].T
     for h0 in range(0, len(heads), acted):
-        head_perms = act_block(heads[h0:h0 + acted], table)
-        for c0 in range(0, len(head_perms), chains):
+        head_perm, head_shift = act_block(heads[h0:h0 + acted], table)
+        for c0 in range(0, len(head_perm), chains):
             for k0 in range(0, n, step):
-                block = head_perms[c0:c0 + chains].take(t_powers[k0:k0 + step], axis=1)
-                yield block.reshape(-1, index)
+                at = t_perm[k0:k0 + step]
+                perm = head_perm[c0:c0 + chains].take(at, axis=1).reshape(-1, width)
+                if m == 1:  # every shift is 0
+                    yield perm, np.zeros_like(perm)
+                    continue
+                shift = head_shift[c0:c0 + chains].take(at, axis=1) + t_shift[k0:k0 + step]
+                yield perm, (shift % m).reshape(-1, width)
 
 
 def _distinct_rows(rows):
@@ -357,15 +369,17 @@ def _distinct_rows(rows):
     return rows[first], inverse
 
 
-def _cycle_type_ids(block, ids, memo):
+def _cycle_type_ids(perm, shift, m, ids, memo):
     """The id in `ids` (type -> id, grown as types appear) of the cycle
-    type of every row of a block: the cycle lengths of `_cycles` counted
-    per row.  A distinct row of counts becomes a type tuple only the first
-    time it is seen: `memo` maps its bytes, with the trailing zero counts
-    dropped so that the block's width does not matter, to the id."""
-    owner, lengths = _cycles(block)
+    type of every row of a block in block form: the coset cycles of
+    `_cycles` counted per row.  A distinct row of counts becomes a type
+    tuple only the first time it is seen: `memo` maps its bytes, with the
+    trailing zero counts dropped so that the block's width does not matter,
+    to the id."""
+    owner, lengths, copies = _cycles(perm, shift, m)
     width = int(lengths.max(initial=0)) + 1
-    counts = np.bincount(owner * width + lengths, minlength=len(block) * width)
+    counts = np.bincount(owner * width + lengths, weights=copies,
+                         minlength=len(perm) * width).astype(np.int64, copy=False)
     distinct, inverse = _distinct_rows(counts.reshape(-1, width))
     descending = np.arange(width - 1, 0, -1)
     row_ids = []
@@ -378,27 +392,26 @@ def _cycle_type_ids(block, ids, memo):
     return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
-def _moebius_type_ids(grid, start, stop, fixed, index, ids, memo):
-    """The id in `ids` of the type of elements start..stop of the grid (the
-    flat `xi_chain_grid`), from the fixed-point counts `fixed` of the
-    permutations of the whole grid alone.
+def _moebius_type_ids(n, start, stop, fixed, index, ids, memo):
+    """The id in `ids` of the type of elements start..stop of the flat
+    `xi_chain_grid(n)`, from the fixed-coset counts `fixed` of the whole
+    grid alone.
 
     The action is a homomorphism, so tr sigma(g)^d = fixed[g^d]: for the
     divisors d of the order m of g, the power g^d is formed as a matrix
     (`matrix_powers`, sharing the squarings) and its place in the grid is
     read from its entries (`xi_grid_positions`).  `parts_from_traces` runs
     once per distinct (m, trace vector), memoised in `memo` across calls.
-    Never inspects cycles, nor the permutation of g beyond its fixed points.
+    Never inspects cycles, nor the action of g beyond its fixed points.
     """
-    n = grid[0].shape[1]
-    g = _grid_entries(grid, np.arange(start, stop))
+    g = np.stack(grid_entries(np.arange(start, stop, dtype=np.int32), n))
     orders = xi_orders(g.T, n)
     out = np.empty(len(orders), dtype=np.int32)
     for m in np.flatnonzero(np.bincount(orders)).tolist():
         sel = np.flatnonzero(orders == m)
         ds = divisors(m)
         powers = np.stack(matrix_powers(g.take(sel, axis=1).T.reshape(-1, 2, 2), ds, n))
-        pos = xi_grid_positions(grid, powers.reshape(-1, 4).T, n)
+        pos = xi_grid_positions(powers.reshape(-1, 4).T, n)
         traces = fixed.take(pos).reshape(len(ds), len(sel)).T
         distinct, inverse = _distinct_rows(traces)
         row_ids = []
@@ -409,13 +422,6 @@ def _moebius_type_ids(grid, start, stop, fixed, index, ids, memo):
             row_ids.append(memo[m, tr])
         out[sel] = np.array(row_ids, dtype=np.int32).take(inverse)
     return out
-
-
-def _grid_entries(grid, flat):
-    """The entries (a, b, c, d) of the elements at flat positions h*n + t
-    of the grid, as the rows of a 4 x k int32 array."""
-    h, t = np.divmod(flat, grid[0].shape[1])
-    return np.stack([v[h, t] for v in grid])
 
 
 # elements per block of the Moebius step of `dual_type_report`: bounds its
@@ -430,38 +436,37 @@ def dual_type_report(level, family):
 
     Returns (element count, mismatch list sorted by element).  One pass
     over `coset_chain_blocks` keeps two int32 numbers per element, in grid
-    order: the fixed-point count of its permutation and the id of its cycle
-    type (`_cycle_type_ids`).  The Moebius route (`_moebius_type_ids`) then
-    reads only fixed-point counts, those of the powers of each element, so
-    an action that is not a homomorphism shows as a mismatch too.  Elements
-    are decoded from the grid only for the mismatches.
+    order: its fixed-coset count (`_fixed_counts`) and the id of its cycle
+    type (`_cycle_type_ids`), both from the block form of its action.  The
+    Moebius route (`_moebius_type_ids`) then reads only fixed-coset counts,
+    those of the powers of each element, so an action that is not a
+    homomorphism shows as a mismatch too.  Elements are decoded from the
+    grid only for the mismatches.
     """
-    capped_xi_order(level)
+    size = capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
-    grid = xi_chain_grid(level)
-    size = grid[0].size
     fixed = np.empty(size, dtype=np.int32)
     by_cycles = np.empty(size, dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
-    points = np.arange(table.index, dtype=_PERM_DTYPE)
     count, by_counts, by_traces = 0, {}, {}
-    for block in coset_chain_blocks(table):
-        rows = slice(count, count + len(block))
-        fixed[rows] = np.count_nonzero(block == points, axis=1)
-        by_cycles[rows] = _cycle_type_ids(block, ids, by_counts)
-        count += len(block)
+    for perm, shift in coset_chain_blocks(table):
+        rows = slice(count, count + len(perm))
+        fixed[rows] = _fixed_counts(perm, shift, table.modulus)
+        by_cycles[rows] = _cycle_type_ids(perm, shift, table.modulus, ids, by_counts)
+        count += len(perm)
     if count != size:
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")
     bad, by_moebius = [], []
     for start in range(0, size, _MOEBIUS_ROWS):
         stop = min(start + _MOEBIUS_ROWS, size)
-        lam_m = _moebius_type_ids(grid, start, stop, fixed, table.index, ids, by_traces)
+        lam_m = _moebius_type_ids(level, start, stop, fixed, table.index, ids, by_traces)
         miss = np.flatnonzero(lam_m != by_cycles[start:stop])
         bad.append(miss + start)
         by_moebius.append(lam_m.take(miss))
     bad, by_moebius = np.concatenate(bad), np.concatenate(by_moebius)
     types = list(ids)
     mismatches = [(canon(*g, level), types[c], types[m]) for g, c, m in zip(
-        _grid_entries(grid, bad).T.tolist(), by_cycles.take(bad).tolist(), by_moebius.tolist())]
+        np.stack(grid_entries(bad, level)).T.tolist(), by_cycles.take(bad).tolist(),
+        by_moebius.tolist())]
     mismatches.sort(key=lambda row: row[0])
     return count, mismatches

@@ -11,7 +11,9 @@ from the divisors of |ac|, read off a smallest-prime-factor sieve, as the
 independent side of the sieve-free form generator.  Two
 closed forms live here too, as the independent side of a check: the
 family-set sizes of an odd prime-power level and the scalar fixed-row
-count of the Gamma1 trace.
+count of the Gamma1 trace.  So do the helpers only tests use: the inverse
+in Xi(N) and the Gamma1 trace of one element from the closed form's
+fixed-row kernel.
 """
 
 import math
@@ -19,13 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from geosplit.census import _fixed_row_count
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
-                           enumerate_xi, euler_phi, inv, mul, order_in_xi_tuple, vp,
-                           xi_chain_heads)
+                           chain_heads, enumerate_xi, euler_phi, mul, order_in_xi_tuple,
+                           vp)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import (class_of_matrix, matrix_from_form, max_trace, norm_below,
                                 power_traces, rho_step)
 from geosplit.zeta import MPArith
+
+
+def inv(x, n):
+    """Inverse in Xi(n): adjugate of a determinant-one matrix."""
+    a, b, c, d = x
+    return canon(d, -b, -c, a, n)
 
 
 def is_member_tuple(g, family, n):
@@ -73,6 +82,11 @@ def fixed_row_count_reference(g, sign, p, r):
     prk = p ** (r - k)
     a, b, c, d = ((x // p**k) % prk for x in h)
     return p**k * (pr - pr // p) if (a * d - b * c) % prk == 0 else 0
+
+
+def sigma_gamma1(g, p, r):
+    """tr Ind_{Gamma1(p^r)} 1 at g: cosets are +-(row vector) pairs."""
+    return int(_fixed_row_count([g], 1, p, r)[0] + _fixed_row_count([g], -1, p, r)[0]) // 2
 
 
 def family_set_sizes(p, r):
@@ -331,12 +345,12 @@ def orbit_closure_classes(level):
     """(representative, size, order) of every conjugacy class of Xi(level),
     by orbit closure under conjugation by S and T over a {tuple: index}
     dict.  The group is listed tuple by tuple from the chains of
-    `xi_chain_heads` (no key array), scanned in sorted order, so each
+    `chain_heads` (no key array), scanned in sorted order, so each
     representative is the least member of its class; the orders come from
     `order_in_xi_tuple`.  `census.conjugacy_classes` must agree with it."""
     n = level
     xi = sorted({canon(a, b0 + t * a, c, d0 + t * c, n)
-                 for a, b0, c, d0 in xi_chain_heads(n) for t in range(n)})
+                 for a, b0, c, d0 in chain_heads(n)[0].T.tolist() for t in range(n)})
     gens = [(g, inv(g, n)) for g in (canon(0, -1, 1, 0, n), canon(1, 1, 0, 1, n))]
     index = {g: i for i, g in enumerate(xi)}
     seen = bytearray(len(xi))

@@ -18,7 +18,6 @@ from geosplit.census import (
     power_relation_check,
     rectangle_density_table,
     sigma_gamma0,
-    sigma_gamma1,
     tensor_partitions,
 )
 from geosplit.core import (
@@ -27,13 +26,12 @@ from geosplit.core import (
     canon,
     enumerate_xi,
     identity,
-    inv,
     mul,
     order_in_xi_tuple,
     xi_order,
 )
 from geosplit.cosets import build_coset_table, induced_trace
-from reference import family_set_sizes, is_member_tuple
+from reference import family_set_sizes, inv, is_member_tuple, sigma_gamma1
 
 
 def F(s):

@@ -8,7 +8,6 @@ from geosplit.core import (
     canon,
     enumerate_xi,
     identity,
-    inv,
     mul,
     order_in_xi_tuple,
     xi_order,
@@ -23,7 +22,7 @@ from geosplit.cosets import (
     splitting_type_cycles,
     splitting_type_moebius,
 )
-from reference import act_reference, is_member_tuple
+from reference import act_reference, inv, is_member_tuple
 
 
 def table(family, level):
@@ -266,8 +265,9 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+from geosplit import cosets
 from geosplit.core import ConsistencyError, xi_chain_grid
-from geosplit.cosets import coset_chain_blocks, cycle_types
+from geosplit.cosets import coset_chain_blocks, cycle_types, expand_block, splitting_types
 
 
 def walk_cycle_type(perm):
@@ -374,19 +374,30 @@ def test_moebius_rejects_order_missing_a_cycle_length():
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("n", list(range(2, 13)))
 def test_chain_permutations_match_reference(family, n):
-    """The rows of the blocks, in turn, are the permutations of the
-    flattened chain grid."""
+    """The rows of the blocks, in turn, are the action of the flattened
+    chain grid in block form: expanded, each is the permutation by the
+    definition.  The cycle type and the fixed-coset count of every element,
+    read off the block form alone, are those of that permutation."""
     t = table(family, n)
     reference = act_reference(t)
     elements = [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in xi_chain_grid(n)))]
     rows = 0
-    for block in coset_chain_blocks(t):
-        assert block.shape[1] == t.index
-        for g, perm in zip(elements[rows:], block.tolist()):
-            assert perm == reference(g), g
-        rows += len(block)
+    for perm, shift in coset_chain_blocks(t):
+        assert perm.shape == shift.shape and perm.shape[1] * t.modulus == t.index
+        ids = {}
+        row_ids = cosets._cycle_type_ids(perm, shift, t.modulus, ids, {}).tolist()
+        types = list(ids)
+        fixed = cosets._fixed_counts(perm, shift, t.modulus).tolist()
+        expanded = expand_block(perm, shift, t.modulus).tolist()
+        for g, row, i, f in zip(elements[rows:], expanded, row_ids, fixed):
+            want = reference(g)
+            assert row == want, g
+            assert types[i] == walk_cycle_type(want), g
+            assert f == sum(j == k for j, k in enumerate(want)), g
+        rows += len(perm)
     assert rows == len(elements)
     assert sorted(elements) == enumerate_xi(n)
+    assert splitting_types(elements, t) == [walk_cycle_type(reference(g)) for g in elements]
 
 
 def _reference_dual_report(level, family):
@@ -407,10 +418,10 @@ def _reference_dual_report(level, family):
                                       (Family.GAMMA, 13), (Family.GAMMA1, 16)]
                          + [(family, 2) for family in Family])
 def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
-    """Also across block edges (Gamma(13) has index 1092, so 15 heads per
-    action call and one 13-row block per chain; Gamma1(16) has 96 cosets,
-    so 170 heads per call and 10 chains per block) and at level 2, where
-    -I = I."""
+    """Also across block edges (Gamma(13) acts on 84 chain heads, so 195
+    heads per action call and 15 chains per block; Gamma1(16) has 96
+    cosets, so 170 heads per call and 10 chains per block) and at level 2,
+    where -I = I."""
     import geosplit.cosets as cosets
 
     assert dual_type_report(n, family) == _reference_dual_report(n, family)
@@ -430,23 +441,28 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     assert [m[0] for m in mismatches] == sorted(m[0] for m in mismatches)
 
 
-@pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3)), (Family.GAMMA1, 8, (0, 100)),
-                                         (Family.GAMMA, 13, (40, 12))])
+@pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3, "perm")),
+                                         (Family.GAMMA1, 8, (0, 100, "perm")),
+                                         (Family.GAMMA, 13, (3, 12, "perm")),
+                                         (Family.GAMMA, 13, (3, 12, "shift"))])
 def test_dual_report_sees_an_action_that_is_no_homomorphism(family, n, at, monkeypatch):
-    """One row of one block composed with a transposition: the Moebius
-    route reads the fixed points of the other elements' permutations, so
-    the report is not empty, or the recursion refuses the traces."""
-    import geosplit.cosets as cosets
-
+    """One row of one block in block form corrupted: its base permutation
+    composed with a transposition, or the shift of its first head moved by
+    one.  The Moebius route reads the fixed points of the other elements'
+    actions, so the report is not empty, or the recursion refuses the
+    traces."""
     exact = cosets.coset_chain_blocks
     swapped = []
 
     def corrupted(table):
-        for b, block in enumerate(exact(table)):
+        for b, (perm, shift) in enumerate(exact(table)):
             if b == at[0]:
-                block[at[1], [0, 1]] = block[at[1], [1, 0]]
+                if at[2] == "perm":
+                    perm[at[1], [0, 1]] = perm[at[1], [1, 0]]
+                else:
+                    shift[at[1], 0] = (shift[at[1], 0] + 1) % table.modulus
                 swapped.append(b)
-            yield block
+            yield perm, shift
 
     monkeypatch.setattr(cosets, "coset_chain_blocks", corrupted)
     try:
@@ -461,11 +477,11 @@ def test_dual_report_sees_an_action_that_is_no_homomorphism(family, n, at, monke
 
 @pytest.mark.parametrize("family, n", [(Family.GAMMA0, 5), (Family.GAMMA, 13),
                                        (Family.GAMMA1, 16)])
-def test_splitting_types_match_per_element(family, n):
+def test_splitting_types_match_per_element(family, n, monkeypatch):
     """The batched types equal the 1-row calls, also across block edges
-    (Gamma(13) has index 1092, so 15 rows per block)."""
-    from geosplit.cosets import splitting_types
-
+    (1024 acted points per block: Gamma(13) acts on 84 chain heads, so 12
+    rows per block)."""
+    monkeypatch.setattr(cosets, "_BLOCK_ENTRIES", 1 << 10)
     table = build_coset_table(SubgroupSpec(family, n))
     elements = enumerate_xi(n)[::7][:40]
     assert splitting_types(elements, table) == [splitting_type_cycles(g, table)
@@ -474,11 +490,11 @@ def test_splitting_types_match_per_element(family, n):
 
 
 @pytest.mark.parametrize("n", [13, 32])
-def test_equal_splitting_types_are_one_object(n):
+def test_equal_splitting_types_are_one_object(n, monkeypatch):
     """Each distinct type is built once per call, also across blocks
-    (Gamma(32) has index 12288, so one row per block)."""
-    from geosplit.cosets import splitting_types
-
+    (384 acted points per block: Gamma(32) acts on 384 chain heads, so one
+    row per block)."""
+    monkeypatch.setattr(cosets, "_BLOCK_ENTRIES", 384)
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
     types = splitting_types(enumerate_xi(n)[::97][:40], table)
     first = {}
@@ -516,18 +532,19 @@ def test_act_matches_reference_at_any_size(family, n):
 
 
 def test_act_block_rows_match_one_row_calls():
-    """Rows of one block equal the 1-row calls, across the block edges that
-    `splitting_types` cuts (Gamma(13): 15 rows of index 1092 per block)."""
+    """Rows of one block in block form equal the 1-row calls, also cut into
+    pieces of 15 rows (Gamma(13): 84 chain heads of 13 cosets each)."""
     t = table(Family.GAMMA, 13)
     elements = enumerate_xi(13)[::23][:40]
-    block = act_block(elements, t)
-    assert block.shape == (40, t.index) and block.dtype == np.int32
+    perm, shift = act_block(elements, t)
+    assert perm.shape == shift.shape == (40, 84) and perm.dtype == shift.dtype == np.int32
     for start in (0, 15, 30):
         piece = act_block(elements[start:start + 15], t)
-        assert (piece == block[start:start + 15]).all()
-    for g, row in zip(elements, block):
+        assert (piece[0] == perm[start:start + 15]).all()
+        assert (piece[1] == shift[start:start + 15]).all()
+    for g, row in zip(elements, expand_block(perm, shift, t.modulus)):
         assert row.tolist() == act(g, t).tolist()
-    assert act_block([], t).shape == (0, t.index)
+    assert [b.shape for b in act_block([], t)] == [(0, 84)] * 2
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -541,7 +558,8 @@ def test_act_block_is_the_action_by_definition(family, n):
     xi = enumerate_xi(n)
     rows = max(8, 10**5 // t.index)
     elements = xi if len(xi) <= rows else random.Random(n).sample(xi, rows)
-    assert act_block(elements, t).tolist() == [reference(g) for g in elements]
+    assert expand_block(*act_block(elements, t), t.modulus).tolist() == [
+        reference(g) for g in elements]
 
 
 @pytest.fixture(scope="module")
@@ -554,10 +572,17 @@ def tables_75():
 @given(family=st.sampled_from(list(Family)),
        picks=st.lists(st.integers(0, xi_order(75) - 1), min_size=1, max_size=3))
 def test_act_block_matches_the_definition_at_75(tables_75, family, picks):
-    """Sampled elements of Xi(75) (index 180000 for Gamma), in one block."""
+    """Sampled elements of Xi(75) (index 180000 for Gamma), in one block:
+    the expanded block form, and the cycle types and fixed-coset counts
+    read off the block form alone, against the permutations by the
+    definition."""
     t, reference = tables_75[family]
     elements = [enumerate_xi(75)[i] for i in picks]
-    assert act_block(elements, t).tolist() == [reference(g) for g in elements]
+    want = [reference(g) for g in elements]
+    assert expand_block(*act_block(elements, t), t.modulus).tolist() == want
+    assert splitting_types(elements, t) == [cycle_type_of(perm) for perm in want]
+    assert [induced_trace(g, t) for g in elements] == [
+        sum(i == j for i, j in enumerate(perm)) for perm in want]
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -576,7 +601,8 @@ def test_act_refuses_an_element_outside_xi(family):
 # ---------------------------------------------------------------------------
 # coset tables without a walk of Xi(N)
 
-from geosplit import cosets
+from geosplit import core
+from geosplit.census import density_table
 from geosplit.core import CapExceeded
 
 
@@ -586,15 +612,15 @@ def _refuse(*args):
 
 @pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA1])
 def test_column_tables_never_enumerate_xi(family, monkeypatch):
-    """Only the Gamma table lists Xi(N), through its key array."""
-    monkeypatch.setattr(cosets, "xi_keys", _refuse)
+    """The column tables list their cosets without the key array of Xi(N)."""
+    monkeypatch.setattr(core, "xi_keys", _refuse)
     for n in (2, 9, 12, 75):
         t = build_coset_table(SubgroupSpec(family, n))
         assert t.reps[0] == identity(n)
         assert list(act(identity(n), t)) == list(range(t.index))
 
 
-def test_table_faults_are_consistency_errors():
+def test_table_faults_are_consistency_errors(monkeypatch):
     """A product at an address the lookup lacks, or representatives that
     share a coset, are faults of the table, not bad input."""
     from geosplit.core import ConsistencyError
@@ -605,8 +631,10 @@ def test_table_faults_are_consistency_errors():
     with pytest.raises(ConsistencyError):
         act_block(enumerate_xi(7), t)
     t = table(Family.GAMMA, 7)
-    t.lookup = t.lookup.copy()
-    t.lookup[t.lookup == 0] = -1  # the identity's place in the chain grid
+    heads, rows = core.chain_heads(7)
+    rows = rows.copy()
+    rows[rows == 0] = -1  # the column of chain head 0
+    monkeypatch.setattr(core, "chain_heads", lambda n: (heads, rows))
     with pytest.raises(ConsistencyError):
         act_block(enumerate_xi(7), t)
     t = table(Family.GAMMA0, 5)
@@ -617,12 +645,29 @@ def test_table_faults_are_consistency_errors():
 
 def test_coset_key_cap_is_checked_before_building(monkeypatch):
     """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
-    monkeypatch.setattr(cosets, "xi_chain_heads", _refuse)
+    monkeypatch.setattr(cosets, "chain_heads", _refuse)
     monkeypatch.setattr(cosets, "unimodular_columns", _refuse)
-    monkeypatch.setattr(cosets, "xi_keys", _refuse)
+    monkeypatch.setattr(core, "xi_keys", _refuse)
     for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
         with pytest.raises(CapExceeded, match="exceeds cap"):
             build_coset_table(SubgroupSpec(family, n))
+
+
+def test_gamma_types_never_expand_the_action(monkeypatch):
+    """The splitting types of Gamma(N) (`splitting_types`, and through it
+    the census's `density_table`) and the exhaustive sweep build no
+    |Xi(N)|-point permutation and list no key array of Xi(N)."""
+    spec = SubgroupSpec(Family.GAMMA, 12)
+    t, elements = table(Family.GAMMA, 25), enumerate_xi(25)[::37]
+    want_types = [splitting_type_cycles(g, t) for g in elements]
+    want_table = density_table(spec).entries
+    monkeypatch.setattr(cosets, "expand_block", _refuse)
+    monkeypatch.setattr(core, "xi_keys", _refuse)
+    assert splitting_types(elements, t) == want_types
+    assert density_table(spec).entries == want_table
+    assert dual_type_report(14, Family.GAMMA) == (xi_order(14), [])
+    with pytest.raises(AssertionError, match="walked"):
+        act(identity(25), t)
 
 
 def test_dual_type_report_refuses_above_the_group_cap(monkeypatch):

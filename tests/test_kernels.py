@@ -77,7 +77,7 @@ def test_census_cap_is_checked_before_the_grid(monkeypatch):
     def refuse(n):
         raise AssertionError("built the grid of a capped level")
 
-    monkeypatch.setattr(census, "xi_chain_heads", refuse)
+    monkeypatch.setattr(census, "chain_heads", refuse)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         conjugacy_classes(1000)
 
@@ -171,23 +171,21 @@ def test_fixed_row_count_matches_the_scalar_formula(p, r):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 25, 75])
-def test_gamma_table_from_the_key_array_is_the_listed_one(n):
-    """The Gamma(N) table equals the one built from the tuples of
-    `enumerate_xi`, identity first, down to the dtypes and values of its
-    arrays: the lookup holds at each place of `xi_chain_grid` the coset of
-    the element there, found by its canonical tuple; the acted matrices are
-    the chain heads, and each coset's chain row and step are its place."""
+def test_gamma_table_is_the_chain_grid(n):
+    """The Gamma(N) table holds the chain heads, column 0 of
+    `xi_chain_grid`, as its int32 acted matrices, each standing for the N
+    cosets of its chain, and no lookup.  Its cosets are the places h*N + t
+    of the grid, in order, and their canonical tuples are Xi(N), each
+    once."""
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
-    reps = [identity(n)] + [g for g in enumerate_xi(n) if g != identity(n)]
     grid = xi_chain_grid(n)
-    coset_of = {g: i for i, g in enumerate(reps)}
-    lookup = np.array([coset_of[canon(*g, n)] for g in zip(
-        *(v.ravel().tolist() for v in grid))], dtype=np.int32)
-    row, step = np.divmod(lookup.argsort().astype(np.int32), n)
+    heads = np.stack([v[:, 0] for v in grid])
+    assert table.acted.dtype == heads.dtype == np.int32
+    assert np.array_equal(table.acted, heads)
+    assert (table.modulus, table.index, table.lookup) == (n, xi_order(n), None)
+    reps = [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in grid))]
     assert table.reps == reps
-    for got, want in zip((table.lookup, table.acted, *table.chains),
-                         (lookup, np.stack([v[:, 0] for v in grid]), row, step)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert sorted(reps) == enumerate_xi(n)
 
 
 # ---------------------------------------------------------------------------
