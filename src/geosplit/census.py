@@ -17,10 +17,10 @@ Three independent routes to the same numbers live here:
   and the two-parameter unipotent-like families), with sizes from
   centralizer orders and induced-representation traces from exact
   quadratic-congruence root counts (Gamma0) or the p-adic depth of g - I
-  (Gamma1).  The representatives' orders and, per order, all the powers
-  g^d whose traces are counted come from batched matrix powers
-  (`xi_orders`, `matrix_powers`).  No group enumeration is involved, so
-  it can cross-check the census;
+  (Gamma1).  The representatives' orders come from one `xi_orders` call,
+  and `core.moebius_type_ids` forms, per order, all the powers g^d whose
+  traces are counted and runs the Moebius recursion.  No group
+  enumeration is involved, so it can cross-check the census;
 
 * the composite route: a convolution of coprime prime-power tables under
   the tensor rule for partitions.  The tensor product is defined through
@@ -65,7 +65,7 @@ from .core import (
     grid_entries,
     identity,
     matpow,
-    matrix_powers,
+    moebius_type_ids,
     mul,
     order_in_xi_tuple,
     partition_str,
@@ -493,30 +493,23 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         return rectangle_density_table(s, closed_class_catalog(p, r))
     if s.family == Family.GAMMA0:
         index = p ** (r - 1) * (p + 1)
+
+        def traces_of(h):
+            return [sigma_gamma0(g, p, r) for g in h.tolist()]
     else:
         index = p ** (2 * r - 2) * (p * p - 1) // 2
+
+        def traces_of(h):
+            return (_fixed_row_count(h, 1, p, r) + _fixed_row_count(h, -1, p, r)) // 2
     catalog = closed_class_catalog(p, r)
-    traces = {}  # catalog position -> traces at the divisors of its order
-    orders = np.array([rec.order for rec in catalog])
-    for m in np.flatnonzero(np.bincount(orders)).tolist():
-        sel = np.flatnonzero(orders == m)
-        g = np.array([catalog[i].representative for i in sel]).reshape(-1, 2, 2)
-        powers = np.concatenate(matrix_powers(g, divisors(m), s.level)).reshape(-1, 4)
-        if s.family == Family.GAMMA1:
-            tr = (_fixed_row_count(powers, 1, p, r) + _fixed_row_count(powers, -1, p, r)) // 2
-        else:
-            tr = np.array([sigma_gamma0(h, p, r) for h in powers.tolist()])
-        traces.update(zip(sel.tolist(), map(tuple, tr.reshape(-1, len(sel)).T.tolist())))
-    # a type depends on the order and the traces alone, so classes are
-    # pooled by those before any type (a tuple of up to `index` parts) is built
-    sizes = {}
-    for i, rec in enumerate(catalog):
-        key = rec.order, traces[i]
-        sizes[key] = sizes.get(key, 0) + rec.size
-    entries = {}
-    for (m, tr), size in sizes.items():
-        lam = parts_from_traces(dict(zip(divisors(m), tr)), m, index)
-        entries[lam] = entries.get(lam, Fraction(0)) + Fraction(size, order)
+    ids = {}  # type -> id
+    type_ids = moebius_type_ids([rec.representative for rec in catalog],
+                                [rec.order for rec in catalog], s.level, traces_of, index, ids, {})
+    # class sizes are summed per type as integers, then one Fraction per type
+    sizes = [0] * len(ids)
+    for i, rec in zip(type_ids.tolist(), catalog):
+        sizes[i] += rec.size
+    entries = {lam: Fraction(size, order) for lam, size in zip(ids, sizes)}
     return DensityTable(s, entries, order, index)
 
 

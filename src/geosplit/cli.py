@@ -1,9 +1,10 @@
 """Batch front end.
 
-Exit codes: 0 success, 1 usage error, 2 resource cap exceeded, 3 internal
-consistency failure (e.g. the cycle and Moebius routes disagreeing, or a
-stale census cache).  All output orderings are fixed, so identical flags
-produce byte-identical files.
+Exit codes: 0 success, 1 usage error (also a file or directory that cannot
+be opened or made), 2 resource cap exceeded, 3 internal consistency
+failure (e.g. the cycle and Moebius routes disagreeing, or a stale or
+unreadable census cache).  All output orderings are fixed, so identical
+flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def cmd_densities(args):
             capped_xi_order(args.level)
         closed = density_table_closed_form(spec)
     table = density_table_composite(spec) if args.composite else density_table(spec)
-    out = _table_text(table, args.format)
+    out, diff = _table_text(table, args.format), {}
     if closed is not None:
         out += _table_text(closed, args.format)
         diff = {
@@ -151,11 +152,10 @@ def cmd_densities(args):
             if table.entries.get(lam) != closed.entries.get(lam)
         }
         out += f"closed-form diff entries: {len(diff)}\n"
-        if diff:
-            _emit(out, args.output)
-            print("error: closed-form table disagrees with the census", file=sys.stderr)
-            return EXIT_INCONSISTENT
     _emit(out, args.output)
+    if diff:
+        print("error: closed-form table disagrees with the census", file=sys.stderr)
+        return EXIT_INCONSISTENT
     return EXIT_OK
 
 
@@ -163,14 +163,8 @@ def cmd_type(args):
     try:
         a, b, c, d = map(int, args.matrix.split(","))
     except ValueError:
-        print(f"error: --matrix takes four integers a,b,c,d, got {args.matrix!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        m = IntegerMatrix(a, b, c, d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--matrix takes four integers a,b,c,d, got {args.matrix!r}") from None
+    m = IntegerMatrix(a, b, c, d)  # a determinant other than 1 is a ValueError
     spec = SubgroupSpec(args.family, args.level)
     table = build_coset_table(spec)
     g = canon(m.a, m.b, m.c, m.d, args.level)
@@ -203,7 +197,7 @@ def cmd_census(args):
     if os.path.exists(path):
         try:
             cached = load_census(path)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: unreadable census cache {path}: {exc}", file=sys.stderr)
             return EXIT_INCONSISTENT
         if args.trust_cache:
@@ -256,7 +250,7 @@ def main(argv=None):
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -415,6 +415,48 @@ def parts_from_traces(traces, order, weight):
                                                for m in reversed(ds)))
 
 
+def moebius_type_ids(entries, orders, n, traces_of, weight, ids, memo):
+    """The id in `ids` (type -> id, grown as types appear) of the type of
+    every row g of `entries` (k x 4 residues mod n) of order `orders[i]`,
+    from the permutation character alone: for each order m, the powers g^d
+    at the divisors d of m come from one `matrix_powers` call (k' x 4,
+    divisor by divisor), `traces_of` gives their fixed-point counts, and
+    `parts_from_traces` runs once per distinct (m, traces), memoised in
+    `memo` across calls."""
+    g = np.asarray(entries).reshape(-1, 2, 2)
+    orders = np.asarray(orders)
+    out = np.empty(len(orders), dtype=np.int32)
+    for m in np.flatnonzero(np.bincount(orders)).tolist():
+        sel = np.flatnonzero(orders == m)
+        ds = divisors(m)
+        powers = np.stack(matrix_powers(g.take(sel, axis=0), ds, n)).reshape(-1, 4)
+        traces = np.asarray(traces_of(powers)).reshape(len(ds), len(sel)).T
+        distinct, inverse = _distinct_rows(traces)
+        row_ids = []
+        for tr in map(tuple, distinct.tolist()):
+            if (m, tr) not in memo:
+                memo[m, tr] = ids.setdefault(parts_from_traces(dict(zip(ds, tr)), m, weight),
+                                             len(ids))
+            row_ids.append(memo[m, tr])
+        out[sel] = np.array(row_ids, dtype=np.int32).take(inverse)
+    return out
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-D integer array, and for each row the index
+    of its value among them: np.unique(rows, axis=0, return_inverse=True)
+    without the structured sort, which costs far more on small arrays.
+    Sorting the rows as raw bytes puts equal rows together."""
+    rows = np.ascontiguousarray(rows)
+    order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
+    rows = rows.take(order, axis=0)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 # ---------------------------------------------------------------------------
 # small arithmetic helpers
 

@@ -7,11 +7,12 @@ The cycle type of that permutation is the splitting type of any hyperbolic
 class of SL2(Z) reducing to g, and can be recovered independently from the
 permutation character chi(g^d) = tr sigma(g)^d = #fixed cosets of g^d by
 Moebius inversion; the two routes are kept separate so they can
-cross-check each other.  For one element (`splitting_type_moebius`) the
-traces are those of the powers of its permutation.  The exhaustive sweep
-(`dual_type_report`) reads them instead from the fixed-coset counts of the
-elements g^d themselves, so there the Moebius route never sees the
-action it checks beyond its fixed points.
+cross-check each other.  The Moebius route (`core.moebius_type_ids`)
+forms the powers g^d as matrices and reads only their fixed-coset
+counts: for one element (`splitting_type_moebius`) from their block-form
+action, in the exhaustive sweep (`dual_type_report`) from the fixed-coset
+counts of the elements g^d themselves.  So it never sees the action it
+checks beyond its fixed points.
 
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
@@ -32,17 +33,19 @@ and m = 1 (no shifts) for Gamma0 and Gamma1.  It computes only the entries
 of g * r that name a coset.  A column alone would also accept matrices of
 determinant other than 1 (the columns of (2,0,0,2) mod 7 are unimodular),
 so every acting element's determinant is checked and an element outside
-Xi(N) is refused with ValueError.  Only `act` writes the block form out as
-a permutation of all the cosets (`expand_block`), for one element.  The
-tests check the kernel against the action by the definition, from subgroup
-membership over all of Xi(N), which lives in tests/reference.py.
+Xi(N) is refused with ValueError.  No route writes the block form out as
+a permutation of all the cosets: `act` (`expand_block`) and the
+permutation kernels `cycle_types` and `moebius_type_from_perm` stay as
+references for the tests.  The tests check the kernel against the action
+by the definition, from subgroup membership over all of Xi(N), which
+lives in tests/reference.py.
 
 Cycle types have one kernel too: `core.cycle_labels` (pointer doubling,
 shared with the reduction cycles of `geodesics`) labels the points of a
 block's base permutations by the least point of their cycle, `_cycles`
 turns each base cycle and its summed shift into coset cycles, and
-`_cycle_type_ids` bins them per row.  So no sweep or census holds a
-permutation of all |Xi(N)| cosets of Gamma(N).
+`_cycle_type_ids` bins them per row.  So no route holds a permutation of
+all |Xi(N)| cosets of Gamma(N).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .core import (
     ConsistencyError,
     Family,
     SubgroupSpec,
+    _distinct_rows,
     canon,
     capped_xi_order,
     chain_heads,
@@ -65,7 +69,7 @@ from .core import (
     cycle_labels,
     divisors,
     grid_entries,
-    matrix_powers,
+    moebius_type_ids,
     order_in_xi_tuple,
     parts_from_traces,
     unimodular_columns,
@@ -207,25 +211,20 @@ def act(g, table: CosetTable):
     return expand_block(*act_block([g], table), table.modulus)[0]
 
 
-def _flat_successors(block):
-    """Row-wise permutations as one permutation of rows * width points:
-    point (r, i) maps to (r, block[r, i]), flattened row-major."""
-    rows, width = block.shape
-    offsets = np.arange(0, rows * width, width, dtype=_PERM_DTYPE)
-    return (block + offsets[:, None]).ravel()
-
-
 def _cycles(perm, shift, m):
     """The row, the length and the multiplicity (None for 1) of the coset
     cycles of every row of a block in block form, rows ascending, from the
-    points per leader of `cycle_labels` on the base permutations.
+    points per leader of `cycle_labels` on the base permutations, taken
+    as one permutation of the flat points r*width + i.
 
     A base cycle of length l whose shifts sum to sigma returns to its start
     shifted by sigma, so each of its cosets returns after l*m/gcd(sigma, m)
     steps: it is gcd(sigma, m) coset cycles of that length."""
-    label = cycle_labels(_flat_successors(perm))
+    rows, width = perm.shape
+    offsets = np.arange(0, rows * width, width, dtype=_PERM_DTYPE)
+    label = cycle_labels((perm + offsets[:, None]).ravel())
     leaders = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
-    owner = leaders // perm.shape[1]
+    owner = leaders // width
     lengths = np.bincount(label, minlength=label.size)[leaders]
     if m == 1:
         return owner, lengths, None
@@ -259,28 +258,32 @@ def cycle_type_of(perm):
 
 
 def splitting_type_cycles(g, table: CosetTable):
-    """Splitting type as the cycle type of the coset permutation."""
-    return cycle_type_of(act(g, table))
+    """Splitting type as the cycle type of the coset permutation of g."""
+    return splitting_types([g], table)[0]
 
 
 def splitting_types(elements, table: CosetTable):
     """Splitting types of a list of elements, from the block form of their
-    action, in blocks of at most _BLOCK_ENTRIES acted points (at least one
-    row).  One `_cycle_type_ids` registry serves every block, so each
-    distinct type tuple is built once and equal types are the same
-    object."""
-    rows = max(1, _BLOCK_ENTRIES // table.acted.shape[1])
+    action (`_block_action`).  One `_cycle_type_ids` registry serves every
+    block, so each distinct type tuple is built once and equal types are
+    the same object."""
     ids, memo, row_ids = {}, {}, []
-    for start in range(0, len(elements), rows):
-        perm, shift = act_block(elements[start:start + rows], table)
+    for perm, shift in _block_action(elements, table):
         row_ids += _cycle_type_ids(perm, shift, table.modulus, ids, memo).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
 
+def _fixed_cosets(elements, table: CosetTable):
+    """The fixed-coset count of each of a non-empty list of elements, from
+    the block form of their action (`_block_action`)."""
+    return np.concatenate([_fixed_counts(perm, shift, table.modulus)
+                           for perm, shift in _block_action(elements, table)])
+
+
 def induced_trace(g, table: CosetTable):
     """Number of fixed cosets of g (the induced-representation character)."""
-    return int(_fixed_counts(*act_block([g], table), table.modulus)[0])
+    return int(_fixed_cosets([g], table)[0])
 
 
 def _flat_power(memo, k):
@@ -310,15 +313,27 @@ def moebius_type_from_perm(perm, m_order, index):
 
 
 def splitting_type_moebius(g, table: CosetTable):
-    """Splitting type recovered from permutation-power traces alone."""
-    m_order = order_in_xi_tuple(g, table.level)
-    return moebius_type_from_perm(act(g, table), m_order, table.index)
+    """Splitting type recovered from the permutation character alone: the
+    fixed-coset counts of the powers of g (`_fixed_cosets`), through
+    `moebius_type_ids`.  Never inspects cycles."""
+    ids = {}
+    moebius_type_ids([g], [order_in_xi_tuple(g, table.level)], table.level,
+                     lambda powers: _fixed_cosets(powers, table), table.index, ids, {})
+    return next(iter(ids))
 
 
-# acted points held by one block of `splitting_types` and of the dual sweep:
+# acted points held by one block of `_block_action` and of the dual sweep:
 # small enough that the sweep's working set stays near the cache size, large
 # enough that the per-block numpy overhead is paid rarely
 _BLOCK_ENTRIES = 1 << 14
+
+
+def _block_action(elements, table: CosetTable):
+    """`act_block` of a list of elements in blocks of at most _BLOCK_ENTRIES
+    acted points (at least one row)."""
+    rows = max(1, _BLOCK_ENTRIES // table.acted.shape[1])
+    for start in range(0, len(elements), rows):
+        yield act_block(elements[start:start + rows], table)
 
 
 def coset_chain_blocks(table: CosetTable):
@@ -327,8 +342,8 @@ def coset_chain_blocks(table: CosetTable):
     Xi(N) is swept as the chains head * T^k of `chain_heads`.  The action
     is a homomorphism, and in block form a product g * g' has the base
     permutation perm_g[perm_g'] and the shifts shift_g[perm_g'] + shift_g'
-    (mod m).  So one `act_block` row per chain head (one call per block of
-    heads) and one gather from the block form of T^k, k < N, give the whole
+    (mod m).  So one `act_block` row per chain head (`_block_action`)
+    and one gather from the block form of T^k, k < N, give the whole
     chain.  Yields (perm, shift) pairs of rows x k arrays, holding whole
     chains where one fits into _BLOCK_ENTRIES entries and consecutive
     pieces of one chain otherwise.  So the rows of all blocks, in turn, are
@@ -337,12 +352,10 @@ def coset_chain_blocks(table: CosetTable):
     n, m = table.level, table.modulus
     width = table.acted.shape[1]
     t_perm, t_shift = act_block([(1, k, 0, 1) for k in range(n)], table)
-    acted = max(1, _BLOCK_ENTRIES // width)  # heads per `act_block` call
+    acted = max(1, _BLOCK_ENTRIES // width)  # heads per `_block_action` block
     chains = max(1, acted // n)
     step = min(n, acted)
-    heads = chain_heads(n)[0].T
-    for h0 in range(0, len(heads), acted):
-        head_perm, head_shift = act_block(heads[h0:h0 + acted], table)
+    for head_perm, head_shift in _block_action(chain_heads(n)[0].T, table):
         for c0 in range(0, len(head_perm), chains):
             for k0 in range(0, n, step):
                 at = t_perm[k0:k0 + step]
@@ -352,21 +365,6 @@ def coset_chain_blocks(table: CosetTable):
                     continue
                 shift = head_shift[c0:c0 + chains].take(at, axis=1) + t_shift[k0:k0 + step]
                 yield perm, (shift % m).reshape(-1, width)
-
-
-def _distinct_rows(rows):
-    """The distinct rows of a 2-D integer array, and for each row the index
-    of its value among them: np.unique(rows, axis=0, return_inverse=True)
-    without the structured sort, which costs far more on small arrays.
-    Sorting the rows as raw bytes puts equal rows together."""
-    rows = np.ascontiguousarray(rows)
-    order = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().argsort()
-    rows = rows.take(order, axis=0)
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[first], inverse
 
 
 def _cycle_type_ids(perm, shift, m, ids, memo):
@@ -392,38 +390,6 @@ def _cycle_type_ids(perm, shift, m, ids, memo):
     return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
-def _moebius_type_ids(n, start, stop, fixed, index, ids, memo):
-    """The id in `ids` of the type of elements start..stop of the flat
-    `xi_chain_grid(n)`, from the fixed-coset counts `fixed` of the whole
-    grid alone.
-
-    The action is a homomorphism, so tr sigma(g)^d = fixed[g^d]: for the
-    divisors d of the order m of g, the power g^d is formed as a matrix
-    (`matrix_powers`, sharing the squarings) and its place in the grid is
-    read from its entries (`xi_grid_positions`).  `parts_from_traces` runs
-    once per distinct (m, trace vector), memoised in `memo` across calls.
-    Never inspects cycles, nor the action of g beyond its fixed points.
-    """
-    g = np.stack(grid_entries(np.arange(start, stop, dtype=np.int32), n))
-    orders = xi_orders(g.T, n)
-    out = np.empty(len(orders), dtype=np.int32)
-    for m in np.flatnonzero(np.bincount(orders)).tolist():
-        sel = np.flatnonzero(orders == m)
-        ds = divisors(m)
-        powers = np.stack(matrix_powers(g.take(sel, axis=1).T.reshape(-1, 2, 2), ds, n))
-        pos = xi_grid_positions(powers.reshape(-1, 4).T, n)
-        traces = fixed.take(pos).reshape(len(ds), len(sel)).T
-        distinct, inverse = _distinct_rows(traces)
-        row_ids = []
-        for tr in map(tuple, distinct.tolist()):
-            if (m, tr) not in memo:
-                lam = parts_from_traces(dict(zip(ds, tr)), m, index)
-                memo[m, tr] = ids.setdefault(lam, len(ids))
-            row_ids.append(memo[m, tr])
-        out[sel] = np.array(row_ids, dtype=np.int32).take(inverse)
-    return out
-
-
 # elements per block of the Moebius step of `dual_type_report`: bounds its
 # matrix powers to a few MB
 _MOEBIUS_ROWS = 1 << 14
@@ -438,15 +404,15 @@ def dual_type_report(level, family):
     over `coset_chain_blocks` keeps two int32 numbers per element, in grid
     order: its fixed-coset count (`_fixed_counts`) and the id of its cycle
     type (`_cycle_type_ids`), both from the block form of its action.  The
-    Moebius route (`_moebius_type_ids`) then reads only fixed-coset counts,
-    those of the powers of each element, so an action that is not a
-    homomorphism shows as a mismatch too.  Elements are decoded from the
-    grid only for the mismatches.
+    Moebius route (`moebius_type_ids`) then reads tr sigma(g)^d as the
+    fixed-coset count of the element g^d, placed in the grid by its entries
+    (`xi_grid_positions`), so an action that is not a homomorphism shows
+    as a mismatch too.  Elements are decoded from the grid only for the
+    mismatches.
     """
     size = capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
-    fixed = np.empty(size, dtype=np.int32)
-    by_cycles = np.empty(size, dtype=np.int32)
+    fixed, by_cycles = np.empty((2, size), dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
     count, by_counts, by_traces = 0, {}, {}
     for perm, shift in coset_chain_blocks(table):
@@ -458,9 +424,12 @@ def dual_type_report(level, family):
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")
     bad, by_moebius = [], []
     for start in range(0, size, _MOEBIUS_ROWS):
-        stop = min(start + _MOEBIUS_ROWS, size)
-        lam_m = _moebius_type_ids(level, start, stop, fixed, table.index, ids, by_traces)
-        miss = np.flatnonzero(lam_m != by_cycles[start:stop])
+        at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
+        g = np.stack(grid_entries(at, level)).T
+        lam_m = moebius_type_ids(g, xi_orders(g, level), level,
+                                 lambda powers: fixed.take(xi_grid_positions(powers.T, level)),
+                                 table.index, ids, by_traces)
+        miss = np.flatnonzero(lam_m != by_cycles.take(at))
         bad.append(miss + start)
         by_moebius.append(lam_m.take(miss))
     bad, by_moebius = np.concatenate(bad), np.concatenate(by_moebius)

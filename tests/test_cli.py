@@ -225,6 +225,34 @@ def test_census_truncated_cache_is_inconsistent(tmp_path, capsys):
         assert "unreadable census cache" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("densities", "--family", "gamma0", "--level", "5"),
+    ("--jobs", "1", "empirical", "--family", "gamma0", "--level", "5", "--x", "3000"),
+])
+def test_output_into_a_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, *argv, "--output", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    code, out, err = run(capsys, "--cache-dir", str(cache), "census", "--level", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(cache) in err
+
+
+def test_census_cache_path_that_is_a_directory_is_inconsistent(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    (cache / "census-gamma0-5.json").mkdir(parents=True)
+    for flags in ((), ("--trust-cache",)):
+        code, out, err = run(capsys, "--cache-dir", str(cache), "census", "--level", "5", *flags)
+        assert code == 3 and out == ""
+        assert "unreadable census cache" in err
+
+
 def test_census_level_25_size(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, out, _ = run(capsys, "--cache-dir", cache, "census", "--level", "25")

@@ -207,34 +207,58 @@ def test_oracle_equivalence_random_large_levels():
     The Gamma0 tables at these levels list their cosets without walking
     Xi(N); both type extractions see the identical permutation.
     """
-    from math import gcd
-
     rng = random.Random(200)
     total = 0
     for n in (60, 101, 200):
         t = table(Family.GAMMA0, n)
-
-        def random_element():
-            while True:
-                a, c = rng.randrange(n), rng.randrange(n)
-                if gcd(gcd(a, c), n) != 1:
-                    continue
-                g, u, v = _ext_gcd(a, c)
-                ginv = pow(g, -1, n)
-                d0 = (u * ginv) % n
-                b0 = (-v * ginv) % n
-                t = rng.randrange(n)
-                return canon(a, (b0 + t * a) % n, c, (d0 + t * c) % n, n)
-
         for _ in range(3400):
-            g = random_element()
+            g = _random_element(rng, n)
             perm = act(g, t)
             lam_cycles = cycle_type_of(perm)
             order = order_in_xi_tuple(g, n)
             lam_moebius = moebius_type_from_perm(perm, order, t.index)
             assert lam_cycles == lam_moebius, (n, g)
+            if total % 8 == 0:  # the block-form routes, on every eighth element
+                assert splitting_type_cycles(g, t) == lam_cycles, (n, g)
+                assert splitting_type_moebius(g, t) == lam_cycles, (n, g)
             total += 1
     assert total >= 10**4
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_block_form_types_match_the_expanded_permutation(family):
+    """At every level with |Xi(N)| <= 2e5 (N = 2..84), on the identity, T
+    and seeded random elements (5, or 30 at level 75): the cycle type and
+    the Moebius type of the expanded permutation (`act`, `cycle_type_of`,
+    `moebius_type_from_perm`) equal the types that `splitting_type_cycles`
+    and `splitting_type_moebius` read off the block form."""
+    for n in (n for n in range(2, 100) if xi_order(n) <= 2 * 10**5):
+        t = table(family, n)
+        rng = random.Random(n)
+        sample = [_random_element(rng, n) for _ in range(30 if n == 75 else 5)]
+        for g in [identity(n), canon(1, 1, 0, 1, n)] + sample:
+            perm = act(g, t)
+            lam = cycle_type_of(perm)
+            assert moebius_type_from_perm(perm, order_in_xi_tuple(g, n), t.index) == lam, (n, g)
+            assert splitting_type_cycles(g, t) == lam, (n, g)
+            assert splitting_type_moebius(g, t) == lam, (n, g)
+
+
+def _random_element(rng, n):
+    """A random element of Xi(n): a random unimodular first column,
+    completed, times a random power of T."""
+    from math import gcd
+
+    while True:
+        a, c = rng.randrange(n), rng.randrange(n)
+        if gcd(gcd(a, c), n) != 1:
+            continue
+        g, u, v = _ext_gcd(a, c)
+        ginv = pow(g, -1, n)
+        d0 = (u * ginv) % n
+        b0 = (-v * ginv) % n
+        t = rng.randrange(n)
+        return canon(a, (b0 + t * a) % n, c, (d0 + t * c) % n, n)
 
 
 def _ext_gcd(a, b):
@@ -341,7 +365,7 @@ def test_distinct_rows_group_equal_rows(rows, width, seed, spread):
     row, and the distinct rows are the set of rows (np.unique's)."""
     import numpy as np
 
-    from geosplit.cosets import _distinct_rows
+    from geosplit.core import _distinct_rows
 
     rng = np.random.default_rng(seed)
     block = rng.integers(-spread, spread, size=(rows, width))
@@ -422,18 +446,22 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     heads per action call and 15 chains per block; Gamma1(16) has 96
     cosets, so 170 heads per call and 10 chains per block) and at level 2,
     where -I = I."""
+    import geosplit.core as core
     import geosplit.cosets as cosets
 
     assert dual_type_report(n, family) == _reference_dual_report(n, family)
 
-    # with a Moebius recursion that is wrong for even orders, the sweep and
-    # the per-element loop report the same mismatches, sorted by element
-    exact = cosets.parts_from_traces
+    # with a Moebius recursion that is wrong for even orders, the sweep (its
+    # Moebius step is `core.moebius_type_ids`) and the per-element loop
+    # (`cosets.moebius_type_from_perm`) report the same mismatches, sorted
+    # by element
+    exact = core.parts_from_traces
 
     def skewed(traces, order, weight):
         lam = exact(traces, order, weight)
         return lam + (0,) if order % 2 == 0 else lam
 
+    monkeypatch.setattr(core, "parts_from_traces", skewed)
     monkeypatch.setattr(cosets, "parts_from_traces", skewed)
     count, mismatches = dual_type_report(n, family)
     assert mismatches
@@ -568,21 +596,20 @@ def tables_75():
     return {f: (t, act_reference(t)) for f in Family for t in [table(f, 75)]}
 
 
-@settings(max_examples=15, deadline=None)
-@given(family=st.sampled_from(list(Family)),
-       picks=st.lists(st.integers(0, xi_order(75) - 1), min_size=1, max_size=3))
-def test_act_block_matches_the_definition_at_75(tables_75, family, picks):
-    """Sampled elements of Xi(75) (index 180000 for Gamma), in one block:
-    the expanded block form, and the cycle types and fixed-coset counts
-    read off the block form alone, against the permutations by the
-    definition."""
-    t, reference = tables_75[family]
-    elements = [enumerate_xi(75)[i] for i in picks]
-    want = [reference(g) for g in elements]
-    assert expand_block(*act_block(elements, t), t.modulus).tolist() == want
-    assert splitting_types(elements, t) == [cycle_type_of(perm) for perm in want]
-    assert [induced_trace(g, t) for g in elements] == [
-        sum(i == j for i, j in enumerate(perm)) for perm in want]
+def test_act_block_matches_the_definition_at_75(tables_75):
+    """A seeded sample of 30 elements of Xi(75) per family (index 180000
+    for Gamma), in one block: the expanded block form, and the cycle types
+    and fixed-coset counts read off the block form alone, against the
+    permutations by the definition."""
+    rng = random.Random(75)
+    for family in Family:
+        t, reference = tables_75[family]
+        elements = rng.sample(enumerate_xi(75), 30)
+        want = [reference(g) for g in elements]
+        assert expand_block(*act_block(elements, t), t.modulus).tolist() == want, family
+        assert splitting_types(elements, t) == [cycle_type_of(perm) for perm in want], family
+        assert [induced_trace(g, t) for g in elements] == [
+            sum(i == j for i, j in enumerate(perm)) for perm in want], family
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -668,6 +695,31 @@ def test_gamma_types_never_expand_the_action(monkeypatch):
     assert dual_type_report(14, Family.GAMMA) == (xi_order(14), [])
     with pytest.raises(AssertionError, match="walked"):
         act(identity(25), t)
+
+
+def test_no_route_expands_a_coset_action(monkeypatch, capsys):
+    """`type`, the exhaustive sweep and the closed forms never write out or
+    compose a permutation of all the cosets: `expand_block` (behind `act`),
+    `_flat_power` (behind `moebius_type_from_perm`) and `cycle_types`
+    (behind `cycle_type_of`) are references for the tests alone."""
+    from geosplit import cli
+    from geosplit.census import density_table_closed_form
+    from geosplit.core import partition_str
+
+    g = canon(2, 1, 1, 1, 75)
+    want_types = {f: cycle_type_of(act(g, table(f, 75))) for f in Family}
+    specs = [SubgroupSpec(f, 25) for f in Family]
+    want_closed = [density_table_closed_form(s).entries for s in specs]
+    for name in ("expand_block", "_flat_power", "cycle_types"):
+        monkeypatch.setattr(cosets, name, _refuse)
+    for family in Family:
+        capsys.readouterr()
+        assert cli.main(["type", "--matrix", "2,1,1,1", "--family", family.value,
+                         "--level", "75"]) == 0
+        lam = partition_str(want_types[family])
+        assert capsys.readouterr().out.splitlines()[:2] == [lam, f"moebius: {lam}"]
+        assert dual_type_report(12, family) == (xi_order(12), [])
+    assert [density_table_closed_form(s).entries for s in specs] == want_closed
 
 
 def test_dual_type_report_refuses_above_the_group_cap(monkeypatch):
