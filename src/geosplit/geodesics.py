@@ -9,29 +9,23 @@ the trace taken positive, which matches working projectively everywhere
 else: a positive-trace matrix can only be a power of another
 positive-trace matrix, so primitivity marking never needs negative traces.
 
-The enumeration runs on numpy arrays.  The reduced forms of every trace
-come from a generator with no factoring (`_chunk_forms`): with
-u = (t - b)/2 and w = (t + b)/2, the forms (a, b, c) with a > 0 are the
-progressions w = u^-1 mod a, w > a, over the coprime pairs u <= a, and
-the Stern-Brocot tree yields each pair with its inverse as the denominator
-of a Farey neighbour.  The forms are held as int16 columns (t, a, b) and
-split into chunks of traces (at most _CHUNK_PAIRS pairs (t, b) per chunk,
-or one trace).  A chunk adds the forms with a < 0; sorts them by an int64
-key in tuple order; maps every form to its reduction-cycle neighbour at
-once (`rho_steps`, found by `searchsorted`); and takes the least form of
-every cycle by pointer doubling (`core.cycle_labels`).  The chunks go to a
-process pool only when `jobs` > 1 and there are at least _POOL_MIN_CHUNKS
-of them.  The chunks' leaders are concatenated in trace order and pass one
-primitivity marking by content scaling: the k-th power of the class with
-least form f at trace t0 has least form U_{k-1}(t0) f.
-The per-trace reduction walk, with `class_of_matrix` on the powers, is the
+The enumeration is one stream of trace chunks in trace order, each of at
+most _CHUNK_PAIRS pairs (t, b) or one trace.  The reduced forms with a > 0
+are the progressions w = u^-1 mod a, w > a, over the coprime pairs u <= a
+of the Stern-Brocot tree, with u = (t - b)/2 and w = (t + b)/2
+(`_chunk_forms`), bucketed by chunk as int16 columns (t, a, b) as they
+are made.  A chunk's kernel (`_cycle_leaders`, in a process pool when
+`jobs` > 1 and there are at least _POOL_MIN_CHUNKS chunks) keeps the least
+form of every reduction cycle, and the chunk then drops the proper powers,
+content multiples of earlier leaders (`primitive_class_chunks`).  The
+per-trace reduction walk, with `class_of_matrix` on the powers, is the
 tests' reference.
 
-The classes stay int64 columns (trace, a, b, c) from the chunk kernel to
-the last sum (`PrimitiveClasses`, about 32 bytes per class): a tally
-reduces the representatives' entry columns mod N in numpy, finds the
-splitting type once per distinct residue and counts with `bincount`.  No
-object is built per class unless the columns are iterated.
+A chunk's classes are int64 columns (trace, a, b, c), `PrimitiveClasses`;
+no object is built per class unless they are iterated.  A tally keeps only
+running counts across chunks and finds each splitting type once per new
+residue mod N; the zeta checks share the joined stream
+(`enumerate_primitive_classes`).
 
 The norm cutoff N(gamma) < x is decided in exact arithmetic:
 
@@ -48,6 +42,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import Pool
@@ -62,7 +58,7 @@ from .cosets import build_coset_table, splitting_types
 
 MIN_CUTOFF = 7  # the shortest geodesic (t = 3) has norm ((3+sqrt5)/2)^2 ~ 6.854
 # largest cutoff enumerated (traces up to 3162): the 2.1e6 forms with a > 0 take
-# 13 MB as int16 columns, and the enumeration peaks at 95 MB RSS in a fresh process
+# 13 MB as int16 columns, and the enumeration peaks at 74 MB RSS in a fresh process
 MAX_CUTOFF = 10**7
 
 
@@ -157,33 +153,36 @@ def _chunk_forms(t_max, chunks):
     |ac| = (t^2 - 4 - b^2)/4 = uw - 1.  So the forms with a > 0 are, for
     every coprime pair u <= a of `_coprime_pairs` with inverse q, the
     progression w = q + ka, k >= 1, while u + w <= t_max (at a = 1 every
-    w >= 2).  The progressions are expanded about _BATCH_ROWS forms at a
-    time into one array, which a stable sort of its traces splits by chunk.
+    w >= 2).  They are expanded about _BATCH_ROWS forms at a time, and each
+    batch is bucketed by chunk; a chunk's buckets are joined when it is due.
     """
     if t_max > np.iinfo(np.int16).max:
         raise OverflowError(f"traces up to {t_max} exceed the int16 form columns")
     u, a, q = _coprime_pairs(t_max, np.int16)
     count = (t_max - u - q) // a
-    ends = np.cumsum(count)
-    forms = np.empty((3, int(ends[-1])), dtype=np.int16)
-    cuts = [0, *ends.searchsorted(np.arange(_BATCH_ROWS, ends[-1], _BATCH_ROWS)), len(u)]
+    cuts = np.cumsum(count).searchsorted(np.arange(_BATCH_ROWS, count.sum(), _BATCH_ROWS))
+    cuts = [0, *cuts.tolist(), len(u)]
+    chunk_of = np.repeat(np.arange(len(chunks), dtype=np.int16), [hi - lo for lo, hi in chunks])
+    buckets = deque([] for _ in chunks)
     for i, j in zip(cuts, cuts[1:]):
         start = np.stack((u[i:j] + q[i:j], a[i:j], q[i:j] - u[i:j]))
         step = np.stack((a[i:j], np.zeros_like(a[i:j]), a[i:j]))
-        forms[:, ends[i] - count[i]:ends[j - 1]] = _progressions(start, step, count[i:j])
-    order = forms[0].argsort(kind="stable")
-    for row in forms:
-        row[:] = row.take(order)
-    return np.split(forms, forms[0].searchsorted([lo for lo, _ in chunks[1:]]), axis=1)
+        forms = _progressions(start, step, count[i:j])
+        which = chunk_of.take(forms[0] - 3)
+        forms = forms.take(which.argsort(kind="stable"), axis=1)
+        cut = np.bincount(which, minlength=len(chunks)).cumsum()[:-1]
+        for bucket, part in zip(buckets, np.split(forms, cut, axis=1)):
+            bucket.append(part.copy())
+    return (np.concatenate(buckets.popleft(), axis=1) for _ in chunks)
 
 
 def rho_steps(t, b, c):
     """`rho_step` on arrays of reduced forms (a, b, c) of discriminant
-    t^2 - 4: the images (c, r, c') and whether each c' = (r^2 - D)/(4c)
-    is exact."""
+    t^2 - 4: the images (c, r, c') and whether each is a form, that is,
+    c' = (r^2 - D)/(4c) is exact and r > 0."""
     r = t - 1 - (t - 1 + b) % (2 * np.abs(c))
     num = r * r - (t * t - 4)
-    return c, r, num // (4 * c), num % (4 * c) == 0
+    return c, r, num // (4 * c), (num % (4 * c) == 0) & (r > 0)
 
 
 def _cycle_leaders(lo, hi, forms):
@@ -193,11 +192,13 @@ def _cycle_leaders(lo, hi, forms):
 
     Each form gives (a, b, -n/a) and (-a, b, n/a), n = (t^2 - 4 - b^2)/4.
     The forms are sorted by their `_form_keys` (c is fixed by (t, a, b), and
-    |a|, b < t < hi).  `rho_steps` maps every row at once, and each image is
-    found by `searchsorted`.  The cycle minima are the `cycle_labels` of the
-    step, the pointer doubling that also bins the cycles of coset
-    permutations.  ConsistencyError if an image is not exact or not among
-    the forms, or if the step is not a permutation.
+    |a|, b < t < hi).  `rho_steps` maps every row at once; one sort of the
+    image keys finds every image and checks that the step is a permutation
+    of the forms: every image exact with b > 0, the sorted image keys equal
+    to the form keys, and each image's c that of the form with its key.  The
+    image order is then the inverse of the step, so its `cycle_labels` give
+    the cycle minima.  ConsistencyError if an image is not among the forms,
+    or if the step is not a permutation.
     """
     t, a, b = forms.astype(np.int32)
     c = (t * t - 4 - b * b) // (4 * a)
@@ -206,16 +207,18 @@ def _cycle_leaders(lo, hi, forms):
     order = key.argsort()
     key, t, a, b, c = (v.take(order) for v in (key, t, a, b, c))
     na, nb, nc, exact = rho_steps(t, b, c)
-    step = key.searchsorted(_form_keys(t, na, nb, lo, hi)).clip(0, len(key) - 1)
-    bad = ~exact | (t.take(step) != t) | (a.take(step) != na) | (b.take(step) != nb)
-    bad |= c.take(step) != nc
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ConsistencyError(f"the reduction step at trace {t[i]} takes "
-                               f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
-    if not (np.bincount(step, minlength=len(step)) == 1).all():
+    image = _form_keys(t, na, nb, lo, hi)
+    by_image = image.argsort()
+    if not (exact.all() and np.array_equal(image.take(by_image), key)
+            and np.array_equal(nc.take(by_image), c)):
+        pos = key.searchsorted(image).clip(0, len(key) - 1)
+        bad = ~exact | (key.take(pos) != image) | (c.take(pos) != nc)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ConsistencyError(f"the reduction step at trace {t[i]} takes "
+                                   f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
         raise ConsistencyError(f"the reduction step on traces {lo}..{hi - 1} is not a permutation")
-    leaders = cycle_labels(step) == np.arange(len(step))
+    leaders = cycle_labels(by_image) == np.arange(len(by_image))
     return t[leaders], a[leaders], b[leaders], c[leaders]
 
 
@@ -288,18 +291,6 @@ def tally_cutoff(x):
     return max_trace(xf)
 
 
-def power_traces(t0, t_max):
-    """Traces of powers: t_1 = t0, t_k = t0 t_{k-1} - t_{k-2}, while <= t_max."""
-    out = []
-    prev, cur = 2, t0
-    k = 1
-    while cur <= t_max:
-        out.append((k, cur))
-        prev, cur = cur, t0 * cur - prev
-        k += 1
-    return out
-
-
 # pairs (t, b) per enumeration chunk; there are about 0.85 forms (t, a, b) with
 # a > 0 per pair, so a chunk holds some 14k of them and its kernel a few MB
 _CHUNK_PAIRS = 1 << 14
@@ -307,18 +298,11 @@ _CHUNK_PAIRS = 1 << 14
 # forms per batch of `_chunk_forms`, whose int64 temporaries are a few MB
 _BATCH_ROWS = 1 << 16
 
-# fewest chunks for which `jobs` > 1 starts a pool.  The forms are generated in
-# the parent and only the chunk kernels are split; on 2 vCPUs (medians of 5-8
-# fresh processes) one process and two workers took the same time within the
-# noise at 16 chunks (x = 1e6, 0.10 s) and 31 chunks (2e6, 0.17 s), two workers
-# were 4-6 % faster at 47 and 63 chunks (3e6, 4e6) and 19 % at 158 chunks
-# (1e7, 0.86 s against 1.07 s)
-_POOL_MIN_CHUNKS = 20
-
-
-def _pool_chunk(task):
-    i, bounds = task
-    return i, _cycle_leaders(*bounds)
+# fewest chunks for which `jobs` > 1 starts a pool, and chunks per pool task.  On 2
+# vCPUs (empirical_tally, medians of 9 fresh processes, two runs) two workers took
+# 0.98-1.02, 0.91-1.00, 0.92-0.96 and 0.83-0.86 of the time of one process at 16, 31,
+# 47 and 158 chunks (x = 1e6, 2e6, 3e6, 1e7), and 0.99-1.19 with one chunk per task
+_POOL_MIN_CHUNKS, _POOL_TASK_CHUNKS = 20, 4
 
 
 def _trace_chunks(t_max):
@@ -331,6 +315,28 @@ def _trace_chunks(t_max):
             lo, pairs = t, 0
         pairs += (t - 1) // 2
     return chunks + [(lo, t_max + 1)]
+
+
+def _indexed_leaders(task):
+    i, ((lo, hi), forms) = task
+    return i, _cycle_leaders(lo, hi, forms)
+
+
+def _leader_chunks(t_max, jobs):
+    """(lo, hi, `_cycle_leaders`) of each trace chunk of 3..t_max in order; with
+    `jobs` > 1 and >= _POOL_MIN_CHUNKS chunks from a pool, through a reorder buffer."""
+    chunks = _trace_chunks(t_max)
+    pooled = jobs > 1 and len(chunks) >= _POOL_MIN_CHUNKS
+    with Pool(min(jobs, len(chunks))) if pooled else nullcontext() as pool:  # before the forms
+        tasks = enumerate(zip(chunks, _chunk_forms(t_max, chunks)))
+        done, k = {}, 0
+        results = (pool.imap_unordered(_indexed_leaders, tasks, _POOL_TASK_CHUNKS) if pooled
+                   else map(_indexed_leaders, tasks))
+        for i, leaders in results:
+            done[i] = leaders
+            while k in done:
+                yield *chunks[k], done.pop(k)
+                k += 1
 
 
 class PrimitiveClasses:
@@ -380,48 +386,41 @@ def classes_below(x, t_max, classes=None, jobs=1):
     return classes.below(t_max)
 
 
-def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
-    """All primitive classes with N(gamma) < x, sorted by (trace, form).  A
-    cutoff above MAX_CUTOFF raises CapExceeded before anything is allocated.
+def primitive_class_chunks(t_max, jobs=1):
+    """The primitive classes of trace <= t_max, yielded as `PrimitiveClasses`
+    one trace chunk at a time, in (trace, form) order.
 
-    The chunks' cycle leaders are concatenated in trace order.  Proper
-    powers are marked by content scaling: M^k = U_{k-1}(t0) M - U_{k-2}(t0) I
-    with U_k = t0 U_{k-1} - U_{k-2}, so the fixed-point form of M^k is
-    U_{k-1}(t0) times that of M, and scaling keeps forms reduced and cycles
-    in order.  Every trace t0 with t0^2 - 2 <= t_max marks the columns
-    (t_k, U_{k-1} a, U_{k-1} b) of its leaders, removed by a `searchsorted`
-    mask on their `_form_keys`."""
+    Proper powers are marked by content scaling: M^k = U_{k-1} M - U_{k-2} I
+    with U_k = t0 U_{k-1} - U_{k-2} at the trace t0 of M, so the fixed-point
+    form of M^k is U_{k-1} times that of M, and scaling keeps forms reduced
+    and cycles in order.  Each leader (t0, a, b) with t0^2 - 2 <= t_max
+    leaves the marks (t_k, U_{k-1} a, U_{k-1} b) to the chunks of the t_k,
+    which drop them by a `searchsorted` on their keys."""
+    due = {}  # t_k -> the marks of trace t_k
+    for lo, hi, (t, a, b, c) in _leader_chunks(t_max, jobs):
+        for t0 in range(lo, min(hi, math.isqrt(t_max + 2) + 1)):
+            a0, b0 = a[t == t0], b[t == t0]
+            t_prev, tk, u_prev, u = t0, t0 * t0 - 2, 1, t0  # t_1, t_2, U_0, U_1
+            while tk <= t_max:
+                due.setdefault(tk, []).append(np.stack((np.full(len(a0), tk), u * a0, u * b0)))
+                t_prev, tk, u_prev, u = tk, t0 * tk - t_prev, u, t0 * u - u_prev
+        marks = [m for tk in range(lo, hi) for m in due.pop(tk, [])] or [np.zeros((3, 0), int)]
+        keys = _form_keys(t, a, b, lo, hi)
+        marked = _form_keys(*np.concatenate(marks, axis=1), lo, hi)
+        pos = keys.searchsorted(marked).clip(0, len(keys) - 1)
+        if not np.array_equal(keys.take(pos), marked):
+            raise ConsistencyError("a power reduces to a form outside the enumerated classes")
+        yield PrimitiveClasses(*(np.delete(v, pos).astype(np.int64) for v in (t, a, b, c)))
+
+
+def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
+    """All primitive classes with N(gamma) < x, sorted by (trace, form): the
+    `primitive_class_chunks` joined.  A cutoff above MAX_CUTOFF raises
+    CapExceeded before anything is allocated."""
     if exact_cutoff(x) > MAX_CUTOFF:
         raise CapExceeded(f"cutoff {x} exceeds cap {MAX_CUTOFF}")
-    t_max = max_trace(x)
-    if t_max < 3:
-        return PrimitiveClasses(*np.zeros((4, 0), dtype=np.int64))
-    chunks = _trace_chunks(t_max)
-    tasks = [(lo, hi, forms) for (lo, hi), forms in zip(chunks, _chunk_forms(t_max, chunks))]
-    if jobs > 1 and len(chunks) >= _POOL_MIN_CHUNKS:
-        with Pool(min(jobs, len(chunks))) as pool:
-            done = dict(pool.imap_unordered(_pool_chunk, enumerate(tasks)))
-        leaders = [done[i] for i in range(len(tasks))]
-    else:
-        leaders = [_cycle_leaders(*task) for task in tasks]
-    del tasks  # the forms go before the class columns are built
-    classes = PrimitiveClasses(*(np.concatenate(v).astype(np.int64) for v in zip(*leaders)))
-
-    base, marks = classes.below(math.isqrt(t_max + 2)), [np.zeros((3, 0), dtype=np.int64)]
-    for t0 in range(3, math.isqrt(t_max + 2) + 1):  # t0^2 - 2 <= t_max
-        a, b = base.a[base.trace == t0], base.b[base.trace == t0]
-        u_prev, u = 0, 1  # U_{k-2}(t0), U_{k-1}(t0) at k = 1
-        for _, tk in power_traces(t0, t_max)[1:]:
-            u_prev, u = u, t0 * u - u_prev
-            marks.append(np.stack((np.full(len(a), tk), u * a, u * b)))
-    keys = _form_keys(classes.trace, classes.a, classes.b, 0, t_max + 1)
-    marked = _form_keys(*np.concatenate(marks, axis=1), 0, t_max + 1)
-    pos = keys.searchsorted(marked).clip(0, len(keys) - 1)
-    if not np.array_equal(keys.take(pos), marked):
-        raise ConsistencyError("a power reduces to a form outside the enumerated classes")
-    keep = np.ones(len(keys), dtype=bool)
-    keep[pos] = False
-    return PrimitiveClasses(*(v[keep] for v in (classes.trace, classes.a, classes.b, classes.c)))
+    parts = [(p.trace, p.a, p.b, p.c) for p in primitive_class_chunks(max_trace(x), jobs)]
+    return PrimitiveClasses(*map(np.concatenate, zip(*parts)))
 
 
 def li(x):
@@ -446,53 +445,58 @@ class EmpiricalTally:
 
 def residues_mod(classes, n):
     """The reductions mod n of the classes' matrices: the distinct
-    +-canonical residues as a k x 4 array in tuple order, and the index of
-    each class's residue in it.  The matrices have determinant one, so the
-    residues need no check."""
-    keys = sign_keys([v % n for v in classes.entries], n)
-    keys, inverse = np.unique(keys, return_inverse=True)
-    return decode_keys(keys, n), inverse
+    +-canonical residue keys (`core.sign_keys`) in order, and the index of
+    each class's residue among them.  The matrices have determinant one, so
+    the residues need no check."""
+    return np.unique(sign_keys([v % n for v in classes.entries], n), return_inverse=True)
 
 
-def residue_types(residues, table):
-    """(splitting type, order in Xi(N)) of every row of an array of
-    residues; the types come from one blocked cycle-type pass, the orders
-    from one `xi_orders` pass."""
+def residue_types(keys, table):
+    """(splitting type, order in Xi(N)) of the residue of every key; the
+    types come from one blocked cycle-type pass, the orders from one
+    `xi_orders` pass."""
+    residues = decode_keys(keys, table.level)
     return list(zip(splitting_types(residues, table), xi_orders(residues, table.level).tolist()))
 
 
 def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=False) -> EmpiricalTally:
     """Tally splitting types of all primitive classes with norm < x.
 
-    Splitting types only depend on the reduction mod N, so they are found
-    once per distinct residue (at most |Xi(N)| of them) and counted with
+    The classes are the `primitive_class_chunks` stream, or the prefix of
+    the given `classes` as one chunk; only running counts cross chunks.
+    Types only depend on the reduction mod N, so they are found once per
+    residue key (at most |Xi(N)|, memoized across chunks) and counted with
     `bincount`; `counts` lists the types in the order of their first class.
     """
     t_max = tally_cutoff(x)
     table = build_coset_table(s)
-    kept = classes_below(x, t_max, classes, jobs)
-    residues, inverse = residues_mod(kept, s.level)
-    types = residue_types(residues, table)
-    per_residue = np.bincount(inverse, minlength=len(types)).tolist()
-    counts = {}
-    for r in np.argsort(np.unique(inverse, return_index=True)[1]).tolist():
-        lam = types[r][0]
-        counts[lam] = counts.get(lam, 0) + per_residue[r]
-    tally = EmpiricalTally(s, float(x), counts, len(kept))
-    if scan_anomalous:
-        bad = np.array([order not in lam for lam, order in types], dtype=bool).take(inverse)
-        tally.anomalous = int(bad.sum())
-        for i in np.flatnonzero(bad)[:50].tolist():
-            lam, order = types[inverse[i]]
-            tally.witnesses.append({"trace": int(kept.trace[i]),
-                                    "form": [int(kept.a[i]), int(kept.b[i]), int(kept.c[i])],
-                                    "order": order, "type": list(lam)})
+    chunks = (primitive_class_chunks(t_max, jobs) if classes is None
+              else [classes_below(x, t_max, classes)])
+    tally = EmpiricalTally(s, float(x), {}, 0, 0 if scan_anomalous else None)
+    memo = {}  # residue key -> (type, order)
+    for part in chunks:
+        keys, inverse = residues_mod(part, s.level)
+        new = [k for k in keys.tolist() if k not in memo]
+        memo.update(zip(new, residue_types(np.array(new, dtype=np.int64), table)))
+        types = [memo[k] for k in keys.tolist()]
+        per_residue = np.bincount(inverse, minlength=len(types)).tolist()
+        for r in np.argsort(np.unique(inverse, return_index=True)[1]).tolist():
+            tally.counts[types[r][0]] = tally.counts.get(types[r][0], 0) + per_residue[r]
+        tally.total += len(part)
+        if scan_anomalous:
+            bad = np.array([order not in lam for lam, order in types], dtype=bool).take(inverse)
+            tally.anomalous += int(bad.sum())
+            for i in np.flatnonzero(bad)[:50 - len(tally.witnesses)].tolist():
+                lam, order = types[inverse[i]]
+                tally.witnesses.append({"trace": int(part.trace[i]),
+                                        "form": [int(part.a[i]), int(part.b[i]), int(part.c[i])],
+                                        "order": order, "type": list(lam)})
     return tally
 
 
 def anomalous_type_scan(s: SubgroupSpec, x, jobs=1, classes=None):
     """Count primitive classes whose type has no part equal to the order of
-    their reduction (none are expected; witnesses are reported if found)."""
+    their reduction, and list the first 50 (Gamma0(8) has 1609 below 1e5)."""
     tally = empirical_tally(s, x, jobs=jobs, classes=classes, scan_anomalous=True)
     return tally.anomalous, tally.witnesses
 
@@ -531,13 +535,8 @@ def tally_json(tally: EmpiricalTally, theory: DensityTable):
     rows = [{"partition": partition_str(lam), "count": count, "empirical_density": emp,
              "theoretical_density": f"{theo.numerator}/{theo.denominator}", "abs_error": err}
             for lam, count, emp, theo, err in comparison_rows(tally, theory)]
-    doc = {
-        "family": tally.subgroup.family.value,
-        "level": tally.subgroup.level,
-        "cutoff": tally.cutoff,
-        "total": tally.total,
-        "rows": rows,
-    }
+    doc = {"family": tally.subgroup.family.value, "level": tally.subgroup.level,
+           "cutoff": tally.cutoff, "total": tally.total, "rows": rows}
     if tally.anomalous is not None:
         doc["anomalous_count"] = tally.anomalous
         doc["witnesses"] = tally.witnesses

@@ -102,7 +102,7 @@ class ClassData:
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
         self._tables = {}
-        self._residues = {}  # level -> (distinct residues, residue index of each class)
+        self._residues = {}  # level -> (distinct residue keys, residue index of each class)
         self._types = {}  # subgroup -> [(type, order)] per residue of its level
 
     def trace_bound(self, x):
@@ -130,9 +130,9 @@ class ClassData:
         table = self._table(subgroup)
         if subgroup.level not in self._residues:
             self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
-        residues, inverse = self._residues[subgroup.level]
+        keys, inverse = self._residues[subgroup.level]
         if subgroup not in self._types:
-            self._types[subgroup] = residue_types(residues, table)
+            self._types[subgroup] = residue_types(keys, table)
         return self._types[subgroup], inverse
 
     def kept(self, t_max, subgroup):

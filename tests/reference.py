@@ -26,8 +26,7 @@ from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divis
                            chain_heads, enumerate_xi, euler_phi, mul, order_in_xi_tuple,
                            vp)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
-from geosplit.geodesics import (class_of_matrix, matrix_from_form, max_trace, norm_below,
-                                power_traces, rho_step)
+from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 from geosplit.zeta import MPArith
 
 
@@ -275,6 +274,18 @@ def classes_at_trace(t, spf=None):
         records.append(FormClassRecord(t, cycle, matrix_from_form(t, cycle[0])))
     records.sort(key=lambda r: r.canonical_form)
     return records
+
+
+def power_traces(t0, t_max):
+    """Traces of powers: t_1 = t0, t_k = t0 t_{k-1} - t_{k-2}, while <= t_max."""
+    out = []
+    prev, cur = 2, t0
+    k = 1
+    while cur <= t_max:
+        out.append((k, cur))
+        prev, cur = cur, t0 * cur - prev
+        k += 1
+    return out
 
 
 def mark_primitivity(records_by_trace, t_max):

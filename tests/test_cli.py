@@ -401,6 +401,7 @@ def test_bad_arguments_refused_before_the_work(capsys, monkeypatch, args, code):
         raise AssertionError("started the expensive work")
 
     monkeypatch.setattr(geodesics, "enumerate_primitive_classes", refuse)
+    monkeypatch.setattr(geodesics, "primitive_class_chunks", refuse)
     monkeypatch.setattr(census, "conjugacy_classes", refuse)
     got, out, err = run(capsys, *args)
     assert got == code and out == ""

@@ -192,7 +192,7 @@ def test_gamma_table_is_the_chain_grid(n):
 # primitive classes from the trace-chunk kernel
 
 def _kernel_per_trace(lo, hi):
-    forms = geodesics._chunk_forms(hi - 1, [(3, lo), (lo, hi)])[1]
+    forms = list(geodesics._chunk_forms(hi - 1, [(3, lo), (lo, hi)]))[1]
     t, a, b, c = (v.tolist() for v in geodesics._cycle_leaders(lo, hi, forms))
     return [(u, [f for v, f in zip(t, zip(a, b, c)) if v == u]) for u in range(lo, hi)]
 
@@ -340,6 +340,76 @@ def test_pool_with_only_imap_unordered_keeps_the_trace_order(monkeypatch):
     for name in ("trace", "a", "b", "c"):
         v, w = getattr(got, name), getattr(want, name)
         assert v.dtype == w.dtype and np.array_equal(v, w)
+
+
+# ---------------------------------------------------------------------------
+# the tally streamed chunk by chunk against the tally of a whole class list
+
+STREAM_SUBGROUPS = [SubgroupSpec(Family.GAMMA0, 5), SubgroupSpec(Family.GAMMA0, 8),
+                    SubgroupSpec(Family.GAMMA1, 7), SubgroupSpec(Family.GAMMA, 5)]
+
+
+def _chunk_start_cutoff():
+    """A cutoff whose largest trace is the first trace of a chunk at 1e6:
+    x = t^2 admits t and not t + 1."""
+    lo = geodesics._trace_chunks(max_trace(10**6))[5][0]
+    assert max_trace(lo * lo) == lo
+    return lo * lo
+
+
+def _assert_stream_equals_whole(s, x, classes, jobs=1):
+    streamed = geodesics.empirical_tally(s, x, jobs=jobs, scan_anomalous=True)
+    whole = geodesics.empirical_tally(s, x, classes=classes, scan_anomalous=True)
+    assert list(streamed.counts.items()) == list(whole.counts.items())
+    assert streamed.total == whole.total
+    assert streamed.anomalous == whole.anomalous
+    assert streamed.witnesses == whole.witnesses
+
+
+@pytest.mark.parametrize("s", STREAM_SUBGROUPS, ids=str)
+@pytest.mark.parametrize("x", [7, 2000, 10**5, 10**6, "chunk start"])
+def test_streamed_tally_equals_the_whole_list(classes_1e6, s, x):
+    """Counts in first-class order, total, anomalous count and witnesses;
+    Gamma0(8) has 1609 anomalous classes at 1e5, so the witness list is
+    cut at 50."""
+    x = _chunk_start_cutoff() if x == "chunk start" else x
+    _assert_stream_equals_whole(s, x, classes_1e6)
+
+
+@pytest.mark.parametrize("s", STREAM_SUBGROUPS, ids=str)
+def test_streamed_tally_with_base_classes_over_many_chunks(monkeypatch, classes_1e5, s):
+    """At 40 pairs per chunk the classes of traces up to isqrt(t_max + 2),
+    whose powers are marked, span two chunks, and the 50 witnesses of
+    Gamma0(8) (traces 3 to 43) span thirteen."""
+    monkeypatch.setattr(geodesics, "_CHUNK_PAIRS", 40)
+    chunks = geodesics._trace_chunks(max_trace(10**5))
+    assert chunks[1][0] <= math.isqrt(max_trace(10**5) + 2) < chunks[2][0]
+    _assert_stream_equals_whole(s, 10**5, classes_1e5)
+
+
+@pytest.mark.parametrize("s", STREAM_SUBGROUPS, ids=str)
+def test_streamed_tally_through_an_unordered_pool(monkeypatch, classes_1e5, s):
+    """jobs=2 under the stand-in that returns the chunks last first: the
+    reorder buffer puts them back in trace order."""
+    monkeypatch.setattr(geodesics, "Pool", _UnorderedOnlyPool)
+    monkeypatch.setattr(geodesics, "_CHUNK_PAIRS", 1000)
+    monkeypatch.setattr(geodesics, "_POOL_MIN_CHUNKS", 2)
+    _assert_stream_equals_whole(s, 10**5, classes_1e5, jobs=2)
+
+
+def test_streamed_tally_traced_peak():
+    """Only the forms, one chunk's temporaries and the running counts are
+    held: the traced peak at 1e6 is about 4.4 MB, against 8.8 MB when every
+    class column and the global sort of the forms were held at once."""
+    s = SubgroupSpec(Family.GAMMA0, 5)
+    geodesics.empirical_tally(s, 10**4)  # module-level and first-call allocations
+    tracemalloc.start()
+    try:
+        geodesics.empirical_tally(s, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 10**6
 
 
 RHO_STEPS = geodesics.rho_steps
