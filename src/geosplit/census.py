@@ -6,7 +6,8 @@ Three independent routes to the same numbers live here:
   chain grid (head h times T^t), holding only the chain heads, turn
   conjugation by the two generators S and T into two int32 position
   arrays built chunk by chunk, find the conjugacy classes as their
-  connected components by min-label propagation with pointer jumping,
+  connected components by min-label propagation with pointer jumping
+  (`core.component_labels`),
   take each class's least +-canonical key chunk by chunk as its
   representative, take the representatives' orders in one batched
   `xi_orders` call, compute each class's splitting type through the coset
@@ -57,6 +58,7 @@ from .core import (
     canon,
     capped_xi_order,
     chain_heads,
+    component_labels,
     decode_keys,
     divisors,
     enumerate_xi,
@@ -108,11 +110,10 @@ def conjugacy_classes(level):
     (a - c, a - c + b - d, c, c + d), become two int32 position arrays,
     filled chunk by chunk (_CENSUS_CHUNK elements) through
     `xi_grid_positions`, which reads each conjugate's place from its
-    entries.  The components come from min-label hooking with pointer
-    jumping (Shiloach-Vishkin) in two preallocated int32 buffers, gathered
-    chunk by chunk: label = min(label, label[pS], label[pT]) and
-    label = label[label] until nothing changes, when every label is the
-    least position of its class.  Each element then carries its class id,
+    entries.  The components come from `core.component_labels`, min-label
+    hooking with pointer jumping (Shiloach-Vishkin) gathered chunk by
+    chunk, which labels every position by the least position of its class.
+    Each element then carries its class id,
     and a last chunked pass takes each class's least +-canonical key
     (`sign_keys`, `np.minimum.at`).  The least key is the
     lexicographically least tuple, so each representative is its class's
@@ -135,35 +136,19 @@ def conjugacy_classes(level):
         # the S-conjugates in row 0, the T-conjugates in row 1
         conj = ((d, (a - c) % n), (-c % n, (a - c + b - d) % n), (-b % n, c), (a, (c + d) % n))
         conj_s[ch], conj_t[ch] = xi_grid_positions(np.array(conj), n)
-    # the gathers go chunk by chunk: `take` widens its indices to intp, so
-    # a whole-array gather would hold 8 more bytes per element (mode="clip"
-    # only skips the bounds check: every position is below `order`)
-    label = np.arange(order, dtype=np.int32)
-    nxt = np.empty_like(label)
-    changed = True
-    while changed:
-        for ch in chunks:
-            np.minimum(np.minimum(label[ch], label.take(conj_s[ch], mode="clip")),
-                       label.take(conj_t[ch], mode="clip"), out=nxt[ch])
-        changed = False
-        for ch in chunks:
-            jumped = nxt.take(nxt[ch], mode="clip")
-            changed = changed or not np.array_equal(jumped, label[ch])
-            label[ch] = jumped
+    label = component_labels([conj_s, conj_t], _CENSUS_CHUNK)
     del conj_s, conj_t
     # class ids, numbered in order of the classes' least positions
-    rank = np.cumsum(label == np.arange(order, dtype=np.int32), dtype=np.int32, out=nxt)
-    rank -= 1
-    count = int(rank[-1]) + 1
+    rank = np.cumsum(label == np.arange(order, dtype=np.int32), dtype=np.int32)
+    count = int(rank[-1])
     for ch in chunks:
-        label[ch] = rank.take(label[ch], mode="clip")
-    del rank, nxt
-    cls = label
-    sizes = np.bincount(cls)
+        label[ch] = rank.take(label[ch], mode="clip") - 1
+    del rank
+    sizes = np.bincount(label)
     least = np.full(count, np.iinfo(np.int64).max)
     for ch in chunks:
         flat = np.arange(ch.start, ch.stop, dtype=np.int32)
-        np.minimum.at(least, cls[ch], sign_keys(grid_entries(flat, n), n))
+        np.minimum.at(least, label[ch], sign_keys(grid_entries(flat, n), n))
     by_key = least.argsort()
     reps = decode_keys(least.take(by_key), n)
     return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m

@@ -191,6 +191,7 @@ def cmd_empirical(args):
 
 
 def cmd_census(args):
+    capped_xi_order(args.level)  # refuse a bad level before making the directory
     cache_dir = os.environ.get("GEODESIC_CACHE_DIR") or args.cache_dir
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"census-{args.family.value}-{args.level}.json")

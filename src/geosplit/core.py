@@ -1,7 +1,9 @@
 """Exact arithmetic foundation: 2x2 integer matrices, the projective
 residue group Xi(N) = SL2(Z/N)/{+-I}, element orders, partitions, small
-number-theoretic helpers and the one pointer-doubling kernel for the
-cycles of a permutation (`cycle_labels`).
+number-theoretic helpers, the chain heads every coset table and the
+census read Xi(N) from (`chain_heads`), and the one kernel each for the
+cycles of a permutation (`cycle_labels`) and the components of several
+(`component_labels`).
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`
@@ -16,7 +18,6 @@ the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -206,26 +207,6 @@ def xi_order(n):
     return order // 2
 
 
-def unimodular_columns(n):
-    """The unimodular first columns (a, c) of Xi(n) in lexicographic order,
-    one per {+-} pair: the one not above its negation (every column for
-    n = 2, where -I = I)."""
-    for a in range(n // 2 + 1):  # a <= -a mod n
-        ga = math.gcd(a, n)
-        tied = a == (n - a) % n  # a = 0 or n/2: the sign then acts on c alone
-        for c in range(n):
-            if math.gcd(ga, c) == 1 and not (tied and (n - c) % n < c):
-                yield a, c
-
-
-def complete_column(a, c, n):
-    """An element (a, b, c, d) of SL2(Z/n) with the unimodular first column
-    (a, c), entries reduced mod n but not canonical."""
-    g, u, v = _ext_gcd(a, c)
-    ginv = pow(g, -1, n)
-    return (a, (-v * ginv) % n, c, (u * ginv) % n)
-
-
 def capped_xi_order(n):
     """|Xi(n)| for a route that walks the whole group; CapExceeded above
     DEFAULT_GROUP_CAP."""
@@ -261,10 +242,26 @@ def chain_heads(n):
     `column_rows` table of those columns: both read-only, built once per
     level.  The completions of a column form the single chain head * T^t,
     (b, d) = (b0 + t*a, d0 + t*c) for t = 0..n-1, so the chains of the
-    heads partition Xi(n)."""
-    heads = np.array([complete_column(a, c, n) for a, c in unimodular_columns(n)],
-                     dtype=np.int32).T
-    rows = column_rows(heads[0], heads[2], n)
+    heads partition Xi(n).  The columns, those with gcd(a, c, n) = 1 and
+    of each {+-} pair the one not above its negation (all for n = 2, where
+    -I = I), are in lexicographic order.  For the least t >= 0 with
+    a + t*c a unit mod n, and d its inverse, the head (a, -t*d, c, d) has
+    determinant d*(a + t*c) = 1; each prime of n excludes at most one
+    residue of t, so t <= omega(n)."""
+    a = np.arange(n // 2 + 1, dtype=np.int32)[:, None]  # a <= -a mod n
+    c = np.arange(n, dtype=np.int32)
+    tied = a == -a % n  # a = 0 or n/2: the sign then acts on c alone
+    a, c = (v.astype(np.int32) for v in np.nonzero(
+        (np.gcd(np.gcd(a, c), n) == 1) & ~(tied & (-c % n < c))))
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    inverse = np.zeros(n, dtype=np.int32)  # 0 at a non-unit
+    inverse[units] = [pow(u, -1, n) for u in units.tolist()]
+    t = np.zeros_like(a)
+    while not (found := inverse.take((a + t * c) % n) > 0).all():
+        t += ~found
+    d = inverse.take((a + t * c) % n)
+    heads = np.stack((a, -t * d % n, c, d))
+    rows = column_rows(a, c, n)
     heads.setflags(write=False)
     rows.setflags(write=False)
     return heads, rows
@@ -356,16 +353,31 @@ def cycle_labels(successor):
         p = p.take(p)
 
 
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def component_labels(steps, chunk):
+    """The least point of the component through every point of the graph
+    with the edges i -> step[i] of the permutations `steps` (int32 arrays
+    of one length), by min-label hooking with pointer jumping
+    (Shiloach-Vishkin) in two int32 buffers: label = min(label,
+    label[step] for each step), then label = label[label], until nothing
+    changes.  The gathers go `chunk` points at a time, as `take` widens
+    its indices to intp (mode="clip" only skips the bounds check)."""
+    size = len(steps[0])
+    chunks = [slice(start, min(start + chunk, size)) for start in range(0, size, chunk)]
+    label = np.arange(size, dtype=np.int32)
+    nxt = np.empty_like(label)
+    changed = True
+    while changed:
+        for ch in chunks:
+            hooked = nxt[ch]
+            hooked[:] = label[ch]
+            for step in steps:
+                np.minimum(hooked, label.take(step[ch], mode="clip"), out=hooked)
+        changed = False
+        for ch in chunks:
+            jumped = nxt.take(nxt[ch], mode="clip")
+            changed = changed or not np.array_equal(jumped, label[ch])
+            label[ch] = jumped
+    return label
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,17 @@ checks beyond its fixed points.
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
-[[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  The
-Gamma0 and Gamma1 representatives are listed directly, the identity's coset
-first: the completion (`complete_column`) of every unimodular column for
-Gamma1, of the first column in each unit orbit for Gamma0.  Their table
-reads a coset by direct address from an n x n int32 array over the columns
-a*n + c (both signs, `core.column_rows`).  Gamma(N) is normal and its
-cosets are the elements, numbered by their places h*n + t (head_h * T^t)
-in `xi_chain_grid`; its table holds only the |Xi(N)|/N chain heads.
+[[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  Every
+table is read off the chain heads of `core.chain_heads`, one completion of
+each unimodular column, and their `column_rows` table over the columns
+a*n + c (both signs).  For Gamma1 the heads are the representatives.  For
+Gamma0 each generator of (Z/N)^* permutes the heads, the orbits are the
+components of those permutations (`core.component_labels`, the kernel of
+the census's conjugacy classes), and the head of each orbit's least column
+is its representative.  Both tables read a coset by direct address from an
+n x n int32 array over the columns.  Gamma(N) is normal and its cosets are
+the elements, numbered by their places h*n + t (head_h * T^t) in
+`xi_chain_grid`; its table holds only the |Xi(N)|/N chain heads.
 
 The action has one kernel, `act_block`, which returns it in block (wreath)
 form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
@@ -51,7 +54,6 @@ all |Xi(N)| cosets of Gamma(N).
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -64,15 +66,13 @@ from .core import (
     canon,
     capped_xi_order,
     chain_heads,
-    column_rows,
-    complete_column,
+    component_labels,
     cycle_labels,
     divisors,
     grid_entries,
     moebius_type_ids,
     order_in_xi_tuple,
     parts_from_traces,
-    unimodular_columns,
     xi_chain_grid,
     xi_grid_positions,
     xi_order,
@@ -94,11 +94,11 @@ class CosetTable:
     """The cosets of one congruence subgroup in the block form of
     `act_block`: the entries (4 x k int32) `acted` of the matrices an
     element multiplies, each standing for `modulus` m cosets, so that the
-    index is k*m.  For Gamma0 and Gamma1 they are the representatives (the
-    identity's coset first), m = 1, and the int32 `lookup` maps the address
-    a*n + c of a first column to its coset, -1 where it names none.  For
-    Gamma they are the chain heads, m = N, coset h*N + t is head_h * T^t,
-    and `lookup` is None."""
+    index is k*m.  For Gamma0 and Gamma1 they are the representatives, chain
+    heads in the order of their first columns, m = 1, and the int32
+    `lookup` maps the address a*n + c of a first column to its coset, -1
+    where it names none.  For Gamma they are the chain heads, m = N, coset
+    h*N + t is head_h * T^t, and `lookup` is None."""
 
     def __init__(self, subgroup: SubgroupSpec, acted, lookup=None):
         self.subgroup = subgroup
@@ -129,42 +129,41 @@ def capped_key_count(s: SubgroupSpec):
 
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
     """Coset table for Gamma~(N) inside Xi(N), by the rule of the module
-    docstring.  The count is checked against DEFAULT_INDEX_CAP before
-    anything is built (`capped_key_count`)."""
+    docstring, from the chain heads and their `column_rows` table.  The
+    count is checked against DEFAULT_INDEX_CAP before anything is built
+    (`capped_key_count`)."""
     n = s.level
     count = capped_key_count(s)
+    heads, rows = chain_heads(n)
+    k = heads.shape[1]
+    if k * (n if s.family == Family.GAMMA else 1) != count:
+        raise ConsistencyError(f"{k} chain heads of {n} for {s}, expected {count}")
     if s.family == Family.GAMMA:
-        heads = chain_heads(n)[0]
-        if heads.shape[1] * n != count:
-            raise ConsistencyError(f"{heads.shape[1]} chains of {n} for {s}, expected {count}")
         return CosetTable(s, heads)
-    # the identity's column first: it names coset 0
-    columns = [(1, 0)] + [v for v in unimodular_columns(n) if v != (1, 0)]
-    if len(columns) != count:
-        raise ConsistencyError(f"{len(columns)} columns of {s}, expected {count}")
-    rows = column_rows(*np.array(columns, dtype=np.int64).T, n)
-    if s.family == Family.GAMMA0:
-        reps, cosets = _unit_orbits(columns, rows, n)
-    else:
-        reps = [canon(*complete_column(a, c, n), n) for a, c in columns]
-        cosets = np.arange(count, dtype=_PERM_DTYPE)
-    acted = np.array(reps, dtype=np.int32).T
-    return CosetTable(s, acted, np.where(rows < 0, -1, cosets.take(rows % count)))
+    column = np.where(rows < 0, -1, rows % k)  # the head of each column, up to sign
+    if s.family == Family.GAMMA1:
+        return CosetTable(s, heads, column)
+    # each unit u permutes the heads: (a, c) -> (u*a, u*c)
+    a, c = heads[0], heads[2]
+    steps = [rows.take(u * a % n * n + u * c % n) % k for u in _unit_generators(n)]
+    label = component_labels(steps, _BLOCK_ENTRIES) if steps else np.arange(k)
+    leaders = np.flatnonzero(label == np.arange(k))
+    orbit = np.searchsorted(leaders, label).astype(_PERM_DTYPE)
+    return CosetTable(s, heads.take(leaders, axis=1), np.where(column < 0, -1, orbit.take(column)))
 
 
-def _unit_orbits(columns, rows, n):
-    """Gamma0 cosets as the orbits of the columns under the units mod n:
-    the completion of the first column of each orbit becomes its
-    representative.  `rows` is the `column_rows` table of the columns.
-    Returns (reps, coset of each column)."""
-    units = np.array([u for u in range(1, n) if math.gcd(u, n) == 1], dtype=np.int64)
-    cosets = np.full(len(columns), -1, dtype=_PERM_DTYPE)
-    reps = []
-    for i, (a, c) in enumerate(columns):
-        if cosets[i] < 0:
-            cosets[rows.take(units * a % n * n + units * c % n) % len(columns)] = len(reps)
-            reps.append(canon(*complete_column(a, c, n), n))
-    return reps, cosets
+def _unit_generators(n):
+    """Units that generate (Z/n)^*, each the least unit outside the
+    subgroup the ones before it generate (none for n = 2)."""
+    reached, gens = np.arange(n) == 1, []
+    for u in np.flatnonzero(np.gcd(np.arange(n), n) == 1).tolist():
+        if not reached[u]:
+            gens.append(u)
+            subgroup, x = np.flatnonzero(reached), u
+            while not reached[x]:  # the cosets subgroup * u^j until u^j is in it
+                reached[subgroup * x % n] = True
+                x = x * u % n
+    return gens
 
 
 def act_block(elements, table: CosetTable):

@@ -13,7 +13,9 @@ closed forms live here too, as the independent side of a check: the
 family-set sizes of an odd prime-power level and the scalar fixed-row
 count of the Gamma1 trace.  So do the helpers only tests use: the inverse
 in Xi(N) and the Gamma1 trace of one element from the closed form's
-fixed-row kernel.
+fixed-row kernel, and the scalar completion of a unimodular column by
+the extended Euclidean algorithm, which draws elements at levels too large
+for `chain_heads`.
 """
 
 import math
@@ -34,6 +36,31 @@ def inv(x, n):
     """Inverse in Xi(n): adjugate of a determinant-one matrix."""
     a, b, c, d = x
     return canon(d, -b, -c, a, n)
+
+
+def unimodular_columns(n):
+    """The unimodular first columns (a, c) of Xi(n) in lexicographic order,
+    one per {+-} pair: the one not above its negation (every column for
+    n = 2, where -I = I)."""
+    for a in range(n // 2 + 1):  # a <= -a mod n
+        tied = a == (n - a) % n  # a = 0 or n/2: the sign then acts on c alone
+        for c in range(n):
+            if math.gcd(a, c, n) == 1 and not (tied and (n - c) % n < c):
+                yield a, c
+
+
+def complete_column(a, c, n):
+    """An element (a, b, c, d) of SL2(Z/n) with the unimodular first column
+    (a, c), entries reduced mod n but not canonical: from u*a + v*c = g,
+    the determinant of (a, -v/g, c, u/g) is 1."""
+    old_r, r, old_s, s, old_t, t = a, c, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    ginv = pow(old_r, -1, n)
+    return (a, (-old_t * ginv) % n, c, (old_s * ginv) % n)
 
 
 def is_member_tuple(g, family, n):

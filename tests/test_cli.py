@@ -211,6 +211,16 @@ def test_census_cache_flow(tmp_path, capsys):
     assert code == 3 and "stale" in err
 
 
+def test_census_refusal_makes_no_cache_directory(tmp_path, capsys):
+    """A level below 2 (usage, exit 1) or over the census cap (exit 2) is
+    refused before the cache directory is made."""
+    cache = tmp_path / "cache"
+    for argv, want in ((["--level", "1"], 1), (["--family", "gamma", "--level", "100000"], 2)):
+        code, _, err = run(capsys, "--cache-dir", str(cache), "census", *argv)
+        assert code == want and "error" in err
+        assert not cache.exists()
+
+
 def test_census_truncated_cache_is_inconsistent(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, _, _ = run(capsys, "--cache-dir", cache, "census", "--level", "3")

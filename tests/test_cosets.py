@@ -22,7 +22,7 @@ from geosplit.cosets import (
     splitting_type_cycles,
     splitting_type_moebius,
 )
-from reference import act_reference, inv, is_member_tuple
+from reference import act_reference, complete_column, inv, is_member_tuple
 
 
 def table(family, level):
@@ -67,9 +67,9 @@ def test_reps_in_distinct_cosets(family, n):
 def test_act_identity_and_stabilizer():
     t = table(Family.GAMMA0, 5)
     assert list(act(identity(5), t)) == list(range(6))
-    # members of the subgroup fix coset 0
+    # members of the subgroup fix the identity's coset, that of column (1, 0)
     g = canon(1, 1, 0, 1, 5)
-    assert act(g, t)[0] == 0
+    assert act(g, t)[t.lookup[5]] == t.lookup[5]
 
 
 def test_act_unipotent_fixed_points_mod5():
@@ -253,24 +253,9 @@ def _random_element(rng, n):
         a, c = rng.randrange(n), rng.randrange(n)
         if gcd(gcd(a, c), n) != 1:
             continue
-        g, u, v = _ext_gcd(a, c)
-        ginv = pow(g, -1, n)
-        d0 = (u * ginv) % n
-        b0 = (-v * ginv) % n
+        a, b0, c, d0 = complete_column(a, c, n)
         t = rng.randrange(n)
         return canon(a, (b0 + t * a) % n, c, (d0 + t * c) % n, n)
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def test_part_divisibility():
@@ -576,7 +561,7 @@ def test_act_block_rows_match_one_row_calls():
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 25])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 24, 25, 30])
 def test_act_block_is_the_action_by_definition(family, n):
     """The direct-address lookup agrees with the action by membership, on
     all of Xi(N) while that stays under 1e5 permutation entries, else on a
@@ -643,7 +628,7 @@ def test_column_tables_never_enumerate_xi(family, monkeypatch):
     monkeypatch.setattr(core, "xi_keys", _refuse)
     for n in (2, 9, 12, 75):
         t = build_coset_table(SubgroupSpec(family, n))
-        assert t.reps[0] == identity(n)
+        assert t.reps[t.lookup[n]] == identity(n)  # the coset of column (1, 0)
         assert list(act(identity(n), t)) == list(range(t.index))
 
 
@@ -673,7 +658,6 @@ def test_table_faults_are_consistency_errors(monkeypatch):
 def test_coset_key_cap_is_checked_before_building(monkeypatch):
     """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
     monkeypatch.setattr(cosets, "chain_heads", _refuse)
-    monkeypatch.setattr(cosets, "unimodular_columns", _refuse)
     monkeypatch.setattr(core, "xi_keys", _refuse)
     for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
         with pytest.raises(CapExceeded, match="exceeds cap"):
@@ -730,35 +714,21 @@ def test_dual_type_report_refuses_above_the_group_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# column walk and Gamma0 completions
+# chain heads
 
 import math
 
-from geosplit.core import complete_column
-
 
 def test_unimodular_columns_match_definition():
-    """Columns with gcd(a, c, n) = 1, the one of each {+-} pair whose
-    negation is not lexicographically smaller, in lexicographic order."""
+    """The chain heads' first columns are those with gcd(a, c, n) = 1, the
+    one of each {+-} pair whose negation is not lexicographically smaller,
+    in lexicographic order; every head has determinant 1, and the heads
+    are a read-only int32 array."""
     for n in range(2, 61):
         want = [(a, c) for a in range(n) for c in range(n)
                 if math.gcd(a, c, n) == 1 and ((n - a) % n, (n - c) % n) >= (a, c)]
-        assert list(cosets.unimodular_columns(n)) == want, n
-
-
-@pytest.mark.parametrize("n", [12, 75, 200])
-def test_gamma0_table_completes_only_orbit_representatives(n, monkeypatch):
-    """The keys need the bare columns; only each unit orbit's first column
-    is completed to a representative."""
-    calls = []
-
-    def counted(a, c, level):
-        calls.append((a, c))
-        return complete_column(a, c, level)
-
-    monkeypatch.setattr(cosets, "complete_column", counted)
-    t = build_coset_table(SubgroupSpec(Family.GAMMA0, n))
-    assert len(calls) == t.index
-    assert [(r[0], r[2]) in (col, ((n - col[0]) % n, (n - col[1]) % n))
-            for r, col in zip(t.reps, calls)] == [True] * t.index
-    assert list(act(identity(n), t)) == list(range(t.index))
+        heads = core.chain_heads(n)[0]
+        a, b, c, d = heads.astype(np.int64)
+        assert list(zip(a.tolist(), c.tolist())) == want, n
+        assert ((a * d - b * c) % n == 1 % n).all(), n
+        assert heads.dtype == np.int32 and not heads.flags.writeable, n

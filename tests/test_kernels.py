@@ -24,21 +24,21 @@ from geosplit.core import (
     Family,
     SubgroupSpec,
     canon,
-    complete_column,
+    component_labels,
     divisors,
     enumerate_xi,
     identity,
     matpow,
     order_in_xi_tuple,
-    unimodular_columns,
     xi_chain_grid,
     xi_order,
     xi_orders,
 )
 from geosplit.cosets import build_coset_table
 from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
-from reference import (classes_at_trace, fixed_row_count_reference, orbit_closure_classes,
-                       primitive_classes, reduced_forms_by_divisors, spf_list, spf_sieve)
+from reference import (classes_at_trace, complete_column, fixed_row_count_reference,
+                       orbit_closure_classes, primitive_classes, reduced_forms_by_divisors,
+                       spf_list, spf_sieve, unimodular_columns)
 from test_geodesics import brute_reduced_forms
 
 
@@ -80,6 +80,34 @@ def test_census_cap_is_checked_before_the_grid(monkeypatch):
     monkeypatch.setattr(census, "chain_heads", refuse)
     with pytest.raises(CapExceeded, match="exceeds cap"):
         conjugacy_classes(1000)
+
+
+@pytest.mark.parametrize("size,steps,chunk", [(1, 1, 4), (50, 1, 7), (300, 2, 16), (1000, 3, 97)])
+def test_component_labels_are_the_least_point_of_each_orbit(size, steps, chunk):
+    """Random permutations made of short cycles, so that their orbits are
+    many and small, against a union-find over their edges; the chunks cut
+    the points into pieces, the last partial."""
+    rng = np.random.default_rng(size)
+    perms = []
+    for _ in range(steps):
+        perm, cut = np.empty(size, dtype=np.int32), rng.permutation(size)
+        for cycle in np.split(cut, np.sort(rng.choice(size, size // 5, replace=False))):
+            perm[cycle] = np.roll(cycle, 1)
+        perms.append(perm)
+    parent = list(range(size))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm.tolist()):
+            ri, rj = root(i), root(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    label = component_labels(perms, chunk)
+    assert label.dtype == np.int32
+    assert label.tolist() == [root(i) for i in range(size)]
 
 
 @pytest.mark.parametrize("n", list(range(2, 13)))
