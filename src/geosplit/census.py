@@ -16,10 +16,12 @@ Three independent routes to the same numbers live here:
 * the closed-form route for odd prime powers: an explicit catalog of class
   representatives (diagonal powers, a nonsplit-torus generator's powers,
   and the two-parameter unipotent-like families), with sizes from
-  centralizer orders and induced-representation traces from exact
-  quadratic-congruence root counts (Gamma0) or the p-adic depth of g - I
-  (Gamma1).  The representatives' orders come from one `xi_orders` call,
-  and `core.moebius_type_ids` forms, per order, all the powers g^d whose
+  centralizer orders and induced-representation traces from two array
+  kernels on the p-adic depth: p^k = gcd(a - d, b, c, p^r), the depth of g
+  from the scalars, and a square-root count of (t^2 - 4)/p^(2k) (Gamma0),
+  or p^k = gcd of the entries of +-g - I with p^r (Gamma1).  The
+  representatives' orders come from one `xi_orders` call, and
+  `core.moebius_type_ids` forms, per order, all the powers g^d whose
   traces are counted and runs the Moebius recursion.  No group
   enumeration is involved, so it can cross-check the census;
 
@@ -297,81 +299,62 @@ def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for odd prime powers (no group enumeration anywhere below)
+# closed forms for odd prime powers (no group enumeration anywhere below):
+# the traces are counts read off each element's p-adic depth, the gcd with
+# p^r of the entries of g - aI (Gamma0) or of +-g - I (Gamma1)
 
-def count_sqrt(d, p, e):
-    """#{y mod p^e : y^2 == d}, p odd."""
-    if e <= 0:
-        return 1
-    pe = p**e
-    d %= pe
-    if d == 0:
-        return p ** (e - (e + 1) // 2)
-    v = vp(d, p)
-    if v % 2 == 1:
-        return 0
-    u = (d // p**v) % p
-    if legendre(u, p) != 1:
-        return 0
-    return 2 * p ** (v // 2)
-
-
-def count_quad_roots(a, b, c, p, e):
-    """#{x mod p^e : a x^2 + b x + c == 0}, p odd, fully recursive."""
-    if e <= 0:
-        return 1
-    pe = p**e
-    a %= pe
-    b %= pe
-    c %= pe
-    if a == 0 and b == 0:
-        return pe if c == 0 else 0
-    if a % p != 0:
-        return count_sqrt((b * b - 4 * a * c) % pe, p, e)
-    if b % p != 0:
-        # derivative is a unit: unique Hensel lift of the single root mod p
-        return 1
-    if c % p != 0:
-        return 0
-    return p * count_quad_roots(a // p, b // p, c // p, p, e - 1)
-
-
-def sigma_gamma0(g, p, r):
-    """tr Ind_{Gamma0(p^r)} 1 at g: fixed points on P^1(Z/p^r) by root counts."""
-    a, b, c, d = g
+def _depth(h, p, r):
+    """The p-adic depth of every row of the k x m int64 array h of residues
+    mod p^r: p^k = gcd(row, p^r), and the row divided by it mod p^(r-k).
+    The kernels below multiply two such residues in int64, so p^r >= 2^31
+    is refused with ValueError."""
     pr = p**r
-    first = count_quad_roots(b, (a - d) % pr, (-c) % pr, p, r)
-    # second chart: l mod p^(r-1) with c p^2 l^2 + p(a-d) l - b == 0 mod p^r
-    if b % p != 0:
-        second = 0
-    else:
-        second = count_quad_roots((c * p) % pr, (a - d) % pr, (-(b // p)) % pr, p, r - 1)
-    return first + second
+    if pr >= 2**31:
+        raise ValueError(f"closed-form traces at {p}^{r} exceed int64")
+    pk = np.gcd.reduce(h, axis=1, initial=pr)
+    return pk, (h // pk[:, None] % (pr // pk)[:, None]).T
 
 
 def _fixed_row_count(g, sign, p, r):
     """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0} for
     every row (a, b, c, d) of the k x 4 integer array g, as an int64 array.
-    The p-adic depth k of h = sign*g - I is the number of j <= r with p^j
-    dividing all its entries.  At k = r every vector is fixed; below, p^k *
-    phi(p^r) are when h / p^k is singular mod p^(r-k), else none."""
+    With p^k the depth of h = sign*g - I: at k = r every vector is fixed;
+    below, p^k * phi(p^r) are when h / p^k is singular mod p^(r-k), else
+    none."""
     pr = p**r
-    if pr >= 2**31:  # the counts reach p^(2r), and int64 holds them below that
-        raise ValueError(f"fixed-row counts at {p}^{r} exceed int64")
-    h = (sign * np.asarray(g, dtype=np.int64) - (1, 0, 0, 1)) % pr
-    k = sum((h % p**j == 0).all(axis=1) for j in range(1, r + 1))
-    pk = p**k
-    prk = pr // pk
-    a, b, c, d = (h // pk[:, None] % prk[:, None]).T
-    singular = pk * (pr - pr // p) * ((a * d - b * c) % prk == 0)
-    return np.where(k == r, pr * pr - (pr * pr) // (p * p), singular)
+    pk, (a, b, c, d) = _depth((sign * np.asarray(g, dtype=np.int64) - (1, 0, 0, 1)) % pr, p, r)
+    singular = pk * (pr - pr // p) * ((a * d - b * c) % (pr // pk) == 0)
+    return np.where(pk == pr, pr * pr - (pr * pr) // (p * p), singular)
 
 
-@dataclass
-class ClosedClass:
-    representative: tuple
-    size: int
-    order: int
+def _fixed_point_count(g, p, r):
+    """#{points of P^1(Z/p^r) fixed by g}, the Gamma0(p^r) trace, for every
+    row (a, b, c, d) of the k x 4 integer array g, as an int64 array.
+
+    Let p^k = gcd(a - d, b, c, p^r), the depth of g from the scalars.  At
+    k = r, g = +-I fixes all p^(r-1)(p+1) points.  Below, g = aI + p^k A
+    with A = (0, b, c, d - a)/p^k non-scalar mod p, and g fixes exactly the
+    points whose image mod p^(r-k) is an eigenline of A; p^k points lie over
+    each such line.  A non-scalar A has one eigenline per root of its
+    characteristic polynomial mod p^(r-k), and since 2 is a unit those roots
+    correspond one to one to the square roots of its discriminant
+    D = x^2 + 4yz, (x, y, z) = (a - d, b, c)/p^k, which is (t^2 - 4)/p^(2k).
+    With e = r - k and p^v = gcd(D, p^e), u^2 == D mod p^e has p^(e // 2)
+    roots when D == 0, none when v is odd or D/p^v is a non-residue mod p,
+    and 2 p^(v/2) otherwise."""
+    pr = p**r
+    a, b, c, d = np.asarray(g, dtype=np.int64).T
+    pk, (x, y, z) = _depth(np.stack((a - d, b, c), axis=1) % pr, p, r)
+    pe = pr // pk
+    disc = (x * x + 4 * (y * z % pe)) % pe
+    pv = np.gcd(disc, pe)
+    powers = p ** np.arange(r + 1, dtype=np.int64)
+    v = powers.searchsorted(pv)
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    roots = np.where((v % 2 == 0) & squares[disc // pv % p], 2 * powers[v // 2], 0)
+    roots = np.where(disc == 0, powers[powers.searchsorted(pe) // 2], roots)
+    return np.where(pk == pr, pr // p * (p + 1), pk * roots)
 
 
 def smallest_unit_generator(p, r):
@@ -456,7 +439,7 @@ def closed_class_catalog(p, r):
                      for tw in (1, nu) for alpha in alphas]
 
     orders = xi_orders([g for g, _ in reps], n).tolist()
-    classes = [ClosedClass(g, size, m) for (g, size), m in zip(reps, orders)]
+    classes = [ConjugacyClassRecord(g, size, m) for (g, size), m in zip(reps, orders)]
     total = sum(c.size for c in classes)
     if total != order:
         raise ConsistencyError(f"closed catalog sizes sum to {total}, expected {order}")
@@ -480,7 +463,7 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         index = p ** (r - 1) * (p + 1)
 
         def traces_of(h):
-            return [sigma_gamma0(g, p, r) for g in h.tolist()]
+            return _fixed_point_count(h, p, r)
     else:
         index = p ** (2 * r - 2) * (p * p - 1) // 2
 

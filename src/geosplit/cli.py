@@ -134,15 +134,12 @@ def _table_text(table, fmt):
 
 def cmd_densities(args):
     spec = SubgroupSpec(args.family, args.level)
-    closed = None
     if args.closed_form:
-        # refuse a level without a closed form, then a census over the cap,
-        # before either table is built
-        closed_form_prime_power(args.level)
-        if not args.composite:
-            capped_xi_order(args.level)
-        closed = density_table_closed_form(spec)
+        closed_form_prime_power(args.level)  # refused before the census runs
+    # the census or composite table first, so that the census cap and the
+    # composite route's refusal of prime powers come before the closed table
     table = density_table_composite(spec) if args.composite else density_table(spec)
+    closed = density_table_closed_form(spec) if args.closed_form else None
     out, diff = _table_text(table, args.format), {}
     if closed is not None:
         out += _table_text(closed, args.format)

@@ -209,7 +209,11 @@ def xi_order(n):
 
 def capped_xi_order(n):
     """|Xi(n)| for a route that walks the whole group; CapExceeded above
-    DEFAULT_GROUP_CAP."""
+    DEFAULT_GROUP_CAP.  Since prod_{p | n} (1 - p^-2) > 6/pi^2, |Xi(n)| >
+    0.3 n^3, and a level that bound puts over the cap is refused before
+    `xi_order` factors it."""
+    if 3 * n**3 > 10 * DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"|Xi({n})| > 0.3*{n}^3 exceeds cap {DEFAULT_GROUP_CAP}")
     order = xi_order(n)
     if order > DEFAULT_GROUP_CAP:
         raise CapExceeded(f"|Xi({n})| = {order} exceeds cap {DEFAULT_GROUP_CAP}")

@@ -119,8 +119,13 @@ class CosetTable:
 def capped_key_count(s: SubgroupSpec):
     """The index of s as its table counts it, |Xi(N)|/N columns for Gamma0
     and Gamma1 or |Xi(N)| elements for Gamma; CapExceeded above
-    DEFAULT_INDEX_CAP."""
+    DEFAULT_INDEX_CAP, refused before `xi_order` factors the level when the
+    bound |Xi(N)| > 0.3 N^3 of `capped_xi_order` already puts it over."""
     n = s.level
+    power = 3 if s.family == Family.GAMMA else 2
+    if 3 * n**power > 10 * DEFAULT_INDEX_CAP:
+        raise CapExceeded(f"more than 0.3*{n}^{power} coset vectors of {s} exceeds cap "
+                          f"{DEFAULT_INDEX_CAP}")
     count = xi_order(n) if s.family == Family.GAMMA else xi_order(n) // n
     if count > DEFAULT_INDEX_CAP:
         raise CapExceeded(f"{count} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")

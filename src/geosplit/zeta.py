@@ -101,7 +101,6 @@ class ClassData:
         self.cutoff = float(x)
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
-        self._tables = {}
         self._residues = {}  # level -> (distinct residue keys, residue index of each class)
         self._types = {}  # subgroup -> [(type, order)] per residue of its level
 
@@ -115,11 +114,6 @@ class ClassData:
             )
         return t_max
 
-    def _table(self, subgroup):
-        if subgroup not in self._tables:
-            self._tables[subgroup] = build_coset_table(subgroup)
-        return self._tables[subgroup]
-
     def types(self, subgroup):
         """The (splitting type, order of the reduction) of every distinct
         residue mod the level, and the index of each class's residue,
@@ -127,12 +121,11 @@ class ClassData:
         pair ((1,), 1)."""
         if subgroup is None:
             return [((1,), 1)], np.zeros(len(self.classes), dtype=np.intp)
-        table = self._table(subgroup)
         if subgroup.level not in self._residues:
             self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
         keys, inverse = self._residues[subgroup.level]
         if subgroup not in self._types:
-            self._types[subgroup] = residue_types(keys, table)
+            self._types[subgroup] = residue_types(keys, build_coset_table(subgroup))
         return self._types[subgroup], inverse
 
     def kept(self, t_max, subgroup):

@@ -8,10 +8,11 @@ over tuples, the type and order of each class's reduction, the empirical
 tally by one reduction per class, and the zeta sums' term-by-term
 accumulators.  The reduced forms of a range of traces are also listed
 from the divisors of |ac|, read off a smallest-prime-factor sieve, as the
-independent side of the sieve-free form generator.  Two
+independent side of the sieve-free form generator.  Three
 closed forms live here too, as the independent side of a check: the
-family-set sizes of an odd prime-power level and the scalar fixed-row
-count of the Gamma1 trace.  So do the helpers only tests use: the inverse
+family-set sizes of an odd prime-power level, the scalar fixed-row count
+of the Gamma1 trace and the Gamma0 trace by quadratic-congruence root
+counts.  So do the helpers only tests use: the inverse
 in Xi(N) and the Gamma1 trace of one element from the closed form's
 fixed-row kernel, and the scalar completion of a unimodular column by
 the extended Euclidean algorithm, which draws elements at levels too large
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geosplit.census import _fixed_row_count
+from geosplit.census import _fixed_row_count, legendre
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
                            chain_heads, enumerate_xi, euler_phi, mul, order_in_xi_tuple,
                            vp)
@@ -108,6 +109,56 @@ def fixed_row_count_reference(g, sign, p, r):
     prk = p ** (r - k)
     a, b, c, d = ((x // p**k) % prk for x in h)
     return p**k * (pr - pr // p) if (a * d - b * c) % prk == 0 else 0
+
+
+def count_sqrt(d, p, e):
+    """#{y mod p^e : y^2 == d}, p odd."""
+    if e <= 0:
+        return 1
+    pe = p**e
+    d %= pe
+    if d == 0:
+        return p ** (e - (e + 1) // 2)
+    v = vp(d, p)
+    if v % 2 == 1:
+        return 0
+    u = (d // p**v) % p
+    if legendre(u, p) != 1:
+        return 0
+    return 2 * p ** (v // 2)
+
+
+def count_quad_roots(a, b, c, p, e):
+    """#{x mod p^e : a x^2 + b x + c == 0}, p odd, fully recursive."""
+    if e <= 0:
+        return 1
+    pe = p**e
+    a %= pe
+    b %= pe
+    c %= pe
+    if a == 0 and b == 0:
+        return pe if c == 0 else 0
+    if a % p != 0:
+        return count_sqrt((b * b - 4 * a * c) % pe, p, e)
+    if b % p != 0:
+        # derivative is a unit: unique Hensel lift of the single root mod p
+        return 1
+    if c % p != 0:
+        return 0
+    return p * count_quad_roots(a // p, b // p, c // p, p, e - 1)
+
+
+def sigma_gamma0(g, p, r):
+    """tr Ind_{Gamma0(p^r)} 1 at g: fixed points on P^1(Z/p^r) by root counts."""
+    a, b, c, d = g
+    pr = p**r
+    first = count_quad_roots(b, (a - d) % pr, (-c) % pr, p, r)
+    # second chart: l mod p^(r-1) with c p^2 l^2 + p(a-d) l - b == 0 mod p^r
+    if b % p != 0:
+        second = 0
+    else:
+        second = count_quad_roots((c * p) % pr, (a - d) % pr, (-(b // p)) % pr, p, r - 1)
+    return first + second
 
 
 def sigma_gamma1(g, p, r):

@@ -7,9 +7,8 @@ import pytest
 from geosplit.census import (
     census_payload,
     census_table_from_payload,
+    _fixed_point_count,
     conjugacy_classes,
-    count_quad_roots,
-    count_sqrt,
     density_table,
     density_table_closed_form,
     density_table_composite,
@@ -17,7 +16,6 @@ from geosplit.census import (
     label_str,
     power_relation_check,
     rectangle_density_table,
-    sigma_gamma0,
     tensor_partitions,
 )
 from geosplit.core import (
@@ -31,7 +29,8 @@ from geosplit.core import (
     xi_order,
 )
 from geosplit.cosets import build_coset_table, induced_trace
-from reference import family_set_sizes, inv, is_member_tuple, sigma_gamma1
+from reference import (count_quad_roots, count_sqrt, family_set_sizes, inv, is_member_tuple,
+                       sigma_gamma0, sigma_gamma1)
 
 
 def F(s):
@@ -217,9 +216,11 @@ def test_sigma_formulas_exhaustive(p, r):
     n = p**r
     t0 = build_coset_table(SubgroupSpec(Family.GAMMA0, n))
     t1 = build_coset_table(SubgroupSpec(Family.GAMMA1, n))
-    for g in enumerate_xi(n):
+    xi = enumerate_xi(n)
+    for g in xi:
         assert sigma_gamma0(g, p, r) == induced_trace(g, t0)
         assert sigma_gamma1(g, p, r) == induced_trace(g, t1)
+    assert _fixed_point_count(xi, p, r).tolist() == [induced_trace(g, t0) for g in xi]
 
 
 def test_sigma_gamma1_refuses_levels_beyond_int64():
@@ -227,6 +228,13 @@ def test_sigma_gamma1_refuses_levels_beyond_int64():
     assert sigma_gamma1((1, 1, 0, 1), 46337, 2) == (46337**2 - 46337) // 2
     with pytest.raises(ValueError, match="exceed int64"):
         sigma_gamma1((1, 1, 0, 1), 65537, 2)
+
+
+def test_gamma0_kernel_refuses_levels_beyond_int64():
+    """The discriminant squares a residue mod p^r; int64 holds it below 2^31."""
+    assert _fixed_point_count([(1, 1, 0, 1)], 46337, 2).tolist() == [46337]
+    with pytest.raises(ValueError, match="exceed int64"):
+        _fixed_point_count([(1, 1, 0, 1)], 65537, 2)
 
 
 def test_quadratic_root_counters():

@@ -99,6 +99,47 @@ def test_densities_closed_form_over_the_cap_refused_first(capsys, monkeypatch, l
     assert ("exceeds cap" if code == 2 else "closed forms require") in err
 
 
+def test_densities_closed_form_composite_refused_before_the_closed_table(capsys, monkeypatch):
+    """--composite refuses every prime power, so --closed-form with it exits
+    1 without building the closed table."""
+    import geosplit.cli
+
+    def no_closed_form(spec):
+        raise AssertionError(f"the closed table of {spec} was built")
+
+    monkeypatch.setattr(geosplit.cli, "density_table_closed_form", no_closed_form)
+    got, out, err = run(capsys, "densities", "--family", "gamma0", "--level", "707281",
+                        "--closed-form", "--composite")
+    assert got == 1 and out == ""
+    assert "two prime factors" in err
+
+
+# the prime 2^61 - 1: trial division would not finish
+HUGE_LEVEL = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("args", [
+    ("census", "--level", HUGE_LEVEL),
+    ("type", "--family", "gamma0", "--level", HUGE_LEVEL, "--matrix", "2,1,1,1"),
+    ("densities", "--family", "gamma0", "--level", HUGE_LEVEL),
+    ("empirical", "--family", "gamma0", "--level", HUGE_LEVEL, "--x", "100"),
+    ("zeta-check", "--p", "3", "--s", "2", "--x", "100", "--check", "venkov",
+     "--family", "gamma0", "--level", HUGE_LEVEL),
+])
+def test_huge_level_refused_without_factoring(capsys, monkeypatch, tmp_path, args):
+    """The bound |Xi(N)| > 0.3 N^3 refuses a huge level with exit 2 before
+    the level is factored."""
+    import geosplit.core
+
+    def no_factoring(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(geosplit.core, "factorize", no_factoring)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), *args)
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err
+
+
 def test_densities_cap_exit(capsys):
     code, _, err = run(capsys, "densities", "--family", "gamma0", "--level", "9973")
     assert code == 2

@@ -38,7 +38,7 @@ from geosplit.cosets import build_coset_table
 from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
 from reference import (classes_at_trace, complete_column, fixed_row_count_reference,
                        orbit_closure_classes, primitive_classes, reduced_forms_by_divisors,
-                       spf_list, spf_sieve, unimodular_columns)
+                       sigma_gamma0, spf_list, spf_sieve, unimodular_columns)
 from test_geodesics import brute_reduced_forms
 
 
@@ -188,14 +188,17 @@ def test_nonsplit_generator_is_pinned(p, r, want):
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3),
                                  (7, 1), (7, 2), (29, 2)])
 def test_fixed_row_count_matches_the_scalar_formula(p, r):
-    """The array kernel of the closed form, at both signs, on every power
-    g^d (d dividing the order) of every catalog class, in one call."""
+    """The array kernels of the closed form, Gamma1's at both signs and
+    Gamma0's, on every power g^d (d dividing the order) of every catalog
+    class, in one call each."""
     n = p**r
     powers = [matpow(c.representative, d, n) for c in closed_class_catalog(p, r)
               for d in divisors(c.order)]
     for sign in (1, -1):
         got = census._fixed_row_count(np.array(powers), sign, p, r)
         assert got.tolist() == [fixed_row_count_reference(g, sign, p, r) for g in powers]
+    got = census._fixed_point_count(np.array(powers), p, r)
+    assert got.tolist() == [sigma_gamma0(g, p, r) for g in powers]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 12, 25, 75])

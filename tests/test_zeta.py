@@ -3,6 +3,7 @@ import math
 import pytest
 
 from geosplit.core import Family, SubgroupSpec, canon, mul
+from geosplit.cosets import build_coset_table
 from geosplit.geodesics import norm_below
 from geosplit.zeta import (
     ClassData,
@@ -57,7 +58,7 @@ def test_zeta_pp_against_independent_loop(data_1e4):
     the class list, with its own norm and log computation."""
     s_val, p = 2.0, 5
     subp = SubgroupSpec(Family.GAMMA, p)
-    n_index = data_1e4._table(subp).index
+    n_index = build_coset_table(subp).index
     lam_rect = (p,) * (n_index // p)
     z = zeta_lambda_log(s_val, 10**4, subp, lam_rect, data_1e4)
 
@@ -85,8 +86,8 @@ def test_order_p_classes_define_zeta_pp(data_1e4):
     p = 5
     sub1 = SubgroupSpec(Family.GAMMA1, p)
     subp = SubgroupSpec(Family.GAMMA, p)
-    n1 = data_1e4._table(sub1).index
-    np_ = data_1e4._table(subp).index
+    n1 = build_coset_table(sub1).index
+    np_ = build_coset_table(subp).index
     first = list(data_1e4.classes)[:400]
     for (lam1, order), (lamp, _) in zip(class_types(first, sub1), class_types(first, subp)):
         assert lamp == (order,) * (np_ // order)
