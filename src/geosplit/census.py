@@ -53,9 +53,9 @@ from math import gcd, lcm
 import numpy as np
 
 from .core import (
-    CapExceeded,
     ConsistencyError,
     Family,
+    Partition,
     SubgroupSpec,
     canon,
     capped_xi_order,
@@ -81,7 +81,7 @@ from .core import (
     xi_order,
     xi_orders,
 )
-from .cosets import DEFAULT_INDEX_CAP, build_coset_table, splitting_types
+from .cosets import build_coset_table, splitting_types
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def closed_form_prime_power(level):
 @dataclass
 class DensityTable:
     subgroup: SubgroupSpec
-    entries: dict  # partition tuple -> Fraction
+    entries: dict  # Partition -> Fraction
     xi_order: int
     index: int
 
@@ -293,7 +293,7 @@ def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
     n = order  # index of Gamma(N) equals |Xi|
     entries = {}
     for rec in classes:
-        lam = (rec.order,) * (n // rec.order)
+        lam = Partition({rec.order: n // rec.order})
         entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
     return DensityTable(s, entries, order, n)
 
@@ -455,9 +455,6 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     p, r = closed_form_prime_power(s.level)
     order = xi_order(s.level)
     if s.family == Family.GAMMA:
-        # the regular cover: every type is an explicit tuple of index/m parts
-        if order > DEFAULT_INDEX_CAP:
-            raise CapExceeded(f"index {order} of {s} exceeds cap {DEFAULT_INDEX_CAP}")
         return rectangle_density_table(s, closed_class_catalog(p, r))
     if s.family == Family.GAMMA0:
         index = p ** (r - 1) * (p + 1)
@@ -486,7 +483,7 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
 
 def power_trace(lam, d):
     """Fixed points of the d-th power of a permutation of cycle type lam."""
-    return sum(m for m in lam if d % m == 0)
+    return sum(m * k for m, k in lam.runs if d % m == 0)
 
 
 def tensor_partitions(lam1, lam2):
@@ -499,7 +496,7 @@ def tensor_partitions(lam1, lam2):
     cycle lengths all divide the lcm of the parts, so its traces at the
     divisors of that lcm determine the type.
     """
-    big = lcm(*lam1, *lam2) if (lam1 and lam2) else 1
+    big = lcm(*(m for m, _ in lam1.runs + lam2.runs))
     traces = {d: power_trace(lam1, d) * power_trace(lam2, d) for d in divisors(big)}
     return parts_from_traces(traces, big, sum(lam1) * sum(lam2))
 

@@ -18,9 +18,10 @@ the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 import numpy as np
 
@@ -255,17 +256,19 @@ def chain_heads(n):
     a = np.arange(n // 2 + 1, dtype=np.int32)[:, None]  # a <= -a mod n
     c = np.arange(n, dtype=np.int32)
     tied = a == -a % n  # a = 0 or n/2: the sign then acts on c alone
-    a, c = (v.astype(np.int32) for v in np.nonzero(
-        (np.gcd(np.gcd(a, c), n) == 1) & ~(tied & (-c % n < c))))
+    keep = (np.gcd(np.gcd(a, c), n) == 1) & ~(tied & (-c % n < c))
+    heads = np.zeros((4, np.count_nonzero(keep)), dtype=np.int32)
+    # the columns read through the mask stay int32, where np.nonzero gives intp
+    heads[0], heads[2] = (np.broadcast_to(v, keep.shape)[keep] for v in (a, c))
+    a, t, c, d = heads  # row 1 holds t until b0 = -t*d replaces it
+    rows = column_rows(a, c, n)
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
     inverse = np.zeros(n, dtype=np.int32)  # 0 at a non-unit
     inverse[units] = [pow(u, -1, n) for u in units.tolist()]
-    t = np.zeros_like(a)
-    while not (found := inverse.take((a + t * c) % n) > 0).all():
+    while not (found := inverse[(a + t * c) % n] > 0).all():
         t += ~found
-    d = inverse.take((a + t * c) % n)
-    heads = np.stack((a, -t * d % n, c, d))
-    rows = column_rows(a, c, n)
+    d[:] = inverse[(a + t * c) % n]
+    t[:] = -t * d % n
     heads.setflags(write=False)
     rows.setflags(write=False)
     return heads, rows
@@ -296,8 +299,8 @@ def column_rows(a, c, n):
     is another column, and -1 at a column not listed."""
     rows = len(a)
     row_of = np.full(n * n, -1, dtype=np.int32)
-    row_of[(-a % n) * n + (-c % n)] = np.arange(rows, 2 * rows)
-    row_of[a * n + c] = np.arange(rows)
+    row_of[(-a % n) * n + (-c % n)] = np.arange(rows, 2 * rows, dtype=np.int32)
+    row_of[a * n + c] = np.arange(rows, dtype=np.int32)
     return row_of
 
 
@@ -346,15 +349,31 @@ def cycle_labels(successor):
     given as an array of successors, in the array's dtype, by pointer
     doubling (Wyllie): after j rounds of label = min(label, label[p]);
     p = p[p], label[i] is the least point among the 2^j successors of i, so
-    the labels stop changing exactly when each is its cycle's least point."""
-    p = successor
+    the labels stop changing exactly when each is its cycle's least point.
+    The gathers go _GATHER points at a time into fixed buffers, as `take`
+    widens its indices to intp."""
+    p, jumped = successor.copy(), np.empty_like(successor)
     label = np.arange(len(p), dtype=p.dtype)
+    nxt = np.empty_like(label)
     while True:
-        nxt = np.minimum(label, label.take(p))
+        _gather(label, p, nxt)
+        np.minimum(nxt, label, out=nxt)
         if not (nxt < label).any():
             return label
-        label = nxt
-        p = p.take(p)
+        label, nxt = nxt, label
+        _gather(p, p, jumped)
+        p, jumped = jumped, p
+
+
+# indices per gather of `cycle_labels`: the intp copy `take` makes of them
+# stays at a few hundred KB
+_GATHER = 1 << 16
+
+
+def _gather(source, at, out):
+    """out[i] = source[at[i]], _GATHER indices at a time."""
+    for start in range(0, len(at), _GATHER):
+        source.take(at[start:start + _GATHER], out=out[start:start + _GATHER], mode="clip")
 
 
 def component_labels(steps, chunk):
@@ -385,17 +404,58 @@ def component_labels(steps, chunk):
 
 
 # ---------------------------------------------------------------------------
-# partitions: weakly decreasing tuples of positive ints
+# partitions, held as runs of equal parts
+
+@total_ordering
+class Partition:
+    """A partition as its runs, (part, multiplicity) pairs by descending
+    part, built from a mapping part -> multiplicity (or its pairs) in any
+    order.  A splitting type has up to index-many parts but few distinct
+    ones, so only `partition_str` writes the parts out.  Equality, hashing
+    and order read the runs, which compare as the flat tuples of parts do;
+    iterating yields the parts, and `len`, `count` and `in` count them."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, counts):
+        runs = sorted(((int(p), int(k)) for p, k in dict(counts).items() if k), reverse=True)
+        if any(p <= 0 or k < 0 for p, k in runs):
+            raise ValueError("partition parts and multiplicities must be positive")
+        self.runs = tuple(runs)
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(itertools.repeat(p, k) for p, k in self.runs)
+
+    def __len__(self):
+        return sum(k for _, k in self.runs)
+
+    def count(self, part):
+        return dict(self.runs).get(part, 0)
+
+    def __contains__(self, part):
+        return self.count(part) > 0
+
+    def __hash__(self):
+        return hash(self.runs)
+
+    def __eq__(self, other):
+        return self.runs == other.runs if isinstance(other, Partition) else NotImplemented
+
+    def __lt__(self, other):
+        return self.runs < other.runs if isinstance(other, Partition) else NotImplemented
+
+    def __repr__(self):
+        return f"Partition({self.runs})"
+
 
 def partition(parts):
-    t = tuple(sorted((int(p) for p in parts), reverse=True))
-    if any(p <= 0 for p in t):
-        raise ValueError("partition parts must be positive")
-    return t
+    """The Partition of an iterable of positive parts, in any order."""
+    return Partition(Counter(int(p) for p in parts))
 
 
 def partition_str(lam):
-    return ",".join(str(p) for p in lam)
+    """The parts of a Partition, descending, joined by commas."""
+    return "".join(f"{p}," * k for p, k in lam.runs)[:-1]
 
 
 def parse_partition(s):
@@ -426,9 +486,7 @@ def parts_from_traces(traces, order, weight):
         counts[m] = s // m
     if sum(m * k for m, k in counts.items()) != weight:
         raise ConsistencyError("Moebius-reconstructed type has wrong weight")
-    # the divisors ascend, so the parts come out weakly decreasing
-    return tuple(itertools.chain.from_iterable(itertools.repeat(m, counts[m])
-                                               for m in reversed(ds)))
+    return Partition(counts)
 
 
 def moebius_type_ids(entries, orders, n, traces_of, weight, ids, memo):
@@ -436,18 +494,23 @@ def moebius_type_ids(entries, orders, n, traces_of, weight, ids, memo):
     every row g of `entries` (k x 4 residues mod n) of order `orders[i]`,
     from the permutation character alone: for each order m, the powers g^d
     at the divisors d of m come from one `matrix_powers` call (k' x 4,
-    divisor by divisor), `traces_of` gives their fixed-point counts, and
-    `parts_from_traces` runs once per distinct (m, traces), memoised in
-    `memo` across calls."""
+    divisor by divisor), one `traces_of` call on the powers of every order
+    gives their fixed-point counts, and `parts_from_traces` runs once per
+    distinct (m, traces), memoised in `memo` across calls."""
     g = np.asarray(entries).reshape(-1, 2, 2)
     orders = np.asarray(orders)
     out = np.empty(len(orders), dtype=np.int32)
-    for m in np.flatnonzero(np.bincount(orders)).tolist():
-        sel = np.flatnonzero(orders == m)
-        ds = divisors(m)
-        powers = np.stack(matrix_powers(g.take(sel, axis=0), ds, n)).reshape(-1, 4)
-        traces = np.asarray(traces_of(powers)).reshape(len(ds), len(sel)).T
-        distinct, inverse = _distinct_rows(traces)
+    groups = [(m, np.flatnonzero(orders == m), divisors(m))
+              for m in np.flatnonzero(np.bincount(orders)).tolist()]
+    if not groups:
+        return out
+    traces = np.asarray(traces_of(np.concatenate([
+        np.stack(matrix_powers(g.take(sel, axis=0), ds, n)).reshape(-1, 4)
+        for _, sel, ds in groups])))
+    stop = 0
+    for m, sel, ds in groups:
+        start, stop = stop, stop + len(ds) * len(sel)
+        distinct, inverse = _distinct_rows(traces[start:stop].reshape(len(ds), len(sel)).T)
         row_ids = []
         for tr in map(tuple, distinct.tolist()):
             if (m, tr) not in memo:

@@ -61,6 +61,7 @@ from .core import (
     CapExceeded,
     ConsistencyError,
     Family,
+    Partition,
     SubgroupSpec,
     _distinct_rows,
     canon,
@@ -247,11 +248,11 @@ def _fixed_counts(perm, shift, m):
 
 
 def cycle_types(block):
-    """Cycle type of every row of a 2-D block of permutations, as tuples
-    (`_cycle_type_ids`)."""
+    """Cycle type of every row of a 2-D block of permutations, as
+    `Partition`s (`_cycle_type_ids`)."""
     ids = {}
     block = np.atleast_2d(np.asarray(block, dtype=_PERM_DTYPE))
-    row_ids = _cycle_type_ids(block, None, 1, ids, {}).tolist()
+    row_ids = _cycle_type_ids(block, None, 1, ids).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -269,11 +270,10 @@ def splitting_type_cycles(g, table: CosetTable):
 def splitting_types(elements, table: CosetTable):
     """Splitting types of a list of elements, from the block form of their
     action (`_block_action`).  One `_cycle_type_ids` registry serves every
-    block, so each distinct type tuple is built once and equal types are
-    the same object."""
-    ids, memo, row_ids = {}, {}, []
+    block, so equal types are the same `Partition` object."""
+    ids, row_ids = {}, []
     for perm, shift in _block_action(elements, table):
-        row_ids += _cycle_type_ids(perm, shift, table.modulus, ids, memo).tolist()
+        row_ids += _cycle_type_ids(perm, shift, table.modulus, ids).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -371,26 +371,17 @@ def coset_chain_blocks(table: CosetTable):
                 yield perm, (shift % m).reshape(-1, width)
 
 
-def _cycle_type_ids(perm, shift, m, ids, memo):
+def _cycle_type_ids(perm, shift, m, ids):
     """The id in `ids` (type -> id, grown as types appear) of the cycle
     type of every row of a block in block form: the coset cycles of
-    `_cycles` counted per row.  A distinct row of counts becomes a type
-    tuple only the first time it is seen: `memo` maps its bytes, with the
-    trailing zero counts dropped so that the block's width does not matter,
-    to the id."""
+    `_cycles` counted per length and row, and each distinct row of counts
+    read as the runs of a `Partition`."""
     owner, lengths, copies = _cycles(perm, shift, m)
     width = int(lengths.max(initial=0)) + 1
     counts = np.bincount(owner * width + lengths, weights=copies,
                          minlength=len(perm) * width).astype(np.int64, copy=False)
     distinct, inverse = _distinct_rows(counts.reshape(-1, width))
-    descending = np.arange(width - 1, 0, -1)
-    row_ids = []
-    for row in distinct:
-        key = row.tobytes().rstrip(b"\0")
-        if key not in memo:
-            lam = tuple(np.repeat(descending, row[:0:-1]).tolist())
-            memo[key] = ids.setdefault(lam, len(ids))
-        row_ids.append(memo[key])
+    row_ids = [ids.setdefault(Partition(enumerate(row)), len(ids)) for row in distinct.tolist()]
     return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
@@ -418,11 +409,11 @@ def dual_type_report(level, family):
     table = build_coset_table(SubgroupSpec(family, level))
     fixed, by_cycles = np.empty((2, size), dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
-    count, by_counts, by_traces = 0, {}, {}
+    count, by_traces = 0, {}
     for perm, shift in coset_chain_blocks(table):
         rows = slice(count, count + len(perm))
         fixed[rows] = _fixed_counts(perm, shift, table.modulus)
-        by_cycles[rows] = _cycle_type_ids(perm, shift, table.modulus, ids, by_counts)
+        by_cycles[rows] = _cycle_type_ids(perm, shift, table.modulus, ids)
         count += len(perm)
     if count != size:
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Family, SubgroupSpec, prime_factors
+from .core import Family, SubgroupSpec, partition, prime_factors
 from .cosets import build_coset_table, capped_key_count
 from .geodesics import classes_below, max_trace, residue_types, residues_mod
 
@@ -118,9 +118,9 @@ class ClassData:
         """The (splitting type, order of the reduction) of every distinct
         residue mod the level, and the index of each class's residue,
         aligned with `classes`; subgroup None means the trivial cover, one
-        pair ((1,), 1)."""
+        pair (partition([1]), 1)."""
         if subgroup is None:
-            return [((1,), 1)], np.zeros(len(self.classes), dtype=np.intp)
+            return [(partition([1]), 1)], np.zeros(len(self.classes), dtype=np.intp)
         if subgroup.level not in self._residues:
             self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
         keys, inverse = self._residues[subgroup.level]
@@ -213,7 +213,7 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
     data = _class_data(x, data, [subgroup])
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
-    lam = tuple(lam)
+    lam = partition(lam)
     traces = trace[np.array([got == lam for got, _ in pairs], dtype=bool).take(index)]
     ar = FloatArith()
     flat, _ = _flat({s: ar.factors(s, t_max)})
@@ -242,7 +242,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
     ar = MPArith() if use_mpmath else FloatArith()
-    exponents = sorted({part * s for lam, _ in pairs for part in lam})
+    exponents = sorted({part * s for lam, _ in pairs for part, _ in lam.runs})
     flat, offset = _flat({e: ar.factors(e, t_max) for e in exponents})
     rows = [[offset[part * s] for part in lam] for lam, _ in pairs]
     lhs = _sum(ar, flat, _class_stream(rows, index, trace))
@@ -278,7 +278,7 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     ar = MPArith() if use_mpmath else FloatArith()
     half = ar.frac(p - 1, 2)
     exponents = sorted({s, p * s} | {part * s for (lam1, _), (lamp, _) in zip(pairs1, pairsp)
-                                     for part in lam1 + lamp})
+                                     for part, _ in lam1.runs + lamp.runs})
     factor = {e: ar.factors(e, t_max) for e in exponents}
     scaled = {"lhs": [None] * 3 + [half * (p * factor[s][t] - factor[p * s][t])
                                    for t in range(3, t_max + 1)]}

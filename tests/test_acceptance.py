@@ -36,6 +36,7 @@ from geosplit.core import (
     SubgroupSpec,
     enumerate_xi,
     order_in_xi_tuple,
+    partition,
     xi_order,
 )
 from geosplit.cosets import build_coset_table, dual_type_report, induced_trace
@@ -57,7 +58,7 @@ def lam(spec):
             out += [int(base)] * int(exp)
         else:
             out.append(int(tok))
-    return tuple(sorted(out, reverse=True))
+    return partition(out)
 
 
 def ok(num, msg):
@@ -177,7 +178,7 @@ PRINTED_75 = [
 
 
 def termwise_product(lam1, lam2):
-    return tuple(sorted((a * b for a in lam1 for b in lam2), reverse=True))
+    return partition(a * b for a in lam1 for b in lam2)
 
 
 def test_criterion_04_gamma0_75_composite_and_census():
@@ -310,7 +311,7 @@ def test_criterion_08_rectangle_property():
         table = density_table(s)
         for lam_ in table.entries:
             assert len(set(lam_)) == 1, (n, lam_)
-            assert table.index % lam_[0] == 0
+            assert table.index % tuple(lam_)[0] == 0
         assert rectangle_density_table(s).entries == table.entries
     ok(8, f"Gamma(N) tables supported on rectangles for N in (3,5,7,9,25), {time.time()-t0:.0f}s")
 

@@ -8,6 +8,7 @@ from geosplit.census import (
     census_payload,
     census_table_from_payload,
     _fixed_point_count,
+    closed_class_catalog,
     conjugacy_classes,
     density_table,
     density_table_closed_form,
@@ -26,6 +27,7 @@ from geosplit.core import (
     identity,
     mul,
     order_in_xi_tuple,
+    partition,
     xi_order,
 )
 from geosplit.cosets import build_coset_table, induced_trace
@@ -46,7 +48,7 @@ def lam(spec):
             out += [int(base)] * int(exp)
         else:
             out.append(int(tok))
-    return tuple(sorted(out, reverse=True))
+    return partition(out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +160,18 @@ def test_closed_form_rejects_bad_levels():
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 8))
 
 
-def test_gamma_closed_form_refused_above_the_index_cap(monkeypatch):
-    """Gamma(31^2) has index 4.4e8: its rectangle types would be tuples of
-    that many parts, so it is refused before the catalog is built."""
-    import geosplit.census as census
-    from geosplit.core import CapExceeded
-
-    def refuse(p, r):
-        raise AssertionError("built the catalog of a capped level")
-
-    monkeypatch.setattr(census, "closed_class_catalog", refuse)
-    with pytest.raises(CapExceeded, match="exceeds cap"):
-        density_table_closed_form(SubgroupSpec(Family.GAMMA, 31**2))
+def test_gamma_closed_form_above_the_index_cap_is_one_run_per_type():
+    """Gamma(31^2) has index 4.4e8, over the coset-table cap: each of its
+    rectangle types is the single run (m, index/m), so the closed form
+    builds the table without a cap.  Every type partitions the index, one
+    order per type, and the mean number of fixed cosets is 1 (Burnside)."""
+    n = 31**2
+    t = density_table_closed_form(SubgroupSpec(Family.GAMMA, n))
+    orders = {c.order for c in closed_class_catalog(31, 2)}
+    assert t.index == xi_order(n) == 443290080
+    assert sorted(lam.runs for lam in t.entries) == sorted(((m, t.index // m),) for m in orders)
+    assert all(sum(m * k for m, k in lam.runs) == t.index for lam in t.entries)
+    assert sum(d * lam.count(1) for lam, d in t.entries.items()) == 1
 
 
 def test_theorem_density_formulas_prime_level():
@@ -177,8 +179,8 @@ def test_theorem_density_formulas_prime_level():
     for p in (3, 5, 7):
         t = density_table(SubgroupSpec(Family.GAMMA, p))
         n = xi_order(p)
-        assert t.entries[(p,) * (n // p)] == Fraction(2, p)
-        assert t.entries[(1,) * n] == Fraction(1, n)
+        assert t.entries[partition((p,) * (n // p))] == Fraction(2, p)
+        assert t.entries[partition((1,) * n)] == Fraction(1, n)
 
 
 def test_gamma_9_order_anomaly():
@@ -187,8 +189,8 @@ def test_gamma_9_order_anomaly():
     have order 3 (trace == -1 mod 9 forces g^3 = I)."""
     t = density_table(SubgroupSpec(Family.GAMMA, 9))
     n = xi_order(9)
-    assert t.entries[(9,) * (n // 9)] == Fraction(4, 9)
-    assert t.entries[(3,) * (n // 3)] == Fraction(49, 162)
+    assert t.entries[partition((9,) * (n // 9))] == Fraction(4, 9)
+    assert t.entries[partition((3,) * (n // 3))] == Fraction(49, 162)
 
 
 def test_theorem_density_formulas_25():
@@ -204,7 +206,7 @@ def test_theorem_density_formulas_25():
     t1 = density_table(SubgroupSpec(Family.GAMMA1, 25))
     # Gamma1 torus series at order p^k: 2/(p^(3r-3k-1) (p+1))
     k = 1
-    lam1 = (5,) * (t1.index // 5)
+    lam1 = partition((5,) * (t1.index // 5))
     assert t1.entries[lam1] == Fraction(2, p ** (3 * r - 3 * k - 1) * (p + 1))
 
 
@@ -259,7 +261,7 @@ def test_gamma_rectangles(n):
     t = density_table(SubgroupSpec(Family.GAMMA, n))
     for lam_ in t.entries:
         assert len(set(lam_)) == 1  # all parts equal
-        assert t.index % lam_[0] == 0
+        assert t.index % tuple(lam_)[0] == 0
     assert rectangle_density_table(SubgroupSpec(Family.GAMMA, n)).entries == t.entries
 
 
@@ -272,7 +274,7 @@ def test_non_normal_family_not_rectangular():
 # tensor rule
 
 def test_tensor_trivial_actions():
-    assert tensor_partitions((1,) * 3, (1,) * 4) == (1,) * 12
+    assert tensor_partitions(lam("1^3"), lam("1^4")) == lam("1^12")
 
 
 def test_tensor_coprime_parts_is_pairwise():
@@ -325,7 +327,8 @@ def test_tensor_against_product_action():
     for _ in range(60):
         lam1 = tuple(sorted((rng.randrange(1, 9) for _ in range(rng.randrange(1, 4))), reverse=True))
         lam2 = tuple(sorted((rng.randrange(1, 9) for _ in range(rng.randrange(1, 4))), reverse=True))
-        assert tensor_partitions(lam1, lam2) == product_action_oracle(lam1, lam2)
+        assert tuple(tensor_partitions(partition(lam1), partition(lam2))) == \
+            product_action_oracle(lam1, lam2)
 
 
 def test_composite_convolution_matches_direct_15():
@@ -460,8 +463,8 @@ def test_tensor_partitions_share_the_moebius_recursion(monkeypatch):
     import geosplit.census as census
     from geosplit.core import ConsistencyError
 
-    assert tensor_partitions((), (2, 1)) == ()
+    assert tensor_partitions(partition(()), lam("2 1")) == partition(())
     # traces 1, 4 at d = 1, 2 give 3/2 two-cycles
     monkeypatch.setattr(census, "power_trace", lambda lam, d: d)
     with pytest.raises(ConsistencyError):
-        tensor_partitions((2,), (1,))
+        tensor_partitions(lam("2"), lam("1"))

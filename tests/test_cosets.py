@@ -10,6 +10,7 @@ from geosplit.core import (
     identity,
     mul,
     order_in_xi_tuple,
+    partition,
     xi_order,
 )
 from geosplit.cosets import (
@@ -114,13 +115,13 @@ def test_act_against_naive_oracle(family, n):
 
 
 def test_splitting_type_examples():
-    assert splitting_type_cycles(identity(5), table(Family.GAMMA0, 5)) == (1,) * 6
-    assert splitting_type_cycles(canon(2, 1, 1, 1, 3), table(Family.GAMMA0, 3)) == (2, 2)
+    assert tuple(splitting_type_cycles(identity(5), table(Family.GAMMA0, 5))) == (1,) * 6
+    assert tuple(splitting_type_cycles(canon(2, 1, 1, 1, 3), table(Family.GAMMA0, 3))) == (2, 2)
     # every order-5 element mod 5 has type (5,1) (density 2/5 in the tables)
     t5 = table(Family.GAMMA0, 5)
     for g in enumerate_xi(5):
         if order_in_xi_tuple(g, 5) == 5:
-            assert splitting_type_cycles(g, t5) == (5, 1)
+            assert tuple(splitting_type_cycles(g, t5)) == (5, 1)
 
 
 def test_unipotent_type_mod9():
@@ -132,8 +133,8 @@ def test_unipotent_type_mod9():
     assert induced_trace(g, t9) == 3
     g3 = mul(mul(g, g, 9), g, 9)
     assert induced_trace(g3, t9) == 3
-    assert splitting_type_cycles(g, t9) == (9, 1, 1, 1)
-    assert splitting_type_moebius(g, t9) == (9, 1, 1, 1)
+    assert tuple(splitting_type_cycles(g, t9)) == (9, 1, 1, 1)
+    assert tuple(splitting_type_moebius(g, t9)) == (9, 1, 1, 1)
 
 
 def test_induced_trace_examples():
@@ -334,13 +335,14 @@ def perm_blocks(draw):
 @given(perm_blocks(), st.integers(min_value=1, max_value=3))
 def test_block_kernels_match_cycle_walk(block, multiple):
     expected = [walk_cycle_type(perm) for perm in block]
-    assert cycle_types(block) == expected
+    assert list(map(tuple, cycle_types(block))) == expected
     width = len(block[0])
     orders = [lcm(*lam) for lam in expected]
-    assert [moebius_type_from_perm(perm, m, width) for perm, m in zip(block, orders)] == expected
-    assert [moebius_type_from_perm(perm, m * multiple, width)
+    assert [tuple(moebius_type_from_perm(perm, m, width))
             for perm, m in zip(block, orders)] == expected
-    assert [cycle_type_of(perm) for perm in block] == expected
+    assert [tuple(moebius_type_from_perm(perm, m * multiple, width))
+            for perm, m in zip(block, orders)] == expected
+    assert [tuple(cycle_type_of(perm)) for perm in block] == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,13 +364,13 @@ def test_distinct_rows_group_equal_rows(rows, width, seed, spread):
 def test_block_kernel_edge_cases():
     import numpy as np
 
-    assert cycle_types([[0]]) == [(1,)]
+    assert list(map(tuple, cycle_types([[0]]))) == [(1,)]
     assert cycle_types(np.zeros((0, 5), dtype=np.int32)) == []
-    assert moebius_type_from_perm([0], 1, 1) == (1,)
+    assert tuple(moebius_type_from_perm([0], 1, 1)) == (1,)
     rng = random.Random(3)
     long = _perm_from_cycles([997], rng)
-    assert cycle_type_of(long) == (997,)
-    assert [moebius_type_from_perm(perm, m, 997) for perm, m in
+    assert tuple(cycle_type_of(long)) == (997,)
+    assert [tuple(moebius_type_from_perm(perm, m, 997)) for perm, m in
             zip([long, list(range(997))], [997, 1])] == [(997,), (1,) * 997]
 
 
@@ -394,19 +396,20 @@ def test_chain_permutations_match_reference(family, n):
     for perm, shift in coset_chain_blocks(t):
         assert perm.shape == shift.shape and perm.shape[1] * t.modulus == t.index
         ids = {}
-        row_ids = cosets._cycle_type_ids(perm, shift, t.modulus, ids, {}).tolist()
+        row_ids = cosets._cycle_type_ids(perm, shift, t.modulus, ids).tolist()
         types = list(ids)
         fixed = cosets._fixed_counts(perm, shift, t.modulus).tolist()
         expanded = expand_block(perm, shift, t.modulus).tolist()
         for g, row, i, f in zip(elements[rows:], expanded, row_ids, fixed):
             want = reference(g)
             assert row == want, g
-            assert types[i] == walk_cycle_type(want), g
+            assert tuple(types[i]) == walk_cycle_type(want), g
             assert f == sum(j == k for j, k in enumerate(want)), g
         rows += len(perm)
     assert rows == len(elements)
     assert sorted(elements) == enumerate_xi(n)
-    assert splitting_types(elements, t) == [walk_cycle_type(reference(g)) for g in elements]
+    assert [tuple(lam) for lam in splitting_types(elements, t)] == \
+        [walk_cycle_type(reference(g)) for g in elements]
 
 
 def _reference_dual_report(level, family):
@@ -444,7 +447,7 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
 
     def skewed(traces, order, weight):
         lam = exact(traces, order, weight)
-        return lam + (0,) if order % 2 == 0 else lam
+        return partition([*lam, 1]) if order % 2 == 0 else lam
 
     monkeypatch.setattr(core, "parts_from_traces", skewed)
     monkeypatch.setattr(cosets, "parts_from_traces", skewed)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import geosplit.census as census
+import geosplit.core as core
 import geosplit.geodesics as geodesics
 from geosplit.census import closed_class_catalog, conjugacy_classes, nonsplit_generator
 from geosplit.cli import main
@@ -217,6 +218,64 @@ def test_gamma_table_is_the_chain_grid(n):
     reps = [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in grid))]
     assert table.reps == reps
     assert sorted(reps) == enumerate_xi(n)
+
+
+@pytest.mark.parametrize("family,n", [(Family.GAMMA0, 25), (Family.GAMMA1, 27),
+                                      (Family.GAMMA0, 3**5), (Family.GAMMA1, 29**2)])
+def test_closed_form_counts_all_traces_in_one_kernel_call(monkeypatch, family, n):
+    """`moebius_type_ids` stacks the powers of every order, so a closed
+    table calls its trace kernel once, and the table does not change."""
+    want = census.density_table_closed_form(SubgroupSpec(family, n))
+    kernel = "_fixed_point_count" if family == Family.GAMMA0 else "_fixed_row_count"
+    exact, calls = getattr(census, kernel), []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return exact(*args)
+
+    monkeypatch.setattr(census, kernel, counted)
+    assert census.density_table_closed_form(SubgroupSpec(family, n)).entries == want.entries
+    catalog = closed_class_catalog(*census.closed_form_prime_power(n))
+    powers = sum(len(divisors(c.order)) for c in catalog)
+    assert calls == [powers] * (1 if family == Family.GAMMA0 else 2)
+
+
+@pytest.mark.parametrize("size,cycle,gather", [(1, 1, 4), (50, 7, 7), (1000, 97, 64),
+                                               (4096, 4096, 1000)])
+def test_cycle_labels_are_the_least_point_of_each_cycle(monkeypatch, size, cycle, gather):
+    """Pointer doubling with the gathers cut into pieces of `gather`
+    points, the last partial, against a walk round each cycle; the
+    successor array is left as it was."""
+    monkeypatch.setattr(core, "_GATHER", gather)
+    rng = np.random.default_rng(size)
+    succ, cut = np.empty(size, dtype=np.int32), rng.permutation(size)
+    for piece in np.split(cut, range(cycle, size, cycle)):
+        succ[piece] = np.roll(piece, -1)
+    given_ = succ.copy()
+    want = [0] * size
+    for i in range(size):
+        j, least = succ[i], i
+        while j != i:
+            least, j = min(least, j), succ[j]
+        want[i] = least
+    label = core.cycle_labels(succ)
+    assert label.dtype == np.int32 and label.tolist() == want
+    assert np.array_equal(succ, given_)
+
+
+@pytest.mark.parametrize("n", [210, 400])
+def test_chain_heads_peak_stays_below_twice_its_result(n):
+    """The heads are written in place and their columns come out int32, so
+    the traced peak of a fresh build stays below twice the bytes it
+    returns (2.3 times with intp columns and a stacked copy)."""
+    tracemalloc.start()
+    try:
+        heads, rows = core.chain_heads.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(heads, core.chain_heads(n)[0])
+    assert peak < 2 * (heads.nbytes + rows.nbytes)
 
 
 # ---------------------------------------------------------------------------
