@@ -13,10 +13,10 @@ Three independent routes to the same numbers live here:
   `xi_orders` call, compute each class's splitting type through the coset
   action, and weight by class size;
 
-* the closed-form route for odd prime powers: an explicit catalog of class
-  representatives (diagonal powers, a nonsplit-torus generator's powers,
-  and the two-parameter unipotent-like families), with sizes from
-  centralizer orders and induced-representation traces from two array
+* the closed-form route for odd prime powers: a catalog of the
+  GL2-similarity classes, one per value of the invariants (+-t, k, det A)
+  of g = (t/2) I + p^k A with A cyclic, with sizes from the centralizer of
+  A and induced-representation traces from two array
   kernels on the p-adic depth: p^k = gcd(a - d, b, c, p^r), the depth of g
   from the scalars, and a square-root count of (t^2 - 4)/p^(2k) (Gamma0),
   or p^k = gcd of the entries of +-g - I with p^r (Gamma1).  The
@@ -26,10 +26,10 @@ Three independent routes to the same numbers live here:
   enumeration is involved, so it can cross-check the census;
 
 * the composite route: a convolution of coprime prime-power tables under
-  the tensor rule for partitions.  The tensor product is defined through
-  the product of permutation-character sequences (the two coset actions
-  multiply), NOT as termwise products of parts; the two disagree whenever
-  parts share a common factor.
+  the tensor rule for partitions.  The two coset actions multiply, so a
+  pair of cycles of lengths a and b gives gcd(a, b) cycles of length
+  lcm(a, b), NOT one cycle of length ab; the two disagree whenever parts
+  share a common factor.
 
 A caveat discovered while reconciling these routes: the classification
 table this is built from misstates element orders at p = 3, r >= 2.  Any
@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -57,24 +58,18 @@ from .core import (
     Family,
     Partition,
     SubgroupSpec,
-    canon,
     capped_xi_order,
     chain_heads,
     component_labels,
     decode_keys,
-    divisors,
     enumerate_xi,
-    euler_phi,
     factorize,
     grid_entries,
     identity,
     matpow,
     moebius_type_ids,
-    mul,
-    order_in_xi_tuple,
     partition_str,
     parse_partition,
-    parts_from_traces,
     sign_keys,
     vp,
     xi_grid_positions,
@@ -357,95 +352,52 @@ def _fixed_point_count(g, p, r):
     return np.where(pk == pr, pr // p * (p + 1), pk * roots)
 
 
-def smallest_unit_generator(p, r):
-    """Smallest delta generating (Z/p^r)*/{+-1}."""
-    n = p**r
-    q = euler_phi(n) // 2
-    for d in range(2, n):
-        if gcd(d, n) != 1:
-            continue
-        x = d % n
-        o = 1
-        while x != 1 and x != n - 1:
-            x = (x * d) % n
-            o += 1
-        if o == q:
-            return d
-    raise ConsistencyError("no generator found")
-
-
-def smallest_nonresidue(p):
-    for v in range(2, p):
-        if legendre(v, p) == -1:
-            return v
-    raise ConsistencyError("no quadratic non-residue found")
-
-
-def nonsplit_generator(p, r):
-    """Omega: element of order p^(r-1)(p+1)/2 with non-residue discriminant,
-    found by scanning companion matrices (the choice is fixed by the scan
-    order, which keeps downstream output deterministic)."""
-    n = p**r
-    target = p ** (r - 1) * (p + 1) // 2
-    for t in range(n):
-        disc = (t * t - 4) % n
-        if disc % p == 0 or legendre(disc, p) != -1:
-            continue
-        g = canon(0, -1, 1, t, n)
-        if order_in_xi_tuple(g, n) == target:
-            return g
-    raise ConsistencyError("no nonsplit torus generator found")
-
-
 def closed_class_catalog(p, r):
-    """Explicit class list for Xi(p^r), p odd: representatives and sizes.
+    """The GL2(Z/p^r)-similarity classes of Xi(p^r), p odd, as records of a
+    canonical representative, the class's size in Xi and its order.
 
-    Sizes come from centralizer orders: a semisimple class at torus depth w
-    has centralizer of order (torus order) * p^(2w) / 2, doubled again when
-    the element squares to the identity of Xi (the torus normalizer then
-    centralizes); the unipotent-like classes at depth k all have centralizer
-    order p^(r + 2k).
+    GL2 = SL2 * diag(u, 1), and diag(u, 1) normalises Gamma0, Gamma1 and
+    Gamma, so every splitting type is constant on these classes (unions of
+    conjugacy classes of Xi).  With n = p^r, take g in SL2 of trace t,
+    l = t/2 mod n and B = g - lI: tr B = 0 and det B = 1 - l^2.  B = 0 only
+    at g = +-I.  Otherwise p^k = gcd(B, n) with k < r, A = B/p^k mod
+    p^(r-k) is cyclic, and the class is fixed by the invariants (t, k,
+    D = det A mod p^(r-k)), subject to p^(2k) D == 1 - l^2 mod n: D is
+    (1 - l^2)/p^(2k) mod p^max(r-2k, 0) plus any multiple of that
+    modulus, p^min(k, r-k) lifts.  The representative is
+    [[l, p^k], [-p^k D, l]].  The centralizer of A gives the class
+    p^(2r-2k-2) m elements, with m = p(p+1) when -D is a non-zero square
+    mod p (split), p(p-1) when it is a non-square (non-split) and p^2 - 1
+    when D == 0 mod p.  g and -g (trace -t, so -l) are one element of Xi,
+    so l runs over 0..(n-1)/2, which also makes each representative
+    canonical; at l = 0, where -g lies in the class of g, the size is
+    halved.  The orders come from one `xi_orders` call, as the p = 3 order
+    anomaly breaks any order read off the invariants.  The sizes and
+    entries are int64 products of two residues, so p^r >= 2^31 is refused
+    with ValueError.
     """
     n = p**r
-    order = xi_order(n)
-    e = identity(n)
-    reps = [(e, 1)]  # (representative, class size)
-
-    def torus_classes(gen, torus_order):
-        # gen has order torus_order/2 in Xi; classes <-> exponents mod inversion
-        g = e
-        for _ in range(torus_order // 4):
-            g = mul(g, gen, n)
-            w = max(minus_identity_depth(g, sign, p, r)[0] for sign in (1, -1))
-            size = 2 * order // (torus_order * p ** (2 * w))
-            if mul(g, g, n) == e:
-                size //= 2
-            reps.append((g, size))
-
-    q = euler_phi(n) // 2
-    if q > 1:
-        delta = smallest_unit_generator(p, r)
-        torus_classes(canon(delta, 0, 0, pow(delta, -1, n), n), 2 * q)
-    omega_order = p ** (r - 1) * (p + 1) // 2
-    torus_classes(nonsplit_generator(p, r), 2 * omega_order)
-
-    nu = smallest_nonresidue(p)
+    if n >= 2**31:
+        raise ValueError(f"the closed catalog at {p}^{r} exceeds int64")
+    l = np.arange((n + 1) // 2, dtype=np.int64)
+    det_b = (1 - l * l) % n
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    reps, sizes = [np.array([[1, 0, 0, 1]])], [np.ones(1, dtype=np.int64)]
     for k in range(r):
-        size = p ** (2 * r - 2 * k - 2) * (p * p - 1) // 2
-        for m in range(1, r - k + 1):
-            alphas = [a for a in range(p ** (r - k - m)) if a % p != 0] or [0]
-            reps += [(canon(1 + tw * alpha * p ** (2 * k + m), tw * p**k,
-                            alpha * p ** (k + m), 1, n), size)
-                     for tw in (1, nu) for alpha in alphas]
-
-    orders = xi_orders([g for g, _ in reps], n).tolist()
-    classes = [ConjugacyClassRecord(g, size, m) for (g, size), m in zip(reps, orders)]
-    total = sum(c.size for c in classes)
-    if total != order:
-        raise ConsistencyError(f"closed catalog sizes sum to {total}, expected {order}")
-    if len({c.representative for c in classes}) != len(classes):
-        raise ConsistencyError("closed catalog contains duplicate representatives")
-    return classes
+        pk, step, lifts = p**k, p ** max(r - 2 * k, 0), p ** min(k, r - k)
+        sel = np.flatnonzero(det_b % (pk * pk) == 0)
+        det_a = (det_b[sel, None] // (pk * pk) % step + step * np.arange(lifts)).ravel()
+        ls = l[sel].repeat(lifts)
+        reps.append(np.stack((ls, np.full_like(ls, pk), -pk * det_a % n, ls), axis=1))
+        m = np.where(det_a % p == 0, p * p - 1,
+                     np.where(squares[-det_a % p], p * p + p, p * p - p))
+        sizes.append(m * p ** (2 * r - 2 * k - 2) // np.where(ls == 0, 2, 1))
+    reps, sizes = np.concatenate(reps), np.concatenate(sizes).tolist()
+    if sum(sizes) != xi_order(n):
+        raise ConsistencyError(f"closed catalog sizes sum to {sum(sizes)}, expected {xi_order(n)}")
+    return [ConjugacyClassRecord(tuple(g), size, order) for g, size, order
+            in zip(reps.tolist(), sizes, xi_orders(reps, n).tolist())]
 
 
 def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
@@ -481,24 +433,20 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
 # ---------------------------------------------------------------------------
 # tensor rule and composite levels
 
-def power_trace(lam, d):
-    """Fixed points of the d-th power of a permutation of cycle type lam."""
-    return sum(m * k for m, k in lam.runs if d % m == 0)
-
-
 def tensor_partitions(lam1, lam2):
     """Splitting type of the product action.
 
-    Computed through the product of the power-trace sequences and the
-    Moebius recursion, which is the definition that actually matches the
-    product of the two coset actions.  Reading it as termwise products of
-    parts agrees only when the parts are coprime.  The product action's
-    cycle lengths all divide the lcm of the parts, so its traces at the
-    divisors of that lcm determine the type.
+    Under the product of two permutations, a pair of cycles of lengths a
+    and b splits into gcd(a, b) cycles of length lcm(a, b), so each pair
+    of runs (a, m), (b, k) gives the run (lcm(a, b), gcd(a, b) m k).
+    Reading it as termwise products of parts agrees only when the parts
+    are coprime.
     """
-    big = lcm(*(m for m, _ in lam1.runs + lam2.runs))
-    traces = {d: power_trace(lam1, d) * power_trace(lam2, d) for d in divisors(big)}
-    return parts_from_traces(traces, big, sum(lam1) * sum(lam2))
+    counts = Counter()
+    for a, m in lam1.runs:
+        for b, k in lam2.runs:
+            counts[lcm(a, b)] += gcd(a, b) * m * k
+    return Partition(counts)
 
 
 def convolve_tables(t1: DensityTable, t2: DensityTable, subgroup: SubgroupSpec) -> DensityTable:

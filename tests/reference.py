@@ -14,9 +14,11 @@ family-set sizes of an odd prime-power level, the scalar fixed-row count
 of the Gamma1 trace and the Gamma0 trace by quadratic-congruence root
 counts.  So do the helpers only tests use: the inverse
 in Xi(N) and the Gamma1 trace of one element from the closed form's
-fixed-row kernel, and the scalar completion of a unimodular column by
+fixed-row kernel, the scalar completion of a unimodular column by
 the extended Euclidean algorithm, which draws elements at levels too large
-for `chain_heads`.
+for `chain_heads`, the similarity invariants of one element of Xi(p^r)
+that the closed catalog is parameterised by, and factoring by trial
+division with Euler's phi on top of it.
 """
 
 import math
@@ -26,8 +28,7 @@ import numpy as np
 
 from geosplit.census import _fixed_row_count, legendre
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
-                           chain_heads, enumerate_xi, euler_phi, mul, order_in_xi_tuple,
-                           vp)
+                           chain_heads, enumerate_xi, mul, order_in_xi_tuple, vp)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 from geosplit.zeta import MPArith
@@ -37,6 +38,48 @@ def inv(x, n):
     """Inverse in Xi(n): adjugate of a determinant-one matrix."""
     a, b, c, d = x
     return canon(d, -b, -c, a, n)
+
+
+def factorize_reference(n):
+    """n = prod p^e as a list of (p, e), by trial division."""
+    out = []
+    x = n
+    p = 2
+    while p * p <= x:
+        if x % p == 0:
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if x > 1:
+        out.append((x, 1))
+    return out
+
+
+def euler_phi(n):
+    res = n
+    for p, _ in factorize_reference(n):
+        res -= res // p
+    return res
+
+
+def similarity_invariant(g, p, r):
+    """The invariants of the GL2(Z/p^r)-similarity class of g in Xi(p^r), p
+    odd, with the sign of g fixed by l = tr(g)/2 mod p^r <= (p^r - 1)/2:
+    ("I",) for g = I, else (l, k, D) for B = g - lI, p^k = gcd(B, p^r) and
+    D = det(B/p^k) mod p^(r-k)."""
+    n = p**r
+    l = (g[0] + g[3]) * ((n + 1) // 2) % n
+    if l > n // 2:
+        g, l = tuple(-x % n for x in g), n - l
+    b = (g[0] - l, g[1], g[2], g[3] - l)
+    pk = math.gcd(*b, n)
+    if pk == n:
+        return ("I",)
+    a, b_, c, d = ((x // pk) % (n // pk) for x in b)
+    return (l, vp(pk, p), (a * d - b_ * c) % (n // pk))
 
 
 def unimodular_columns(n):

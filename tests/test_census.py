@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from geosplit.core import (
 )
 from geosplit.cosets import build_coset_table, induced_trace
 from reference import (count_quad_roots, count_sqrt, family_set_sizes, inv, is_member_tuple,
-                       sigma_gamma0, sigma_gamma1)
+                       sigma_gamma0, sigma_gamma1, similarity_invariant)
 
 
 def F(s):
@@ -146,11 +147,30 @@ def test_gamma0_25_b_family_swap_is_real():
 # ---------------------------------------------------------------------------
 # closed forms
 
-@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+# every odd prime power p^r with |Xi(p^r)| <= 1e5
+SMALL_ODD_PRIME_POWERS = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                           53)] + [(3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,r", SMALL_ODD_PRIME_POWERS)
 @pytest.mark.parametrize("family", list(Family))
 def test_closed_form_equals_census(p, r, family):
     s = SubgroupSpec(family, p**r)
     assert density_table_closed_form(s).entries == density_table(s).entries
+
+
+@pytest.mark.parametrize("p,r", SMALL_ODD_PRIME_POWERS)
+def test_closed_catalog_masses_equal_census_classes(p, r):
+    """Grouped by their similarity invariants (+-t, k, det A), the census
+    classes have the total size of the catalog record with those
+    invariants: the catalog's mass formulas, one record per invariant."""
+    masses = Counter()
+    for rec in conjugacy_classes(p**r):
+        masses[similarity_invariant(rec.representative, p, r)] += rec.size
+    catalog = closed_class_catalog(p, r)
+    assert masses == Counter({similarity_invariant(rec.representative, p, r): rec.size
+                              for rec in catalog})
+    assert len(catalog) == len(masses)
 
 
 def test_closed_form_rejects_bad_levels():
@@ -158,6 +178,9 @@ def test_closed_form_rejects_bad_levels():
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 15))
     with pytest.raises(ValueError):
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 8))
+    # the prime 2^61 - 1: refused before any array is allocated
+    with pytest.raises(ValueError, match="exceeds int64"):
+        density_table_closed_form(SubgroupSpec(Family.GAMMA, 2**61 - 1))
 
 
 def test_gamma_closed_form_above_the_index_cap_is_one_run_per_type():
@@ -460,11 +483,16 @@ def test_census_payload_deterministic():
 
 
 def test_tensor_partitions_share_the_moebius_recursion(monkeypatch):
+    """The empty type tensors to the empty type, and a fault of the tensor
+    rule leaves the composite route as the ConsistencyError it raised."""
     import geosplit.census as census
     from geosplit.core import ConsistencyError
 
     assert tensor_partitions(partition(()), lam("2 1")) == partition(())
-    # traces 1, 4 at d = 1, 2 give 3/2 two-cycles
-    monkeypatch.setattr(census, "power_trace", lambda lam, d: d)
-    with pytest.raises(ConsistencyError):
-        tensor_partitions(lam("2"), lam("1"))
+
+    def broken(lam1, lam2):
+        raise ConsistencyError("tensor rule fault")
+
+    monkeypatch.setattr(census, "tensor_partitions", broken)
+    with pytest.raises(ConsistencyError, match="tensor rule fault"):
+        density_table_composite(SubgroupSpec(Family.GAMMA0, 15))

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from geosplit.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -138,6 +142,23 @@ def test_huge_level_refused_without_factoring(capsys, monkeypatch, tmp_path, arg
     code, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), *args)
     assert code == 2 and out == ""
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("densities", "--family", "gamma0", "--level", HUGE_LEVEL, "--closed-form"),
+    ("densities", "--family", "gamma0", "--level", str(2 * (2**61 - 1)), "--composite"),
+    ("zeta-check", "--p", HUGE_LEVEL, "--s", "2", "--x", "100"),
+])
+def test_huge_level_factored_then_refused(tmp_path, args):
+    """Routes that factor the level first (closed form, composite, the
+    prime check of zeta-check) reach the cap at once: exit 2, in a fresh
+    process with a time limit."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "geosplit.cli", "--cache-dir",
+                           str(tmp_path / "cache"), *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exceeds cap" in proc.stderr
 
 
 def test_densities_cap_exit(capsys):
@@ -422,14 +443,18 @@ def test_negative_cutoff_is_an_empty_truncation(capsys):
 
 
 def test_tensor_multiplicity_failure_exits_3(capsys, monkeypatch):
-    """A non-integral multiplicity in the tensor rule is an internal fault."""
+    """A fault of the tensor rule is an internal fault: exit 3, no table."""
     from geosplit import census
+    from geosplit.core import ConsistencyError
 
-    monkeypatch.setattr(census, "power_trace", lambda lam, d: d)
+    def broken(lam1, lam2):
+        raise ConsistencyError("tensor rule fault")
+
+    monkeypatch.setattr(census, "tensor_partitions", broken)
     code, out, err = run(capsys, "densities", "--family", "gamma0", "--level", "15",
                          "--composite")
     assert code == 3 and out == ""
-    assert err.startswith("error: Moebius")
+    assert err == "error: tensor rule fault\n"
 
 
 @pytest.mark.parametrize("args, code", [

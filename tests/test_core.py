@@ -7,14 +7,16 @@ from geosplit.core import (
     IntegerMatrix,
     SubgroupSpec,
     canon,
+    divisors,
     enumerate_xi,
+    factorize,
     identity,
     matpow,
     mul,
     order_in_xi_tuple,
     xi_order,
 )
-from reference import inv, is_member_tuple
+from reference import factorize_reference, inv, is_member_tuple
 
 
 def test_xi_sizes_match_paper():
@@ -142,3 +144,36 @@ def test_subgroup_chain(n):
 def test_projective_matrix_validates():
     with pytest.raises(ValueError):
         SubgroupSpec(Family.GAMMA0, 1)
+
+
+def test_factorize_matches_trial_division():
+    """Every n below 10^4 and random n below 10^12, against the trial
+    divider; divisors are the products of the prime powers, ascending."""
+    rng = random.Random(12)
+    for n in list(range(-2, 10**4)) + [rng.randrange(10**4, 10**12) for _ in range(200)]:
+        assert factorize(n) == factorize_reference(n), n
+    for n in range(1, 500):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("n,want", [
+    (2**61 - 1, [(2**61 - 1, 1)]),
+    (561, [(3, 1), (11, 1), (17, 1)]),  # Carmichael numbers
+    (41041, [(7, 1), (11, 1), (13, 1), (41, 1)]),
+    (252601, [(41, 1), (61, 1), (101, 1)]),  # Carmichael, no factor below 40
+    (3215031751, [(151, 1), (751, 1), (28351, 1)]),  # strong pseudoprime to 2, 3, 5, 7
+    (P31**2, [(P31, 2)]),
+    ((P31 - 18) * P31, [(P31 - 18, 1), (P31, 1)]),  # two primes near 2^31
+    (2 * (2**61 - 1), [(2, 1), (2**61 - 1, 1)]),
+    (2**64 - 59, [(2**64 - 59, 1)]),  # the largest prime below 2^64
+])
+def test_factorize_64_bit_levels(n, want):
+    """Miller-Rabin and Pollard's rho: primes, pseudoprimes and products of
+    two 31-bit primes, which trial division would take 2^31 steps on."""
+    assert factorize(n) == want
+    for p, _ in want[:2]:
+        if p < 10**10:
+            assert factorize_reference(p) == [(p, 1)]
