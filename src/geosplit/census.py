@@ -54,6 +54,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .core import (
+    CapExceeded,
     ConsistencyError,
     Family,
     Partition,
@@ -352,6 +353,12 @@ def _fixed_point_count(g, p, r):
     return np.where(pk == pr, pr // p * (p + 1), pk * roots)
 
 
+# most half-traces l, (p^r + 1)/2, of the closed catalog.  In fresh interpreters
+# (VmHWM, Gamma1) the most divisor-rich levels below it peaked at 276 MB (99793),
+# while 100799 (50400 half-traces) reached 317 MB and 1000003 882 MB
+CLOSED_CATALOG_CAP = 50_000
+
+
 def closed_class_catalog(p, r):
     """The GL2(Z/p^r)-similarity classes of Xi(p^r), p odd, as records of a
     canonical representative, the class's size in Xi and its order.
@@ -374,11 +381,15 @@ def closed_class_catalog(p, r):
     halved.  The orders come from one `xi_orders` call, as the p = 3 order
     anomaly breaks any order read off the invariants.  The sizes and
     entries are int64 products of two residues, so p^r >= 2^31 is refused
-    with ValueError.
+    with ValueError; above CLOSED_CATALOG_CAP half-traces l, CapExceeded
+    is raised before any array is built.
     """
     n = p**r
     if n >= 2**31:
         raise ValueError(f"the closed catalog at {p}^{r} exceeds int64")
+    if (n + 1) // 2 > CLOSED_CATALOG_CAP:
+        raise CapExceeded(f"the closed catalog at {p}^{r} has {(n + 1) // 2} half-traces, "
+                          f"over the cap {CLOSED_CATALOG_CAP}")
     l = np.arange((n + 1) // 2, dtype=np.int64)
     det_b = (1 - l * l) % n
     squares = np.zeros(p, dtype=bool)

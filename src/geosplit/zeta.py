@@ -1,19 +1,18 @@
 """Truncated Selberg-type Euler products and the two identity checks.
 
 Everything is evaluated over one shared set of base classes of SL2(Z) with
-norm below the cutoff, so both sides of each identity are finite sums over
-the same data and agree class-by-class up to floating-point error.  Sums
-use compensated (Kahan) accumulation in a fixed order (trace, then class),
-and every check can be re-run under mpmath, in a private context that
-leaves the process-wide precision alone, to confirm the discrepancy is
-pure rounding.
+norm below the cutoff.  Every term is an entry of a factor table, one per
+exponent indexed by trace, so each side of an identity is integer counts
+of entries, and its value is the exact sum of count times entry rounded
+once (what `math.fsum` gives on the terms in any order).  Every check can
+be re-run under mpmath, in a private context that leaves the process-wide
+precision alone, with the exact sum rounded once at its precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -24,23 +23,22 @@ from .geodesics import classes_below, max_trace, residue_types, residues_mod
 
 class _Arith:
     def factors(self, e, t_max):
-        """-log(1 - N^{-e}) for the norm N of trace t, at index t for every
-        trace 3 <= t <= t_max."""
-        return [None] * 3 + [self.euler_term(self.log_norm(t), e) for t in range(3, t_max + 1)]
+        """-log(1 - N^{-e}) for the norm N of trace t, at index t - 3 for
+        every trace 3 <= t <= t_max."""
+        return [self.euler_term(self.log_norm(t), e) for t in range(3, t_max + 1)]
 
 
 class FloatArith(_Arith):
-    """Plain doubles with compensated summation."""
+    """Plain doubles, summed exactly and rounded once."""
 
-    def total(self, terms):
-        """The compensated (Kahan) sum of the terms in order."""
-        total = c = 0.0
-        for x in terms:
-            y = x - c
-            t = total + y
-            c = (t - total) - y
-            total = t
-        return total
+    def total(self, terms, counts):
+        """sum counts[j] * terms[j], exact and rounded once to a double, as
+        `math.fsum` rounds the terms repeated counts times.  Every double is
+        n / d with d a power of two, so the sum is one integer over the
+        largest d, and int / int rounds correctly."""
+        ratios = [(c, x.as_integer_ratio()) for c, x in zip(counts, terms) if c]
+        den = max((d for _, (_, d) in ratios), default=1)
+        return sum(c * n * (den // d) for c, (n, d) in ratios) / den
 
     def log_norm(self, t):
         # log N(gamma) = 2 log((t + sqrt(t^2-4))/2)
@@ -63,9 +61,13 @@ class MPArith(_Arith):
         self.mp = mpmath.MPContext()
         self.mp.dps = dps
 
-    def total(self, terms):
-        """The terms added in order to mpf(0)."""
-        return sum(terms, self.mp.mpf(0))
+    def total(self, terms, counts):
+        """sum counts[j] * terms[j], exact and rounded once at the context's
+        precision: every non-zero mpf is +-man * 2^exp, so the sum is one
+        integer times 2 to the least exponent."""
+        pairs = [(c if x > 0 else -c, x.man, x.exp) for c, x in zip(counts, terms) if c and x]
+        low = min((e for _, _, e in pairs), default=0)
+        return self.mp.mpf((sum(c * m << (e - low) for c, m, e in pairs), low))
 
     def log_norm(self, t):
         t = self.mp.mpf(t)
@@ -159,52 +161,39 @@ def _class_data(x, data, covers, jobs=1):
     return ClassData(x, jobs=jobs) if data is None else data
 
 
-def _flat(tables):
-    """The tables end to end as one object array, and the offset of each by
-    key: a term stream is an index array into it."""
-    flat, offset = [], {}
-    for key, table in tables.items():
-        offset[key] = len(flat)
-        flat += table
-    return np.array(flat, dtype=object), offset
+def _class_counts(weights, index, trace, t_max):
+    """counts[j, t - 3]: the sum of weights[r, j] over the classes of trace t,
+    r the residue of each, as int64; one weighted `bincount` per column j,
+    so memory stays linear in the classes whatever the number of residues.
+    The float64 sums are exact: at most classes x index < 2^53 at the caps."""
+    return np.array([np.bincount(trace - 3, weights=w.take(index), minlength=t_max - 2)
+                     for w in weights.T]).astype(np.int64)
 
 
-# classes per block of a class-ordered term stream: bounds the index arrays
-# a check holds at once to about a MB
-_STREAM_CLASSES = 1 << 12
+def _run_weights(lams, column):
+    """weights[i, column[part]]: the multiplicity of part in lams[i]."""
+    weights = np.zeros((len(lams), len(column)), dtype=np.int64)
+    for i, lam in enumerate(lams):
+        for part, m in lam.runs:
+            weights[i, column[part]] = m
+    return weights
 
 
-def _class_stream(rows, index, trace):
-    """Index arrays into a flat table, class by class in class order: for
-    class i, offset + trace[i] for each offset in rows[index[i]], in row
-    order; one array per block of _STREAM_CLASSES classes."""
-    width = np.array([len(r) for r in rows], dtype=np.int64)
-    offsets = np.array([o for r in rows for o in r], dtype=np.int64)
-    start = np.cumsum(width) - width
-    for lo in range(0, len(index), _STREAM_CLASSES):
-        block, t = index[lo:lo + _STREAM_CLASSES], trace[lo:lo + _STREAM_CLASSES]
-        count = width.take(block)
-        pos = np.arange(count.sum()) + np.repeat(start.take(block) - (np.cumsum(count) - count),
-                                                 count)
-        yield offsets.take(pos) + np.repeat(t, count)
-
-
-def _type_stream(pairs, index, trace, offset, s):
-    """Index arrays into a flat table, type by type in sorted order, then
-    part by part in sorted order: offset[part * s] + t for the trace t of
-    every class of that type, in class order."""
+def venkov_counts(pairs, index, trace, t_max):
+    """The types' parts in increasing order, and two parts x (t_max - 2)
+    counts of each (part, trace) over the classes, the Venkov-Zograf sides:
+    by class (the runs of each class's residue, added per trace) and by
+    type (the types' runs times the (type, trace) histogram).  The
+    identity holds exactly when they are equal."""
+    parts = sorted({part for lam, _ in pairs for part, _ in lam.runs})
+    column = {part: j for j, part in enumerate(parts)}
     lams = sorted({lam for lam, _ in pairs})
-    lam_of = np.array([lams.index(lam) for lam, _ in pairs], dtype=np.int64).take(index)
-    order = np.argsort(lam_of, kind="stable")
-    bounds = lam_of.take(order).searchsorted(np.arange(len(lams) + 1))
-    for lam, lo, hi in zip(lams, bounds, bounds[1:]):
-        for part in sorted(lam):
-            yield offset[part * s] + trace.take(order[lo:hi])
-
-
-def _sum(ar, flat, stream):
-    """`ar.total` of the terms a stream of index arrays picks from flat."""
-    return ar.total(chain.from_iterable(flat.take(block).tolist() for block in stream))
+    type_of = np.array([lams.index(lam) for lam, _ in pairs], dtype=np.int64)
+    by_class = _class_counts(_run_weights([lam for lam, _ in pairs], column), index, trace, t_max)
+    width = t_max - 2  # the (type, trace) histogram, laid out as the factor tables
+    hist = np.bincount(type_of.take(index) * width + trace - 3, minlength=len(lams) * width)
+    by_type = _run_weights(lams, column).T @ hist.reshape(len(lams), width)
+    return parts, by_class, by_type
 
 
 def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaTruncation:
@@ -216,8 +205,9 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
     lam = partition(lam)
     traces = trace[np.array([got == lam for got, _ in pairs], dtype=bool).take(index)]
     ar = FloatArith()
-    flat, _ = _flat({s: ar.factors(s, t_max)})
-    return ZetaTruncation(s, float(x), _sum(ar, flat, [traces]), len(traces))
+    counts = np.bincount(traces - 3, minlength=t_max - 2)
+    return ZetaTruncation(s, float(x), ar.total(ar.factors(s, t_max), counts.tolist()),
+                          len(traces))
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
@@ -232,9 +222,10 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     LHS groups by class: sum over classes of -log det(I - sigma(g) N^-s),
     the determinant expanded through the cycle type.  RHS groups by type:
     for each type lambda and each part m_i, the lambda-product at m_i * s.
-    The identity is exact per class, so the discrepancy is pure rounding.
-    Each side is one stream of terms, summed by `ar.total`: an index array
-    into the factor tables, one table per exponent, laid end to end.
+    Each side is its own count array of (part, trace) entries
+    (`venkov_counts`), summed by `ar.total` against the factor tables at
+    part * s.  The identity is exact per class, so the counts agree and
+    the exact sums are equal.
     Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
@@ -242,11 +233,10 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
     ar = MPArith() if use_mpmath else FloatArith()
-    exponents = sorted({part * s for lam, _ in pairs for part, _ in lam.runs})
-    flat, offset = _flat({e: ar.factors(e, t_max) for e in exponents})
-    rows = [[offset[part * s] for part in lam] for lam, _ in pairs]
-    lhs = _sum(ar, flat, _class_stream(rows, index, trace))
-    rhs = _sum(ar, flat, _type_stream(pairs, index, trace, offset, s))
+    parts, by_class, by_type = venkov_counts(pairs, index, trace, t_max)
+    terms = [v for part in parts for v in ar.factors(part * s, t_max)]
+    lhs = ar.total(terms, by_class.ravel().tolist())
+    rhs = ar.total(terms, by_type.ravel().tolist())
     return {
         "lhs_log": float(lhs),
         "rhs_log": float(rhs),
@@ -263,8 +253,10 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
 
     all four factors expanded over one base-class set via the cover
     factorization.  Classes entering zeta^(p,p) are exactly those whose
-    reduction mod p has order p.  Each side is one stream of terms, built
-    as in `venkov_zograf_check`; both subgroups share one reduction mod p.
+    reduction mod p has order p: the LHS is their trace histogram against
+    one table of (p-1)/2 (p f_s - f_ps).  The RHS counts (part, trace)
+    entries by class against p f at the Gamma1(p) parts and -f at the
+    Gamma(p) parts; both subgroups share one reduction mod p.
     Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
@@ -277,20 +269,17 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     pairsp = data.types(subp)[0]  # the residues mod p, so the index, are shared
     ar = MPArith() if use_mpmath else FloatArith()
     half = ar.frac(p - 1, 2)
-    exponents = sorted({s, p * s} | {part * s for (lam1, _), (lamp, _) in zip(pairs1, pairsp)
-                                     for part, _ in lam1.runs + lamp.runs})
-    factor = {e: ar.factors(e, t_max) for e in exponents}
-    scaled = {"lhs": [None] * 3 + [half * (p * factor[s][t] - factor[p * s][t])
-                                   for t in range(3, t_max + 1)]}
-    for e, table in factor.items():
-        scaled["p", e] = [None] * 3 + [p * v for v in table[3:]]
-        scaled["-", e] = [None] * 3 + [-v for v in table[3:]]
-    flat, offset = _flat(scaled)
-    rows = [[offset["p", part * s] for part in lam1] + [offset["-", part * s] for part in lamp]
-            for (lam1, _), (lamp, _) in zip(pairs1, pairsp)]
+    parts = sorted({1, p} | {part for lam, _ in pairs1 + pairsp for part, _ in lam.runs})
+    factor = {part: ar.factors(part * s, t_max) for part in parts}
+    lhs_terms = [half * (p * a - b) for a, b in zip(factor[1], factor[p])]
     full = np.array([order == p for _, order in pairs1], dtype=bool).take(index)
-    lhs = _sum(ar, flat, [offset["lhs"] + trace[full]])
-    rhs = _sum(ar, flat, _class_stream(rows, index, trace))
+    lhs = ar.total(lhs_terms, np.bincount(trace[full] - 3, minlength=t_max - 2).tolist())
+    # p f at each part for the Gamma1(p) runs, then -f at each part for the Gamma(p) runs
+    column = {part: j for j, part in enumerate(parts)}
+    weights = np.hstack([_run_weights([lam for lam, _ in got], column) for got in (pairs1, pairsp)])
+    counts = _class_counts(weights, index, trace, t_max)
+    terms = [v for part in parts for v in factor[part]]
+    rhs = ar.total([p * v for v in terms] + [-v for v in terms], counts.ravel().tolist())
     return {
         "p": p,
         "s": s,

@@ -5,10 +5,11 @@ subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
 over tuples, the type and order of each class's reduction, the empirical
-tally by one reduction per class, and the zeta sums' term-by-term
-accumulators.  The reduced forms of a range of traces are also listed
-from the divisors of |ac|, read off a smallest-prime-factor sieve, as the
-independent side of the sieve-free form generator.  Three
+tally by one reduction per class, and the accumulator of the zeta sums'
+per-class loops, which rounds the exact sum of its terms once.  The
+reduced forms of a range of traces are also listed from the divisors of
+|ac|, read off a smallest-prime-factor sieve, as the independent side of
+the sieve-free form generator.  Three
 closed forms live here too, as the independent side of a check: the
 family-set sizes of an odd prime-power level, the scalar fixed-row count
 of the Gamma1 trace and the Gamma0 trace by quadratic-congruence root
@@ -23,6 +24,7 @@ division with Euler's phi on top of it.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -505,32 +507,31 @@ def orbit_closure_classes(level):
     return out
 
 
-class KahanSum:
-    """Compensated summation, one term at a time."""
+class ExactSum:
+    """A per-class loop's terms, collected one at a time; `total` is their
+    exact sum rounded once: `math.fsum` for doubles, and for mpf (given the
+    context `mp`) the sum of the terms as exact rationals, rounded once at
+    the context's precision."""
 
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x):
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
-class MPSum:
-    """mpf additions from mpf(0), one term at a time."""
-
-    def __init__(self, mp):
-        self.total = mp.mpf(0)
+    def __init__(self, mp=None):
+        self.mp = mp
+        self.terms = []
 
     def add(self, x):
-        self.total += x
+        self.terms.append(x)
+
+    @property
+    def total(self):
+        if self.mp is None:
+            return math.fsum(self.terms)
+        exact = sum((int(self.mp.sign(x)) * Fraction(x.man) * Fraction(2) ** x.exp
+                     for x in self.terms), Fraction(0))
+        # the denominator is a power of two: round the numerator, then scale exactly
+        k = exact.denominator.bit_length() - 1
+        return self.mp.ldexp(self.mp.mpf(exact.numerator), -k)
 
 
 def acc(ar):
-    """A fresh accumulator for the arithmetic `ar` of `geosplit.zeta`:
-    KahanSum for floats, MPSum for mpmath.  `ar.total` must equal adding
-    a stream's terms to it in order."""
-    return MPSum(ar.mp) if isinstance(ar, MPArith) else KahanSum()
+    """A fresh accumulator for the arithmetic `ar` of `geosplit.zeta`: an
+    ExactSum of doubles, or of mpf in the context of an MPArith."""
+    return ExactSum(ar.mp if isinstance(ar, MPArith) else None)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from geosplit.census import (
     tensor_partitions,
 )
 from geosplit.core import (
+    CapExceeded,
     Family,
     SubgroupSpec,
     canon,
@@ -181,6 +183,24 @@ def test_closed_form_rejects_bad_levels():
     # the prime 2^61 - 1: refused before any array is allocated
     with pytest.raises(ValueError, match="exceeds int64"):
         density_table_closed_form(SubgroupSpec(Family.GAMMA, 2**61 - 1))
+
+
+def test_closed_form_cap_refuses_before_any_array(monkeypatch):
+    """Above CLOSED_CATALOG_CAP half-traces (p^r + 1)/2 the closed form is
+    refused with CapExceeded before any array is built: the prime 1000003,
+    which took seconds and most of a GB to answer, in under a second in
+    every family.  At the cap a level still answers, one above it not."""
+    import geosplit.census
+
+    for family in Family:
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="over the cap"):
+            density_table_closed_form(SubgroupSpec(family, 1000003))
+        assert time.perf_counter() - start < 1
+    monkeypatch.setattr(geosplit.census, "CLOSED_CATALOG_CAP", 5)
+    assert sum(rec.size for rec in closed_class_catalog(3, 2)) == xi_order(9)  # 5 half-traces
+    with pytest.raises(CapExceeded):
+        closed_class_catalog(11, 1)  # 6 half-traces
 
 
 def test_gamma_closed_form_above_the_index_cap_is_one_run_per_type():

@@ -144,11 +144,14 @@ def test_precision_scaling(data_1e4):
 
 
 # ---------------------------------------------------------------------------
-# per-trace sums against a per-class reference loop, compared with ==
+# count-vector sums against a per-class reference loop, compared with ==
 
 from fractions import Fraction
 
-from geosplit.zeta import FloatArith, MPArith, ZetaTruncation
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from geosplit.zeta import FloatArith, MPArith, ZetaTruncation, venkov_counts
 
 from reference import acc
 
@@ -247,7 +250,8 @@ def data_1e5(classes_1e5):
 @pytest.mark.parametrize("sub", [SubgroupSpec(Family.GAMMA0, 11), SubgroupSpec(Family.GAMMA1, 7),
                                  SubgroupSpec(Family.GAMMA, 5)])
 def test_term_streams_equal_per_class_loop_at_1e5(data_1e5, sub):
-    """The one-stream sums are bit-identical to per-class accumulation."""
+    """The count-vector sums are bit-identical to the exact sum of the
+    per-class loop's terms."""
     x, classes = 10**5, data_1e5.classes
     assert venkov_zograf_check(2.0, x, sub, data_1e5) == _ref_venkov(2.0, x, classes, sub,
                                                                      FloatArith())
@@ -279,20 +283,55 @@ def test_mpmath_checks_leave_the_global_precision_alone(data_1e4):
         assert mpmath.mp.dps == 15 and li(3e5) == before
 
 
-def test_total_is_the_accumulator_loop():
-    """`total` sums a stream as the reference accumulator's `add` does, term
-    by term: Kahan for floats (on terms whose plain sum loses digits), mpf
-    additions for mpmath."""
-    import random
+finite = st.floats(min_value=-1e16, max_value=1e16, allow_nan=False)
+stream = st.lists(st.one_of(st.sampled_from([1e16, -1e16, 1.0, 1e-8, 3.3, 0.0, -0.0]), finite),
+                  max_size=60)
 
-    rng = random.Random(5)
-    terms = [rng.choice([1e16, -1e16, 1.0, 1e-8, 3.3]) * rng.random() for _ in range(5000)]
-    for ar in (FloatArith(), MPArith(30)):
-        reference = acc(ar)
-        for term in terms:
-            reference.add(term)
-        assert ar.total(iter(terms)) == reference.total
-    assert FloatArith().total(terms) != sum(terms)
+
+@settings(max_examples=300, deadline=None)
+@given(stream, st.lists(st.integers(0, 5), min_size=60, max_size=60))
+@example([1e16, 1.0, -1e16, 3.3], [1, 3, 1, 0] + [0] * 56)
+@example([], [0] * 60)
+def test_total_is_the_accumulator_loop(terms, repeats):
+    """`total` of distinct terms with counts is the exact sum of the stream
+    they expand to, rounded once: what `math.fsum`, the Fraction sum and
+    the reference accumulator give, on streams with +-1e16 cancellation,
+    repeated terms, zeros and no terms at all; and, for mpmath, the
+    accumulator's exact mpf sum rounded at the context's precision."""
+    expanded = [x for x, k in zip(terms, repeats) for _ in range(k)]
+    distinct = sorted(set(expanded))
+    counts = [expanded.count(x) for x in distinct]
+    got = FloatArith().total(distinct, counts)
+    reference = acc(FloatArith())
+    for x in expanded:
+        reference.add(x)
+    assert got == math.fsum(expanded) == float(sum(map(Fraction, expanded))) == reference.total
+    ar = MPArith(30)
+    thirds = [ar.mp.mpf(x) / 3 for x in distinct]
+    reference = acc(ar)
+    for x, k in zip(thirds, counts):
+        for _ in range(k):
+            reference.add(x)
+    assert ar.total(thirds, counts) == reference.total
+
+
+@pytest.mark.parametrize("x", [10**4, 10**5])
+def test_venkov_zograf_counts_are_equal(data_1e5, x):
+    """The identity is exact: for every family at levels 3, 5, 7 and 11 the
+    class-wise and type-wise (part, trace) counts are equal integer arrays,
+    so the two exact sums are equal and the discrepancy is 0.0."""
+    t_max = data_1e5.trace_bound(x)
+    for family in Family:
+        for level in (3, 5, 7, 11):
+            sub = SubgroupSpec(family, level)
+            trace, pairs, index = data_1e5.kept(t_max, sub)
+            parts, by_class, by_type = venkov_counts(pairs, index, trace, t_max)
+            assert by_class.dtype == by_type.dtype == np.int64
+            assert np.array_equal(by_class, by_type)
+            # every class's parts cover the index
+            cosets = sum(part * k for part, k in pairs[0][0].runs)
+            assert np.dot(parts, by_class.sum(axis=1)) == cosets * len(trace)
+            assert venkov_zograf_check(2.0, x, sub, data_1e5)["discrepancy"] == 0.0
 
 
 # ---------------------------------------------------------------------------
