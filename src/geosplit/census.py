@@ -31,6 +31,13 @@ Three independent routes to the same numbers live here:
   lcm(a, b), NOT one cycle of length ab; the two disagree whenever parts
   share a common factor.
 
+At odd prime-power levels the census classes also carry family labels
+(`family_labels`, one array pass over the representatives), and the
+power relations between the family sets are checked on the classes: each
+representative's powers are located in the chain grid, so the sets
+compare as sets of class ids.  No route here walks Xi(N) element by
+element.
+
 A caveat discovered while reconciling these routes: the classification
 table this is built from misstates element orders at p = 3, r >= 2.  Any
 matrix with trace == -1 (mod 3^r) satisfies g^2 = -g - 1, hence g^3 = I,
@@ -63,16 +70,13 @@ from .core import (
     chain_heads,
     component_labels,
     decode_keys,
-    enumerate_xi,
     factorize,
     grid_entries,
-    identity,
-    matpow,
+    matrix_powers,
     moebius_type_ids,
     partition_str,
     parse_partition,
     sign_keys,
-    vp,
     xi_grid_positions,
     xi_order,
     xi_orders,
@@ -98,8 +102,22 @@ _CENSUS_CHUNK = 1 << 14
 
 
 def conjugacy_classes(level):
-    """Conjugacy classes of Xi(level): the connected components of
-    conjugation by S and by T over the positions h*n + t of the chain grid.
+    """Conjugacy classes of Xi(level), each represented by its least
+    member, sorted by representative: `_class_ids`, then sizes from
+    `bincount` and orders from one `xi_orders` call."""
+    class_id, least = _class_ids(level)
+    sizes = np.bincount(class_id)
+    by_key = least.argsort()
+    reps = decode_keys(least.take(by_key), level)
+    return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m
+            in zip(reps.tolist(), sizes.take(by_key).tolist(), xi_orders(reps, level).tolist())]
+
+
+def _class_ids(n):
+    """The class id of every position h*n + t of the chain grid of Xi(n),
+    int32 with the classes numbered in order of their least positions,
+    and each class's least +-canonical key: the connected components of
+    conjugation by S and by T.
 
     The positions of `xi_chain_grid` are Xi(n) once each, and only the
     grid's column 0, the chain heads, is held: the entries at a position
@@ -111,17 +129,13 @@ def conjugacy_classes(level):
     entries.  The components come from `core.component_labels`, min-label
     hooking with pointer jumping (Shiloach-Vishkin) gathered chunk by
     chunk, which labels every position by the least position of its class.
-    Each element then carries its class id,
-    and a last chunked pass takes each class's least +-canonical key
-    (`sign_keys`, `np.minimum.at`).  The least key is the
-    lexicographically least tuple, so each representative is its class's
-    least member, and sorting the classes by it puts them in tuple order.
-    Sizes come from `bincount`, orders from one `xi_orders` call.  So the
-    working set is four int32 numbers per element and chunk-sized
-    temporaries: no int64 array and no sort spans the group.  The cap is
-    checked before anything is allocated (`capped_xi_order`).
+    A last chunked pass takes each class's least key (`sign_keys`,
+    `np.minimum.at`).  The least key is the lexicographically least tuple,
+    so it decodes to the class's least member.  So the working set is four
+    int32 numbers per element and chunk-sized temporaries: no int64 array
+    and no sort spans the group.  The cap is checked before anything is
+    allocated (`capped_xi_order`).
     """
-    n = level
     order = capped_xi_order(n)
     if chain_heads(n)[0].shape[1] * n != order:
         raise ConsistencyError(f"the chains of Xi({n}) do not hold its {order} elements")
@@ -142,76 +156,107 @@ def conjugacy_classes(level):
     for ch in chunks:
         label[ch] = rank.take(label[ch], mode="clip") - 1
     del rank
-    sizes = np.bincount(label)
     least = np.full(count, np.iinfo(np.int64).max)
     for ch in chunks:
         flat = np.arange(ch.start, ch.stop, dtype=np.int32)
         np.minimum.at(least, label[ch], sign_keys(grid_entries(flat, n), n))
-    by_key = least.argsort()
-    reps = decode_keys(least.take(by_key), n)
-    return [ConjugacyClassRecord(tuple(g), size, m) for g, size, m
-            in zip(reps.tolist(), sizes.take(by_key).tolist(), xi_orders(reps, n).tolist())]
+    return label, least
+
+
+# ---------------------------------------------------------------------------
+# odd prime-power levels: the p-adic depth and the squares mod p, shared by
+# the family labels and the closed forms
+
+def closed_form_prime_power(level):
+    """(p, r) with level = p^r, p odd; ValueError for any other level."""
+    fac = factorize(level)
+    if len(fac) != 1 or fac[0][0] == 2:
+        raise ValueError("closed forms require an odd prime-power level")
+    return fac[0]
+
+
+def _depth(h, p, r):
+    """The p-adic depth of every row of the k x m int64 array h of residues
+    mod p^r: p^k = gcd(row, p^r), and the row divided by it mod p^(r-k).
+    The kernels below multiply two such residues in int64, so p^r >= 2^31
+    is refused with ValueError."""
+    pr = p**r
+    if pr >= 2**31:
+        raise ValueError(f"closed-form traces at {p}^{r} exceed int64")
+    pk = np.gcd.reduce(h, axis=1, initial=pr)
+    return pk, (h // pk[:, None] % (pr // pk)[:, None]).T
+
+
+def _squares(p):
+    """The squares mod p as a boolean table indexed by residue (0 included)."""
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    return squares
 
 
 # ---------------------------------------------------------------------------
 # family labels for odd prime-power levels
 
-def legendre(a, p):
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+# label kinds by code, and the length of each kind's label tuple
+_KINDS = ("Id", "A0", "C0", "A", "C", "B")
+_WIDTHS = (1, 3, 3, 2, 2, 4)
 
 
-def minus_identity_depth(g, sign, p, r):
-    """(k, h) for h = sign*g - I mod p^r: k is the p-adic depth of h, the
-    least valuation of its entries (r when h vanishes)."""
-    n = p**r
-    a, b, c, d = g
-    h = ((sign * a - 1) % n, (sign * b) % n, (sign * c) % n, (sign * d - 1) % n)
-    return min((vp(x, p) for x in h if x), default=r), h
-
-
-def label_class(g, order, p, r):
-    """Family label of the class of g in Xi(p^r), p odd.
+def family_labels(g, orders, p, r):
+    """Family label of every row of the k x 4 integer array g, elements of
+    Xi(p^r), p odd, of the given orders, as a list of tuples.
 
     Labels: ('Id',), ('A0', k, l), ('A', k), ('B', k, m, chi), ('C0', k, l),
     ('C', k); chi is +1/-1 for the even-m split below the maximal m, else 0.
+    With p^j = gcd(order, p^r) and l the prime-to-p part of the order, an
+    element with l > 1 has a unit discriminant t^2 - 4 and is A0(r - j, l)
+    or C0(r - j, l) as that is a square mod p or not.  Otherwise the sign
+    of h = sign*g - I is the one of greater depth p^k (`_depth`), tie-broken
+    by t == 2*sign (mod p), which only the B stratum meets; with
+    A = h/p^k and D = -det A mod p^(r-k), a unit D gives A(k) or C(k) as it
+    is a square or not, and otherwise B(k, m, chi) with p^m = gcd(D,
+    p^(r-k)) and chi the residue character of D/p^m at even m < r - k.
     """
     n = p**r
-    e = identity(n)
-    if g == e:
-        return ("Id",)
-    j = vp(order, p) or 0
-    l = order // p**j
-    a, b, c, d = g
-    t = (a + d) % n
-    if l > 1:
-        disc = (t * t - 4) % n
-        v = vp(disc, p)
-        if v != 0:
-            raise ConsistencyError(f"unexpected disc valuation for l>1 class {g}")
-        k = r - j
-        return ("A0", k, l) if legendre(disc, p) == 1 else ("C0", k, l)
-    # pure p-power order: normalize the sign by maximal depth of h - I,
-    # tie-broken by trace(h) == 2 mod p (only that sign sits in the B-stratum)
-    sign = max((1, -1), key=lambda sg: (minus_identity_depth(g, sg, p, r)[0],
-                                        (sg * (a + d) - 2) % p == 0))
-    k, h = minus_identity_depth(g, sign, p, r)
-    if k >= r:
+    g = np.asarray(g, dtype=np.int64).reshape(-1, 4) % n
+    orders = np.asarray(orders, dtype=np.int64)
+    powers = p ** np.arange(r + 1, dtype=np.int64)
+    squares = _squares(p)
+    trace = (g[:, 0] + g[:, 3]) % n
+    pj = np.gcd(orders, n)
+    l = orders // pj
+    kind = np.where(orders == 1, 0, 5)
+    # elements whose order has a prime-to-p part
+    disc = (trace * trace - 4) % n
+    if (disc[l > 1] % p == 0).any():
+        raise ConsistencyError(f"a class of order prime to {p} has a non-unit discriminant")
+    kind = np.where(l > 1, np.where(squares[disc % p], 1, 2), kind)
+    k = np.where(l > 1, r - powers.searchsorted(pj), 0)
+    # elements of p-power order: the sign of h of the greater depth, and at
+    # equal depths + unless t == -2 (mod p)
+    (pk_plus, h_plus), (pk_minus, h_minus) = (_depth((sign * g - (1, 0, 0, 1)) % n, p, r)
+                                              for sign in (1, -1))
+    plus = (pk_plus > pk_minus) | ((pk_plus == pk_minus) & ((trace + 2) % p != 0))
+    pk = np.where(plus, pk_plus, pk_minus)
+    a, b, c, d = np.where(plus, h_plus, h_minus)
+    pure = kind == 5
+    if (pk[pure] == n).any():
         raise ConsistencyError("non-identity class with infinite depth")
-    prk = p ** (r - k)
-    y = tuple((x // p**k) % prk for x in h)
-    d_y = (-(y[0] * y[3] - y[1] * y[2])) % prk
-    if d_y != 0 and d_y % p != 0:
-        if k < 1 or k > r - 1:
-            raise ConsistencyError(f"semisimple depth {k} out of range for {g}")
-        return ("A", k) if legendre(d_y, p) == 1 else ("C", k)
-    m = r - k if d_y == 0 else min(vp(d_y, p), r - k)
-    chi = 0
-    if m % 2 == 0 and m < r - k:
-        chi = legendre(d_y // p**m, p)
-    return ("B", k, m, chi)
+    prk = n // pk
+    det = -(a * d - b * c) % prk
+    unit = pure & (det % p != 0)
+    depth_k = powers.searchsorted(pk)
+    if ((depth_k[unit] < 1) | (depth_k[unit] > r - 1)).any():
+        raise ConsistencyError(f"a semisimple class at {p}^{r} has depth outside 1..{r - 1}")
+    kind = np.where(unit, np.where(squares[det % p], 3, 4), kind)
+    k = np.where(pure, depth_k, k)
+    pm = np.gcd(det, prk)
+    m = powers.searchsorted(pm)
+    split = pure & ~unit & (m % 2 == 0) & (pm < prk)
+    chi = np.where(split, np.where(squares[det // pm % p], 1, -1), 0)
+    third = np.where(l > 1, l, m)
+    return [(_KINDS[c], kk, x, ch)[:_WIDTHS[c]]
+            for c, kk, x, ch in zip(kind.tolist(), k.tolist(), third.tolist(), chi.tolist())]
 
 
 def label_str(label):
@@ -230,21 +275,6 @@ def label_str(label):
     if kind == "C":
         return f"C(k={label[1]})"
     raise ValueError(label)
-
-
-def _prime_power(n):
-    fac = factorize(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
-
-
-def closed_form_prime_power(level):
-    """(p, r) with level = p^r, p odd; ValueError for any other level."""
-    fac = _prime_power(level)
-    if fac is None or fac[0] == 2:
-        raise ValueError("closed forms require an odd prime-power level")
-    return fac
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +302,18 @@ def density_table(s: SubgroupSpec, classes=None) -> DensityTable:
     missing = [rec for rec in classes if s.family not in rec.types]
     for rec, lam in zip(missing, splitting_types([rec.representative for rec in missing], table)):
         rec.types[s.family] = lam
-    entries = {}
-    for rec in classes:
-        lam = rec.types[s.family]
-        entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
+    entries = _densities([rec.types[s.family] for rec in classes], [rec.size for rec in classes],
+                         order)
     return DensityTable(s, entries, order, table.index)
+
+
+def _densities(types, sizes, order):
+    """Type -> density: the class sizes summed per type as integers, then
+    one Fraction per type."""
+    mass = {}
+    for lam, size in zip(types, sizes):
+        mass[lam] = mass.get(lam, 0) + size
+    return {lam: Fraction(size, order) for lam, size in mass.items()}
 
 
 def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
@@ -287,10 +324,8 @@ def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
         classes = conjugacy_classes(s.level)
     order = xi_order(s.level)
     n = order  # index of Gamma(N) equals |Xi|
-    entries = {}
-    for rec in classes:
-        lam = Partition({rec.order: n // rec.order})
-        entries[lam] = entries.get(lam, Fraction(0)) + Fraction(rec.size, order)
+    entries = _densities([Partition({rec.order: n // rec.order}) for rec in classes],
+                         [rec.size for rec in classes], order)
     return DensityTable(s, entries, order, n)
 
 
@@ -298,18 +333,6 @@ def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
 # closed forms for odd prime powers (no group enumeration anywhere below):
 # the traces are counts read off each element's p-adic depth, the gcd with
 # p^r of the entries of g - aI (Gamma0) or of +-g - I (Gamma1)
-
-def _depth(h, p, r):
-    """The p-adic depth of every row of the k x m int64 array h of residues
-    mod p^r: p^k = gcd(row, p^r), and the row divided by it mod p^(r-k).
-    The kernels below multiply two such residues in int64, so p^r >= 2^31
-    is refused with ValueError."""
-    pr = p**r
-    if pr >= 2**31:
-        raise ValueError(f"closed-form traces at {p}^{r} exceed int64")
-    pk = np.gcd.reduce(h, axis=1, initial=pr)
-    return pk, (h // pk[:, None] % (pr // pk)[:, None]).T
-
 
 def _fixed_row_count(g, sign, p, r):
     """#{unimodular row vectors v mod p^r with v (sign*g - I) == 0} for
@@ -346,9 +369,7 @@ def _fixed_point_count(g, p, r):
     pv = np.gcd(disc, pe)
     powers = p ** np.arange(r + 1, dtype=np.int64)
     v = powers.searchsorted(pv)
-    squares = np.zeros(p, dtype=bool)
-    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
-    roots = np.where((v % 2 == 0) & squares[disc // pv % p], 2 * powers[v // 2], 0)
+    roots = np.where((v % 2 == 0) & _squares(p)[disc // pv % p], 2 * powers[v // 2], 0)
     roots = np.where(disc == 0, powers[powers.searchsorted(pe) // 2], roots)
     return np.where(pk == pr, pr // p * (p + 1), pk * roots)
 
@@ -392,8 +413,7 @@ def closed_class_catalog(p, r):
                           f"over the cap {CLOSED_CATALOG_CAP}")
     l = np.arange((n + 1) // 2, dtype=np.int64)
     det_b = (1 - l * l) % n
-    squares = np.zeros(p, dtype=bool)
-    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    squares = _squares(p)
     reps, sizes = [np.array([[1, 0, 0, 1]])], [np.ones(1, dtype=np.int64)]
     for k in range(r):
         pk, step, lifts = p**k, p ** max(r - 2 * k, 0), p ** min(k, r - k)
@@ -433,11 +453,9 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     ids = {}  # type -> id
     type_ids = moebius_type_ids([rec.representative for rec in catalog],
                                 [rec.order for rec in catalog], s.level, traces_of, index, ids, {})
-    # class sizes are summed per type as integers, then one Fraction per type
-    sizes = [0] * len(ids)
-    for i, rec in zip(type_ids.tolist(), catalog):
-        sizes[i] += rec.size
-    entries = {lam: Fraction(size, order) for lam, size in zip(ids, sizes)}
+    types = list(ids)
+    entries = _densities([types[i] for i in type_ids.tolist()], [rec.size for rec in catalog],
+                         order)
     return DensityTable(s, entries, order, index)
 
 
@@ -496,7 +514,7 @@ def density_table_composite(s: SubgroupSpec) -> DensityTable:
 
 def _predicted_power_label(label, m_exp, p, r):
     """Family predicted for the M-th powers of a family set (the printed
-    relation list); returns None for 'lands in the identity'."""
+    relation list); ("Id",) for the powers that land in the identity."""
     kind = label[0]
     if kind == "Id":
         return ("Id",)
@@ -537,46 +555,41 @@ class PowerRelationRow:
 
 def power_relation_check(level):
     """Verify the printed power relations between family sets at an odd
-    prime-power level; failures are report rows, not errors."""
-    fac = _prime_power(level)
-    if fac is None or fac[0] == 2:
-        raise ValueError("power relations require an odd prime-power level")
-    p, r = fac
-    n = level
-    # the family sets, as sets of elements
-    xi = enumerate_xi(level)
-    label_of = {g: label_class(g, m, p, r) for g, m in zip(xi, xi_orders(xi, level).tolist())}
-    sets = {}
-    for g, lab in label_of.items():
-        sets.setdefault(lab, set()).add(g)
+    prime-power level; failures are report rows, not errors.
 
-    def elements_of(lab):
-        if lab is None:
-            return set()
-        if lab[0] == "B" and lab[-1] == 0 and len(lab) == 4:
+    A family set is a union of conjugacy classes, and g -> g^M maps each
+    class onto one class, so the sets compare exactly as sets of class ids
+    (`_class_ids`).  The classes' least members are labelled in one
+    `family_labels` call, raised to the powers M = 1..p in one
+    `matrix_powers` call, and each power's class is read off its chain-grid
+    position (`xi_grid_positions`)."""
+    p, r = closed_form_prime_power(level)
+    n = level
+    class_id, least = _class_ids(n)
+    reps = decode_keys(least, n)
+    labels = family_labels(reps, xi_orders(reps, n), p, r)
+    power_class = [class_id.take(xi_grid_positions(x.reshape(-1, 4).T, n))
+                   for x in matrix_powers(reps.reshape(-1, 2, 2), list(range(1, p + 1)), n)]
+    sets = {}
+    for c, lab in enumerate(labels):
+        sets.setdefault(lab, set()).add(c)
+
+    def classes_of(lab):
+        if lab[0] == "B" and lab[-1] == 0:
             # unsplit target absorbs both chi halves if a split exists
-            merged = set(sets.get(lab, set()))
-            merged |= sets.get((lab[0], lab[1], lab[2], 1), set())
-            merged |= sets.get((lab[0], lab[1], lab[2], -1), set())
-            return merged
+            return set().union(*(sets.get(lab[:3] + (chi,), set()) for chi in (0, 1, -1)))
         return sets.get(lab, set())
 
-    ident = identity(n)
-
     def collapse_note(predicted, computed, expected):
-        # the p = 3 anomaly only ever adds elements that collapsed to the
+        # the p = 3 anomaly only ever adds classes that collapsed to the
         # identity or to strata deeper than the predicted one
         if expected - computed:
             return ""
         min_depth = predicted[1] if predicted[0] == "B" else r
-        for g in computed - expected:
-            if g == ident:
-                continue
-            glab = label_of[g]
-            if glab[0] == "B" and glab[1] > min_depth:
-                continue
-            return ""
-        return "extra elements are identity-collapsed or deeper-stratum (p=3 order anomaly)"
+        if all(labels[c] == ("Id",) or (labels[c][0] == "B" and labels[c][1] > min_depth)
+               for c in computed - expected):
+            return "extra elements are identity-collapsed or deeper-stratum (p=3 order anomaly)"
+        return ""
 
     rows = []
     for lab in sorted(sets, key=str):
@@ -584,8 +597,8 @@ def power_relation_check(level):
             continue
         for m_exp in range(1, p + 1):
             predicted = _predicted_power_label(lab, m_exp, p, r)
-            computed = {matpow(g, m_exp, n) for g in sets[lab]}
-            expected = elements_of(predicted)
+            computed = set(power_class[m_exp - 1].take(list(sets[lab])).tolist())
+            expected = classes_of(predicted)
             ok = computed == expected
             note = "" if ok else collapse_note(predicted, computed, expected)
             rows.append(
@@ -601,12 +614,13 @@ def census_payload(family: Family, level: int):
     """JSON-ready census document for one (family, level)."""
     s = SubgroupSpec(family, level)
     classes = conjugacy_classes(level)
-    fac = _prime_power(level)
-    if fac is not None and fac[0] != 2:
+    fac = factorize(level)
+    if len(fac) == 1 and fac[0][0] != 2:
         # family labels exist for odd prime-power levels only
-        p, r = fac
-        for rec in classes:
-            rec.family_label = label_str(label_class(rec.representative, rec.order, p, r))
+        labels = family_labels([rec.representative for rec in classes],
+                               [rec.order for rec in classes], *fac[0])
+        for rec, lab in zip(classes, labels):
+            rec.family_label = label_str(lab)
     dt = density_table(s, classes=classes)
     class_rows = [{"rep": list(rec.representative), "size": rec.size, "order": rec.order,
                    "family_label": rec.family_label, "type": list(rec.types[family])}

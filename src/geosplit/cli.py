@@ -31,8 +31,8 @@ from .core import (
     SubgroupSpec,
     canon,
     capped_xi_order,
-    order_in_xi_tuple,
     partition_str,
+    xi_orders,
 )
 from .cosets import build_coset_table, splitting_type_cycles, splitting_type_moebius
 from .geodesics import empirical_tally, tally_cutoff, tally_json, tally_tsv
@@ -169,7 +169,7 @@ def cmd_type(args):
     lam_moebius = splitting_type_moebius(g, table)
     print(partition_str(lam_cycles))
     print(f"moebius: {partition_str(lam_moebius)}")
-    print(f"M(gamma): {order_in_xi_tuple(g, args.level)}")
+    print(f"M(gamma): {xi_orders([g], args.level)[0]}")
     if lam_cycles != lam_moebius:
         print("error: cycle and Moebius types disagree", file=sys.stderr)
         return EXIT_INCONSISTENT

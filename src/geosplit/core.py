@@ -79,17 +79,6 @@ def identity(n):
     return canon(1, 0, 0, 1, n)
 
 
-def matpow(x, k, n):
-    """k-th power in Xi(n), k >= 0, by binary exponentiation."""
-    r = identity(n)
-    while k:
-        if k & 1:
-            r = mul(r, x, n)
-        x = mul(x, x, n)
-        k >>= 1
-    return r
-
-
 # ---------------------------------------------------------------------------
 # integer matrices (hyperbolic representatives); Python ints are unbounded,
 # so powers of norm ~1e6 matrices need no overflow handling
@@ -123,7 +112,7 @@ class IntegerMatrix:
 
 def order_in_xi_tuple(g, n):
     """Least m >= 1 with g^m = I in Xi(n), one multiplication at a time:
-    the per-element call, and the reference for `xi_orders`."""
+    the reference for `xi_orders`, which every route calls instead."""
     e = identity(n)
     x = g
     m = 1
@@ -635,14 +624,3 @@ def moebius(n):
             return 0
         res = -res
     return res
-
-
-def vp(x, p):
-    """p-adic valuation of x; None for x = 0."""
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v

@@ -72,7 +72,6 @@ from .core import (
     divisors,
     grid_entries,
     moebius_type_ids,
-    order_in_xi_tuple,
     parts_from_traces,
     xi_chain_grid,
     xi_grid_positions,
@@ -321,7 +320,7 @@ def splitting_type_moebius(g, table: CosetTable):
     fixed-coset counts of the powers of g (`_fixed_cosets`), through
     `moebius_type_ids`.  Never inspects cycles."""
     ids = {}
-    moebius_type_ids([g], [order_in_xi_tuple(g, table.level)], table.level,
+    moebius_type_ids([g], xi_orders([g], table.level), table.level,
                      lambda powers: _fixed_cosets(powers, table), table.index, ids, {})
     return next(iter(ids))
 

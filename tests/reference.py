@@ -5,8 +5,11 @@ subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
 over tuples, the type and order of each class's reduction, the empirical
-tally by one reduction per class, and the accumulator of the zeta sums'
-per-class loops, which rounds the exact sum of its terms once.  The
+tally by one reduction per class, the family label of one element of
+Xi(p^r) by valuations and Euler's criterion, the power relations between
+the family sets element by element with powers by binary exponentiation,
+and the accumulator of the zeta sums' per-class loops, which rounds the
+exact sum of its terms once.  The
 reduced forms of a range of traces are also listed from the divisors of
 |ac|, read off a smallest-prime-factor sieve, as the independent side of
 the sieve-free form generator.  Three
@@ -28,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from geosplit.census import _fixed_row_count, legendre
+from geosplit.census import PowerRelationRow, _fixed_row_count, _predicted_power_label, label_str
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
-                           chain_heads, enumerate_xi, mul, order_in_xi_tuple, vp)
+                           chain_heads, enumerate_xi, identity, mul, order_in_xi_tuple)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 from geosplit.zeta import MPArith
@@ -40,6 +43,129 @@ def inv(x, n):
     """Inverse in Xi(n): adjugate of a determinant-one matrix."""
     a, b, c, d = x
     return canon(d, -b, -c, a, n)
+
+
+def matpow(x, k, n):
+    """k-th power in Xi(n), k >= 0, by binary exponentiation."""
+    r = identity(n)
+    while k:
+        if k & 1:
+            r = mul(r, x, n)
+        x = mul(x, x, n)
+        k >>= 1
+    return r
+
+
+def vp(x, p):
+    """p-adic valuation of x; None for x = 0."""
+    if x == 0:
+        return None
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def legendre(a, p):
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def minus_identity_depth(g, sign, p, r):
+    """(k, h) for h = sign*g - I mod p^r: k is the p-adic depth of h, the
+    least valuation of its entries (r when h vanishes)."""
+    n = p**r
+    a, b, c, d = g
+    h = ((sign * a - 1) % n, (sign * b) % n, (sign * c) % n, (sign * d - 1) % n)
+    return min((vp(x, p) for x in h if x), default=r), h
+
+
+def label_class(g, order, p, r):
+    """Family label of the class of g in Xi(p^r), p odd, one element at a
+    time by valuations and Euler's criterion: the oracle of
+    `census.family_labels`.
+
+    Labels: ('Id',), ('A0', k, l), ('A', k), ('B', k, m, chi), ('C0', k, l),
+    ('C', k); chi is +1/-1 for the even-m split below the maximal m, else 0.
+    """
+    n = p**r
+    e = identity(n)
+    if g == e:
+        return ("Id",)
+    j = vp(order, p) or 0
+    l = order // p**j
+    a, b, c, d = g
+    t = (a + d) % n
+    if l > 1:
+        disc = (t * t - 4) % n
+        v = vp(disc, p)
+        if v != 0:
+            raise ConsistencyError(f"unexpected disc valuation for l>1 class {g}")
+        k = r - j
+        return ("A0", k, l) if legendre(disc, p) == 1 else ("C0", k, l)
+    # pure p-power order: normalize the sign by maximal depth of h - I,
+    # tie-broken by trace(h) == 2 mod p (only that sign sits in the B-stratum)
+    sign = max((1, -1), key=lambda sg: (minus_identity_depth(g, sg, p, r)[0],
+                                        (sg * (a + d) - 2) % p == 0))
+    k, h = minus_identity_depth(g, sign, p, r)
+    if k >= r:
+        raise ConsistencyError("non-identity class with infinite depth")
+    prk = p ** (r - k)
+    y = tuple((x // p**k) % prk for x in h)
+    d_y = (-(y[0] * y[3] - y[1] * y[2])) % prk
+    if d_y != 0 and d_y % p != 0:
+        if k < 1 or k > r - 1:
+            raise ConsistencyError(f"semisimple depth {k} out of range for {g}")
+        return ("A", k) if legendre(d_y, p) == 1 else ("C", k)
+    m = r - k if d_y == 0 else min(vp(d_y, p), r - k)
+    chi = 0
+    if m % 2 == 0 and m < r - k:
+        chi = legendre(d_y // p**m, p)
+    return ("B", k, m, chi)
+
+
+def power_relation_reference(p, r):
+    """The rows of `census.power_relation_check(p^r)` element by element:
+    every element of Xi(p^r) labelled by `label_class` with its order from
+    `order_in_xi_tuple`, and every family set raised to each power
+    M = 1..p by `matpow`, compared as sets of elements."""
+    n = p**r
+    label_of = {g: label_class(g, order_in_xi_tuple(g, n), p, r) for g in enumerate_xi(n)}
+    sets = {}
+    for g, lab in label_of.items():
+        sets.setdefault(lab, set()).add(g)
+
+    def elements_of(lab):
+        if lab[0] == "B" and lab[-1] == 0:
+            # unsplit target absorbs both chi halves if a split exists
+            return set().union(*(sets.get(lab[:3] + (chi,), set()) for chi in (0, 1, -1)))
+        return sets.get(lab, set())
+
+    def collapse_note(predicted, computed, expected):
+        if expected - computed:
+            return ""
+        min_depth = predicted[1] if predicted[0] == "B" else r
+        for g in computed - expected:
+            glab = label_of[g]
+            if glab != ("Id",) and not (glab[0] == "B" and glab[1] > min_depth):
+                return ""
+        return "extra elements are identity-collapsed or deeper-stratum (p=3 order anomaly)"
+
+    rows = []
+    for lab in sorted(sets, key=str):
+        if lab == ("Id",):
+            continue
+        for m_exp in range(1, p + 1):
+            predicted = _predicted_power_label(lab, m_exp, p, r)
+            computed = {matpow(g, m_exp, n) for g in sets[lab]}
+            expected = elements_of(predicted)
+            ok = computed == expected
+            note = "" if ok else collapse_note(predicted, computed, expected)
+            rows.append(PowerRelationRow(label_str(lab), m_exp, label_str(predicted), ok, note))
+    return rows
 
 
 def factorize_reference(n):

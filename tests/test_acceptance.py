@@ -26,7 +26,7 @@ from geosplit.census import (
     density_table,
     density_table_closed_form,
     density_table_composite,
-    label_class,
+    family_labels,
     power_relation_check,
     rectangle_density_table,
     tensor_partitions,
@@ -35,9 +35,9 @@ from geosplit.core import (
     Family,
     SubgroupSpec,
     enumerate_xi,
-    order_in_xi_tuple,
     partition,
     xi_order,
+    xi_orders,
 )
 from geosplit.cosets import build_coset_table, dual_type_report, induced_trace
 from geosplit.geodesics import anomalous_type_scan, empirical_tally, li
@@ -296,8 +296,8 @@ def test_criterion_07_lemma5_trace_regression():
         n = p**r
         t_g0 = build_coset_table(SubgroupSpec(Family.GAMMA0, n))
         t_g1 = build_coset_table(SubgroupSpec(Family.GAMMA1, n))
-        for g in enumerate_xi(n):
-            label = label_class(g, order_in_xi_tuple(g, n), p, r)
+        xi = enumerate_xi(n)
+        for g, label in zip(xi, family_labels(xi, xi_orders(xi, n), p, r)):
             assert induced_trace(g, t_g0) == _lemma5_expected_gamma0(label, p, r), (n, g, label)
             assert induced_trace(g, t_g1) == _lemma5_expected_gamma1(label, p, r), (n, g, label)
             checked += 1

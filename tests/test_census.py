@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from geosplit.census import (
@@ -15,7 +16,7 @@ from geosplit.census import (
     density_table,
     density_table_closed_form,
     density_table_composite,
-    label_class,
+    family_labels,
     label_str,
     power_relation_check,
     rectangle_density_table,
@@ -23,19 +24,23 @@ from geosplit.census import (
 )
 from geosplit.core import (
     CapExceeded,
+    ConsistencyError,
     Family,
     SubgroupSpec,
     canon,
     enumerate_xi,
+    factorize,
     identity,
     mul,
-    order_in_xi_tuple,
     partition,
+    xi_chain_grid,
     xi_order,
+    xi_orders,
 )
 from geosplit.cosets import build_coset_table, induced_trace
 from reference import (count_quad_roots, count_sqrt, family_set_sizes, inv, is_member_tuple,
-                       sigma_gamma0, sigma_gamma1, similarity_invariant)
+                       label_class, power_relation_reference, sigma_gamma0, sigma_gamma1,
+                       similarity_invariant)
 
 
 def F(s):
@@ -71,24 +76,43 @@ def test_class_size_examples():
     sizes = [c.size for c in conjugacy_classes(5) if c.order == 5]
     assert sorted(sizes) == [12, 12]
     # #A_1 at level 9: the single depth-1 split-torus class has size 12
-    labeled = [
-        (label_class(c.representative, c.order, 3, 2), c.size)
-        for c in conjugacy_classes(9)
-    ]
+    classes = conjugacy_classes(9)
+    labeled = zip(family_labels([c.representative for c in classes],
+                                [c.order for c in classes], 3, 2), (c.size for c in classes))
     a1 = [s for lab, s in labeled if lab == ("A", 1)]
     assert sum(a1) == 12
 
 
-@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (7, 2)])
 def test_family_sets_match_closed_sizes(p, r):
     """Element-level family labels reconcile exactly with the closed-form
     set sizes for every family at once."""
-    n = p**r
-    got = {}
-    for g in enumerate_xi(n):
-        labv = label_class(g, order_in_xi_tuple(g, n), p, r)
-        got[labv] = got.get(labv, 0) + 1
-    assert got == family_set_sizes(p, r)
+    xi = enumerate_xi(p**r)
+    assert Counter(family_labels(xi, xi_orders(xi, p**r), p, r)) == family_set_sizes(p, r)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 25, 27, 49, 81])
+def test_family_labels_match_the_scalar_labels(n):
+    """`family_labels` of every element of the chain grid, with its entries
+    as the grid holds them (not sign-reduced), equals the scalar
+    `label_class` of the element's canonical tuple."""
+    [(p, r)] = factorize(n)
+    grid = np.stack([e.ravel() for e in xi_chain_grid(n)], axis=1)
+    orders = xi_orders(grid, n)
+    want = [label_class(canon(*g, n), m, p, r) for g, m in zip(grid.tolist(), orders.tolist())]
+    assert family_labels(grid, orders, p, r) == want
+
+
+def test_family_labels_refuse_inconsistent_orders():
+    """The three consistency checks: a class whose order has a prime-to-p
+    part must have a unit discriminant, only the identity has infinite
+    depth, and a semisimple class of p-power order lies at depth 1..r-1."""
+    with pytest.raises(ConsistencyError, match="discriminant"):
+        family_labels([(1, 0, 0, 1)], [2], 5, 1)  # t^2 - 4 = 0
+    with pytest.raises(ConsistencyError, match="infinite depth"):
+        family_labels([(1, 0, 0, 1)], [5], 5, 1)
+    with pytest.raises(ConsistencyError, match="depth outside"):
+        family_labels([(0, 4, 1, 0)], [5], 5, 1)  # S, of order 2, at depth 0
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +165,9 @@ def test_gamma0_25_b_family_swap_is_real():
     g = canon(1, 1, 0, 1, 25)
     assert induced_trace(g, t) == 5
     assert splitting_type_cycles(g, t) == lam("25 1^5")
-    mass = sum(c.size for c in conjugacy_classes(25)
-               if label_class(c.representative, c.order, 5, 2)[:3] == ("B", 0, 2))
+    classes = conjugacy_classes(25)
+    labels = family_labels([c.representative for c in classes], [c.order for c in classes], 5, 2)
+    mass = sum(c.size for c, lab in zip(classes, labels) if lab[:3] == ("B", 0, 2))
     assert Fraction(mass, 7500) == F("2/25")
 
 
@@ -439,6 +464,21 @@ def test_power_relations_3_3_same_single_exception():
     rows = power_relation_check(27)
     failed = [(r.label, r.exponent) for r in rows if not r.passed]
     assert failed == [("B(k=0,m=1)", 3)]
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 2), (3, 3)])
+def test_power_relations_match_the_element_reference(p, r):
+    """The class-level check gives the rows of the element-by-element walk
+    of tests/reference.py, notes included."""
+    assert power_relation_check(p**r) == power_relation_reference(p, r)
+
+
+@pytest.mark.parametrize("n", [49, 81, 121, 125, 169, 243])
+def test_power_relations_on_a_wider_grid(n):
+    """Every printed relation holds at these levels but the cube of
+    B(k=0,m=1) at every power of 3 (the p = 3 order anomaly)."""
+    failed = [(r.label, r.exponent) for r in power_relation_check(n) if not r.passed]
+    assert failed == ([("B(k=0,m=1)", 3)] if n % 3 == 0 else [])
 
 
 def test_power_coprime_fixes_families():

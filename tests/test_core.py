@@ -11,12 +11,11 @@ from geosplit.core import (
     enumerate_xi,
     factorize,
     identity,
-    matpow,
     mul,
     order_in_xi_tuple,
     xi_order,
 )
-from reference import factorize_reference, inv, is_member_tuple
+from reference import factorize_reference, inv, is_member_tuple, matpow
 
 
 def test_xi_sizes_match_paper():

@@ -29,7 +29,6 @@ from geosplit.core import (
     divisors,
     enumerate_xi,
     identity,
-    matpow,
     order_in_xi_tuple,
     xi_chain_grid,
     xi_order,
@@ -37,7 +36,7 @@ from geosplit.core import (
 )
 from geosplit.cosets import build_coset_table
 from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
-from reference import (classes_at_trace, complete_column, fixed_row_count_reference,
+from reference import (classes_at_trace, complete_column, fixed_row_count_reference, matpow,
                        orbit_closure_classes, primitive_classes, reduced_forms_by_divisors,
                        sigma_gamma0, spf_list, spf_sieve, unimodular_columns)
 from test_geodesics import brute_reduced_forms

@@ -53,3 +53,96 @@ def test_every_private_name_is_read():
     unread = [f"{name}: {private}" for name, tree in trees.items()
               for private in _private_definitions(tree) if private not in read]
     assert unread == []
+
+
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _definitions(tree):
+    """Module-level function, class and constant name -> its node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return out
+
+
+def _relative_imports(tree):
+    """Name -> (module, name) of every `from .module import name`."""
+    return {alias.asname or alias.name: (node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def _perfbench_roots(src_modules, exported):
+    """(module, name) of every geosplit name a perfbench file imports, of
+    every attribute it reads or rebinds on an imported geosplit module, and
+    of every ("geosplit.module", "name", ...) target it lists."""
+    roots = set()
+    for name in sorted(os.listdir(PERFBENCH)):
+        if not name.endswith(".py"):
+            continue
+        tree = _parse(os.path.join(PERFBENCH, name))
+        modules = {}  # local name -> geosplit module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("geosplit"):
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module == "geosplit" and alias.name in src_modules:
+                        modules[local] = alias.name
+                    elif node.module == "geosplit":
+                        roots.add(exported[alias.name])
+                    else:
+                        roots.add((node.module.split(".")[1], alias.name))
+            elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                  and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                          for e in node.elts[:2])
+                  and node.elts[0].value.startswith("geosplit.")):
+                roots.add((node.elts[0].value.split(".")[1], node.elts[1].value))
+        roots |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules}
+    return roots
+
+
+def test_every_definition_is_reachable():
+    """An `ast` walk of the package from `cli.main`, the names
+    `geosplit/__init__.py` exports and the geosplit names perfbench imports
+    or rebinds reaches every module-level function, class and constant of
+    `src/geosplit`.  A definition reaches each name it reads (a local
+    definition or a `from .module import`); module-level statements that
+    define nothing run on import and are roots too.  Code that no route
+    calls belongs in tests/reference.py, not in src."""
+    trees = {name[:-3]: _parse(os.path.join(SRC, name)) for name in sorted(os.listdir(SRC))
+             if name.endswith(".py")}
+    exported = _relative_imports(trees.pop("__init__"))
+    defs = {mod: _definitions(tree) for mod, tree in trees.items()}
+    scope = {mod: {**{n: (mod, n) for n in defs[mod]}, **_relative_imports(tree)}
+             for mod, tree in trees.items()}
+    pending = [("cli", "main"), *exported.values(), *_perfbench_roots(set(trees), exported)]
+    pending += [(mod, node) for mod, tree in trees.items() for node in tree.body
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                         ast.Assign, ast.AnnAssign, ast.Import, ast.ImportFrom))]
+    reached = set()
+    while pending:
+        mod, item = pending.pop()
+        if isinstance(item, str):
+            if (mod, item) in reached or item not in defs.get(mod, {}):
+                continue
+            reached.add((mod, item))
+            item = defs[mod][item]
+        for node in ast.walk(item):
+            if isinstance(node, ast.Name) and node.id in scope[mod]:
+                pending.append(scope[mod][node.id])
+    unreached = sorted(f"{mod}.{name}" for mod in defs for name in defs[mod]
+                       if not name.startswith("__") and (mod, name) not in reached)
+    assert unreached == []
