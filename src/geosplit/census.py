@@ -2,28 +2,18 @@
 
 Three independent routes to the same numbers live here:
 
-* the brute-force census: walk Xi(N) by its positions h*n + t in the
-  chain grid (head h times T^t), holding only the chain heads, turn
-  conjugation by the two generators S and T into two int32 position
-  arrays built chunk by chunk, find the conjugacy classes as their
-  connected components by min-label propagation with pointer jumping
-  (`core.component_labels`),
-  take each class's least +-canonical key chunk by chunk as its
-  representative, take the representatives' orders in one batched
-  `xi_orders` call, compute each class's splitting type through the coset
-  action, and weight by class size;
+* the brute-force census: the conjugacy classes of Xi(N) as orbits of
+  conjugation by T, in closed form on the chain grid (head h times T^t),
+  joined by conjugation by S (`_class_ids`), each represented by its
+  least member, with orders from one `xi_orders` call, types through the
+  coset action and weights from the class sizes;
 
 * the closed-form route for odd prime powers: a catalog of the
-  GL2-similarity classes, one per value of the invariants (+-t, k, det A)
-  of g = (t/2) I + p^k A with A cyclic, with sizes from the centralizer of
-  A and induced-representation traces from two array
-  kernels on the p-adic depth: p^k = gcd(a - d, b, c, p^r), the depth of g
-  from the scalars, and a square-root count of (t^2 - 4)/p^(2k) (Gamma0),
-  or p^k = gcd of the entries of +-g - I with p^r (Gamma1).  The
-  representatives' orders come from one `xi_orders` call, and
-  `core.moebius_type_ids` forms, per order, all the powers g^d whose
-  traces are counted and runs the Moebius recursion.  No group
-  enumeration is involved, so it can cross-check the census;
+  GL2-similarity classes from their invariants (`closed_class_catalog`),
+  with induced-character traces read off each representative's p-adic
+  depth (`_depth`) and the types from the Moebius recursion
+  (`core.moebius_type_ids`).  No group enumeration is involved, so it can
+  cross-check the census;
 
 * the composite route: a convolution of coprime prime-power tables under
   the tensor rule for partitions.  The two coset actions multiply, so a
@@ -31,12 +21,10 @@ Three independent routes to the same numbers live here:
   lcm(a, b), NOT one cycle of length ab; the two disagree whenever parts
   share a common factor.
 
-At odd prime-power levels the census classes also carry family labels
-(`family_labels`, one array pass over the representatives), and the
-power relations between the family sets are checked on the classes: each
-representative's powers are located in the chain grid, so the sets
-compare as sets of class ids.  No route here walks Xi(N) element by
-element.
+At odd prime-power levels the census classes carry family labels
+(`family_labels`), and the power relations between the family sets are
+checked on the classes (`power_relation_check`).  No route here walks
+Xi(N) element by element.
 
 A caveat discovered while reconciling these routes: the classification
 table this is built from misstates element orders at p = 3, r >= 2.  Any
@@ -56,6 +44,7 @@ import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -68,10 +57,8 @@ from .core import (
     SubgroupSpec,
     capped_xi_order,
     chain_heads,
-    component_labels,
     decode_keys,
     factorize,
-    grid_entries,
     matrix_powers,
     moebius_type_ids,
     partition_str,
@@ -81,7 +68,7 @@ from .core import (
     xi_order,
     xi_orders,
 )
-from .cosets import build_coset_table, splitting_types
+from .cosets import base_cycles, build_coset_table, splitting_types
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +83,8 @@ class ConjugacyClassRecord:
     types: dict = field(default_factory=dict)
 
 
-# elements per chunk of the census's element-wise passes: bounds their
-# temporaries (entries, keys, conjugates) to a few MB
+# elements per chunk of the census's pass over the grid, in whole chains:
+# bounds its temporaries (entries, keys, conjugates) to a few MB
 _CENSUS_CHUNK = 1 << 14
 
 
@@ -115,52 +102,88 @@ def conjugacy_classes(level):
 
 def _class_ids(n):
     """The class id of every position h*n + t of the chain grid of Xi(n),
-    int32 with the classes numbered in order of their least positions,
-    and each class's least +-canonical key: the connected components of
-    conjugation by S and by T.
-
-    The positions of `xi_chain_grid` are Xi(n) once each, and only the
-    grid's column 0, the chain heads, is held: the entries at a position
-    are rebuilt from its head (`grid_entries`).  Conjugation by S,
-    (a, b, c, d) -> (d, -c, -b, a), and by T, (a, b, c, d) ->
-    (a - c, a - c + b - d, c, c + d), become two int32 position arrays,
-    filled chunk by chunk (_CENSUS_CHUNK elements) through
-    `xi_grid_positions`, which reads each conjugate's place from its
-    entries.  The components come from `core.component_labels`, min-label
-    hooking with pointer jumping (Shiloach-Vishkin) gathered chunk by
-    chunk, which labels every position by the least position of its class.
-    A last chunked pass takes each class's least key (`sign_keys`,
-    `np.minimum.at`).  The least key is the lexicographically least tuple,
-    so it decodes to the class's least member.  So the working set is four
-    int32 numbers per element and chunk-sized temporaries: no int64 array
-    and no sort spans the group.  The cap is checked before anything is
-    allocated (`capped_xi_order`).
-    """
+    int32 and numbered by least position, and each class's least key,
+    which decodes to its least member.  A class is T-orbits (`_t_orbits`)
+    joined by conjugation by S, (a, b, c, d) -> (d, -c, -b, a): one pass
+    over whole chains, about _CENSUS_CHUNK elements at a time, takes each
+    T-orbit's least key (`sign_keys`) and keeps each S-edge between two
+    T-orbits once, and the classes are their components (`_components`).
+    The working set is a few int32 numbers per element, allocated after
+    the cap check (`capped_xi_order`)."""
     order = capped_xi_order(n)
-    if chain_heads(n)[0].shape[1] * n != order:
+    heads = chain_heads(n)[0]
+    if heads.shape[1] * n != order:
         raise ConsistencyError(f"the chains of Xi({n}) do not hold its {order} elements")
-    chunks = [slice(start, min(start + _CENSUS_CHUNK, order))
-              for start in range(0, order, _CENSUS_CHUNK)]
-    conj_s = np.empty(order, dtype=np.int32)
-    conj_t = np.empty(order, dtype=np.int32)
+    (base, shift, size), count = _t_orbits(n)
+    label = np.empty((len(base), n), dtype=np.int32)
+    least = np.full(count, n**4)  # above every key
+    ends, edges = np.empty((2, order // 2), dtype=np.int32), 0
+    t = np.arange(n, dtype=np.int32)
+    rows = max(1, _CENSUS_CHUNK // n)
+    chunks = [slice(h, h + rows) for h in range(0, len(base), rows)]
     for ch in chunks:
-        a, b, c, d = grid_entries(np.arange(ch.start, ch.stop, dtype=np.int32), n)
-        # the S-conjugates in row 0, the T-conjugates in row 1
-        conj = ((d, (a - c) % n), (-c % n, (a - c + b - d) % n), (-b % n, c), (a, (c + d) % n))
-        conj_s[ch], conj_t[ch] = xi_grid_positions(np.array(conj), n)
-    label = component_labels([conj_s, conj_t], _CENSUS_CHUNK)
-    del conj_s, conj_t
-    # class ids, numbered in order of the classes' least positions
-    rank = np.cumsum(label == np.arange(order, dtype=np.int32), dtype=np.int32)
-    count = int(rank[-1])
+        a, b0, c, d0 = (v[ch, None] for v in heads)
+        b, d = (b0 + t * a) % n, (d0 + t * c) % n
+        label[ch] = u = base[ch, None] + (t + shift[ch, None]) % size[ch, None]
+        h, s = np.divmod(xi_grid_positions((d, -c % n, -b % n, a), n), n)
+        v = base.take(h) + (s + shift.take(h)) % size.take(h)
+        np.minimum.at(least, u.ravel(), sign_keys((a, b, c, d), n).ravel())
+        keep = u < v  # each pair x, S^-1 x S of different orbits once
+        kept = np.count_nonzero(keep)
+        ends[:, edges:edges + kept] = u[keep], v[keep]
+        edges += kept
+    parent = _components(ends[:, :edges], count)
+    roots = parent == np.arange(count, dtype=np.int32)
+    class_of = (np.cumsum(roots, dtype=np.int32) - 1).take(parent)
     for ch in chunks:
-        label[ch] = rank.take(label[ch], mode="clip") - 1
-    del rank
-    least = np.full(count, np.iinfo(np.int64).max)
-    for ch in chunks:
-        flat = np.arange(ch.start, ch.stop, dtype=np.int32)
-        np.minimum.at(least, label[ch], sign_keys(grid_entries(flat, n), n))
-    return label, least
+        label[ch] = class_of.take(label[ch])
+    least_of = np.full(np.count_nonzero(roots), n**4)
+    np.minimum.at(least_of, class_of, least)
+    return label.ravel(), least_of
+
+
+@lru_cache(maxsize=8)
+def _t_orbits(n):
+    """The orbits of conjugation by T on the chain grid of Xi(n), numbered
+    by least position: h*n + t lies in orbit base[h] + (t + shift[h]) %
+    size[h], rows of a read-only 3 x heads int32 array; and their number.
+    T^-1 (head_h T^t) T = +-head_pi(h) T^(s_h + t + 1), so the conjugation
+    is the block form (pi, s + 1) mod n on the heads, and a cycle of pi
+    is gcd(sigma, n) orbits (`base_cycles`), one through L*n + j for each
+    j < gcd, L the cycle's least head.  Pointer doubling along pi, stopped
+    at L, sums the shifts from each head to L."""
+    a, b0, c, d0 = chain_heads(n)[0]
+    perm, shift = np.divmod(xi_grid_positions(((a - c) % n, (b0 - d0) % n, c, d0), n), n)
+    shift = (shift + 1) % n
+    label, leaders, size = base_cycles(perm[None], shift[None], n)
+    perm[leaders], shift[leaders] = leaders, 0
+    while (perm != label).any():
+        shift = (shift + shift.take(perm)) % n
+        perm = perm.take(perm)
+    at = leaders.searchsorted(label)
+    orbits = np.stack(((np.cumsum(size) - size).take(at), shift, size.take(at))).astype(np.int32)
+    orbits.setflags(write=False)
+    return orbits, int(size.sum())
+
+
+def _components(ends, count):
+    """The least node of the component of each of `count` nodes under the
+    edges ends[0][i] < ends[1][i], int32, by hooking and pointer jumping
+    (Shiloach-Vishkin) on the edge list, which `core.component_labels`,
+    on permutations, cannot take: hook each edge's greater end, a root,
+    under its lesser, jump every node to its root, move the edges to the
+    roots of their ends and drop those within one tree.  Parents only
+    decrease, so a root is its component's least node."""
+    parent = np.arange(count, dtype=np.int32)
+    a, b = ends
+    while len(a):
+        parent[b] = a
+        while ((jumped := parent.take(parent)) != parent).any():
+            parent = jumped
+        a, b = parent.take(a), parent.take(b)
+        live = a != b
+        a, b = np.minimum(a[live], b[live]), np.maximum(a[live], b[live])
+    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +283,13 @@ def family_labels(g, orders, p, r):
 
 
 def label_str(label):
-    kind = label[0]
-    if kind == "Id":
-        return "Id"
-    if kind == "A0":
-        return f"A0(k={label[1]},l={label[2]})"
-    if kind == "A":
-        return f"A(k={label[1]})"
-    if kind == "B":
-        chi = {0: "", 1: ",+", -1: ",-"}[label[3]]
-        return f"B(k={label[1]},m={label[2]}{chi})"
-    if kind == "C0":
-        return f"C0(k={label[1]},l={label[2]})"
-    if kind == "C":
-        return f"C(k={label[1]})"
-    raise ValueError(label)
+    kind, *args = label
+    if kind not in _KINDS:
+        raise ValueError(label)
+    chi = {0: "", 1: ",+", -1: ",-"}[args.pop()] if kind == "B" else ""
+    names = ("k", "l") if kind in ("A0", "C0") else ("k", "m")
+    fields = ",".join(f"{name}={x}" for name, x in zip(names, args))
+    return f"{kind}({fields}{chi})" if args else kind
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +337,10 @@ def rectangle_density_table(s: SubgroupSpec, classes=None) -> DensityTable:
         raise ValueError("rectangle table applies to the principal family only")
     if classes is None:
         classes = conjugacy_classes(s.level)
-    order = xi_order(s.level)
-    n = order  # index of Gamma(N) equals |Xi|
-    entries = _densities([Partition({rec.order: n // rec.order}) for rec in classes],
+    order = xi_order(s.level)  # also the index of Gamma(N)
+    entries = _densities([Partition({rec.order: order // rec.order}) for rec in classes],
                          [rec.size for rec in classes], order)
-    return DensityTable(s, entries, order, n)
+    return DensityTable(s, entries, order, order)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +453,13 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
     order = xi_order(s.level)
     if s.family == Family.GAMMA:
         return rectangle_density_table(s, closed_class_catalog(p, r))
-    if s.family == Family.GAMMA0:
-        index = p ** (r - 1) * (p + 1)
+    gamma0 = s.family == Family.GAMMA0
+    index = p ** (r - 1) * (p + 1) if gamma0 else p ** (2 * r - 2) * (p * p - 1) // 2
 
-        def traces_of(h):
+    def traces_of(h):
+        if gamma0:
             return _fixed_point_count(h, p, r)
-    else:
-        index = p ** (2 * r - 2) * (p * p - 1) // 2
-
-        def traces_of(h):
-            return (_fixed_row_count(h, 1, p, r) + _fixed_row_count(h, -1, p, r)) // 2
+        return (_fixed_row_count(h, 1, p, r) + _fixed_row_count(h, -1, p, r)) // 2
     catalog = closed_class_catalog(p, r)
     ids = {}  # type -> id
     type_ids = moebius_type_ids([rec.representative for rec in catalog],
@@ -601,9 +612,7 @@ def power_relation_check(level):
             expected = classes_of(predicted)
             ok = computed == expected
             note = "" if ok else collapse_note(predicted, computed, expected)
-            rows.append(
-                PowerRelationRow(label_str(lab), m_exp, label_str(predicted), ok, note)
-            )
+            rows.append(PowerRelationRow(label_str(lab), m_exp, label_str(predicted), ok, note))
     return rows
 
 
@@ -627,14 +636,8 @@ def census_payload(family: Family, level: int):
                   for rec in sorted(classes, key=lambda r: r.representative)]
     densities = {partition_str(lam): f"{frac.numerator}/{frac.denominator}"
                  for lam, frac in sorted(dt.entries.items(), reverse=True)}
-    return {
-        "level": level,
-        "family": family.value,
-        "xi_order": dt.xi_order,
-        "index": dt.index,
-        "classes": class_rows,
-        "densities": densities,
-    }
+    return {"level": level, "family": family.value, "xi_order": dt.xi_order, "index": dt.index,
+            "classes": class_rows, "densities": densities}
 
 
 def write_census(path, payload):

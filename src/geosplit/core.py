@@ -604,23 +604,12 @@ def _rho_factor(n):
 
 
 def divisors(n):
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def moebius(n):
-    if n == 1:
-        return 1
-    res = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        res = -res
-    return res
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)

@@ -4,51 +4,39 @@ action of Xi(N) on them.
 Cosets are the left cosets r*Psi of Psi = image of the subgroup in Xi(N);
 an element g acts by image[i] = j where r_j^-1 g r_i lies in the subgroup.
 The cycle type of that permutation is the splitting type of any hyperbolic
-class of SL2(Z) reducing to g, and can be recovered independently from the
-permutation character chi(g^d) = tr sigma(g)^d = #fixed cosets of g^d by
-Moebius inversion; the two routes are kept separate so they can
-cross-check each other.  The Moebius route (`core.moebius_type_ids`)
-forms the powers g^d as matrices and reads only their fixed-coset
-counts: for one element (`splitting_type_moebius`) from their block-form
-action, in the exhaustive sweep (`dual_type_report`) from the fixed-coset
-counts of the elements g^d themselves.  So it never sees the action it
-checks beyond its fixed points.
+class of SL2(Z) reducing to g.  It can be recovered independently from the
+permutation character chi(g^d) = #fixed cosets of g^d by Moebius
+inversion (`core.moebius_type_ids`), which forms the powers g^d as
+matrices and reads only their fixed-coset counts, so it never sees the
+action it checks beyond its fixed points.
 
 A coset is named by a vector of any of its elements, taken up to sign: the
 first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  Every
-table is read off the chain heads of `core.chain_heads`, one completion of
-each unimodular column, and their `column_rows` table over the columns
-a*n + c (both signs).  For Gamma1 the heads are the representatives.  For
-Gamma0 each generator of (Z/N)^* permutes the heads, the orbits are the
-components of those permutations (`core.component_labels`, the kernel of
-the census's conjugacy classes), and the head of each orbit's least column
-is its representative.  Both tables read a coset by direct address from an
-n x n int32 array over the columns.  Gamma(N) is normal and its cosets are
-the elements, numbered by their places h*n + t (head_h * T^t) in
-`xi_chain_grid`; its table holds only the |Xi(N)|/N chain heads.
+table is read off the chain heads of `core.chain_heads` and their
+`column_rows` table.  For Gamma1 the heads are the representatives; for
+Gamma0 the orbits of the heads under generators of (Z/N)^* are the
+components of their permutations (`core.component_labels`), each
+represented by the head of its least column.  Both read a coset by direct
+address from an n x n int32 array over the columns.  Gamma(N) is normal
+and its cosets are the elements, numbered by their places h*n + t
+(head_h * T^t) in `xi_chain_grid`, so its table holds only the heads.
 
 The action has one kernel, `act_block`, which returns it in block (wreath)
 form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
 the matrices the table holds plus a shift in Z/m at each, m = N for Gamma
-and m = 1 (no shifts) for Gamma0 and Gamma1.  It computes only the entries
-of g * r that name a coset.  A column alone would also accept matrices of
-determinant other than 1 (the columns of (2,0,0,2) mod 7 are unimodular),
-so every acting element's determinant is checked and an element outside
-Xi(N) is refused with ValueError.  No route writes the block form out as
-a permutation of all the cosets: `act` (`expand_block`) and the
-permutation kernels `cycle_types` and `moebius_type_from_perm` stay as
-references for the tests.  The tests check the kernel against the action
-by the definition, from subgroup membership over all of Xi(N), which
-lives in tests/reference.py.
-
-Cycle types have one kernel too: `core.cycle_labels` (pointer doubling,
-shared with the reduction cycles of `geodesics`) labels the points of a
-block's base permutations by the least point of their cycle, `_cycles`
-turns each base cycle and its summed shift into coset cycles, and
-`_cycle_type_ids` bins them per row.  So no route holds a permutation of
-all |Xi(N)| cosets of Gamma(N).
+and m = 1 for Gamma0 and Gamma1.  A column alone would also accept
+matrices of determinant other than 1 (the columns of (2,0,0,2) mod 7 are
+unimodular), so an element outside Xi(N) is refused with ValueError.  No
+route writes the block form out as a permutation of all the cosets: `act`
+and the permutation kernels `cycle_types` and `moebius_type_from_perm`
+are references for the tests, which check the kernel against the action
+by the definition in tests/reference.py.  Cycle types have one kernel
+too: `base_cycles` labels the base points by the least point of their
+cycle (`core.cycle_labels`) and splits each base cycle by its summed
+shift, the rule the census's T-orbits share, and `_cycle_type_ids` bins
+the coset cycles per row.
 """
 
 from __future__ import annotations
@@ -215,26 +203,22 @@ def act(g, table: CosetTable):
     return expand_block(*act_block([g], table), table.modulus)[0]
 
 
-def _cycles(perm, shift, m):
-    """The row, the length and the multiplicity (None for 1) of the coset
-    cycles of every row of a block in block form, rows ascending, from the
-    points per leader of `cycle_labels` on the base permutations, taken
-    as one permutation of the flat points r*width + i.
-
-    A base cycle of length l whose shifts sum to sigma returns to its start
-    shifted by sigma, so each of its cosets returns after l*m/gcd(sigma, m)
-    steps: it is gcd(sigma, m) coset cycles of that length."""
+def base_cycles(perm, shift, m):
+    """The base cycles of a block in block form, its rows one permutation
+    of the flat points r*width + i: the least point of the cycle through
+    each point (`cycle_labels`), the leaders (their own label) and, per
+    leader, the number of coset cycles its cycle is (None for m = 1, one
+    each).  A base cycle of length l whose shifts sum to sigma returns to
+    its start shifted by sigma, so it is gcd(sigma, m) coset cycles of
+    length l*m/gcd(sigma, m)."""
     rows, width = perm.shape
     offsets = np.arange(0, rows * width, width, dtype=_PERM_DTYPE)
     label = cycle_labels((perm + offsets[:, None]).ravel())
     leaders = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
-    owner = leaders // width
-    lengths = np.bincount(label, minlength=label.size)[leaders]
     if m == 1:
-        return owner, lengths, None
+        return label, leaders, None
     sigma = np.bincount(label, weights=shift.ravel(), minlength=label.size)[leaders]
-    copies = np.gcd(sigma.astype(np.int64), m)
-    return owner, lengths * (m // copies), copies
+    return label, leaders, np.gcd(sigma.astype(np.int64), m)
 
 
 def _fixed_counts(perm, shift, m):
@@ -373,11 +357,14 @@ def coset_chain_blocks(table: CosetTable):
 def _cycle_type_ids(perm, shift, m, ids):
     """The id in `ids` (type -> id, grown as types appear) of the cycle
     type of every row of a block in block form: the coset cycles of
-    `_cycles` counted per length and row, and each distinct row of counts
-    read as the runs of a `Partition`."""
-    owner, lengths, copies = _cycles(perm, shift, m)
+    `base_cycles` counted per length and row, and each distinct row of
+    counts read as the runs of a `Partition`."""
+    label, leaders, copies = base_cycles(perm, shift, m)
+    lengths = np.bincount(label, minlength=label.size)[leaders]
+    if copies is not None:
+        lengths *= m // copies
     width = int(lengths.max(initial=0)) + 1
-    counts = np.bincount(owner * width + lengths, weights=copies,
+    counts = np.bincount(leaders // perm.shape[1] * width + lengths, weights=copies,
                          minlength=len(perm) * width).astype(np.int64, copy=False)
     distinct, inverse = _distinct_rows(counts.reshape(-1, width))
     row_ids = [ids.setdefault(Partition(enumerate(row)), len(ids)) for row in distinct.tolist()]
@@ -387,6 +374,19 @@ def _cycle_type_ids(perm, shift, m, ids):
 # elements per block of the Moebius step of `dual_type_report`: bounds its
 # matrix powers to a few MB
 _MOEBIUS_ROWS = 1 << 14
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_orders(level):
+    """`xi_orders` of the flat chain grid of Xi(level), read-only int32:
+    one sweep per level, which the three families' reports share."""
+    size = capped_xi_order(level)
+    orders = np.empty(size, dtype=np.int32)
+    for start in range(0, size, _MOEBIUS_ROWS):
+        at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
+        orders[start:start + len(at)] = xi_orders(np.stack(grid_entries(at, level)).T, level)
+    orders.setflags(write=False)
+    return orders
 
 
 def dual_type_report(level, family):
@@ -400,12 +400,13 @@ def dual_type_report(level, family):
     type (`_cycle_type_ids`), both from the block form of its action.  The
     Moebius route (`moebius_type_ids`) then reads tr sigma(g)^d as the
     fixed-coset count of the element g^d, placed in the grid by its entries
-    (`xi_grid_positions`), so an action that is not a homomorphism shows
-    as a mismatch too.  Elements are decoded from the grid only for the
-    mismatches.
+    (`xi_grid_positions`), with the orders of `_grid_orders`, so an action
+    that is not a homomorphism shows as a mismatch too.  Elements are
+    decoded from the grid only for the mismatches.
     """
     size = capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
+    orders = _grid_orders(level)
     fixed, by_cycles = np.empty((2, size), dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
     count, by_traces = 0, {}
@@ -420,7 +421,7 @@ def dual_type_report(level, family):
     for start in range(0, size, _MOEBIUS_ROWS):
         at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
         g = np.stack(grid_entries(at, level)).T
-        lam_m = moebius_type_ids(g, xi_orders(g, level), level,
+        lam_m = moebius_type_ids(g, orders[start:start + len(at)], level,
                                  lambda powers: fixed.take(xi_grid_positions(powers.T, level)),
                                  table.index, ids, by_traces)
         miss = np.flatnonzero(lam_m != by_cycles.take(at))

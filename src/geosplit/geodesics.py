@@ -424,10 +424,17 @@ def enumerate_primitive_classes(x, jobs=1) -> PrimitiveClasses:
 
 
 def li(x):
-    """Logarithmic integral from 2 to x."""
-    import mpmath
-
-    return float(mpmath.li(x) - mpmath.li(2))
+    """Logarithmic integral from 2 to x > 1: Ramanujan's series in floats,
+    gamma + ln ln x + sqrt(x) sum_{n >= 1} (-1)^(n-1) (ln x)^n / (n! 2^(n-1))
+    sum_{k <= (n-1)/2} 1/(2k+1), minus li(2) = 1.0451637801174927848."""
+    log_x = math.log(x)
+    term, inner, total, n = -2.0, 0.0, 0.0, 0
+    while n <= log_x or abs(term * inner) > 1e-17 * abs(total):
+        n += 1
+        term *= -log_x / (2 * n)
+        inner += n % 2 / n
+        total += term * inner
+    return 0.5772156649015329 + math.log(log_x) + math.sqrt(x) * total - 1.0451637801174928
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each is the slow, direct form of a library route: the coset action from
 subgroup membership over all of Xi(N), the reduction cycles of one trace
 by a walk over a set of its reduced forms, the primitivity marking of full
 FormClassRecords by their powers, the conjugacy classes by orbit closure
-over tuples, the type and order of each class's reduction, the empirical
+over tuples and by min-label components over all the chain-grid
+positions, the type and order of each class's reduction, the empirical
 tally by one reduction per class, the family label of one element of
 Xi(p^r) by valuations and Euler's criterion, the power relations between
 the family sets element by element with powers by binary exponentiation,
@@ -32,8 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from geosplit.census import PowerRelationRow, _fixed_row_count, _predicted_power_label, label_str
-from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, divisors,
-                           chain_heads, enumerate_xi, identity, mul, order_in_xi_tuple)
+from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, chain_heads,
+                           component_labels, divisors, enumerate_xi, grid_entries, identity,
+                           mul, order_in_xi_tuple, sign_keys, xi_grid_positions, xi_order)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 from geosplit.zeta import MPArith
@@ -631,6 +633,27 @@ def orbit_closure_classes(level):
                     stack.append(xi[j])
         out.append((g, size, order_in_xi_tuple(g, n)))
     return out
+
+
+def min_label_class_ids(n):
+    """The class id of every position h*n + t of the chain grid of Xi(n),
+    numbered in order of the classes' least positions, and each class's
+    least +-canonical key, by the connected components of conjugation by
+    S and by T over all the positions: two int32 position arrays of the
+    conjugates, min-label hooking with pointer jumping over both
+    (`core.component_labels`), then each class's least key
+    (`np.minimum.at`).  `census._class_ids` must agree with it."""
+    order = xi_order(n)
+    flat = np.arange(order, dtype=np.int32)
+    a, b, c, d = grid_entries(flat, n)
+    conj = ((d, (a - c) % n), (-c % n, (a - c + b - d) % n), (-b % n, c), (a, (c + d) % n))
+    conj_s, conj_t = xi_grid_positions(np.array(conj), n)
+    label = component_labels([conj_s, conj_t], 1 << 14)
+    rank = np.cumsum(label == flat, dtype=np.int32) - 1
+    ids = rank.take(label)
+    least = np.full(int(rank[-1]) + 1, np.iinfo(np.int64).max)
+    np.minimum.at(least, ids, sign_keys((a, b, c, d), n))
+    return ids, least
 
 
 class ExactSum:

@@ -457,6 +457,25 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     assert [m[0] for m in mismatches] == sorted(m[0] for m in mismatches)
 
 
+def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
+    """The three families' reports at one level take the grid's orders
+    from one `xi_orders` call (|Xi(11)| = 660 is one block), and the
+    cached orders are read-only."""
+    calls = []
+
+    def counted(elements, n):
+        calls.append(n)
+        return core.xi_orders(elements, n)
+
+    monkeypatch.setattr(cosets, "xi_orders", counted)
+    cosets._grid_orders.cache_clear()
+    for family in Family:
+        assert dual_type_report(11, family) == (xi_order(11), [])
+    assert calls == [11]
+    assert cosets._grid_orders(11).dtype == np.int32
+    assert not cosets._grid_orders(11).flags.writeable
+
+
 @pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3, "perm")),
                                          (Family.GAMMA1, 8, (0, 100, "perm")),
                                          (Family.GAMMA, 13, (3, 12, "perm")),

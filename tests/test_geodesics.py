@@ -319,6 +319,13 @@ def test_prime_geodesic_sanity(classes_1e4, classes_1e5):
     assert 0.8 <= len(classes_1e5) / li(10**5) <= 1.2
 
 
+@pytest.mark.parametrize("x", [7, 1e4, 12345.5, 3e5, 1e6, 1e7])
+def test_li_matches_mpmath(x):
+    import mpmath
+
+    assert li(x) == pytest.approx(float(mpmath.li(x) - mpmath.li(2)), rel=1e-13)
+
+
 def test_empirical_close_at_1e5(classes_1e5):
     s = SubgroupSpec(Family.GAMMA0, 3)
     tally = empirical_tally(s, 10**5, classes=classes_1e5)

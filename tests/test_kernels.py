@@ -26,19 +26,23 @@ from geosplit.core import (
     SubgroupSpec,
     canon,
     component_labels,
+    cycle_labels,
     divisors,
     enumerate_xi,
+    grid_entries,
     identity,
     order_in_xi_tuple,
     xi_chain_grid,
+    xi_grid_positions,
     xi_order,
     xi_orders,
 )
 from geosplit.cosets import build_coset_table
 from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
 from reference import (classes_at_trace, complete_column, fixed_row_count_reference, matpow,
-                       orbit_closure_classes, primitive_classes, reduced_forms_by_divisors,
-                       sigma_gamma0, spf_list, spf_sieve, unimodular_columns)
+                       min_label_class_ids, orbit_closure_classes, primitive_classes,
+                       reduced_forms_by_divisors, sigma_gamma0, spf_list, spf_sieve,
+                       unimodular_columns)
 from test_geodesics import brute_reduced_forms
 
 
@@ -71,6 +75,34 @@ def test_census_working_set_is_int32_sized(n):
     finally:
         tracemalloc.stop()
     assert peak <= 40 * xi_order(n)
+
+
+@pytest.mark.parametrize("n", list(range(2, 81)) + [96, 100, 105])
+def test_class_ids_match_the_min_label_census(n):
+    """The classes as S-joins of the T-orbits against the components of
+    the S and T position permutations over the whole grid: the same ids,
+    numbered by least position, and the same least keys."""
+    label, least = census._class_ids(n)
+    want_label, want_least = min_label_class_ids(n)
+    assert label.dtype == np.int32
+    assert np.array_equal(label, want_label)
+    assert np.array_equal(least, want_least)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_t_orbits_are_the_cycles_of_t_conjugation(n):
+    """The arithmetic T-orbit of every grid position against the cycles of
+    the explicit permutation x -> T^-1 x T of the positions, numbered by
+    least position (n = 2, where -I = I, and the even levels included)."""
+    (base, shift, size), count = census._t_orbits(n)
+    flat = np.arange(xi_order(n), dtype=np.int32)
+    h, t = np.divmod(flat, n)
+    orbit = base[h] + (t + shift[h]) % size[h]
+    a, b, c, d = grid_entries(flat, n)
+    step = xi_grid_positions(((a - c) % n, (a - c + b - d) % n, c, (c + d) % n), n)
+    leader = cycle_labels(step)
+    assert count == np.count_nonzero(leader == flat)
+    assert orbit.tolist() == (np.cumsum(leader == flat) - 1)[leader].tolist()
 
 
 def test_census_cap_is_checked_before_the_grid(monkeypatch):
