@@ -389,8 +389,8 @@ def _fixed_point_count(g, p, r):
 
 
 # most half-traces l, (p^r + 1)/2, of the closed catalog.  In fresh interpreters
-# (VmHWM, Gamma1) the most divisor-rich levels below it peaked at 276 MB (99793),
-# while 100799 (50400 half-traces) reached 317 MB and 1000003 882 MB
+# (peak RSS, Gamma1) the most divisor-rich levels below it peaked at 138 MB (99793)
+# and 135 MB (93601), while 100799 (50400 half-traces) reached 156 MB and 1000003 565 MB
 CLOSED_CATALOG_CAP = 50_000
 
 

@@ -58,11 +58,19 @@ def _family(value):
         raise argparse.ArgumentTypeError(f"unknown family {value!r}")
 
 
+def _available_cores():
+    """The cores this process may run on (its CPU affinity) where the
+    platform reports them, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser():
     parser = _Parser(prog="geosplit", description=__doc__)
     parser.add_argument("--cache-dir", default=".geosplit-cache",
                         help="census cache directory (GEODESIC_CACHE_DIR overrides)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--jobs", type=int, default=_available_cores(),
                         help="parallelism degree for the trace enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 

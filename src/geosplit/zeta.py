@@ -4,9 +4,7 @@ Everything is evaluated over one shared set of base classes of SL2(Z) with
 norm below the cutoff.  Every term is an entry of a factor table, one per
 exponent indexed by trace, so each side of an identity is integer counts
 of entries, and its value is the exact sum of count times entry rounded
-once (what `math.fsum` gives on the terms in any order).  Every check can
-be re-run under mpmath, in a private context that leaves the process-wide
-precision alone, with the exact sum rounded once at its precision.
+once (what `math.fsum` gives on the terms in any order).
 """
 
 from __future__ import annotations
@@ -21,63 +19,21 @@ from .cosets import build_coset_table, capped_key_count
 from .geodesics import classes_below, max_trace, residue_types, residues_mod
 
 
-class _Arith:
-    def factors(self, e, t_max):
-        """-log(1 - N^{-e}) for the norm N of trace t, at index t - 3 for
-        every trace 3 <= t <= t_max."""
-        return [self.euler_term(self.log_norm(t), e) for t in range(3, t_max + 1)]
+def _factors(e, t_max):
+    """-log(1 - N^{-e}) for the norm N = ((t + sqrt(t^2 - 4)) / 2)^2 of
+    trace t, at index t - 3 for every trace 3 <= t <= t_max."""
+    return [-math.log1p(-math.exp(-e * (2.0 * math.log((t + math.sqrt(t * t - 4.0)) / 2.0))))
+            for t in range(3, t_max + 1)]
 
 
-class FloatArith(_Arith):
-    """Plain doubles, summed exactly and rounded once."""
-
-    def total(self, terms, counts):
-        """sum counts[j] * terms[j], exact and rounded once to a double, as
-        `math.fsum` rounds the terms repeated counts times.  Every double is
-        n / d with d a power of two, so the sum is one integer over the
-        largest d, and int / int rounds correctly."""
-        ratios = [(c, x.as_integer_ratio()) for c, x in zip(counts, terms) if c]
-        den = max((d for _, (_, d) in ratios), default=1)
-        return sum(c * n * (den // d) for c, (n, d) in ratios) / den
-
-    def log_norm(self, t):
-        # log N(gamma) = 2 log((t + sqrt(t^2-4))/2)
-        return 2.0 * math.log((t + math.sqrt(t * t - 4.0)) / 2.0)
-
-    def euler_term(self, log_n, s):
-        # -log(1 - N^{-s})
-        return -math.log1p(-math.exp(-s * log_n))
-
-    def frac(self, a, b):
-        return a / b
-
-
-class MPArith(_Arith):
-    """mpmath at a given precision in a context of its own, same interface."""
-
-    def __init__(self, dps=40):
-        import mpmath
-
-        self.mp = mpmath.MPContext()
-        self.mp.dps = dps
-
-    def total(self, terms, counts):
-        """sum counts[j] * terms[j], exact and rounded once at the context's
-        precision: every non-zero mpf is +-man * 2^exp, so the sum is one
-        integer times 2 to the least exponent."""
-        pairs = [(c if x > 0 else -c, x.man, x.exp) for c, x in zip(counts, terms) if c and x]
-        low = min((e for _, _, e in pairs), default=0)
-        return self.mp.mpf((sum(c * m << (e - low) for c, m, e in pairs), low))
-
-    def log_norm(self, t):
-        t = self.mp.mpf(t)
-        return 2 * self.mp.log((t + self.mp.sqrt(t * t - 4)) / 2)
-
-    def euler_term(self, log_n, s):
-        return -self.mp.log1p(-self.mp.e ** (-self.mp.mpf(s) * log_n))
-
-    def frac(self, a, b):
-        return self.mp.mpf(a) / self.mp.mpf(b)
+def _total(terms, counts):
+    """sum counts[j] * terms[j], exact and rounded once to a double, as
+    `math.fsum` rounds the terms repeated counts times.  Every double is
+    n / d with d a power of two, so the sum is one integer over the
+    largest d, and int / int rounds correctly."""
+    ratios = [(c, x.as_integer_ratio()) for c, x in zip(counts, terms) if c]
+    den = max((d for _, (_, d) in ratios), default=1)
+    return sum(c * n * (den // d) for c, (n, d) in ratios) / den
 
 
 @dataclass
@@ -204,10 +160,8 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
     trace, pairs, index = data.kept(t_max, subgroup)
     lam = partition(lam)
     traces = trace[np.array([got == lam for got, _ in pairs], dtype=bool).take(index)]
-    ar = FloatArith()
     counts = np.bincount(traces - 3, minlength=t_max - 2)
-    return ZetaTruncation(s, float(x), ar.total(ar.factors(s, t_max), counts.tolist()),
-                          len(traces))
+    return ZetaTruncation(s, float(x), _total(_factors(s, t_max), counts.tolist()), len(traces))
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
@@ -216,14 +170,14 @@ def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
 
 
 def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | None = None,
-                        use_mpmath=False, jobs=1):
+                        jobs=1):
     """|LHS - RHS| for the cover-zeta factorization at matched truncation.
 
     LHS groups by class: sum over classes of -log det(I - sigma(g) N^-s),
     the determinant expanded through the cycle type.  RHS groups by type:
     for each type lambda and each part m_i, the lambda-product at m_i * s.
     Each side is its own count array of (part, trace) entries
-    (`venkov_counts`), summed by `ar.total` against the factor tables at
+    (`venkov_counts`), summed by `_total` against the factor tables at
     part * s.  The identity is exact per class, so the counts agree and
     the exact sums are equal.
     Without `data`, the classes are enumerated with `jobs` processes.
@@ -232,20 +186,19 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     data = _class_data(x, data, [subgroup], jobs)
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
-    ar = MPArith() if use_mpmath else FloatArith()
     parts, by_class, by_type = venkov_counts(pairs, index, trace, t_max)
-    terms = [v for part in parts for v in ar.factors(part * s, t_max)]
-    lhs = ar.total(terms, by_class.ravel().tolist())
-    rhs = ar.total(terms, by_type.ravel().tolist())
+    terms = [v for part in parts for v in _factors(part * s, t_max)]
+    lhs = _total(terms, by_class.ravel().tolist())
+    rhs = _total(terms, by_type.ravel().tolist())
     return {
-        "lhs_log": float(lhs),
-        "rhs_log": float(rhs),
-        "discrepancy": abs(float(lhs - rhs)),
+        "lhs_log": lhs,
+        "rhs_log": rhs,
+        "discrepancy": abs(lhs - rhs),
         "term_count": len(trace),
     }
 
 
-def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=False, jobs=1):
+def ratio_identity_check(p, s, x, data: ClassData | None = None, jobs=1):
     """|log LHS - log RHS| for the prime-level ratio identity
 
         { zeta^(p,p)(s)^p / zeta^(p,p)(ps) }^((p-1)/2)
@@ -267,25 +220,24 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, use_mpmath=Fals
     t_max = data.trace_bound(x)
     trace, pairs1, index = data.kept(t_max, sub1)
     pairsp = data.types(subp)[0]  # the residues mod p, so the index, are shared
-    ar = MPArith() if use_mpmath else FloatArith()
-    half = ar.frac(p - 1, 2)
+    half = (p - 1) / 2
     parts = sorted({1, p} | {part for lam, _ in pairs1 + pairsp for part, _ in lam.runs})
-    factor = {part: ar.factors(part * s, t_max) for part in parts}
+    factor = {part: _factors(part * s, t_max) for part in parts}
     lhs_terms = [half * (p * a - b) for a, b in zip(factor[1], factor[p])]
     full = np.array([order == p for _, order in pairs1], dtype=bool).take(index)
-    lhs = ar.total(lhs_terms, np.bincount(trace[full] - 3, minlength=t_max - 2).tolist())
+    lhs = _total(lhs_terms, np.bincount(trace[full] - 3, minlength=t_max - 2).tolist())
     # p f at each part for the Gamma1(p) runs, then -f at each part for the Gamma(p) runs
     column = {part: j for j, part in enumerate(parts)}
     weights = np.hstack([_run_weights([lam for lam, _ in got], column) for got in (pairs1, pairsp)])
     counts = _class_counts(weights, index, trace, t_max)
     terms = [v for part in parts for v in factor[part]]
-    rhs = ar.total([p * v for v in terms] + [-v for v in terms], counts.ravel().tolist())
+    rhs = _total([p * v for v in terms] + [-v for v in terms], counts.ravel().tolist())
     return {
         "p": p,
         "s": s,
         "cutoff": float(x),
-        "lhs_log": float(lhs),
-        "rhs_log": float(rhs),
-        "discrepancy": abs(float(lhs - rhs)),
+        "lhs_log": lhs,
+        "rhs_log": rhs,
+        "discrepancy": abs(lhs - rhs),
         "term_count": len(trace),
     }

@@ -9,8 +9,9 @@ positions, the type and order of each class's reduction, the empirical
 tally by one reduction per class, the family label of one element of
 Xi(p^r) by valuations and Euler's criterion, the power relations between
 the family sets element by element with powers by binary exponentiation,
-and the accumulator of the zeta sums' per-class loops, which rounds the
-exact sum of its terms once.  The
+the zeta sums' per-class loops' two arithmetics, doubles and mpmath at a
+working precision, with the accumulator that rounds the exact sum of their
+terms once.  The
 reduced forms of a range of traces are also listed from the divisors of
 |ac|, read off a smallest-prime-factor sieve, as the independent side of
 the sieve-free form generator.  Three
@@ -38,7 +39,6 @@ from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, chain
                            mul, order_in_xi_tuple, sign_keys, xi_grid_positions, xi_order)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
-from geosplit.zeta import MPArith
 
 
 def inv(x, n):
@@ -656,6 +656,50 @@ def min_label_class_ids(n):
     return ids, least
 
 
+class FloatArith:
+    """The per-class loops' terms in doubles, one `math` call at a time."""
+
+    def log_norm(self, t):
+        # log N(gamma) = 2 log((t + sqrt(t^2-4))/2)
+        return 2.0 * math.log((t + math.sqrt(t * t - 4.0)) / 2.0)
+
+    def euler_term(self, log_n, s):
+        # -log(1 - N^{-s})
+        return -math.log1p(-math.exp(-s * log_n))
+
+    def frac(self, a, b):
+        return a / b
+
+
+class MPArith:
+    """The same terms in mpmath at a given precision, in a context of its
+    own that leaves the process-wide precision alone."""
+
+    def __init__(self, dps=40):
+        import mpmath
+
+        self.mp = mpmath.MPContext()
+        self.mp.dps = dps
+
+    def total(self, terms, counts):
+        """sum counts[j] * terms[j], exact and rounded once at the context's
+        precision: every non-zero mpf is +-man * 2^exp, so the sum is one
+        integer times 2 to the least exponent."""
+        pairs = [(c if x > 0 else -c, x.man, x.exp) for c, x in zip(counts, terms) if c and x]
+        low = min((e for _, _, e in pairs), default=0)
+        return self.mp.mpf((sum(c * m << (e - low) for c, m, e in pairs), low))
+
+    def log_norm(self, t):
+        t = self.mp.mpf(t)
+        return 2 * self.mp.log((t + self.mp.sqrt(t * t - 4)) / 2)
+
+    def euler_term(self, log_n, s):
+        return -self.mp.log1p(-self.mp.e ** (-self.mp.mpf(s) * log_n))
+
+    def frac(self, a, b):
+        return self.mp.mpf(a) / self.mp.mpf(b)
+
+
 class ExactSum:
     """A per-class loop's terms, collected one at a time; `total` is their
     exact sum rounded once: `math.fsum` for doubles, and for mpf (given the
@@ -681,6 +725,6 @@ class ExactSum:
 
 
 def acc(ar):
-    """A fresh accumulator for the arithmetic `ar` of `geosplit.zeta`: an
-    ExactSum of doubles, or of mpf in the context of an MPArith."""
+    """A fresh accumulator for the arithmetic `ar`: an ExactSum of doubles,
+    or of mpf in the context of an MPArith."""
     return ExactSum(ar.mp if isinstance(ar, MPArith) else None)

@@ -37,7 +37,7 @@ from geosplit.core import (
     xi_order,
     xi_orders,
 )
-from geosplit.cosets import build_coset_table, induced_trace
+from geosplit.cosets import build_coset_table, induced_trace, splitting_types
 from reference import (count_quad_roots, count_sqrt, family_set_sizes, inv, is_member_tuple,
                        label_class, power_relation_reference, sigma_gamma0, sigma_gamma1,
                        similarity_invariant)
@@ -556,3 +556,20 @@ def test_tensor_partitions_share_the_moebius_recursion(monkeypatch):
     monkeypatch.setattr(census, "tensor_partitions", broken)
     with pytest.raises(ConsistencyError, match="tensor rule fault"):
         density_table_composite(SubgroupSpec(Family.GAMMA0, 15))
+
+
+@pytest.mark.parametrize("n,gamma0_mass", [(8, Fraction(11, 64)), (12, Fraction(29, 64)),
+                                           (15, Fraction(21, 32))])
+def test_anomalous_mass_from_the_census(n, gamma0_mass):
+    """The density of the classes whose splitting type has no part equal to
+    the order of their reduction (what `--scan-anomalous` counts) is the
+    mass of the census classes whose type lacks their order: 11/64 for
+    Gamma0(8), where the scan below 1e5 reads 1609/9558, and none for
+    Gamma1 and Gamma at these levels."""
+    classes = conjugacy_classes(n)
+    for family in Family:
+        types = splitting_types([c.representative for c in classes],
+                                build_coset_table(SubgroupSpec(family, n)))
+        mass = sum(Fraction(c.size, xi_order(n)) for c, lam in zip(classes, types)
+                   if c.order not in lam)
+        assert mass == (gamma0_mass if family == Family.GAMMA0 else 0)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from geosplit.cli import main
+from geosplit.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -224,6 +224,20 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "error: --jobs must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("affinity,cpu_count,want", [({0}, 8, 1), ({0, 3, 5}, 8, 3),
+                                                     (None, 6, 6), (None, None, 1)])
+def test_jobs_defaults_to_the_available_cores(monkeypatch, affinity, cpu_count, want):
+    """The default is the size of the process's CPU affinity set, not the
+    machine's CPU count; where the platform has no affinity call, the CPU
+    count, or 1 when that is unknown."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert build_parser().parse_args(["census", "--level", "3"]).jobs == want
 
 
 def test_unknown_flag_is_usage_error(capsys):

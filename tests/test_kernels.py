@@ -242,22 +242,33 @@ def test_gamma_table_is_the_chain_grid(n):
 
 @pytest.mark.parametrize("family,n", [(Family.GAMMA0, 25), (Family.GAMMA1, 27),
                                       (Family.GAMMA0, 3**5), (Family.GAMMA1, 29**2)])
-def test_closed_form_counts_all_traces_in_one_kernel_call(monkeypatch, family, n):
-    """`moebius_type_ids` stacks the powers of every order, so a closed
-    table calls its trace kernel once, and the table does not change."""
+def test_closed_form_counts_traces_in_one_kernel_call_per_order(monkeypatch, family, n):
+    """`moebius_type_ids` calls the trace kernel once per order m of the
+    catalog (twice for Gamma1, one call per sign), in increasing order, on
+    exactly the powers g^d, d | m, of the representatives g of order m,
+    divisor by divisor; so the call sizes sum to the number of divisors of
+    every class's order, and the table does not change."""
     want = census.density_table_closed_form(SubgroupSpec(family, n))
     kernel = "_fixed_point_count" if family == Family.GAMMA0 else "_fixed_row_count"
     exact, calls = getattr(census, kernel), []
 
     def counted(*args):
-        calls.append(len(args[0]))
+        calls.append(np.array(args[0]))
         return exact(*args)
 
     monkeypatch.setattr(census, kernel, counted)
     assert census.density_table_closed_form(SubgroupSpec(family, n)).entries == want.entries
     catalog = closed_class_catalog(*census.closed_form_prime_power(n))
-    powers = sum(len(divisors(c.order)) for c in catalog)
-    assert calls == [powers] * (1 if family == Family.GAMMA0 else 2)
+    orders = sorted({c.order for c in catalog})
+    per_order = 1 if family == Family.GAMMA0 else 2
+    assert len(calls) == per_order * len(orders)
+    for m, got in zip(orders, calls[::per_order]):
+        reps = [c.representative for c in catalog if c.order == m]
+        want_powers = [matpow(g, d, n) for d in divisors(m) for g in reps]
+        assert [canon(*row, n) for row in got.tolist()] == want_powers
+    signs = zip(calls[::per_order], calls[per_order - 1::per_order])
+    assert all(np.array_equal(plus, minus) for plus, minus in signs)
+    assert sum(map(len, calls)) == per_order * sum(len(divisors(c.order)) for c in catalog)
 
 
 @pytest.mark.parametrize("size,cycle,gather", [(1, 1, 4), (50, 7, 7), (1000, 97, 64),

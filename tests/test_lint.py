@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -146,3 +147,28 @@ def test_every_definition_is_reachable():
     unreached = sorted(f"{mod}.{name}" for mod in defs for name in defs[mod]
                        if not name.startswith("__") and (mod, name) not in reached)
     assert unreached == []
+
+
+def _requirement_name(requirement):
+    return re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
+
+
+def test_mpmath_is_a_test_dependency_only():
+    """No module of `src/geosplit` imports mpmath (the zeta sums have one
+    arithmetic, in doubles; mpmath is the tests' reference), and
+    pyproject.toml lists it under the `test` extra and nowhere else."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            tree = _parse(os.path.join(SRC, name))
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module}
+            assert sorted(m for m in imported if m.split(".")[0] == "mpmath") == [], name
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    lists = {"dependencies": project["dependencies"],
+             **{f"extra {k}": v for k, v in project["optional-dependencies"].items()}}
+    assert [k for k, reqs in lists.items()
+            if "mpmath" in map(_requirement_name, reqs)] == ["extra test"]

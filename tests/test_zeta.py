@@ -131,18 +131,6 @@ def test_truncation_monotonicity(data_1e4):
     assert values_s == sorted(values_s, reverse=True)
 
 
-def test_precision_scaling(data_1e4):
-    """Re-running under mpmath must not increase the discrepancy."""
-    sub = SubgroupSpec(Family.GAMMA1, 5)
-    d_float = venkov_zograf_check(2.0, 10**4, sub, data_1e4)["discrepancy"]
-    d_mp = venkov_zograf_check(2.0, 10**4, sub, data_1e4, use_mpmath=True)["discrepancy"]
-    assert d_mp <= d_float + 1e-12
-
-    r_float = ratio_identity_check(3, 2.0, 10**4, data_1e4)["discrepancy"]
-    r_mp = ratio_identity_check(3, 2.0, 10**4, data_1e4, use_mpmath=True)["discrepancy"]
-    assert r_mp <= r_float + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # count-vector sums against a per-class reference loop, compared with ==
 
@@ -151,9 +139,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from geosplit.zeta import FloatArith, MPArith, ZetaTruncation, venkov_counts
+from geosplit.zeta import ZetaTruncation, _total, venkov_counts
 
-from reference import acc
+from reference import FloatArith, MPArith, acc
 
 
 def _ref_lambda(s, x, classes, subgroup, lam):
@@ -233,15 +221,6 @@ def test_sums_equal_per_class_loop(data_2e4, x):
                                                                                   data_2e4)
 
 
-def test_mpmath_sums_equal_per_class_loop(data_2e4):
-    x = 1500
-    sub = SubgroupSpec(Family.GAMMA1, 5)
-    assert venkov_zograf_check(2.0, x, sub, data_2e4, use_mpmath=True) == _ref_venkov(
-        2.0, x, data_2e4.classes, sub, MPArith())
-    assert ratio_identity_check(3, 2.0, x, data_2e4, use_mpmath=True) == _ref_ratio(
-        3, 2.0, x, data_2e4.classes, MPArith())
-
-
 @pytest.fixture(scope="module")
 def data_1e5(classes_1e5):
     return ClassData(10**5, classes=classes_1e5)
@@ -266,21 +245,17 @@ def test_ratio_stream_equals_per_class_loop_at_1e5(data_1e5, p):
         p, 2.0, 10**5, data_1e5.classes, FloatArith())
 
 
-def test_mpmath_checks_leave_the_global_precision_alone(data_1e4):
-    """The mpmath reruns work in a context of their own: the process-wide
-    precision, and so `li`, are the same after them, and an explicit
-    precision is the one used whatever was built before."""
-    import mpmath
+def test_precision_scaling(data_1e4):
+    """The per-class loop in mpmath at 40 digits does not find a larger
+    discrepancy than the double sums."""
+    sub, classes = SubgroupSpec(Family.GAMMA1, 5), data_1e4.classes
+    d_float = venkov_zograf_check(2.0, 10**4, sub, data_1e4)["discrepancy"]
+    d_mp = _ref_venkov(2.0, 10**4, classes, sub, MPArith())["discrepancy"]
+    assert d_mp <= d_float + 1e-12
 
-    from geosplit.geodesics import li
-
-    sub = SubgroupSpec(Family.GAMMA1, 5)
-    with mpmath.workdps(15):
-        before = li(3e5)
-        venkov_zograf_check(2.0, 1500, sub, data_1e4, use_mpmath=True)
-        ratio_identity_check(3, 2.0, 1500, data_1e4, use_mpmath=True)
-        assert MPArith().mp.dps == 40 and MPArith(30).mp.dps == 30
-        assert mpmath.mp.dps == 15 and li(3e5) == before
+    r_float = ratio_identity_check(3, 2.0, 10**4, data_1e4)["discrepancy"]
+    r_mp = _ref_ratio(3, 2.0, 10**4, classes, MPArith())["discrepancy"]
+    assert r_mp <= r_float + 1e-12
 
 
 finite = st.floats(min_value=-1e16, max_value=1e16, allow_nan=False)
@@ -293,15 +268,16 @@ stream = st.lists(st.one_of(st.sampled_from([1e16, -1e16, 1.0, 1e-8, 3.3, 0.0, -
 @example([1e16, 1.0, -1e16, 3.3], [1, 3, 1, 0] + [0] * 56)
 @example([], [0] * 60)
 def test_total_is_the_accumulator_loop(terms, repeats):
-    """`total` of distinct terms with counts is the exact sum of the stream
+    """`_total` of distinct terms with counts is the exact sum of the stream
     they expand to, rounded once: what `math.fsum`, the Fraction sum and
     the reference accumulator give, on streams with +-1e16 cancellation,
-    repeated terms, zeros and no terms at all; and, for mpmath, the
-    accumulator's exact mpf sum rounded at the context's precision."""
+    repeated terms, zeros and no terms at all; and, for the reference
+    mpmath arithmetic, the accumulator's exact mpf sum rounded at the
+    context's precision."""
     expanded = [x for x, k in zip(terms, repeats) for _ in range(k)]
     distinct = sorted(set(expanded))
     counts = [expanded.count(x) for x in distinct]
-    got = FloatArith().total(distinct, counts)
+    got = _total(distinct, counts)
     reference = acc(FloatArith())
     for x in expanded:
         reference.add(x)
