@@ -22,10 +22,24 @@ per-trace reduction walk, with `class_of_matrix` on the powers, is the
 tests' reference.
 
 A chunk's classes are int64 columns (trace, a, b, c), `PrimitiveClasses`;
-no object is built per class unless they are iterated.  A tally keeps only
-running counts across chunks and finds each splitting type once per new
-residue mod N; the zeta checks share the joined stream
-(`enumerate_primitive_classes`).
+no object is built per class unless they are iterated.  The zeta checks
+share the joined stream (`enumerate_primitive_classes`); a tally keeps only
+running counts across chunks and types one class per new cover key.
+
+Cover keys.  Write N = 2^e m, m odd, and take a class of trace t, least
+form (a, b, c), matrix M (`matrix_from_form`) and content g = gcd(a, b, c).
+With h = gcd(g, m) its key is (t mod m h, h) and M mod 2^e, unsigned;
+types and orders are constant on a key.  Mod p^r || m, M = (t/2) I + g A
+with A = [[-b, -2c], [2a, b]]/(2g) of trace 0, det A = (4 - t^2)/(4 g^2),
+not scalar mod p (p is odd and a/g, b/g, c/g share no p).  For
+k = min(v_p(g), r), g A = p^k A': at k = r, M is the scalar t/2, and below
+r the GL2(Z/p^r)-similarity class of M is fixed by t/2, k and
+det A' = (4 - t^2)/(4 p^(2k)) mod p^(r-k) (`census.closed_class_catalog`),
+all read off t mod p^(r+k); m h is the product of these moduli.  At p = 2,
+t/2 is no residue, so M mod 2^e itself stays in the key, unsigned: -I is
+-1 at 2^e and at m at once, so a 2-part up to sign would join M with
+(-M mod 2^e, M mod m).  The key so fixes M mod N up to GL2(Z/N)-
+similarity, and diag(u, 1) normalises all three families.
 
 The norm cutoff N(gamma) < x is decided in exact arithmetic:
 
@@ -51,7 +65,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .core import (CapExceeded, ConsistencyError, IntegerMatrix, SubgroupSpec, cycle_labels,
-                   decode_keys, partition_str, sign_keys, xi_orders)
+                   partition_str, xi_orders)
 from .census import DensityTable
 from .cosets import build_coset_table, splitting_types
 
@@ -356,10 +370,12 @@ class PrimitiveClasses:
         for t, a, b, c in zip(*(v.tolist() for v in (self.trace, self.a, self.b, self.c))):
             yield t, (a, b, c), matrix_from_form(t, (a, b, c))
 
+    def __getitem__(self, rows):
+        return PrimitiveClasses(*(v[rows] for v in (self.trace, self.a, self.b, self.c)))
+
     def below(self, t_max):
         """The classes of trace <= t_max: a prefix, as views of the columns."""
-        k = int(self.trace.searchsorted(t_max, side="right"))
-        return PrimitiveClasses(self.trace[:k], self.a[:k], self.b[:k], self.c[:k])
+        return self[:int(self.trace.searchsorted(t_max, side="right"))]
 
     @property
     def entries(self):
@@ -450,20 +466,25 @@ class EmpiricalTally:
     witnesses: list = field(default_factory=list)
 
 
-def residues_mod(classes, n):
-    """The reductions mod n of the classes' matrices: the distinct
-    +-canonical residue keys (`core.sign_keys`) in order, and the index of
-    each class's residue among them.  The matrices have determinant one, so
-    the residues need no check."""
-    return np.unique(sign_keys([v % n for v in classes.entries], n), return_inverse=True)
+def cover_keys(classes, n):
+    """`np.unique` of the classes' cover keys at level n (module docstring):
+    the codes (t mod m h) m + h - 1 < m^3, then the entries of M mod 2^e as
+    digits (< n^4), the first class of each key and each class's key index."""
+    q = n & -n  # 2^e
+    m = n // q
+    h = np.gcd(np.arange(m), m).take(classes.a % m)  # gcd(a, m), then b and c where > 1
+    big = np.flatnonzero(h > 1)
+    h[big] = np.gcd(np.gcd(h.take(big), classes.b.take(big)), classes.c.take(big))
+    key = classes.trace % (m * h) * m + h - 1
+    for entry in classes.entries if q > 1 else ():
+        key = key * q + entry % q
+    return np.unique(key, return_index=True, return_inverse=True)
 
 
-def residue_types(keys, table):
-    """(splitting type, order in Xi(N)) of the residue of every key; the
-    types come from one blocked cycle-type pass, the orders from one
-    `xi_orders` pass."""
-    residues = decode_keys(keys, table.level)
-    return list(zip(splitting_types(residues, table), xi_orders(residues, table.level).tolist()))
+def key_types(classes, rows, table):
+    """(splitting type, order in Xi(N)) of the classes at `rows`."""
+    entries = np.stack(classes[rows].entries, axis=1)
+    return list(zip(splitting_types(entries, table), xi_orders(entries, table.level).tolist()))
 
 
 def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=False) -> EmpiricalTally:
@@ -471,29 +492,29 @@ def empirical_tally(s: SubgroupSpec, x, jobs=1, classes=None, scan_anomalous=Fal
 
     The classes are the `primitive_class_chunks` stream, or the prefix of
     the given `classes` as one chunk; only running counts cross chunks.
-    Types only depend on the reduction mod N, so they are found once per
-    residue key (at most |Xi(N)|, memoized across chunks) and counted with
-    `bincount`; `counts` lists the types in the order of their first class.
+    Types and orders are constant on cover keys, so a chunk is counted per
+    key and one class of each new key is typed (`key_types`); `counts`
+    lists the types in the order of their first class.
     """
     t_max = tally_cutoff(x)
     table = build_coset_table(s)
     chunks = (primitive_class_chunks(t_max, jobs) if classes is None
               else [classes_below(x, t_max, classes)])
     tally = EmpiricalTally(s, float(x), {}, 0, 0 if scan_anomalous else None)
-    memo = {}  # residue key -> (type, order)
+    known = {}  # key code -> (type, order)
     for part in chunks:
-        keys, inverse = residues_mod(part, s.level)
-        new = [k for k in keys.tolist() if k not in memo]
-        memo.update(zip(new, residue_types(np.array(new, dtype=np.int64), table)))
-        types = [memo[k] for k in keys.tolist()]
-        per_residue = np.bincount(inverse, minlength=len(types)).tolist()
-        for r in np.argsort(np.unique(inverse, return_index=True)[1]).tolist():
-            tally.counts[types[r][0]] = tally.counts.get(types[r][0], 0) + per_residue[r]
+        keys, first, inverse = cover_keys(part, s.level)
+        new = [i for i, k in enumerate(keys.tolist()) if k not in known]
+        known.update(zip(keys.take(new).tolist(), key_types(part, first.take(new), table)))
+        types = [known[k] for k in keys.tolist()]
+        per_key = np.bincount(inverse)
+        for r in first.argsort().tolist():
+            tally.counts[types[r][0]] = tally.counts.get(types[r][0], 0) + int(per_key[r])
         tally.total += len(part)
         if scan_anomalous:
-            bad = np.array([order not in lam for lam, order in types], dtype=bool).take(inverse)
-            tally.anomalous += int(bad.sum())
-            for i in np.flatnonzero(bad)[:50 - len(tally.witnesses)].tolist():
+            bad = np.array([order not in lam for lam, order in types], dtype=bool)
+            tally.anomalous += int(per_key[bad].sum())
+            for i in np.flatnonzero(bad.take(inverse))[:50 - len(tally.witnesses)].tolist():
                 lam, order = types[inverse[i]]
                 tally.witnesses.append({"trace": int(part.trace[i]),
                                         "form": [int(part.a[i]), int(part.b[i]), int(part.c[i])],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Family, SubgroupSpec, partition, prime_factors
 from .cosets import build_coset_table, capped_key_count
-from .geodesics import classes_below, max_trace, residue_types, residues_mod
+from .geodesics import classes_below, cover_keys, key_types, max_trace
 
 
 def _factors(e, t_max):
@@ -51,16 +51,17 @@ class ClassData:
     `t_max` is the largest trace of that cutoff; a check at a cutoff x uses
     the classes of trace <= max_trace(x) and is refused with ValueError when
     that exceeds `t_max`.  Given classes (`PrimitiveClasses`) must reach
-    `t_max` as well (`geodesics.classes_below`).  The reduction mod N is
-    made once per level and shared by the subgroups of that level.
+    `t_max` as well (`geodesics.classes_below`).  The cover keys are found
+    once per level, and each factor table once at `t_max`.
     """
 
     def __init__(self, x, classes=None, jobs=1):
         self.cutoff = float(x)
         self.t_max = max_trace(x)
         self.classes = classes_below(x, self.t_max, classes, jobs)
-        self._residues = {}  # level -> (distinct residue keys, residue index of each class)
-        self._types = {}  # subgroup -> [(type, order)] per residue of its level
+        self._keys = {}  # level -> (first class of each key, key index of each class)
+        self._types = {}  # subgroup -> [(type, order)] per key of its level
+        self._factors = {}  # exponent -> `_factors` table up to t_max
 
     def trace_bound(self, x):
         """max_trace(x); ValueError if the data stops below it."""
@@ -73,22 +74,28 @@ class ClassData:
         return t_max
 
     def types(self, subgroup):
-        """The (splitting type, order of the reduction) of every distinct
-        residue mod the level, and the index of each class's residue,
-        aligned with `classes`; subgroup None means the trivial cover, one
-        pair (partition([1]), 1)."""
+        """The (splitting type, order of the reduction) of every cover key
+        of the level, and the key index of each class, aligned with
+        `classes`; subgroup None means the trivial cover, one pair
+        (partition([1]), 1)."""
         if subgroup is None:
             return [(partition([1]), 1)], np.zeros(len(self.classes), dtype=np.intp)
-        if subgroup.level not in self._residues:
-            self._residues[subgroup.level] = residues_mod(self.classes, subgroup.level)
-        keys, inverse = self._residues[subgroup.level]
+        if subgroup.level not in self._keys:
+            self._keys[subgroup.level] = cover_keys(self.classes, subgroup.level)[1:]
+        first, inverse = self._keys[subgroup.level]
         if subgroup not in self._types:
-            self._types[subgroup] = residue_types(keys, build_coset_table(subgroup))
+            self._types[subgroup] = key_types(self.classes, first, build_coset_table(subgroup))
         return self._types[subgroup], inverse
+
+    def factors(self, e, t_max):
+        """`_factors(e, t_max)`, as a prefix of the table built at `self.t_max`."""
+        if e not in self._factors:
+            self._factors[e] = _factors(e, self.t_max)
+        return self._factors[e][:t_max - 2]
 
     def kept(self, t_max, subgroup):
         """The traces of the classes of trace <= t_max, the types of the
-        distinct residues and the residue index of each of those classes."""
+        cover keys and the key index of each of those classes."""
         trace = self.classes.below(t_max).trace
         pairs, index = self.types(subgroup)
         return trace, pairs, index[:len(trace)]
@@ -119,8 +126,8 @@ def _class_data(x, data, covers, jobs=1):
 
 def _class_counts(weights, index, trace, t_max):
     """counts[j, t - 3]: the sum of weights[r, j] over the classes of trace t,
-    r the residue of each, as int64; one weighted `bincount` per column j,
-    so memory stays linear in the classes whatever the number of residues.
+    r the cover key of each, as int64; one weighted `bincount` per column j,
+    so memory stays linear in the classes whatever the number of keys.
     The float64 sums are exact: at most classes x index < 2^53 at the caps."""
     return np.array([np.bincount(trace - 3, weights=w.take(index), minlength=t_max - 2)
                      for w in weights.T]).astype(np.int64)
@@ -138,7 +145,7 @@ def _run_weights(lams, column):
 def venkov_counts(pairs, index, trace, t_max):
     """The types' parts in increasing order, and two parts x (t_max - 2)
     counts of each (part, trace) over the classes, the Venkov-Zograf sides:
-    by class (the runs of each class's residue, added per trace) and by
+    by class (the runs of each class's key, added per trace) and by
     type (the types' runs times the (type, trace) histogram).  The
     identity holds exactly when they are equal."""
     parts = sorted({part for lam, _ in pairs for part, _ in lam.runs})
@@ -161,7 +168,7 @@ def zeta_lambda_log(s, x, subgroup, lam, data: ClassData | None = None) -> ZetaT
     lam = partition(lam)
     traces = trace[np.array([got == lam for got, _ in pairs], dtype=bool).take(index)]
     counts = np.bincount(traces - 3, minlength=t_max - 2)
-    return ZetaTruncation(s, float(x), _total(_factors(s, t_max), counts.tolist()), len(traces))
+    return ZetaTruncation(s, float(x), _total(data.factors(s, t_max), counts.tolist()), len(traces))
 
 
 def zeta_gamma_log(s, x, data: ClassData | None = None) -> ZetaTruncation:
@@ -187,7 +194,7 @@ def venkov_zograf_check(s, x, subgroup: SubgroupSpec | None, data: ClassData | N
     t_max = data.trace_bound(x)
     trace, pairs, index = data.kept(t_max, subgroup)
     parts, by_class, by_type = venkov_counts(pairs, index, trace, t_max)
-    terms = [v for part in parts for v in _factors(part * s, t_max)]
+    terms = [v for part in parts for v in data.factors(part * s, t_max)]
     lhs = _total(terms, by_class.ravel().tolist())
     rhs = _total(terms, by_type.ravel().tolist())
     return {
@@ -209,7 +216,7 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, jobs=1):
     reduction mod p has order p: the LHS is their trace histogram against
     one table of (p-1)/2 (p f_s - f_ps).  The RHS counts (part, trace)
     entries by class against p f at the Gamma1(p) parts and -f at the
-    Gamma(p) parts; both subgroups share one reduction mod p.
+    Gamma(p) parts; both subgroups share the cover keys mod p.
     Without `data`, the classes are enumerated with `jobs` processes.
     """
     require_s_above_one(s)
@@ -219,10 +226,10 @@ def ratio_identity_check(p, s, x, data: ClassData | None = None, jobs=1):
     data = _class_data(x, data, [sub1, subp], jobs)
     t_max = data.trace_bound(x)
     trace, pairs1, index = data.kept(t_max, sub1)
-    pairsp = data.types(subp)[0]  # the residues mod p, so the index, are shared
+    pairsp = data.types(subp)[0]  # the keys mod p, so the index, are shared
     half = (p - 1) / 2
     parts = sorted({1, p} | {part for lam, _ in pairs1 + pairsp for part, _ in lam.runs})
-    factor = {part: _factors(part * s, t_max) for part in parts}
+    factor = {part: data.factors(part * s, t_max) for part in parts}
     lhs_terms = [half * (p * a - b) for a, b in zip(factor[1], factor[p])]
     full = np.array([order == p for _, order in pairs1], dtype=bool).take(index)
     lhs = _total(lhs_terms, np.bincount(trace[full] - 3, minlength=t_max - 2).tolist())

@@ -569,7 +569,7 @@ def primitive_classes(x):
 
 def residue_keys(classes, n):
     """The reduction mod n of each class's matrix as a canonical tuple, one
-    `canon` per class: the oracle of `geodesics.residues_mod`."""
+    `canon` per class: the per-class oracle behind `class_types`."""
     return [canon(m.a, m.b, m.c, m.d, n) for _, _, m in classes]
 
 
@@ -577,7 +577,8 @@ def class_types(classes, s):
     """(splitting type, order in Xi(N)) of each (trace, form, matrix)
     triple's reduction: `residue_keys`, then `splitting_type_cycles` and
     `order_in_xi_tuple` once per distinct residue, independent of
-    `geodesics.residue_types`.  s None is the trivial cover, ((1,), 1)."""
+    `geodesics.cover_keys` and `key_types`.  s None is the trivial cover,
+    ((1,), 1)."""
     if s is None:
         return [((1,), 1)] * len(classes)
     table = build_coset_table(s)

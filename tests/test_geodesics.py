@@ -2,13 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosplit.core import Family, IntegerMatrix, SubgroupSpec
+from geosplit.core import Family, IntegerMatrix, SubgroupSpec, sign_keys
 from geosplit.geodesics import (
     anomalous_type_scan,
     class_of_matrix,
+    cover_keys,
     empirical_tally,
     enumerate_primitive_classes,
     is_reduced,
@@ -20,7 +22,7 @@ from geosplit.geodesics import (
     tally_tsv,
 )
 from geosplit.census import density_table
-from reference import (classes_at_trace, mark_primitivity, primitive_classes,
+from reference import (class_types, classes_at_trace, mark_primitivity, primitive_classes,
                        reduced_forms_at_trace, tally_reference)
 
 
@@ -461,6 +463,65 @@ def test_column_tally_equals_per_class_reference(x, family, level):
     counts, total, anomalous, witnesses = tally_reference(s, x, primitive_classes(x))
     assert list(tally.counts.items()) == list(counts.items())
     assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
+
+
+# ---------------------------------------------------------------------------
+# cover keys against the per-class reference
+
+# 2-powers, even composites, odd composites and odd prime powers; every
+# family's coset table is below the cap at all of them
+KEY_LEVELS = [8, 16, 32, 12, 20, 24, 60, 15, 45, 25, 27, 49]
+# the covers where a 2-part residue taken up to sign puts two types on one key
+SIGN_TRAP = [(Family.GAMMA0, 12), (Family.GAMMA, 12), (Family.GAMMA1, 20)]
+
+
+@pytest.mark.parametrize("level", KEY_LEVELS)
+@pytest.mark.parametrize("family", list(Family))
+def test_cover_key_tally_equals_per_class_reference(classes_1e5, family, level):
+    s = SubgroupSpec(family, level)
+    tally = empirical_tally(s, 10**5, classes=classes_1e5, scan_anomalous=True)
+    counts, total, anomalous, witnesses = tally_reference(s, 10**5, classes_1e5)
+    assert list(tally.counts.items()) == list(counts.items())
+    assert (tally.total, tally.anomalous, tally.witnesses) == (total, anomalous, witnesses)
+
+
+def _key_pairs(keys, pairs):
+    """key -> the set of (type, order) pairs of its classes."""
+    seen = {}
+    for key, pair in zip(keys, pairs):
+        seen.setdefault(key, set()).add(pair)
+    return seen
+
+
+@pytest.mark.parametrize("family, level", SIGN_TRAP)
+def test_cover_key_needs_the_unsigned_two_part(classes_1e5, family, level):
+    """The unsigned matrix mod 2^e keeps one (type, order) per key; the
+    same odd key with the 2-part taken up to sign (`core.sign_keys`) does
+    not."""
+    s = SubgroupSpec(family, level)
+    q = level & -level
+    pairs = class_types(list(classes_1e5), s)
+    keys = cover_keys(classes_1e5, level)[2].tolist()
+    assert all(len(v) == 1 for v in _key_pairs(keys, pairs).values())
+    odd = cover_keys(classes_1e5, level // q)[2]
+    signed = odd * q**4 + sign_keys([v % q for v in classes_1e5.entries], q)
+    assert any(len(v) > 1 for v in _key_pairs(signed.tolist(), pairs).values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(Family)), st.integers(2, 128), st.integers(7, 10**5), st.randoms())
+def test_cover_key_fixes_type_and_order(classes_1e5, family, level, x, rng):
+    """Up to 100 classes that share their key with an earlier class have
+    the (type, order) of the key's first class under the reference."""
+    s = SubgroupSpec(family, level)
+    classes = classes_1e5.below(max_trace(x))
+    _, first, inverse = cover_keys(classes, level)
+    rep = first.take(inverse)
+    later = np.flatnonzero(rep != np.arange(len(classes))).tolist()
+    rows = sorted(rng.sample(later, min(100, len(later))))
+    triples = list(classes)
+    assert (class_types([triples[i] for i in rows], s)
+            == class_types([triples[i] for i in rep.take(rows).tolist()], s))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from geosplit.core import Family, SubgroupSpec, canon, mul
 from geosplit.cosets import build_coset_table
-from geosplit.geodesics import norm_below
+from geosplit.geodesics import max_trace, norm_below
 from geosplit.zeta import (
     ClassData,
     ratio_identity_check,
@@ -399,19 +399,76 @@ def test_non_finite_s_is_refused(data_1e4, s):
                 call(data)
 
 
+# (lhs, rhs) of each check, or (log value, term count), at x = 1e4 and s = 2,
+# as float.hex: the sums of the per-residue reduction that cover keys replaced
+RECORDED_1E4 = {
+    ("ratio", 3): ("0x1.af7b1bef022e8p-5", "0x1.af7b1bef022e8p-5"),
+    ("ratio", 5): ("0x1.ecb671532b9c3p-3", "0x1.ecb671532b9c4p-3"),
+    ("venkov", Family.GAMMA0, 12): ("0x1.08b1164f1918dp-9", "0x1.08b1164f1918dp-9"),
+    ("venkov", Family.GAMMA, 9): ("0x1.72e959cd4f9e4p-16", "0x1.72e959cd4f9e4p-16"),
+    ("venkov", Family.GAMMA1, 10): ("0x1.8fb558ce57540p-9", "0x1.8fb558ce57540p-9"),
+    ("lambda", Family.GAMMA0, 5, (5, 1)): ("0x1.8a2b8ecc63018p-6", 488),
+    ("lambda", Family.GAMMA, 5, (5,) * 12): ("0x1.8a2b8ecc63018p-6", 488),
+    ("lambda", Family.GAMMA0, 12, (6,) * 4): ("0x1.6794d1ba3b2d1p-6", 103),
+    ("lambda", Family.GAMMA1, 10, (6,) * 4 + (3,) * 4): ("0x1.93be83de22535p-7", 202),
+    ("lambda", Family.GAMMA, 9, (9,) * 36): ("0x1.02050f02d19dfp-6", 516),
+    ("lambda", None, None, (1,)): ("0x1.5c8d1bc5b2840p-5", 1214),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED_1E4), ids=str)
+def test_sums_are_bit_identical_to_the_recorded_values(data_1e4, case):
+    kind, *args = case
+    if kind == "ratio":
+        r = ratio_identity_check(args[0], 2.0, 10**4, data_1e4)
+        got = (r["lhs_log"].hex(), r["rhs_log"].hex())
+    elif kind == "venkov":
+        r = venkov_zograf_check(2.0, 10**4, SubgroupSpec(*args), data_1e4)
+        got = (r["lhs_log"].hex(), r["rhs_log"].hex())
+    else:
+        family, level, lam = args
+        s = SubgroupSpec(family, level) if family else None
+        z = zeta_lambda_log(2.0, 10**4, s, lam, data_1e4)
+        got = (z.log_value.hex(), z.term_count)
+    assert got == RECORDED_1E4[case]
+
+
+def test_factor_tables_are_built_once_per_exponent(monkeypatch, classes_1e4):
+    """Checks on one ClassData share each factor table; a smaller cutoff
+    reads a prefix of it, equal to the table built at that cutoff."""
+    import geosplit.zeta as zeta
+
+    built = []
+    factors = zeta._factors
+
+    def counting(e, t_max):
+        built.append(e)
+        return factors(e, t_max)
+
+    monkeypatch.setattr(zeta, "_factors", counting)
+    data = ClassData(10**4, classes=classes_1e4)
+    ratio_identity_check(3, 2.0, 10**4, data)
+    venkov_zograf_check(2.0, 5000, SubgroupSpec(Family.GAMMA0, 3), data)
+    venkov_zograf_check(2.0, 10**4, SubgroupSpec(Family.GAMMA, 3), data)
+    zeta_lambda_log(2.0, 5000, SubgroupSpec(Family.GAMMA1, 3), (3, 1), data)
+    assert sorted(built) == sorted(set(built)) and 2.0 in built and 6.0 in built
+    t_max = max_trace(5000)
+    assert data.factors(6.0, t_max) == factors(6.0, t_max)
+
+
 def test_one_reduction_per_level(monkeypatch, classes_1e4):
-    """Gamma1(p) and Gamma(p) share the reduction mod p, and every later
-    check at that level reuses it."""
+    """Gamma1(p) and Gamma(p) share the cover keys mod p, and every later
+    check at that level reuses them."""
     import geosplit.zeta as zeta
 
     levels = []
-    residues_mod = zeta.residues_mod
+    cover_keys = zeta.cover_keys
 
     def counting(classes, n):
         levels.append(n)
-        return residues_mod(classes, n)
+        return cover_keys(classes, n)
 
-    monkeypatch.setattr(zeta, "residues_mod", counting)
+    monkeypatch.setattr(zeta, "cover_keys", counting)
     data = ClassData(10**4, classes=classes_1e4)
     ratio_identity_check(5, 2.0, 10**4, data)
     assert levels == [5]
@@ -425,7 +482,7 @@ def test_one_reduction_per_level(monkeypatch, classes_1e4):
 
 def test_smaller_cutoffs_share_the_reduction(monkeypatch, classes_1e4):
     """A check at a smaller cutoff sums over a prefix of the classes, so it
-    reduces nothing again, whichever cutoff asks first, and its sums equal
+    finds no cover keys again, whichever cutoff asks first, and its sums equal
     those of class data built at that cutoff."""
     import geosplit.zeta as zeta
 
@@ -436,20 +493,20 @@ def test_smaller_cutoffs_share_the_reduction(monkeypatch, classes_1e4):
     parent_want = venkov_zograf_check(2.0, 10**4, s1, ClassData(10**4, classes=classes_1e4))
 
     levels = []
-    residues_mod = zeta.residues_mod
+    cover_keys = zeta.cover_keys
 
     def counting(classes, n):
         levels.append(n)
-        return residues_mod(classes, n)
+        return cover_keys(classes, n)
 
-    monkeypatch.setattr(zeta, "residues_mod", counting)
+    monkeypatch.setattr(zeta, "cover_keys", counting)
     data = ClassData(10**4, classes=classes_1e4)
     ratio_identity_check(3, 2.0, 10**4, data)
     assert levels == [3]
     assert ratio_identity_check(3, 2.0, 5000, data) == want[0]
     assert venkov_zograf_check(2.0, 5000, s0, data) == want[1]
     assert levels == [3]
-    # the smaller cutoff reduces mod 5 first; the full one then reuses that reduction
+    # the smaller cutoff finds the keys mod 5 first; the full one then reuses them
     assert venkov_zograf_check(2.0, 5000, s1, data) == want[2]
     assert venkov_zograf_check(2.0, 10**4, s1, data) == parent_want
     assert levels == [3, 5]
