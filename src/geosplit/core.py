@@ -18,7 +18,6 @@ the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -529,74 +528,30 @@ def prime_factors(n):
     return [p for p, _ in factorize(n)]
 
 
-# the twelve primes below 40: trial divisors of `factorize`, and bases of
-# a Miller-Rabin test that is exact below 3.18e23 (psi_12 of Sorenson and
-# Webster, Math. Comp. 86, 2017); every larger level is over the caps,
-# whatever its factors
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# no accepted level or group order has a prime factor near the bound: the
+# caps stop levels below 10^5, and the primes of |Xi(N)| and of element
+# orders divide N, p - 1 or p + 1; so every n < 10^12 factors exactly
+_TRIAL_BOUND = 10**6
 
 
 def factorize(n):
-    """n = prod p^e as a list of (p, e), p ascending ([] for n < 2).  The
-    primes below 40 are tried first, which leaves a prime (or 1) below
-    41^2; a larger rest is split by Pollard's rho until Miller-Rabin finds
-    each piece prime, so any 64-bit n factors at once."""
-    out = []
-    for q in _SMALL_PRIMES:
-        if q * q > n:
-            break
-        if n % q == 0:
+    """n = prod p^e as a list of (p, e), p ascending ([] for n < 2), by
+    trial division up to _TRIAL_BOUND.  A rest with no divisor up to the
+    bound and above its square is refused with CapExceeded."""
+    out, rest = [], n
+    q = 2
+    while q * q <= rest and q <= _TRIAL_BOUND:
+        if rest % q == 0:
             e = 0
-            while n % q == 0:
-                n //= q
+            while rest % q == 0:
+                rest //= q
                 e += 1
             out.append((q, e))
-    if n < 41 * 41:
-        return out + [(n, 1)] * (n > 1)
-    large, pending = Counter(), [n]
-    while pending:
-        m = pending.pop()
-        if _is_prime(m):
-            large[m] += 1
-        else:
-            d = _rho_factor(m)
-            pending += [d, m // d]
-    return out + sorted(large.items())
-
-
-def _is_prime(n):
-    """Miller-Rabin to the bases _SMALL_PRIMES, for n > 37 with no prime
-    factor below 40."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n):
-    """A proper factor of the composite n, which has no prime factor below
-    40, by Pollard's rho on x -> x^2 + c with Floyd's cycle finding; a c
-    whose walk closes without a factor gives way to c + 1."""
-    for c in itertools.count(1):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
-        if d != n:
-            return d
+        q += 1 if q == 2 else 2
+    if rest > _TRIAL_BOUND**2:
+        raise CapExceeded(f"factoring {n}: {rest} has no prime factor up to {_TRIAL_BOUND} "
+                          f"and exceeds cap {_TRIAL_BOUND}^2")
+    return out + [(rest, 1)] * (rest > 1)
 
 
 def divisors(n):

@@ -205,8 +205,11 @@ def test_closed_form_rejects_bad_levels():
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 15))
     with pytest.raises(ValueError):
         density_table_closed_form(SubgroupSpec(Family.GAMMA0, 8))
-    # the prime 2^61 - 1: refused before any array is allocated
+    # the prime 2^31 + 11 factors, and is refused before any array is allocated
     with pytest.raises(ValueError, match="exceeds int64"):
+        density_table_closed_form(SubgroupSpec(Family.GAMMA, 2**31 + 11))
+    # the prime 2^61 - 1 has no factor up to the trial bound: refused as it is factored
+    with pytest.raises(CapExceeded, match="exceeds cap"):
         density_table_closed_form(SubgroupSpec(Family.GAMMA, 2**61 - 1))
 
 

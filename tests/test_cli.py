@@ -118,8 +118,10 @@ def test_densities_closed_form_composite_refused_before_the_closed_table(capsys,
     assert "two prime factors" in err
 
 
-# the prime 2^61 - 1: trial division would not finish
+# the prime 2^61 - 1 and a product of two 15-digit primes: above 10^12
+# with no prime factor up to factorize's trial bound
 HUGE_LEVEL = str(2**61 - 1)
+SEMIPRIME = str(100000000000031 * 100000000000067)
 
 
 @pytest.mark.parametrize("args", [
@@ -148,11 +150,17 @@ def test_huge_level_refused_without_factoring(capsys, monkeypatch, tmp_path, arg
     ("densities", "--family", "gamma0", "--level", HUGE_LEVEL, "--closed-form"),
     ("densities", "--family", "gamma0", "--level", str(2 * (2**61 - 1)), "--composite"),
     ("zeta-check", "--p", HUGE_LEVEL, "--s", "2", "--x", "100"),
+    ("densities", "--family", "gamma0", "--level", SEMIPRIME, "--closed-form"),
+    ("densities", "--family", "gamma0", "--level", SEMIPRIME, "--composite"),
+    ("zeta-check", "--p", SEMIPRIME, "--s", "2", "--x", "100"),
+    ("zeta-check", "--p", "318665857834031151167461", "--s", "2", "--x", "100"),
 ])
 def test_huge_level_factored_then_refused(tmp_path, args):
     """Routes that factor the level first (closed form, composite, the
     prime check of zeta-check) reach the cap at once: exit 2, in a fresh
-    process with a time limit."""
+    process with a time limit.  Neither a product of two 15-digit primes
+    nor a strong pseudoprime to the primes below 40 has a factor up to the
+    trial bound."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "geosplit.cli", "--cache-dir",
                            str(tmp_path / "cache"), *args], env=env, capture_output=True,

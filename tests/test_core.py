@@ -1,8 +1,16 @@
+import math
 import random
+import time
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geosplit import census, cosets
 from geosplit.core import (
+    _TRIAL_BOUND,
+    CapExceeded,
     Family,
     IntegerMatrix,
     SubgroupSpec,
@@ -15,7 +23,7 @@ from geosplit.core import (
     order_in_xi_tuple,
     xi_order,
 )
-from reference import factorize_reference, inv, is_member_tuple, matpow
+from reference import factorize_reference, inv, is_member_tuple, matpow, spf_sieve
 
 
 def test_xi_sizes_match_paper():
@@ -168,11 +176,42 @@ P31 = 2**31 - 1
     ((P31 - 18) * P31, [(P31 - 18, 1), (P31, 1)]),  # two primes near 2^31
     (2 * (2**61 - 1), [(2, 1), (2**61 - 1, 1)]),
     (2**64 - 59, [(2**64 - 59, 1)]),  # the largest prime below 2^64
+    # strong pseudoprime to the twelve primes below 40 (Sorenson and Webster)
+    (318665857834031151167461, [(399165290221, 1), (798330580441, 1)]),
+    (100000000000031 * 100000000000067, [(100000000000031, 1), (100000000000067, 1)]),
 ])
 def test_factorize_64_bit_levels(n, want):
-    """Miller-Rabin and Pollard's rho: primes, pseudoprimes and products of
-    two 31-bit primes, which trial division would take 2^31 steps on."""
-    assert factorize(n) == want
-    for p, _ in want[:2]:
-        if p < 10**10:
+    """Pseudoprimes below 10^12 factor exactly.  Above 10^12 every row
+    leaves a rest with no prime factor up to the trial bound and above its
+    square, which is refused with CapExceeded in under a second."""
+    if n < 10**12:
+        assert factorize(n) == want
+        for p, _ in want[:2]:
             assert factorize_reference(p) == [(p, 1)]
+        return
+    assert want[-1][0] > _TRIAL_BOUND
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        factorize(n)
+    assert time.perf_counter() - start < 1
+
+
+PRIMES_BELOW_BOUND = np.flatnonzero(spf_sieve(_TRIAL_BOUND - 1) == np.arange(_TRIAL_BOUND))[2:]
+
+
+@given(st.lists(st.sampled_from(PRIMES_BELOW_BOUND.tolist()), min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_factorize_products_of_primes_below_the_bound(primes):
+    """A product of up to six primes below the trial bound factors exactly,
+    as group orders above 10^12 (|Xi(99991)| is about 5e14) must."""
+    assert factorize(math.prod(primes)) == sorted(Counter(primes).items())
+
+
+def test_trial_bound_covers_the_caps():
+    """Every accepted level is below the trial bound: closed-form levels
+    p^r < 2 CLOSED_CATALOG_CAP, and coset levels, whose index is over
+    0.3 N^2 and at most DEFAULT_INDEX_CAP (census levels, with 0.3 N^3
+    under an equal group cap, are smaller still).  Raising a cap past
+    the bound fails here instead of refusing real levels."""
+    assert _TRIAL_BOUND > 2 * census.CLOSED_CATALOG_CAP
+    assert _TRIAL_BOUND > math.isqrt(10 * cosets.DEFAULT_INDEX_CAP // 3)
