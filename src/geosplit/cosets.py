@@ -15,18 +15,22 @@ first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
 it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  Every
 table is read off the chain heads of `core.chain_heads` and their
-`column_rows` table.  For Gamma1 the heads are the representatives; for
+`column_rows` table.  A unit u moves the columns by (a, c) -> (u*a, u*c),
+which commutes with the action (Diamond-Shurman, GTM 228, 1.2).  For
 Gamma0 the orbits of the heads under generators of (Z/N)^* are the
 components of their permutations (`core.component_labels`), each
-represented by the head of its least column.  Both read a coset by direct
-address from an n x n int32 array over the columns.  Gamma(N) is normal
-and its cosets are the elements, numbered by their places h*n + t
-(head_h * T^t) in `xi_chain_grid`, so its table holds only the heads.
+represented by the head of its least column.  For Gamma1 a unit u0 of
+largest order m mod +-1 moves every column in an orbit of exactly m, as
+u*v = +-v for a primitive v only at u = +-1, and coset L*m + e is the
+column u0^e * leader_L.  Both read a coset by direct address from an n x n
+int32 array over the columns.  Gamma(N) is normal and its cosets are the
+elements, numbered by their places h*n + t (head_h * T^t) in
+`xi_chain_grid`, so its table holds only the heads.
 
 The action has one kernel, `act_block`, which returns it in block (wreath)
 form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
-the matrices the table holds plus a shift in Z/m at each, m = N for Gamma
-and m = 1 for Gamma0 and Gamma1.  A column alone would also accept
+the matrices the table holds plus a shift in Z/m at each, m = N for Gamma,
+m for Gamma1 and m = 1 for Gamma0.  A column alone would also accept
 matrices of determinant other than 1 (the columns of (2,0,0,2) mod 7 are
 unimodular), so an element outside Xi(N) is refused with ValueError.  No
 route writes the block form out as a permutation of all the cosets: `act`
@@ -52,6 +56,7 @@ from .core import (
     Partition,
     SubgroupSpec,
     _distinct_rows,
+    _gather,
     canon,
     capped_xi_order,
     chain_heads,
@@ -59,6 +64,7 @@ from .core import (
     cycle_labels,
     divisors,
     grid_entries,
+    matrix_powers,
     moebius_type_ids,
     parts_from_traces,
     xi_chain_grid,
@@ -82,26 +88,33 @@ class CosetTable:
     """The cosets of one congruence subgroup in the block form of
     `act_block`: the entries (4 x k int32) `acted` of the matrices an
     element multiplies, each standing for `modulus` m cosets, so that the
-    index is k*m.  For Gamma0 and Gamma1 they are the representatives, chain
-    heads in the order of their first columns, m = 1, and the int32
-    `lookup` maps the address a*n + c of a first column to its coset, -1
-    where it names none.  For Gamma they are the chain heads, m = N, coset
-    h*N + t is head_h * T^t, and `lookup` is None."""
+    index is k*m.  For Gamma they are the chain heads, m = N, coset h*N + t
+    is head_h * T^t, and `lookup` is None.  For Gamma0 (m = 1) and Gamma1
+    they are the orbit leaders, and the int32 `lookup` maps the address
+    a*n + c of a column, either sign, to its coset L*m + e (the column
+    u0^e * leader_L), -1 where it names none."""
 
-    def __init__(self, subgroup: SubgroupSpec, acted, lookup=None):
+    def __init__(self, subgroup: SubgroupSpec, acted, lookup, modulus):
         self.subgroup = subgroup
         self.level = subgroup.level
         self.acted = acted
         self.lookup = lookup
-        self.modulus = self.level if subgroup.family == Family.GAMMA else 1
-        self.index = acted.shape[1] * self.modulus
+        self.modulus = modulus
+        self.index = acted.shape[1] * modulus
 
     @functools.cached_property
     def reps(self):
         """The representatives as canonical tuples in coset order, built on
-        first use: for Gamma the elements of `xi_chain_grid`, row by row."""
-        entries = self.acted if self.modulus == 1 else xi_chain_grid(self.level)
-        return [canon(*g, self.level) for g in zip(*(v.ravel().tolist() for v in entries))]
+        first use: for Gamma the elements of `xi_chain_grid`, row by row,
+        else the head of the least column of each coset."""
+        n = self.level
+        if self.lookup is None:
+            entries = xi_chain_grid(n)
+        else:
+            heads = chain_heads(n)[0]
+            least = np.unique(self.lookup.take(heads[0] * n + heads[2]), return_index=True)[1]
+            entries = heads.take(least, axis=1)
+        return [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in entries))]
 
 
 def capped_key_count(s: SubgroupSpec):
@@ -132,17 +145,31 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     if k * (n if s.family == Family.GAMMA else 1) != count:
         raise ConsistencyError(f"{k} chain heads of {n} for {s}, expected {count}")
     if s.family == Family.GAMMA:
-        return CosetTable(s, heads)
-    column = np.where(rows < 0, -1, rows % k)  # the head of each column, up to sign
-    if s.family == Family.GAMMA1:
-        return CosetTable(s, heads, column)
-    # each unit u permutes the heads: (a, c) -> (u*a, u*c)
+        return CosetTable(s, heads, None, n)
+    if s.family == Family.GAMMA0:
+        units, m = _unit_generators(n), 1
+    else:  # one unit u0 of largest order m mod +-1: a unit's order is the least d | phi(n)/2
+        # with u^d = +-1, and one `matrix_powers` call forms every unit's u^d (1 x 1 matrices)
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+        ds = np.array(divisors(max(1, len(units) // 2)))
+        powers = np.stack(matrix_powers(units.reshape(-1, 1, 1), ds.tolist(), n))[:, :, 0, 0]
+        orders = ds.take(((powers == 1 % n) | (powers == n - 1)).argmax(axis=0))
+        units, m = [int(units[orders.argmax()])], int(orders.max())
     a, c = heads[0], heads[2]
-    steps = [rows.take(u * a % n * n + u * c % n) % k for u in _unit_generators(n)]
-    label = component_labels(steps, _BLOCK_ENTRIES) if steps else np.arange(k)
-    leaders = np.flatnonzero(label == np.arange(k))
-    orbit = np.searchsorted(leaders, label).astype(_PERM_DTYPE)
-    return CosetTable(s, heads.take(leaders, axis=1), np.where(column < 0, -1, orbit.take(column)))
+    steps = [rows.take(u * a % n * n + u * c % n) % k for u in units]
+    label = component_labels(steps, _BLOCK_ENTRIES) if steps else np.arange(k, dtype=np.int32)
+    leader = label == np.arange(k, dtype=np.int32)
+    coset = m * (np.cumsum(leader, dtype=_PERM_DTYPE) - 1).take(label)  # m * orbit number L
+    at = leaders = np.flatnonzero(leader)
+    if m > 1 and len(leaders) * m != k:  # the orbits of u0 have m heads each
+        raise ConsistencyError(f"{len(leaders)} orbits of {m} for the {k} chain heads of {s}")
+    for e in range(1, m):  # walk the orbits of u0: at holds the heads of u0^e * leader_L
+        at = steps[0].take(at)
+        coset[at] += e
+    lookup = np.empty_like(rows)
+    _gather(coset, rows % k, lookup)
+    lookup[rows < 0] = -1
+    return CosetTable(s, heads.take(leaders, axis=1), lookup, m)
 
 
 def _unit_generators(n):
@@ -161,16 +188,16 @@ def _unit_generators(n):
 
 def act_block(elements, table: CosetTable):
     """The action of a list of elements in block form: two rows x k int32
-    arrays (perm, shift) over the k matrices x_i of `table.acted`.
+    arrays (perm, shift) over the k matrices x_i of `table.acted`: coset
+    i*m + t goes to perm[i]*m + (t + shift[i]) mod m (`expand_block`).
 
-    For Gamma, g * x_i = +-x_perm[i] * T^shift[i] with x the chain heads,
-    read off the place h'*n + t' of the product in the chain grid
-    (`xi_grid_positions`): coset h*n + t goes to perm[h]*n + (t + shift[h])
-    mod n (`expand_block`).  For Gamma0 and Gamma1 perm is the coset
-    permutation, g * r_i in coset perm[i], read from `table.lookup` at the
-    address of the product's first column, and every shift is 0.  Only the
-    entries of the products that name a coset are computed.  An element
-    whose determinant is not 1 mod N is refused with ValueError.
+    (perm, shift) is divmod(p, m) for the coset p of g * x_i.  For Gamma, p
+    is the place h'*n + t' of the product in the chain grid
+    (`xi_grid_positions`), so g * x_i = +-x_perm[i] * T^shift[i]; for Gamma0
+    and Gamma1 it is `table.lookup` at the address of the product's first
+    column.  Only the entries of the products that name a coset are
+    computed.  An element whose determinant is not 1 mod N is refused with
+    ValueError.
     """
     n = table.level
     r = table.acted
@@ -182,11 +209,12 @@ def act_block(elements, table: CosetTable):
     e = [(g[:, 2 * i] * r[j] + g[:, 2 * i + 1] * r[j + 2]) % n
          for i, j in ([(0, 0), (1, 0)] if table.lookup is not None else np.ndindex(2, 2))]
     if table.lookup is None:
-        return np.divmod(xi_grid_positions(e, n), n)
-    perm = table.lookup.take(e[0] * n + e[1])
-    if perm.min(initial=0) < 0:
-        raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
-    return perm, np.zeros_like(perm)
+        place = xi_grid_positions(e, n)
+    else:
+        place = table.lookup.take(e[0] * n + e[1])
+        if place.min(initial=0) < 0:
+            raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
+    return np.divmod(place, table.modulus)
 
 
 def expand_block(perm, shift, m):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -44,6 +45,23 @@ def test_prime_power_index_formulas(p, r):
     assert table(Family.GAMMA0, n).index == p ** (r - 1) * (p + 1)
     assert table(Family.GAMMA1, n).index == p ** (2 * r - 2) * (p * p - 1) // 2
     assert table(Family.GAMMA, n).index == xi_order(n)
+
+
+def test_gamma1_modulus_is_the_largest_unit_order():
+    """The Gamma1 table's modulus is the largest order of a unit of Z/N up
+    to sign, here by repeated multiplication, and its acted leaders times
+    that modulus are the index, for every N <= 64."""
+    for n in range(2, 65):
+        orders = []
+        for u in range(1, n):
+            if gcd(u, n) == 1:
+                x, j = u, 1
+                while x not in (1 % n, n - 1):
+                    x, j = x * u % n, j + 1
+                orders.append(j)
+        t = table(Family.GAMMA1, n)
+        assert t.modulus == max(orders), n
+        assert t.acted.shape[1] * t.modulus == t.index == xi_order(n) // n, n
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)))
@@ -432,8 +450,8 @@ def _reference_dual_report(level, family):
 def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     """Also across block edges (Gamma(13) acts on 84 chain heads, so 195
     heads per action call and 15 chains per block; Gamma1(16) has 96
-    cosets, so 170 heads per call and 10 chains per block) and at level 2,
-    where -I = I."""
+    cosets on 24 orbit leaders of m = 4, so 682 heads per call and 42 of
+    its 96 chains per block) and at level 2, where -I = I."""
     import geosplit.core as core
     import geosplit.cosets as cosets
 
@@ -477,9 +495,10 @@ def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3, "perm")),
-                                         (Family.GAMMA1, 8, (0, 100, "perm")),
+                                         (Family.GAMMA1, 8, (0, 101, "perm")),
                                          (Family.GAMMA, 13, (3, 12, "perm")),
-                                         (Family.GAMMA, 13, (3, 12, "shift"))])
+                                         (Family.GAMMA, 13, (3, 12, "shift")),
+                                         (Family.GAMMA1, 16, (1, 100, "shift"))])
 def test_dual_report_sees_an_action_that_is_no_homomorphism(family, n, at, monkeypatch):
     """One row of one block in block form corrupted: its base permutation
     composed with a transposition, or the shift of its first head moved by
@@ -582,8 +601,14 @@ def test_act_block_rows_match_one_row_calls():
     assert [b.shape for b in act_block([], t)] == [(0, 84)] * 2
 
 
-@pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 24, 25, 30])
+# at 40 and 63, (Z/N)^*/{+-1} is not cyclic and Gamma1 has m = 4 and 6 < phi(N)/2;
+# Gamma(63) (108,864 cosets) is left out
+_BY_DEFINITION = [(family, n) for n in (2, 3, 4, 8, 9, 12, 24, 25, 30, 40, 63) for family in Family
+                  if (family, n) != (Family.GAMMA, 63)]
+
+
+@pytest.mark.parametrize("family,n", _BY_DEFINITION,
+                         ids=[f"{n}-{family.value}" for family, n in _BY_DEFINITION])
 def test_act_block_is_the_action_by_definition(family, n):
     """The direct-address lookup agrees with the action by membership, on
     all of Xi(N) while that stays under 1e5 permutation entries, else on a
@@ -655,8 +680,9 @@ def test_column_tables_never_enumerate_xi(family, monkeypatch):
 
 
 def test_table_faults_are_consistency_errors(monkeypatch):
-    """A product at an address the lookup lacks, or representatives that
-    share a coset, are faults of the table, not bad input."""
+    """A product at an address the lookup lacks, representatives that
+    share a coset, or orbits of u0 that do not have its order are faults of
+    the table, not bad input."""
     from geosplit.core import ConsistencyError
 
     t = table(Family.GAMMA1, 7)
@@ -675,6 +701,10 @@ def test_table_faults_are_consistency_errors(monkeypatch):
     t.reps = [t.reps[0]] + t.reps[:-1]
     with pytest.raises(ConsistencyError, match="partition"):
         act_reference(t)
+    # an order of u0 twice its true one would number every Gamma1 coset twice
+    monkeypatch.setattr(cosets, "divisors", lambda size: [2 * size])
+    with pytest.raises(ConsistencyError, match="orbits of 6"):
+        table(Family.GAMMA1, 7)
 
 
 def test_coset_key_cap_is_checked_before_building(monkeypatch):
