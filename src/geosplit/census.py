@@ -169,11 +169,11 @@ def _t_orbits(n):
 def _components(ends, count):
     """The least node of the component of each of `count` nodes under the
     edges ends[0][i] < ends[1][i], int32, by hooking and pointer jumping
-    (Shiloach-Vishkin) on the edge list, which `core.component_labels`,
-    on permutations, cannot take: hook each edge's greater end, a root,
-    under its lesser, jump every node to its root, move the edges to the
-    roots of their ends and drop those within one tree.  Parents only
-    decrease, so a root is its component's least node."""
+    (Shiloach-Vishkin) on the edge list, as S joins the T-orbits by edges,
+    not as the cycles of one permutation (`core.cycle_labels`): hook each
+    edge's greater end, a root, under its lesser, jump every node to its
+    root, move the edges to the roots of their ends and drop those within
+    one tree.  Parents only decrease, so a root is its least node."""
     parent = np.arange(count, dtype=np.int32)
     a, b = ends
     while len(a):

@@ -1,9 +1,8 @@
 """Exact arithmetic foundation: 2x2 integer matrices, the projective
 residue group Xi(N) = SL2(Z/N)/{+-I}, element orders, partitions, small
 number-theoretic helpers, the chain heads every coset table and the
-census read Xi(N) from (`chain_heads`), and the one kernel each for the
-cycles of a permutation (`cycle_labels`) and the components of several
-(`component_labels`).
+census read Xi(N) from (`chain_heads`), and the one kernel for the
+cycles of a permutation (`cycle_labels`).
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`
@@ -339,19 +338,19 @@ def cycle_labels(successor):
     doubling (Wyllie): after j rounds of label = min(label, label[p]);
     p = p[p], label[i] is the least point among the 2^j successors of i, so
     the labels stop changing exactly when each is its cycle's least point.
-    The gathers go _GATHER points at a time into fixed buffers, as `take`
-    widens its indices to intp."""
-    p, jumped = successor.copy(), np.empty_like(successor)
+    Three buffers rotate, the jumped successors going into the labels the
+    new ones free, and the gathers go _GATHER points at a time."""
+    p = successor.copy()
     label = np.arange(len(p), dtype=p.dtype)
-    nxt = np.empty_like(label)
+    spare = np.empty_like(label)
     while True:
-        _gather(label, p, nxt)
-        np.minimum(nxt, label, out=nxt)
-        if not (nxt < label).any():
+        _gather(label, p, spare)
+        np.minimum(spare, label, out=spare)
+        if not (spare < label).any():
             return label
-        label, nxt = nxt, label
-        _gather(p, p, jumped)
-        p, jumped = jumped, p
+        label, spare = spare, label
+        _gather(p, p, spare)
+        p, spare = spare, p
 
 
 # indices per gather of `cycle_labels`: the intp copy `take` makes of them
@@ -360,36 +359,10 @@ _GATHER = 1 << 16
 
 
 def _gather(source, at, out):
-    """out[i] = source[at[i]], _GATHER indices at a time."""
+    """out[i] = source[at[i]], _GATHER indices at a time; `out` may be an
+    int32 `at`, as `take` copies each piece of it to intp first."""
     for start in range(0, len(at), _GATHER):
         source.take(at[start:start + _GATHER], out=out[start:start + _GATHER], mode="clip")
-
-
-def component_labels(steps, chunk):
-    """The least point of the component through every point of the graph
-    with the edges i -> step[i] of the permutations `steps` (int32 arrays
-    of one length), by min-label hooking with pointer jumping
-    (Shiloach-Vishkin) in two int32 buffers: label = min(label,
-    label[step] for each step), then label = label[label], until nothing
-    changes.  The gathers go `chunk` points at a time, as `take` widens
-    its indices to intp (mode="clip" only skips the bounds check)."""
-    size = len(steps[0])
-    chunks = [slice(start, min(start + chunk, size)) for start in range(0, size, chunk)]
-    label = np.arange(size, dtype=np.int32)
-    nxt = np.empty_like(label)
-    changed = True
-    while changed:
-        for ch in chunks:
-            hooked = nxt[ch]
-            hooked[:] = label[ch]
-            for step in steps:
-                np.minimum(hooked, label.take(step[ch], mode="clip"), out=hooked)
-        changed = False
-        for ch in chunks:
-            jumped = nxt.take(nxt[ch], mode="clip")
-            changed = changed or not np.array_equal(jumped, label[ch])
-            label[ch] = jumped
-    return label
 
 
 # ---------------------------------------------------------------------------

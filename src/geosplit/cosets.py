@@ -16,16 +16,18 @@ it; the first column up to units for Gamma0(N), whose elements
 [[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  Every
 table is read off the chain heads of `core.chain_heads` and their
 `column_rows` table.  A unit u moves the columns by (a, c) -> (u*a, u*c),
-which commutes with the action (Diamond-Shurman, GTM 228, 1.2).  For
-Gamma0 the orbits of the heads under generators of (Z/N)^* are the
-components of their permutations (`core.component_labels`), each
-represented by the head of its least column.  For Gamma1 a unit u0 of
-largest order m mod +-1 moves every column in an orbit of exactly m, as
-u*v = +-v for a primitive v only at u = +-1, and coset L*m + e is the
-column u0^e * leader_L.  Both read a coset by direct address from an n x n
-int32 array over the columns.  Gamma(N) is normal and its cosets are the
-elements, numbered by their places h*n + t (head_h * T^t) in
-`xi_chain_grid`, so its table holds only the heads.
+which commutes with the action (Diamond-Shurman, GTM 228, 1.2).  Gamma0
+and Gamma1 fold the units of `_unit_generators` into orbits of the heads:
+Gamma0 all of them with m = 1, Gamma1 the first, u0, of largest order m
+mod +-1.  (Z/N)^* is abelian, so a unit permutes the orbits of those
+before it, and each fold is the cycles of one permutation
+(`core.cycle_labels`).  An orbit is named by its least head.  Only +-1
+fixes a primitive column up to sign, so u0's orbits have m columns, and
+Gamma1's coset L*m + e is the column u0^e * leader_L.  Both tables read a
+coset by direct address from an n x n int32 array over the columns.
+Gamma(N) is normal and its cosets are the elements, numbered by their
+places h*n + t (head_h * T^t) in `xi_chain_grid`, so its table holds only
+the heads.
 
 The action has one kernel, `act_block`, which returns it in block (wreath)
 form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
@@ -46,6 +48,7 @@ the coset cycles per row.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -60,13 +63,13 @@ from .core import (
     canon,
     capped_xi_order,
     chain_heads,
-    component_labels,
     cycle_labels,
     divisors,
     grid_entries,
     matrix_powers,
     moebius_type_ids,
     parts_from_traces,
+    prime_factors,
     xi_chain_grid,
     xi_grid_positions,
     xi_order,
@@ -134,10 +137,9 @@ def capped_key_count(s: SubgroupSpec):
 
 
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
-    """Coset table for Gamma~(N) inside Xi(N), by the rule of the module
-    docstring, from the chain heads and their `column_rows` table.  The
-    count is checked against DEFAULT_INDEX_CAP before anything is built
-    (`capped_key_count`)."""
+    """Coset table of s inside Xi(N) by the rule of the module docstring,
+    after the cap check of `capped_key_count`; ConsistencyError when the
+    orbits do not make up the index (psi(N) for Gamma0, k for Gamma1)."""
     n = s.level
     count = capped_key_count(s)
     heads, rows = chain_heads(n)
@@ -146,44 +148,54 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
         raise ConsistencyError(f"{k} chain heads of {n} for {s}, expected {count}")
     if s.family == Family.GAMMA:
         return CosetTable(s, heads, None, n)
-    if s.family == Family.GAMMA0:
-        units, m = _unit_generators(n), 1
-    else:  # one unit u0 of largest order m mod +-1: a unit's order is the least d | phi(n)/2
-        # with u^d = +-1, and one `matrix_powers` call forms every unit's u^d (1 x 1 matrices)
-        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-        ds = np.array(divisors(max(1, len(units) // 2)))
-        powers = np.stack(matrix_powers(units.reshape(-1, 1, 1), ds.tolist(), n))[:, :, 0, 0]
-        orders = ds.take(((powers == 1 % n) | (powers == n - 1)).argmax(axis=0))
-        units, m = [int(units[orders.argmax()])], int(orders.max())
-    a, c = heads[0], heads[2]
-    steps = [rows.take(u * a % n * n + u * c % n) % k for u in units]
-    label = component_labels(steps, _BLOCK_ENTRIES) if steps else np.arange(k, dtype=np.int32)
-    leader = label == np.arange(k, dtype=np.int32)
-    coset = m * (np.cumsum(leader, dtype=_PERM_DTYPE) - 1).take(label)  # m * orbit number L
-    at = leaders = np.flatnonzero(leader)
-    if m > 1 and len(leaders) * m != k:  # the orbits of u0 have m heads each
-        raise ConsistencyError(f"{len(leaders)} orbits of {m} for the {k} chain heads of {s}")
-    for e in range(1, m):  # walk the orbits of u0: at holds the heads of u0^e * leader_L
-        at = steps[0].take(at)
-        coset[at] += e
-    lookup = np.empty_like(rows)
-    _gather(coset, rows % k, lookup)
+    units, m = _unit_generators(n)
+    units, m = (units[:1], m) if s.family == Family.GAMMA1 else (units, 1)
+    acted, coset = heads, np.arange(k, dtype=_PERM_DTYPE)  # orbit leaders; each head's orbit
+    for u in units:  # u permutes the orbits of the units before it, as (Z/n)^* is abelian
+        step = np.empty(acted.shape[1], dtype=_PERM_DTYPE)
+        _gather(rows, u * acted[0] % n * n + u * acted[2] % n, step)
+        _gather(coset, step % k, step)  # the orbit of u * leader
+        label = cycle_labels(step)
+        first = label == np.arange(len(label), dtype=_PERM_DTYPE)
+        _gather(np.cumsum(first, dtype=_PERM_DTYPE) - 1, label, label)
+        _gather(label, coset, coset)
+        acted = acted[:, first]
+    ps = prime_factors(n)  # the index psi(n) = n prod (1 + 1/p) of Gamma0
+    want = k if s.family == Family.GAMMA1 else n // math.prod(ps) * math.prod(p + 1 for p in ps)
+    if acted.shape[1] * m != want:
+        raise ConsistencyError(f"{acted.shape[1]} orbits of {m} for the {want} cosets of {s}")
+    coset *= m
+    if m > 1:  # Gamma1's one fold ran on the heads: at holds the heads of u0^e * leader_L
+        at = np.flatnonzero(first)
+        for e in range(1, m):
+            at = step.take(at)
+            coset[at] += e
+    lookup = rows % k
+    _gather(coset, lookup, lookup)
     lookup[rows < 0] = -1
-    return CosetTable(s, heads.take(leaders, axis=1), lookup, m)
+    return CosetTable(s, acted, lookup, m)
 
 
 def _unit_generators(n):
-    """Units that generate (Z/n)^*, each the least unit outside the
-    subgroup the ones before it generate (none for n = 2)."""
-    reached, gens = np.arange(n) == 1, []
-    for u in np.flatnonzero(np.gcd(np.arange(n), n) == 1).tolist():
+    """Generators of (Z/n)^*/{+-1}, none where it is trivial, and the order
+    m of the first.  One `matrix_powers` call gives every unit's order
+    there, the least d | phi(n)/2 with u^d = +-1.  By decreasing order, the
+    least first, a unit is kept outside the subgroup the kept ones and -1
+    generate, so the first is the least unit of largest order."""
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    ds = np.array(divisors(max(1, len(units) // 2)))
+    powers = np.stack(matrix_powers(units.reshape(-1, 1, 1), ds.tolist(), n))[:, :, 0, 0]
+    orders = ds.take(((powers == 1 % n) | (powers == n - 1)).argmax(axis=0))
+    reached, gens = np.zeros(n, dtype=bool), []
+    reached[[1 % n, n - 1]] = True
+    for u in units.take(np.argsort(-orders, kind="stable")).tolist():
         if not reached[u]:
             gens.append(u)
             subgroup, x = np.flatnonzero(reached), u
             while not reached[x]:  # the cosets subgroup * u^j until u^j is in it
                 reached[subgroup * x % n] = True
                 x = x * u % n
-    return gens
+    return gens, int(orders.max())
 
 
 def act_block(elements, table: CosetTable):

@@ -35,8 +35,8 @@ import numpy as np
 
 from geosplit.census import PowerRelationRow, _fixed_row_count, _predicted_power_label, label_str
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, chain_heads,
-                           component_labels, divisors, enumerate_xi, grid_entries, identity,
-                           mul, order_in_xi_tuple, sign_keys, xi_grid_positions, xi_order)
+                           divisors, enumerate_xi, grid_entries, identity, mul,
+                           order_in_xi_tuple, sign_keys, xi_grid_positions, xi_order)
 from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 
@@ -636,13 +636,40 @@ def orbit_closure_classes(level):
     return out
 
 
+def component_labels(steps, chunk):
+    """The least point of the component through every point of the graph
+    with the edges i -> step[i] of the permutations `steps` (int32 arrays
+    of one length), by min-label hooking with pointer jumping
+    (Shiloach-Vishkin) in two int32 buffers: label = min(label,
+    label[step] for each step), then label = label[label], until nothing
+    changes.  The gathers go `chunk` points at a time, as `take` widens
+    its indices to intp (mode="clip" only skips the bounds check)."""
+    size = len(steps[0])
+    chunks = [slice(start, min(start + chunk, size)) for start in range(0, size, chunk)]
+    label = np.arange(size, dtype=np.int32)
+    nxt = np.empty_like(label)
+    changed = True
+    while changed:
+        for ch in chunks:
+            hooked = nxt[ch]
+            hooked[:] = label[ch]
+            for step in steps:
+                np.minimum(hooked, label.take(step[ch], mode="clip"), out=hooked)
+        changed = False
+        for ch in chunks:
+            jumped = nxt.take(nxt[ch], mode="clip")
+            changed = changed or not np.array_equal(jumped, label[ch])
+            label[ch] = jumped
+    return label
+
+
 def min_label_class_ids(n):
     """The class id of every position h*n + t of the chain grid of Xi(n),
     numbered in order of the classes' least positions, and each class's
     least +-canonical key, by the connected components of conjugation by
     S and by T over all the positions: two int32 position arrays of the
     conjugates, min-label hooking with pointer jumping over both
-    (`core.component_labels`), then each class's least key
+    (`component_labels`), then each class's least key
     (`np.minimum.at`).  `census._class_ids` must agree with it."""
     order = xi_order(n)
     flat = np.arange(order, dtype=np.int32)

@@ -15,6 +15,7 @@ from geosplit.core import (
     xi_order,
 )
 from geosplit.cosets import (
+    _unit_generators,
     act,
     build_coset_table,
     cycle_type_of,
@@ -47,21 +48,34 @@ def test_prime_power_index_formulas(p, r):
     assert table(Family.GAMMA, n).index == xi_order(n)
 
 
+def unit_orders(n):
+    """The units of Z/n and the order of each up to sign, by repeated
+    multiplication."""
+    units, orders = [u for u in range(1, n) if gcd(u, n) == 1], []
+    for u in units:
+        x, j = u, 1
+        while x not in (1 % n, n - 1):
+            x, j = x * u % n, j + 1
+        orders.append(j)
+    return units, orders
+
+
 def test_gamma1_modulus_is_the_largest_unit_order():
     """The Gamma1 table's modulus is the largest order of a unit of Z/N up
-    to sign, here by repeated multiplication, and its acted leaders times
-    that modulus are the index, for every N <= 64."""
+    to sign (`unit_orders`), and its acted leaders times that modulus are
+    the index, for every N <= 64.  The unit list the tables fold generates
+    (Z/N)^*/{+-1}: with -1 it reaches every unit."""
     for n in range(2, 65):
-        orders = []
-        for u in range(1, n):
-            if gcd(u, n) == 1:
-                x, j = u, 1
-                while x not in (1 % n, n - 1):
-                    x, j = x * u % n, j + 1
-                orders.append(j)
+        units, orders = unit_orders(n)
         t = table(Family.GAMMA1, n)
         assert t.modulus == max(orders), n
         assert t.acted.shape[1] * t.modulus == t.index == xi_order(n) // n, n
+        gens, m = _unit_generators(n)
+        assert m == max(orders), n
+        reached, grown = set(), {1 % n, n - 1}
+        while grown != reached:
+            reached, grown = grown, grown | {x * u % n for x in grown for u in gens}
+        assert reached == set(units), n
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)))
@@ -679,10 +693,49 @@ def test_column_tables_never_enumerate_xi(family, monkeypatch):
         assert list(act(identity(n), t)) == list(range(t.index))
 
 
+@pytest.mark.parametrize("n", list(range(2, 65)) + [120, 168, 240])
+def test_unit_orbits_are_the_orbit_minima(n):
+    """Every head's orbit under all the units at once, without generators:
+    its least head is the minimum of one gather per unit.  The Gamma0
+    table acts on exactly those least heads and numbers every column by
+    its orbit.  The Gamma1 orbits are the cycles of u0, the least unit of
+    largest order m up to sign (`unit_orders`): coset L*m + e is the
+    column u0^e * leader_L.  (Z/N)^*/{+-1} needs two generators at
+    24, 40 and 63, and three at 120, 168 and 240."""
+    heads, rows = core.chain_heads(n)
+    k = heads.shape[1]
+    a, c = heads[0].astype(np.int64), heads[2].astype(np.int64)
+    units, orders = unit_orders(n)
+
+    def heads_times(u):
+        return rows[u * a % n * n + u * c % n] % k
+
+    addresses = np.flatnonzero(rows >= 0)
+    least = np.minimum.reduce([heads_times(u) for u in units])
+    leaders = np.unique(least)
+    coset = np.full(n * n, -1)
+    coset[addresses] = np.searchsorted(leaders, least)[rows[addresses] % k]
+    t = table(Family.GAMMA0, n)
+    assert t.modulus == 1
+    assert np.array_equal(t.acted, heads[:, leaders])
+    assert np.array_equal(t.lookup, coset)
+    m = max(orders)
+    u0 = units[orders.index(m)]
+    cycle = np.stack([heads_times(pow(u0, e, n)) for e in range(m)])  # u0^e * head
+    least, back = cycle.min(axis=0), cycle.argmin(axis=0)  # leader = u0^back * head
+    leaders = np.unique(least)
+    assert len(leaders) * m == k
+    coset[addresses] = (np.searchsorted(leaders, least) * m + (m - back) % m)[rows[addresses] % k]
+    t = table(Family.GAMMA1, n)
+    assert t.modulus == m
+    assert np.array_equal(t.acted, heads[:, leaders])
+    assert np.array_equal(t.lookup, coset)
+
+
 def test_table_faults_are_consistency_errors(monkeypatch):
     """A product at an address the lookup lacks, representatives that
-    share a coset, or orbits of u0 that do not have its order are faults of
-    the table, not bad input."""
+    share a coset, Gamma0 orbits that do not number psi(N), or orbits of u0
+    that do not have its order are faults of the table, not bad input."""
     from geosplit.core import ConsistencyError
 
     t = table(Family.GAMMA1, 7)
@@ -701,6 +754,12 @@ def test_table_faults_are_consistency_errors(monkeypatch):
     t.reps = [t.reps[0]] + t.reps[:-1]
     with pytest.raises(ConsistencyError, match="partition"):
         act_reference(t)
+    # a unit list without its first generator leaves Gamma0 orbits too small
+    gens = cosets._unit_generators
+    monkeypatch.setattr(cosets, "_unit_generators", lambda n: (gens(n)[0][1:], gens(n)[1]))
+    with pytest.raises(ConsistencyError, match="for the 96 cosets"):
+        table(Family.GAMMA0, 63)
+    monkeypatch.setattr(cosets, "_unit_generators", gens)
     # an order of u0 twice its true one would number every Gamma1 coset twice
     monkeypatch.setattr(cosets, "divisors", lambda size: [2 * size])
     with pytest.raises(ConsistencyError, match="orbits of 6"):

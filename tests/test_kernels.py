@@ -25,7 +25,6 @@ from geosplit.core import (
     Family,
     SubgroupSpec,
     canon,
-    component_labels,
     cycle_labels,
     divisors,
     enumerate_xi,
@@ -39,10 +38,10 @@ from geosplit.core import (
 )
 from geosplit.cosets import build_coset_table
 from geosplit.geodesics import MAX_CUTOFF, enumerate_primitive_classes, max_trace
-from reference import (classes_at_trace, complete_column, fixed_row_count_reference, matpow,
-                       min_label_class_ids, orbit_closure_classes, primitive_classes,
-                       reduced_forms_by_divisors, sigma_gamma0, spf_list, spf_sieve,
-                       unimodular_columns)
+from reference import (classes_at_trace, complete_column, component_labels,
+                       fixed_row_count_reference, matpow, min_label_class_ids,
+                       orbit_closure_classes, primitive_classes, reduced_forms_by_divisors,
+                       sigma_gamma0, spf_list, spf_sieve, unimodular_columns)
 from test_geodesics import brute_reduced_forms
 
 
