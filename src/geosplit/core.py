@@ -1,8 +1,8 @@
 """Exact arithmetic foundation: 2x2 integer matrices, the projective
 residue group Xi(N) = SL2(Z/N)/{+-I}, element orders, partitions, small
-number-theoretic helpers, the chain heads every coset table and the
-census read Xi(N) from (`chain_heads`), and the one kernel for the
-cycles of a permutation (`cycle_labels`).
+number-theoretic helpers, the chain heads the Gamma(N) table, the census
+and the grid positions read Xi(N) from (`chain_heads`), and the one kernel
+for the cycles of a permutation (`cycle_labels`).
 
 Group elements are stored as canonical 4-tuples (a, b, c, d) of residues:
 the lexicographically smaller of the tuple and its negation mod N; `canon`

@@ -10,24 +10,22 @@ inversion (`core.moebius_type_ids`), which forms the powers g^d as
 matrices and reads only their fixed-coset counts, so it never sees the
 action it checks beyond its fixed points.
 
-A coset is named by a vector of any of its elements, taken up to sign: the
-first column (a, c) for Gamma1(N), whose elements +-[[1, y], [0, 1]] fix
-it; the first column up to units for Gamma0(N), whose elements
-[[u, y], [0, 1/u]] scale it by u; the whole element for Gamma(N).  Every
-table is read off the chain heads of `core.chain_heads` and their
-`column_rows` table.  A unit u moves the columns by (a, c) -> (u*a, u*c),
-which commutes with the action (Diamond-Shurman, GTM 228, 1.2).  Gamma0
-and Gamma1 fold the units of `_unit_generators` into orbits of the heads:
-Gamma0 all of them with m = 1, Gamma1 the first, u0, of largest order m
-mod +-1.  (Z/N)^* is abelian, so a unit permutes the orbits of those
-before it, and each fold is the cycles of one permutation
-(`core.cycle_labels`).  An orbit is named by its least head.  Only +-1
-fixes a primitive column up to sign, so u0's orbits have m columns, and
-Gamma1's coset L*m + e is the column u0^e * leader_L.  Both tables read a
-coset by direct address from an n x n int32 array over the columns.
-Gamma(N) is normal and its cosets are the elements, numbered by their
-places h*n + t (head_h * T^t) in `xi_chain_grid`, so its table holds only
-the heads.
+A Gamma0 coset is a point of P^1(Z/N), a first column (a, c) up to units;
+a Gamma1 coset is a column up to sign, a point with a unit multiplier
+(Cremona, Algorithms for Modular Elliptic Curves, 2.2; Diamond-Shurman,
+GTM 228, 1.2).  Per prime power q = p^r of N the local point is c/a mod q
+where p does not divide a, with multiplier a, else q + (a/c mod q)/p, with
+multiplier c.  The point x is their mixed-radix number, radix q + q/p, one
+of psi(N); the multiplier mu is the unit with those local multipliers, and
+(a, c) = mu * v_x for v_x the CRT of the local columns (1, x_q) or
+(p*(x_q - q), 1).  For Gamma1, u0 is the least unit of largest order m in
+G = (Z/N)^*/{+-1}, rho_0 = 1 < rho_1 < ... are the least units of the
+cosets of <u0>, and `code` numbers the unit +-rho_j * u0^e as j*m + e.  The
+table acts on the base points (x, j), the columns rho_j * v_x, and mu * v_x
+lies in coset x*|G| + code[mu].  Gamma0 is the same with code 0 at every
+unit and |G| = 1.  Gamma(N) is normal: its cosets are the elements,
+numbered by their places h*n + t (head_h * T^t) in `xi_chain_grid`, and its
+table holds the heads of `core.chain_heads`.
 
 The action has one kernel, `act_block`, which returns it in block (wreath)
 form (Krasner-Kaloujnine; Dixon-Mortimer, GTM 163, 2.6): a permutation of
@@ -59,17 +57,17 @@ from .core import (
     Partition,
     SubgroupSpec,
     _distinct_rows,
-    _gather,
+    _residue_dtype,
     canon,
     capped_xi_order,
     chain_heads,
     cycle_labels,
     divisors,
+    factorize,
     grid_entries,
     matrix_powers,
     moebius_type_ids,
     parts_from_traces,
-    prime_factors,
     xi_chain_grid,
     xi_grid_positions,
     xi_order,
@@ -79,58 +77,58 @@ from .core import (
 # bounds the index of a coset table
 DEFAULT_INDEX_CAP = 10**7
 
-# Permutation blocks are int32: gathers through ndarray.take with int32 indices
-# run as fast as with intp and move half the bytes.  Flat indices need a
-# block below 2^31 entries; the blocks hold at most max(_BLOCK_ENTRIES, k)
-# for k <= index matrices per row, and the index is capped at
-# DEFAULT_INDEX_CAP.
+# Permutation blocks are int32 at levels up to 2^15 (`core._residue_dtype`):
+# gathers through ndarray.take with int32 indices run as fast as with intp
+# and move half the bytes.  Flat indices need a block below 2^31 entries;
+# the blocks hold at most max(_BLOCK_ENTRIES, k) for k <= index matrices
+# per row, and the index is capped at DEFAULT_INDEX_CAP.
 _PERM_DTYPE = np.int32
 
 
 class CosetTable:
     """The cosets of one congruence subgroup in the block form of
-    `act_block`: the entries (4 x k int32) `acted` of the matrices an
-    element multiplies, each standing for `modulus` m cosets, so that the
-    index is k*m.  For Gamma they are the chain heads, m = N, coset h*N + t
-    is head_h * T^t, and `lookup` is None.  For Gamma0 (m = 1) and Gamma1
-    they are the orbit leaders, and the int32 `lookup` maps the address
-    a*n + c of a column, either sign, to its coset L*m + e (the column
-    u0^e * leader_L), -1 where it names none."""
+    `act_block`: the k matrices `acted` an element multiplies, each
+    standing for `modulus` m cosets, so that the index is k*m.  For Gamma
+    they are the 4 x k int32 chain heads, m = N, coset h*N + t is
+    head_h * T^t, and `code` is None.  For Gamma0 and Gamma1 they are the
+    2 x k int32 columns rho_j * v_x of the base points x*lifts + j, with
+    (q, p, inverses mod q, CRT idempotent) per prime power in `lines`."""
 
-    def __init__(self, subgroup: SubgroupSpec, acted, lookup, modulus):
-        self.subgroup = subgroup
-        self.level = subgroup.level
-        self.acted = acted
-        self.lookup = lookup
-        self.modulus = modulus
-        self.index = acted.shape[1] * modulus
+    def __init__(self, subgroup: SubgroupSpec, acted, modulus, code=None, lines=(), lifts=1):
+        self.subgroup, self.level = subgroup, subgroup.level
+        self.acted, self.modulus, self.index = acted, modulus, acted.shape[1] * modulus
+        self.code, self.lines, self.lifts = code, lines, lifts
 
     @functools.cached_property
     def reps(self):
         """The representatives as canonical tuples in coset order, built on
         first use: for Gamma the elements of `xi_chain_grid`, row by row,
-        else the head of the least column of each coset."""
+        else the chain head of the column mu * v_x of coset x*|G| + code[mu]."""
         n = self.level
-        if self.lookup is None:
+        if self.code is None:
             entries = xi_chain_grid(n)
         else:
-            heads = chain_heads(n)[0]
-            least = np.unique(self.lookup.take(heads[0] * n + heads[2]), return_index=True)[1]
-            entries = heads.take(least, axis=1)
+            unit_of = np.unique(self.code, return_index=True)[1][1:]  # a unit of each code
+            x, mu = np.divmod(np.arange(self.index), len(unit_of))
+            a, c = self.acted.take(x * self.lifts, axis=1) * unit_of.take(mu) % n
+            heads, rows = chain_heads(n)
+            entries = heads.take(rows.take(a * n + c) % heads.shape[1], axis=1)
         return [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in entries))]
 
 
 def capped_key_count(s: SubgroupSpec):
-    """The index of s as its table counts it, |Xi(N)|/N columns for Gamma0
-    and Gamma1 or |Xi(N)| elements for Gamma; CapExceeded above
-    DEFAULT_INDEX_CAP, refused before `xi_order` factors the level when the
-    bound |Xi(N)| > 0.3 N^3 of `capped_xi_order` already puts it over."""
+    """The matrices s's table counts: |Xi(N)| elements for Gamma, psi(N)
+    points of P^1(Z/N) for Gamma0 and psi(N)*|G|/m base points for Gamma1
+    (`_unit_code`); CapExceeded above DEFAULT_INDEX_CAP.  A level that
+    psi(N) > N or |Xi(N)| > 0.3 N^3 puts over is refused before it is
+    factored, and a Gamma1 level whose points are over it before `_unit_code`."""
     n = s.level
-    power = 3 if s.family == Family.GAMMA else 2
-    if 3 * n**power > 10 * DEFAULT_INDEX_CAP:
-        raise CapExceeded(f"more than 0.3*{n}^{power} coset vectors of {s} exceeds cap "
-                          f"{DEFAULT_INDEX_CAP}")
-    count = xi_order(n) if s.family == Family.GAMMA else xi_order(n) // n
+    if n >= DEFAULT_INDEX_CAP or s.family == Family.GAMMA and 3 * n**3 > 10 * DEFAULT_INDEX_CAP:
+        raise CapExceeded(f"more than {n} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+    count = xi_order(n) if s.family == Family.GAMMA else math.prod(
+        p**r + p**(r - 1) for p, r in factorize(n))
+    if s.family == Family.GAMMA1 and count <= DEFAULT_INDEX_CAP:
+        count *= len(_unit_code(n)[1])
     if count > DEFAULT_INDEX_CAP:
         raise CapExceeded(f"{count} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")
     return count
@@ -139,94 +137,96 @@ def capped_key_count(s: SubgroupSpec):
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
     """Coset table of s inside Xi(N) by the rule of the module docstring,
     after the cap check of `capped_key_count`; ConsistencyError when the
-    orbits do not make up the index (psi(N) for Gamma0, k for Gamma1)."""
+    chain heads do not hold |Xi(N)|/N elements."""
     n = s.level
     count = capped_key_count(s)
-    heads, rows = chain_heads(n)
-    k = heads.shape[1]
-    if k * (n if s.family == Family.GAMMA else 1) != count:
-        raise ConsistencyError(f"{k} chain heads of {n} for {s}, expected {count}")
     if s.family == Family.GAMMA:
-        return CosetTable(s, heads, None, n)
-    units, m = _unit_generators(n)
-    units, m = (units[:1], m) if s.family == Family.GAMMA1 else (units, 1)
-    acted, coset = heads, np.arange(k, dtype=_PERM_DTYPE)  # orbit leaders; each head's orbit
-    for u in units:  # u permutes the orbits of the units before it, as (Z/n)^* is abelian
-        step = np.empty(acted.shape[1], dtype=_PERM_DTYPE)
-        _gather(rows, u * acted[0] % n * n + u * acted[2] % n, step)
-        _gather(coset, step % k, step)  # the orbit of u * leader
-        label = cycle_labels(step)
-        first = label == np.arange(len(label), dtype=_PERM_DTYPE)
-        _gather(np.cumsum(first, dtype=_PERM_DTYPE) - 1, label, label)
-        _gather(label, coset, coset)
-        acted = acted[:, first]
-    ps = prime_factors(n)  # the index psi(n) = n prod (1 + 1/p) of Gamma0
-    want = k if s.family == Family.GAMMA1 else n // math.prod(ps) * math.prod(p + 1 for p in ps)
-    if acted.shape[1] * m != want:
-        raise ConsistencyError(f"{acted.shape[1]} orbits of {m} for the {want} cosets of {s}")
-    coset *= m
-    if m > 1:  # Gamma1's one fold ran on the heads: at holds the heads of u0^e * leader_L
-        at = np.flatnonzero(first)
-        for e in range(1, m):
-            at = step.take(at)
-            coset[at] += e
-    lookup = rows % k
-    _gather(coset, lookup, lookup)
-    lookup[rows < 0] = -1
-    return CosetTable(s, acted, lookup, m)
+        heads = chain_heads(n)[0]
+        if heads.shape[1] * n != count:
+            raise ConsistencyError(f"{heads.shape[1]} chain heads of {n} for {s}, expected {count}")
+        return CosetTable(s, heads, n)
+    code, rho, m = _unit_code(n) if s.family == Family.GAMMA1 else (
+        np.where(np.gcd(np.arange(n), n) == 1, 0, -1).astype(np.int32), [1], 1)
+    lines = [(q, p, _inverses(q), n // q * pow(n // q, -1, q) % n)
+             for q, p in ((p**r, p) for p, r in factorize(n))]
+    x, a, c = np.arange(count // len(rho)), 0, 0
+    for q, p, _, idempotent in reversed(lines):  # v_x, the CRT of the local columns
+        x, local = np.divmod(x, q + q // p)
+        unit = local < q
+        a = (a + np.where(unit, 1, p * (local - q)) * idempotent) % n
+        c = (c + np.where(unit, local, 1) * idempotent) % n
+    acted = (np.stack((a, c))[:, :, None] * np.asarray(rho) % n).reshape(2, -1)
+    return CosetTable(s, acted.astype(np.int32), m, code, lines, len(rho))
 
 
-def _unit_generators(n):
-    """Generators of (Z/n)^*/{+-1}, none where it is trivial, and the order
-    m of the first.  One `matrix_powers` call gives every unit's order
-    there, the least d | phi(n)/2 with u^d = +-1.  By decreasing order, the
-    least first, a unit is kept outside the subgroup the kept ones and -1
-    generate, so the first is the least unit of largest order."""
+def _inverses(n):
+    """The int32 inverse u^(2*phi(n) - 1) mod n of every unit u of Z/n, 0 elsewhere."""
     units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    ds = np.array(divisors(max(1, len(units) // 2)))
-    powers = np.stack(matrix_powers(units.reshape(-1, 1, 1), ds.tolist(), n))[:, :, 0, 0]
-    orders = ds.take(((powers == 1 % n) | (powers == n - 1)).argmax(axis=0))
-    reached, gens = np.zeros(n, dtype=bool), []
-    reached[[1 % n, n - 1]] = True
-    for u in units.take(np.argsort(-orders, kind="stable")).tolist():
-        if not reached[u]:
-            gens.append(u)
-            subgroup, x = np.flatnonzero(reached), u
-            while not reached[x]:  # the cosets subgroup * u^j until u^j is in it
-                reached[subgroup * x % n] = True
-                x = x * u % n
-    return gens, int(orders.max())
+    inverse = np.zeros(n, dtype=np.int32)
+    inverse[units] = matrix_powers(units.reshape(-1, 1, 1), [2 * len(units) - 1], n)[0].ravel()
+    return inverse
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_code(n):
+    """Gamma1's multipliers in G = (Z/n)^*/{+-1} as (code, rho, m): u0 is the
+    least unit of largest order m in G, the `xi_orders` order of diag(u0,
+    1/u0), rho_0 = 1 < rho_1 < ... the least units of the cosets of <u0>, and
+    the read-only code (-1 at a non-unit) numbers +-rho_j * u0^e as j*m + e."""
+    inverse = _inverses(n)
+    units = np.flatnonzero(inverse)
+    orders = xi_orders(np.stack((units, 0 * units, 0 * units, inverse.take(units)), axis=1), n)
+    m, u0 = int(orders.max()), int(units[orders.argmax()])
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < m:  # u0^e for e < m, doubling
+        powers = np.concatenate((powers, powers * pow(u0, len(powers), n) % n))
+    code, rho, free = np.full(n, -1, dtype=np.int32), [], units
+    while len(free):
+        at = free[0] * powers[:m] % n
+        code[at] = code[-at % n] = np.arange(len(rho) * m, len(rho) * m + m)
+        rho.append(int(free[0]))
+        free = free[code.take(free) < 0]
+    code.setflags(write=False)
+    return code, tuple(rho), m
 
 
 def act_block(elements, table: CosetTable):
-    """The action of a list of elements in block form: two rows x k int32
-    arrays (perm, shift) over the k matrices x_i of `table.acted`: coset
+    """The action of a list of elements in block form: two rows x k arrays
+    (perm, shift) over the k matrices x_i of `table.acted`: coset
     i*m + t goes to perm[i]*m + (t + shift[i]) mod m (`expand_block`).
 
     (perm, shift) is divmod(p, m) for the coset p of g * x_i.  For Gamma, p
     is the place h'*n + t' of the product in the chain grid
-    (`xi_grid_positions`), so g * x_i = +-x_perm[i] * T^shift[i]; for Gamma0
-    and Gamma1 it is `table.lookup` at the address of the product's first
-    column.  Only the entries of the products that name a coset are
-    computed.  An element whose determinant is not 1 mod N is refused with
-    ValueError.
+    (`xi_grid_positions`), so g * x_i = +-x_perm[i] * T^shift[i].  For
+    Gamma0 and Gamma1 it is x*|G| + code[mu] for the point x and multiplier
+    mu of the product's first column, one pass per prime power of N; a unit
+    without a code is a fault of the table, ConsistencyError.  Only the
+    entries of the products that name a coset are computed.  An element
+    whose determinant is not 1 mod N is refused with ValueError.
     """
     n = table.level
     r = table.acted
     g = np.array(elements, dtype=np.int64).reshape(-1, 4, 1) % n
     if not ((g[:, 0] * g[:, 3] - g[:, 1] * g[:, 2]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} acting elements")
-    g = g.astype(np.int32)  # holds a*e + b*g of residues at every level the caps admit
-    # the entries (i, j) of every g * x: the first column, or all four for Gamma
-    e = [(g[:, 2 * i] * r[j] + g[:, 2 * i + 1] * r[j + 2]) % n
-         for i, j in ([(0, 0), (1, 0)] if table.lookup is not None else np.ndindex(2, 2))]
-    if table.lookup is None:
-        place = xi_grid_positions(e, n)
-    else:
-        place = table.lookup.take(e[0] * n + e[1])
-        if place.min(initial=0) < 0:
-            raise ConsistencyError(f"a product lies in no coset of the {table.subgroup} table")
-    return np.divmod(place, table.modulus)
+    g = g.astype(_residue_dtype(n))  # holds a*e + b*g of residues
+    if table.code is None:  # all four entries of every g * x
+        e = [(g[:, 2 * i] * r[j] + g[:, 2 * i + 1] * r[j + 2]) % n for i, j in np.ndindex(2, 2)]
+        return np.divmod(xi_grid_positions(e, n), n)
+    a, c = ((g[:, 2 * i] * r[0] + g[:, 2 * i + 1] * r[1]) % n for i in (0, 1))
+    x = mu = 0
+    for q, p, inverse, idempotent in table.lines:
+        aq, cq = a % q, c % q
+        unit = aq % p != 0
+        local = np.where(unit, aq, cq)  # the local multiplier
+        y = np.where(unit, cq, aq) * inverse.take(local) % q
+        x = x * (q + q // p) + np.where(unit, y, q + y // p)
+        mu = (mu + local * idempotent) % n
+    j = table.code.take(mu)
+    if j.min(initial=0) < 0:
+        raise ConsistencyError(f"a product's multiplier has no code in the {table.subgroup} table")
+    j, shift = np.divmod(j, table.modulus)
+    return x * table.lifts + j, shift
 
 
 def expand_block(perm, shift, m):

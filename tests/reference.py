@@ -37,7 +37,7 @@ from geosplit.census import PowerRelationRow, _fixed_row_count, _predicted_power
 from geosplit.core import (ConsistencyError, Family, IntegerMatrix, canon, chain_heads,
                            divisors, enumerate_xi, grid_entries, identity, mul,
                            order_in_xi_tuple, sign_keys, xi_grid_positions, xi_order)
-from geosplit.cosets import CosetTable, build_coset_table, splitting_type_cycles
+from geosplit.cosets import CosetTable, build_coset_table, splitting_types
 from geosplit.geodesics import class_of_matrix, matrix_from_form, max_trace, norm_below, rho_step
 
 
@@ -575,18 +575,16 @@ def residue_keys(classes, n):
 
 def class_types(classes, s):
     """(splitting type, order in Xi(N)) of each (trace, form, matrix)
-    triple's reduction: `residue_keys`, then `splitting_type_cycles` and
-    `order_in_xi_tuple` once per distinct residue, independent of
-    `geodesics.cover_keys` and `key_types`.  s None is the trivial cover,
-    ((1,), 1)."""
+    triple's reduction: `residue_keys`, then one `splitting_types` call on
+    the distinct residues and `order_in_xi_tuple` once per distinct
+    residue, independent of `geodesics.cover_keys` and `key_types`.  s None
+    is the trivial cover, ((1,), 1)."""
     if s is None:
         return [((1,), 1)] * len(classes)
-    table = build_coset_table(s)
-    memo = {}
     keys = residue_keys(classes, s.level)
-    for g in keys:
-        if g not in memo:
-            memo[g] = splitting_type_cycles(g, table), order_in_xi_tuple(g, s.level)
+    distinct = list(dict.fromkeys(keys))
+    memo = dict(zip(distinct, zip(splitting_types(distinct, build_coset_table(s)),
+                                  [order_in_xi_tuple(g, s.level) for g in distinct])))
     return [memo[g] for g in keys]
 
 

@@ -15,7 +15,6 @@ from geosplit.core import (
     xi_order,
 )
 from geosplit.cosets import (
-    _unit_generators,
     act,
     build_coset_table,
     cycle_type_of,
@@ -62,20 +61,13 @@ def unit_orders(n):
 
 def test_gamma1_modulus_is_the_largest_unit_order():
     """The Gamma1 table's modulus is the largest order of a unit of Z/N up
-    to sign (`unit_orders`), and its acted leaders times that modulus are
-    the index, for every N <= 64.  The unit list the tables fold generates
-    (Z/N)^*/{+-1}: with -1 it reaches every unit."""
+    to sign (`unit_orders`), and its acted base points times that modulus
+    are the index, for every N <= 64."""
     for n in range(2, 65):
         units, orders = unit_orders(n)
         t = table(Family.GAMMA1, n)
         assert t.modulus == max(orders), n
         assert t.acted.shape[1] * t.modulus == t.index == xi_order(n) // n, n
-        gens, m = _unit_generators(n)
-        assert m == max(orders), n
-        reached, grown = set(), {1 % n, n - 1}
-        while grown != reached:
-            reached, grown = grown, grown | {x * u % n for x in grown for u in gens}
-        assert reached == set(units), n
 
 
 @pytest.mark.parametrize("n", list(range(2, 31)))
@@ -100,9 +92,11 @@ def test_reps_in_distinct_cosets(family, n):
 def test_act_identity_and_stabilizer():
     t = table(Family.GAMMA0, 5)
     assert list(act(identity(5), t)) == list(range(6))
-    # members of the subgroup fix the identity's coset, that of column (1, 0)
+    # members of the subgroup fix the identity's coset 0, that of column
+    # (1, 0): the point x = 0 with multiplier 1
     g = canon(1, 1, 0, 1, 5)
-    assert act(g, t)[t.lookup[5]] == t.lookup[5]
+    assert t.reps[0] == identity(5)
+    assert act(g, t)[0] == 0
 
 
 def test_act_unipotent_fixed_points_mod5():
@@ -492,18 +486,20 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
 def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
     """The three families' reports at one level take the grid's orders
     from one `xi_orders` call (|Xi(11)| = 660 is one block), and the
-    cached orders are read-only."""
+    cached orders are read-only.  The Gamma1 table takes the orders of
+    the ten units from one call of its own."""
     calls = []
 
     def counted(elements, n):
-        calls.append(n)
+        calls.append((n, len(elements)))
         return core.xi_orders(elements, n)
 
     monkeypatch.setattr(cosets, "xi_orders", counted)
     cosets._grid_orders.cache_clear()
+    cosets._unit_code.cache_clear()
     for family in Family:
         assert dual_type_report(11, family) == (xi_order(11), [])
-    assert calls == [11]
+    assert calls == [(11, 660), (11, 10)]
     assert cosets._grid_orders(11).dtype == np.int32
     assert not cosets._grid_orders(11).flags.writeable
 
@@ -584,7 +580,7 @@ from geosplit.cosets import act_block
                                        (Family.GAMMA0, 3), (Family.GAMMA0, 5),
                                        (Family.GAMMA0, 9), (Family.GAMMA0, 25)])
 def test_act_matches_reference_at_any_size(family, n):
-    """The key lookup agrees with the action by membership: at level 75
+    """The kernel agrees with the action by membership: at level 75
     (Gamma keys up to 75^4, index 180000), at prime powers and at the
     narrow Gamma0(12) (index 24).  Up to 400 elements all of Xi(N) is
     checked, else a sample of 30 (3 at index 180000)."""
@@ -624,7 +620,7 @@ _BY_DEFINITION = [(family, n) for n in (2, 3, 4, 8, 9, 12, 24, 25, 30, 40, 63) f
 @pytest.mark.parametrize("family,n", _BY_DEFINITION,
                          ids=[f"{n}-{family.value}" for family, n in _BY_DEFINITION])
 def test_act_block_is_the_action_by_definition(family, n):
-    """The direct-address lookup agrees with the action by membership, on
+    """The kernel agrees with the action by membership, on
     all of Xi(N) while that stays under 1e5 permutation entries, else on a
     seeded sample of that many."""
     t = table(family, n)
@@ -689,59 +685,67 @@ def test_column_tables_never_enumerate_xi(family, monkeypatch):
     monkeypatch.setattr(core, "xi_keys", _refuse)
     for n in (2, 9, 12, 75):
         t = build_coset_table(SubgroupSpec(family, n))
-        assert t.reps[t.lookup[n]] == identity(n)  # the coset of column (1, 0)
+        assert t.reps[0] == identity(n)  # column (1, 0): point 0, multiplier 1, code 0
         assert list(act(identity(n), t)) == list(range(t.index))
 
 
 @pytest.mark.parametrize("n", list(range(2, 65)) + [120, 168, 240])
 def test_unit_orbits_are_the_orbit_minima(n):
-    """Every head's orbit under all the units at once, without generators:
-    its least head is the minimum of one gather per unit.  The Gamma0
-    table acts on exactly those least heads and numbers every column by
-    its orbit.  The Gamma1 orbits are the cycles of u0, the least unit of
-    largest order m up to sign (`unit_orders`): coset L*m + e is the
-    column u0^e * leader_L.  (Z/N)^*/{+-1} needs two generators at
-    24, 40 and 63, and three at 120, 168 and 240."""
-    heads, rows = core.chain_heads(n)
-    k = heads.shape[1]
-    a, c = heads[0].astype(np.int64), heads[2].astype(np.int64)
+    """Every unimodular column w, both signs, against the model by brute
+    force.  Its coset is read as the image of the identity's coset 0, that
+    of column (1, 0), under a completion of w.  That coset is
+    x*|G| + code[mu]: x numbers the points of P^1(Z/N) one to one, each the
+    least of its orbit under all the units (as in `test_p1_fast_path_agrees`),
+    and mu is the unit with w = mu * v_x, v_x the column of base point
+    x*lifts.  The code is 0 at every unit for Gamma0 (|G| = 1), and
+    +-rho_j * u0^e -> j*m + e for Gamma1: u0 is the least unit of largest
+    order m up to sign (`unit_orders`) and rho_j the least unit outside the
+    cosets of +-<u0> before it.  (Z/N)^*/{+-1} needs two generators at 24,
+    40 and 63, and three at 120, 168 and 240."""
+    import copy
+
     units, orders = unit_orders(n)
-
-    def heads_times(u):
-        return rows[u * a % n * n + u * c % n] % k
-
-    addresses = np.flatnonzero(rows >= 0)
-    least = np.minimum.reduce([heads_times(u) for u in units])
-    leaders = np.unique(least)
-    coset = np.full(n * n, -1)
-    coset[addresses] = np.searchsorted(leaders, least)[rows[addresses] % k]
-    t = table(Family.GAMMA0, n)
-    assert t.modulus == 1
-    assert np.array_equal(t.acted, heads[:, leaders])
-    assert np.array_equal(t.lookup, coset)
     m = max(orders)
     u0 = units[orders.index(m)]
-    cycle = np.stack([heads_times(pow(u0, e, n)) for e in range(m)])  # u0^e * head
-    least, back = cycle.min(axis=0), cycle.argmin(axis=0)  # leader = u0^back * head
-    leaders = np.unique(least)
-    assert len(leaders) * m == k
-    coset[addresses] = (np.searchsorted(leaders, least) * m + (m - back) % m)[rows[addresses] % k]
-    t = table(Family.GAMMA1, n)
-    assert t.modulus == m
-    assert np.array_equal(t.acted, heads[:, leaders])
-    assert np.array_equal(t.lookup, coset)
+    code1, j = {}, 0
+    for u in units:
+        if u not in code1:
+            for e in range(m):
+                v = u * pow(u0, e, n) % n
+                code1[v] = code1[-v % n] = j * m + e
+            j += 1
+    columns = [(a, c) for a in range(n) for c in range(n) if gcd(a, c, n) == 1]
+    w = np.array(columns).T
+    point = np.minimum.reduce([u * w[0] % n * n + u * w[1] % n for u in units])
+    elements = [complete_column(a, c, n) for a, c in columns]
+    for family, want in ((Family.GAMMA0, dict.fromkeys(units, 0)), (Family.GAMMA1, code1)):
+        t = table(family, n)
+        assert t.acted[:, 0].tolist() == [1 % n, 0]
+        first = copy.copy(t)
+        first.acted = t.acted[:, :1]
+        perm, shift = act_block(elements, first)
+        size = t.lifts * t.modulus  # |G|, or 1 for Gamma0
+        x, code = np.divmod(perm[:, 0] * t.modulus + shift[:, 0], size)
+        assert t.index == t.acted.shape[1] * t.modulus == (x.max() + 1) * size
+        assert len(set(zip(x.tolist(), point.tolist()))) == len(set(point.tolist())) == x.max() + 1
+        v = t.acted.take(x * t.lifts, axis=1).astype(np.int64)
+        mu = np.zeros_like(x)
+        for u in units:
+            mu[((u * v - w) % n == 0).all(axis=0)] += u
+        assert code.tolist() == [want[u] for u in mu.tolist()], family
+        assert (t.modulus, t.lifts) == ((m, j) if family == Family.GAMMA1 else (1, 1))
 
 
 def test_table_faults_are_consistency_errors(monkeypatch):
-    """A product at an address the lookup lacks, representatives that
-    share a coset, Gamma0 orbits that do not number psi(N), or orbits of u0
-    that do not have its order are faults of the table, not bad input."""
+    """A unit without a code, a product at an address the chain heads'
+    table lacks, or representatives that share a coset are faults of the
+    table, not bad input."""
     from geosplit.core import ConsistencyError
 
     t = table(Family.GAMMA1, 7)
-    t.lookup = t.lookup.copy()
-    t.lookup[1 * 7 + 0] = -1  # the identity's column (1, 0)
-    with pytest.raises(ConsistencyError):
+    t.code = t.code.copy()
+    t.code[1] = -1  # the multiplier of the identity's column (1, 0)
+    with pytest.raises(ConsistencyError, match="no code"):
         act_block(enumerate_xi(7), t)
     t = table(Family.GAMMA, 7)
     heads, rows = core.chain_heads(7)
@@ -754,25 +758,64 @@ def test_table_faults_are_consistency_errors(monkeypatch):
     t.reps = [t.reps[0]] + t.reps[:-1]
     with pytest.raises(ConsistencyError, match="partition"):
         act_reference(t)
-    # a unit list without its first generator leaves Gamma0 orbits too small
-    gens = cosets._unit_generators
-    monkeypatch.setattr(cosets, "_unit_generators", lambda n: (gens(n)[0][1:], gens(n)[1]))
-    with pytest.raises(ConsistencyError, match="for the 96 cosets"):
-        table(Family.GAMMA0, 63)
-    monkeypatch.setattr(cosets, "_unit_generators", gens)
-    # an order of u0 twice its true one would number every Gamma1 coset twice
-    monkeypatch.setattr(cosets, "divisors", lambda size: [2 * size])
-    with pytest.raises(ConsistencyError, match="orbits of 6"):
-        table(Family.GAMMA1, 7)
 
 
 def test_coset_key_cap_is_checked_before_building(monkeypatch):
-    """|Xi|/N column keys for Gamma0 and Gamma1, |Xi| tuples for Gamma."""
+    """psi(N) points for Gamma0, psi(N)*|G|/m base points for Gamma1 and
+    |Xi| tuples for Gamma.  psi(N) > N, so a level at the cap is refused
+    before it is factored, and psi(9699690) = 3.5e7 (2*3*...*19) before the
+    units are coded.  psi(510510) = 1.7e6, but |G| = 46080 and m divides
+    the exponent 240 of (Z/510510)^*, so Gamma1 has over 192 base points
+    per point there."""
     monkeypatch.setattr(cosets, "chain_heads", _refuse)
     monkeypatch.setattr(core, "xi_keys", _refuse)
-    for family, n in ((Family.GAMMA0, 9973), (Family.GAMMA1, 9973), (Family.GAMMA, 293)):
+    with pytest.raises(CapExceeded, match="exceeds cap"):
+        build_coset_table(SubgroupSpec(Family.GAMMA1, 510510))
+    monkeypatch.setattr(cosets, "_unit_code", _refuse)
+    for family, n in ((Family.GAMMA0, 9699690), (Family.GAMMA1, 9699690), (Family.GAMMA, 293)):
         with pytest.raises(CapExceeded, match="exceeds cap"):
             build_coset_table(SubgroupSpec(family, n))
+    monkeypatch.setattr(cosets, "factorize", _refuse)
+    for family in (Family.GAMMA0, Family.GAMMA1):
+        with pytest.raises(CapExceeded, match="exceeds cap"):
+            build_coset_table(SubgroupSpec(family, cosets.DEFAULT_INDEX_CAP))
+
+
+@pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA1])
+def test_column_tables_never_build_chain_heads(family, monkeypatch):
+    """The Gamma0 and Gamma1 tables, and the types read off them, call
+    neither `core.chain_heads` nor its N x N `column_rows` table."""
+    for name in ("chain_heads", "column_rows"):
+        monkeypatch.setattr(core, name, _refuse)
+    monkeypatch.setattr(cosets, "chain_heads", _refuse)
+    for n in (2, 12, 24, 63, 75, 1000):
+        t = build_coset_table(SubgroupSpec(family, n))
+        g = canon(2, 1, 1, 1, n)
+        assert splitting_type_cycles(g, t) == splitting_type_moebius(g, t), n
+
+
+def test_types_at_a_prime_above_the_int32_products():
+    """At the prime p = 65537 > 2^15 the products of residues need int64.
+    An element g != +-I of Xi(p) of order o and trace t fixes
+    f = 1 + (t^2 - 4 | p) points of P^1(F_p), f = 1 where t = +-2, and moves
+    the others in (p + 1 - f)/o cycles of length o: so its Gamma0 type.
+    Gamma1(65537), index (p^2 - 1)/2, has cycle types equal to the Moebius
+    types."""
+    from geosplit.core import Partition
+    from reference import legendre
+
+    p = 65537
+    t0, t1 = table(Family.GAMMA0, p), table(Family.GAMMA1, p)
+    elements = [(1, 1, 0, 1), (0, p - 1, 1, 0), (1, p - 1, 1, 0), (3, p - 1, 1, 0),
+                (5, p - 1, 1, 0), (1234, p - 1, 1, 0), (p - 3, p - 1, 1, 0), (2, 7, 3, 11)]
+    for g in elements:
+        tr, o = (g[0] + g[3]) % p, order_in_xi_tuple(canon(*g, p), p)
+        f = 1 if tr in (2, p - 2) else 1 + legendre(tr * tr - 4, p)
+        lam = Partition({o: (p + 1 - f) // o, 1: f})
+        assert splitting_type_cycles(g, t0) == splitting_type_moebius(g, t0) == lam, g
+        lam = splitting_type_cycles(g, t1)
+        assert sum(part * k for part, k in lam.runs) == t1.index == (p * p - 1) // 2
+        assert splitting_type_moebius(g, t1) == lam, g
 
 
 def test_gamma_types_never_expand_the_action(monkeypatch):

@@ -225,7 +225,7 @@ def test_fixed_row_count_matches_the_scalar_formula(p, r):
 def test_gamma_table_is_the_chain_grid(n):
     """The Gamma(N) table holds the chain heads, column 0 of
     `xi_chain_grid`, as its int32 acted matrices, each standing for the N
-    cosets of its chain, and no lookup.  Its cosets are the places h*N + t
+    cosets of its chain, and no unit code.  Its cosets are the places h*N + t
     of the grid, in order, and their canonical tuples are Xi(N), each
     once."""
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
@@ -233,7 +233,7 @@ def test_gamma_table_is_the_chain_grid(n):
     heads = np.stack([v[:, 0] for v in grid])
     assert table.acted.dtype == heads.dtype == np.int32
     assert np.array_equal(table.acted, heads)
-    assert (table.modulus, table.index, table.lookup) == (n, xi_order(n), None)
+    assert (table.modulus, table.index, table.code) == (n, xi_order(n), None)
     reps = [canon(*g, n) for g in zip(*(v.ravel().tolist() for v in grid))]
     assert table.reps == reps
     assert sorted(reps) == enumerate_xi(n)
