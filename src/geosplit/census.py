@@ -455,15 +455,16 @@ def density_table_closed_form(s: SubgroupSpec) -> DensityTable:
         return rectangle_density_table(s, closed_class_catalog(p, r))
     gamma0 = s.family == Family.GAMMA0
     index = p ** (r - 1) * (p + 1) if gamma0 else p ** (2 * r - 2) * (p * p - 1) // 2
+    catalog = closed_class_catalog(p, r)
+    reps = np.array([rec.representative for rec in catalog]).reshape(-1, 2, 2)
 
-    def traces_of(h):
+    def traces_of(rows, ds):  # of the powers g^d of the representatives at rows
+        h = np.stack(matrix_powers(reps.take(rows, axis=0), ds, s.level)).reshape(-1, 4)
         if gamma0:
             return _fixed_point_count(h, p, r)
         return (_fixed_row_count(h, 1, p, r) + _fixed_row_count(h, -1, p, r)) // 2
-    catalog = closed_class_catalog(p, r)
     ids = {}  # type -> id
-    type_ids = moebius_type_ids([rec.representative for rec in catalog],
-                                [rec.order for rec in catalog], s.level, traces_of, index, ids, {})
+    type_ids = moebius_type_ids([rec.order for rec in catalog], traces_of, index, ids, {})
     types = list(ids)
     entries = _densities([types[i] for i in type_ids.tolist()], [rec.size for rec in catalog],
                          order)

@@ -451,23 +451,20 @@ def parts_from_traces(traces, order, weight):
     return Partition(counts)
 
 
-def moebius_type_ids(entries, orders, n, traces_of, weight, ids, memo):
+def moebius_type_ids(orders, traces_of, weight, ids, memo):
     """The id in `ids` (type -> id, grown as types appear) of the type of
-    every row g of `entries` (k x 4 residues mod n) of order `orders[i]`,
-    from the permutation character alone: for each order m, the powers g^d
-    at the divisors d of m come from one `matrix_powers` call (k' x 4,
-    divisor by divisor), one `traces_of` call on them gives their
-    fixed-point counts, and `parts_from_traces` runs once per distinct
-    (m, traces), memoised in `memo` across calls.  Only one order's powers
-    are held at a time: at Gamma1(99793) the closed table peaks at 138 MB
-    of RSS, against 275 MB with the powers of every order stacked."""
-    g = np.asarray(entries).reshape(-1, 2, 2)
+    every row i of order `orders[i]`, from the permutation character alone:
+    for each order m, one `traces_of(rows, ds)` call gives tr sigma(g^d) of
+    the rows of order m at the divisors d of m (len(ds) x len(rows)), and
+    `parts_from_traces` runs once per distinct (m, traces), memoised in
+    `memo` across calls.  A callback that forms the powers as matrices so
+    holds one order's at a time: at Gamma1(99793) the closed table peaks at
+    about 140 MB of RSS, against 275 MB with the powers of every order stacked."""
     orders = np.asarray(orders)
     out = np.empty(len(orders), dtype=np.int32)
     for m in np.flatnonzero(np.bincount(orders)).tolist():
         sel, ds = np.flatnonzero(orders == m), divisors(m)
-        powers = np.stack(matrix_powers(g.take(sel, axis=0), ds, n)).reshape(-1, 4)
-        traces = np.asarray(traces_of(powers)).reshape(len(ds), len(sel))
+        traces = np.asarray(traces_of(sel, ds)).reshape(len(ds), len(sel))
         distinct, inverse = _distinct_rows(traces.T)
         row_ids = []
         for tr in map(tuple, distinct.tolist()):

@@ -6,9 +6,11 @@ an element g acts by image[i] = j where r_j^-1 g r_i lies in the subgroup.
 The cycle type of that permutation is the splitting type of any hyperbolic
 class of SL2(Z) reducing to g.  It can be recovered independently from the
 permutation character chi(g^d) = #fixed cosets of g^d by Moebius
-inversion (`core.moebius_type_ids`), which forms the powers g^d as
-matrices and reads only their fixed-coset counts, so it never sees the
-action it checks beyond its fixed points.
+inversion (`core.moebius_type_ids`), which reads only the fixed-coset
+counts of the powers g^d, so it never sees the action it checks beyond
+its fixed points: matrix powers for one element, and for all of Xi(N)
+gathers through the q-th power maps of the chain grid, built once per
+level from matrix products (`_power_maps`).
 
 A Gamma0 coset is a point of P^1(Z/N), a first column (a, c) up to units;
 a Gamma1 coset is a column up to sign, a point with a unit multiplier
@@ -215,13 +217,13 @@ def act_block(elements, table: CosetTable):
         return np.divmod(xi_grid_positions(e, n), n)
     a, c = ((g[:, 2 * i] * r[0] + g[:, 2 * i + 1] * r[1]) % n for i in (0, 1))
     x = mu = 0
-    for q, p, inverse, idempotent in table.lines:
-        aq, cq = a % q, c % q
+    for q, p, inverse, idempotent in table.lines:  # at q = N, a and c are local already
+        aq, cq = (a % q, c % q) if q < n else (a, c)
         unit = aq % p != 0
         local = np.where(unit, aq, cq)  # the local multiplier
         y = np.where(unit, cq, aq) * inverse.take(local) % q
         x = x * (q + q // p) + np.where(unit, y, q + y // p)
-        mu = (mu + local * idempotent) % n
+        mu = (mu + local * idempotent) % n if q < n else local
     j = table.code.take(mu)
     if j.min(initial=0) < 0:
         raise ConsistencyError(f"a product's multiplier has no code in the {table.subgroup} table")
@@ -343,9 +345,9 @@ def splitting_type_moebius(g, table: CosetTable):
     """Splitting type recovered from the permutation character alone: the
     fixed-coset counts of the powers of g (`_fixed_cosets`), through
     `moebius_type_ids`.  Never inspects cycles."""
-    ids = {}
-    moebius_type_ids([g], xi_orders([g], table.level), table.level,
-                     lambda powers: _fixed_cosets(powers, table), table.index, ids, {})
+    ids, g = {}, np.reshape(g, (1, 2, 2))
+    moebius_type_ids(xi_orders(g, table.level), lambda rows, ds: _fixed_cosets(
+        np.stack(matrix_powers(g, ds, table.level)).reshape(-1, 4), table), table.index, ids, {})
     return next(iter(ids))
 
 
@@ -411,22 +413,46 @@ def _cycle_type_ids(perm, shift, m, ids):
     return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
-# elements per block of the Moebius step of `dual_type_report`: bounds its
-# matrix powers to a few MB
+# elements per block of the power-map sweep and of the Moebius step of
+# `dual_type_report`: bounds their matrix powers and positions to a few MB
 _MOEBIUS_ROWS = 1 << 14
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_orders(level):
-    """`xi_orders` of the flat chain grid of Xi(level), read-only int32:
-    one sweep per level, which the three families' reports share."""
+def _power_maps(level):
+    """Read-only int32 maps of the flat chain grid of Xi(level), maps[q][x]
+    the position of x^q for each prime q of |Xi|, from one `matrix_powers`
+    call per _MOEBIUS_ROWS elements; and each element's order by gathers:
+    x^(|Xi|/q^e) takes j q-steps to the identity, q^j the q-part of it."""
     size = capped_xi_order(level)
-    orders = np.empty(size, dtype=np.int32)
+    primes = factorize(size)
+    maps = {q: np.empty(size, dtype=np.int32) for q, _ in primes}
     for start in range(0, size, _MOEBIUS_ROWS):
         at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
-        orders[start:start + len(at)] = xi_orders(np.stack(grid_entries(at, level)).T, level)
-    orders.setflags(write=False)
-    return orders
+        g = np.stack(grid_entries(at, level), axis=1).reshape(-1, 2, 2)
+        for q, x in zip(maps, matrix_powers(g, list(maps), level)):
+            maps[q][at] = xi_grid_positions(x.reshape(-1, 4).T, level)
+    one = xi_grid_positions(np.array([[1], [0], [0], [1]]), level)[0]
+    orders = np.ones(size, dtype=np.int32)
+    for start in range(0, size, _MOEBIUS_ROWS):
+        block = orders[start:start + _MOEBIUS_ROWS]
+        for q, e in primes:
+            x = _grid_power(maps, size // q**e, np.arange(start, start + len(block)))
+            for _ in range(e):
+                np.multiply(block, q, out=block, where=x != one)
+                x = maps[q].take(x)
+    for array in (*maps.values(), orders):
+        array.setflags(write=False)
+    return maps, orders
+
+
+def _grid_power(maps, k, at):
+    """The grid positions of x^k for the elements x at positions `at`:
+    the q-th power maps along the prime factors q of k."""
+    for q in maps:
+        while k % q == 0:
+            at, k = maps[q].take(at), k // q
+    return at
 
 
 def dual_type_report(level, family):
@@ -438,15 +464,15 @@ def dual_type_report(level, family):
     over `coset_chain_blocks` keeps two int32 numbers per element, in grid
     order: its fixed-coset count (`_fixed_counts`) and the id of its cycle
     type (`_cycle_type_ids`), both from the block form of its action.  The
-    Moebius route (`moebius_type_ids`) then reads tr sigma(g)^d as the
-    fixed-coset count of the element g^d, placed in the grid by its entries
-    (`xi_grid_positions`), with the orders of `_grid_orders`, so an action
-    that is not a homomorphism shows as a mismatch too.  Elements are
-    decoded from the grid only for the mismatches.
+    Moebius route (`moebius_type_ids`) then reads tr sigma(g)^d at the
+    grid position of g^d (`_grid_power`), with the orders and power maps
+    of `_power_maps`, built from matrix products, so an action that is not
+    a homomorphism shows as a mismatch too.  Elements are decoded from the
+    grid only for the mismatches.
     """
     size = capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
-    orders = _grid_orders(level)
+    maps, orders = _power_maps(level)
     fixed, by_cycles = np.empty((2, size), dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
     count, by_traces = 0, {}
@@ -459,12 +485,11 @@ def dual_type_report(level, family):
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")
     bad, by_moebius = [], []
     for start in range(0, size, _MOEBIUS_ROWS):
-        at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
-        g = np.stack(grid_entries(at, level)).T
-        lam_m = moebius_type_ids(g, orders[start:start + len(at)], level,
-                                 lambda powers: fixed.take(xi_grid_positions(powers.T, level)),
+        lam_m = moebius_type_ids(orders[start:start + _MOEBIUS_ROWS],
+                                 lambda rows, ds: fixed.take([_grid_power(maps, d, rows + start)
+                                                              for d in ds]),
                                  table.index, ids, by_traces)
-        miss = np.flatnonzero(lam_m != by_cycles.take(at))
+        miss = np.flatnonzero(lam_m != by_cycles[start:start + len(lam_m)])
         bad.append(miss + start)
         by_moebius.append(lam_m.take(miss))
     bad, by_moebius = np.concatenate(bad), np.concatenate(by_moebius)

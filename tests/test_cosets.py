@@ -24,7 +24,7 @@ from geosplit.cosets import (
     splitting_type_cycles,
     splitting_type_moebius,
 )
-from reference import act_reference, complete_column, inv, is_member_tuple
+from reference import act_reference, complete_column, inv, is_member_tuple, matpow
 
 
 def table(family, level):
@@ -438,6 +438,22 @@ def test_chain_permutations_match_reference(family, n):
         [walk_cycle_type(reference(g)) for g in elements]
 
 
+def _skew_even_orders(monkeypatch):
+    """A Moebius recursion that is wrong for even orders: one fixed point
+    too many, in the sweep's driver and in the per-element loop alike."""
+    import geosplit.core as core
+    import geosplit.cosets as cosets
+
+    exact = core.parts_from_traces
+
+    def skewed(traces, order, weight):
+        lam = exact(traces, order, weight)
+        return partition([*lam, 1]) if order % 2 == 0 else lam
+
+    monkeypatch.setattr(core, "parts_from_traces", skewed)
+    monkeypatch.setattr(cosets, "parts_from_traces", skewed)
+
+
 def _reference_dual_report(level, family):
     """Per-element loop: reference action, both type routes."""
     t = table(family, level)
@@ -460,23 +476,13 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
     heads per action call and 15 chains per block; Gamma1(16) has 96
     cosets on 24 orbit leaders of m = 4, so 682 heads per call and 42 of
     its 96 chains per block) and at level 2, where -I = I."""
-    import geosplit.core as core
-    import geosplit.cosets as cosets
-
     assert dual_type_report(n, family) == _reference_dual_report(n, family)
 
     # with a Moebius recursion that is wrong for even orders, the sweep (its
     # Moebius step is `core.moebius_type_ids`) and the per-element loop
     # (`cosets.moebius_type_from_perm`) report the same mismatches, sorted
     # by element
-    exact = core.parts_from_traces
-
-    def skewed(traces, order, weight):
-        lam = exact(traces, order, weight)
-        return partition([*lam, 1]) if order % 2 == 0 else lam
-
-    monkeypatch.setattr(core, "parts_from_traces", skewed)
-    monkeypatch.setattr(cosets, "parts_from_traces", skewed)
+    _skew_even_orders(monkeypatch)
     count, mismatches = dual_type_report(n, family)
     assert mismatches
     assert (count, mismatches) == _reference_dual_report(n, family)
@@ -484,24 +490,73 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
 
 
 def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
-    """The three families' reports at one level take the grid's orders
-    from one `xi_orders` call (|Xi(11)| = 660 is one block), and the
-    cached orders are read-only.  The Gamma1 table takes the orders of
-    the ten units from one call of its own."""
-    calls = []
+    """The three families' reports at one level share one power-map sweep:
+    one grid `matrix_powers` call per block of _MOEBIUS_ROWS elements, on
+    the primes of |Xi(11)| = 660 = 2^2 * 3 * 5 * 11 (256 per block here, so
+    three blocks), and no grid `xi_orders` call.  The only `xi_orders`
+    call is the Gamma1 table's, on its ten units.  The maps and orders are
+    read-only int32."""
+    calls, grid_powers = [], []
 
     def counted(elements, n):
         calls.append((n, len(elements)))
         return core.xi_orders(elements, n)
 
+    def counted_powers(x, exponents, n):
+        if x.shape[1:] == (2, 2):  # not the 1 x 1 powers that invert units
+            grid_powers.append((n, len(x), list(exponents)))
+        return core.matrix_powers(x, exponents, n)
+
     monkeypatch.setattr(cosets, "xi_orders", counted)
-    cosets._grid_orders.cache_clear()
+    monkeypatch.setattr(cosets, "matrix_powers", counted_powers)
+    monkeypatch.setattr(cosets, "_MOEBIUS_ROWS", 256)
+    cosets._power_maps.cache_clear()
     cosets._unit_code.cache_clear()
     for family in Family:
         assert dual_type_report(11, family) == (xi_order(11), [])
-    assert calls == [(11, 660), (11, 10)]
-    assert cosets._grid_orders(11).dtype == np.int32
-    assert not cosets._grid_orders(11).flags.writeable
+    assert calls == [(11, 10)]
+    assert grid_powers == [(11, 256, [2, 3, 5, 11]), (11, 256, [2, 3, 5, 11]),
+                           (11, 148, [2, 3, 5, 11])]
+    maps, orders = cosets._power_maps(11)
+    assert list(maps) == [2, 3, 5, 11]
+    for array in (*maps.values(), orders):
+        assert array.dtype == np.int32 and array.shape == (660,)
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)))
+def test_power_maps_give_the_orders_and_the_prime_powers(n):
+    """The orders read off the power maps are `xi_orders` of the grid's
+    entries at every position (N = 37, |Xi| = 25308, crosses a block
+    edge), and at sampled positions each map names the grid place of the
+    q-th power by binary exponentiation in tests/reference.py."""
+    maps, orders = cosets._power_maps(n)
+    size = xi_order(n)
+    entries = np.stack(core.grid_entries(np.arange(size), n), axis=1)
+    assert orders.tolist() == core.xi_orders(entries, n).tolist()
+    at = np.random.default_rng(n).choice(size, size=min(size, 60), replace=False)
+    for q, image in maps.items():
+        powers = np.stack(core.grid_entries(image.take(at), n), axis=1)
+        assert [canon(*g, n) for g in powers.tolist()] == \
+            [matpow(canon(*g, n), q, n) for g in entries.take(at, axis=0).tolist()], q
+
+
+@pytest.mark.parametrize("family,n", [(Family.GAMMA1, 16), (Family.GAMMA, 13)])
+def test_moebius_step_across_blocks(family, n, monkeypatch):
+    """With 100 elements per block of the power-map sweep and of the
+    Moebius step (|Xi(16)| = 1536 and |Xi(13)| = 1092: 16 and 11 blocks,
+    the last partial), the report is the one of whole blocks, also with
+    the skewed recursion of `test_dual_report_matches_per_element_loop`."""
+    whole = dual_type_report(n, family)
+    with monkeypatch.context() as patch:
+        _skew_even_orders(patch)
+        whole_skewed = dual_type_report(n, family)
+    assert whole_skewed[1]
+    monkeypatch.setattr(cosets, "_MOEBIUS_ROWS", 100)
+    cosets._power_maps.cache_clear()
+    assert dual_type_report(n, family) == whole
+    _skew_even_orders(monkeypatch)
+    assert dual_type_report(n, family) == whole_skewed
 
 
 @pytest.mark.parametrize("family,n,at", [(Family.GAMMA0, 7, (0, 3, "perm")),
