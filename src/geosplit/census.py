@@ -55,6 +55,7 @@ from .core import (
     Family,
     Partition,
     SubgroupSpec,
+    blocks,
     capped_xi_order,
     chain_heads,
     decode_keys,
@@ -83,11 +84,6 @@ class ConjugacyClassRecord:
     types: dict = field(default_factory=dict)
 
 
-# elements per chunk of the census's pass over the grid, in whole chains:
-# bounds its temporaries (entries, keys, conjugates) to a few MB
-_CENSUS_CHUNK = 1 << 14
-
-
 def conjugacy_classes(level):
     """Conjugacy classes of Xi(level), each represented by its least
     member, sorted by representative: `_class_ids`, then sizes from
@@ -105,22 +101,19 @@ def _class_ids(n):
     int32 and numbered by least position, and each class's least key,
     which decodes to its least member.  A class is T-orbits (`_t_orbits`)
     joined by conjugation by S, (a, b, c, d) -> (d, -c, -b, a): one pass
-    over whole chains, about _CENSUS_CHUNK elements at a time, takes each
-    T-orbit's least key (`sign_keys`) and keeps each S-edge between two
-    T-orbits once, and the classes are their components (`_components`).
-    The working set is a few int32 numbers per element, allocated after
-    the cap check (`capped_xi_order`)."""
+    over the chains of `chain_heads`, in `blocks` of whole chains, takes
+    each T-orbit's least key (`sign_keys`) and keeps each S-edge between
+    two T-orbits once, and the classes are their components
+    (`_components`).  The working set is a few int32 numbers per element,
+    allocated after the cap check (`capped_xi_order`)."""
     order = capped_xi_order(n)
     heads = chain_heads(n)[0]
-    if heads.shape[1] * n != order:
-        raise ConsistencyError(f"the chains of Xi({n}) do not hold its {order} elements")
     (base, shift, size), count = _t_orbits(n)
     label = np.empty((len(base), n), dtype=np.int32)
     least = np.full(count, n**4)  # above every key
     ends, edges = np.empty((2, order // 2), dtype=np.int32), 0
     t = np.arange(n, dtype=np.int32)
-    rows = max(1, _CENSUS_CHUNK // n)
-    chunks = [slice(h, h + rows) for h in range(0, len(base), rows)]
+    chunks = blocks(len(base), n)
     for ch in chunks:
         a, b0, c, d0 = (v[ch, None] for v in heads)
         b, d = (b0 + t * a) % n, (d0 + t * c) % n

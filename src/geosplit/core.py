@@ -12,6 +12,9 @@ are numpy arrays: the int64 +-canonical keys ((a*N + b)*N + c)*N + d of
 `sign_keys`, whose order is the tuple order, or rows of entries, such as
 the chain grid of Xi(N) (`xi_chain_grid`) and the blocks whose orders
 `xi_orders` takes in one pass.
+
+Row passes, here and in the census and coset modules, go in `blocks` of
+BLOCK items, the package's one block size; DEFAULT_GROUP_CAP is its cap.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ from functools import lru_cache, total_ordering
 import numpy as np
 
 DEFAULT_GROUP_CAP = 10**7
+
+# items per block of every row pass (`blocks`).  Medians of 12 interleaved
+# runs in one process (2-core host) at 2^12, ..., 2^16: the dual sweep of
+# the dual_sweep grid read 53.8, 46.2, 44.0, 43.8 and 44.7 ms, the census
+# of levels 60, 96 and 150 read 142, 133, 128, 131 and 129 ms; a larger
+# block only holds more temporaries
+BLOCK = 1 << 14
 
 
 class CapExceeded(Exception):
@@ -120,11 +130,6 @@ def order_in_xi_tuple(g, n):
     return m
 
 
-# rows per pass of `xi_orders`: bounds its working set to a few arrays of
-# this many 2 x 2 matrices
-_ORDER_ROWS = 1 << 16
-
-
 def xi_orders(elements, n):
     """Order in Xi(n) of every row of `elements` (k x 4 integer entries,
     any sign), as an int64 array: one numpy pass over the block.
@@ -132,14 +137,12 @@ def xi_orders(elements, n):
     For each prime power q^e exactly dividing |Xi(n)|, x = g^(|Xi(n)|/q^e)
     has order q^j with j <= e, and q^j is the q-part of the order of g; j
     counts the q-th powers x takes to reach +-I.  The powers of all the
-    primes come from one `matrix_powers` call.  Rows are taken in passes
-    of _ORDER_ROWS.  A row whose determinant is not 1 mod n is refused with
-    ValueError.
+    primes come from one `matrix_powers` call per block (`blocks`).  A row
+    whose determinant is not 1 mod n is refused with ValueError.
     """
     g = np.asarray(elements, dtype=np.int64).reshape(-1, 2, 2) % n
-    if len(g) > _ORDER_ROWS:
-        return np.concatenate([xi_orders(g[i:i + _ORDER_ROWS], n)
-                               for i in range(0, len(g), _ORDER_ROWS)])
+    if len(pieces := blocks(len(g))) > 1:
+        return np.concatenate([xi_orders(g[piece], n) for piece in pieces])
     if not ((g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % n == 1 % n).all():
         raise ValueError(f"element not in Xi({n}) among {len(g)} rows")
     group_order = xi_order(n)
@@ -209,6 +212,14 @@ def capped_xi_order(n):
     return order
 
 
+def blocks(count, width=1):
+    """range(count) as consecutive slices of at most BLOCK // width rows,
+    and at least one row each: the blocks of a row pass whose rows are
+    `width` items wide."""
+    step = max(1, BLOCK // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def sign_keys(entries, n):
     """+-canonical keys of vectors given entry by entry (arrays of residues
     mod n): a vector's key reads its entries in base n, so the key order is
@@ -240,12 +251,16 @@ def chain_heads(n):
     -I = I), are in lexicographic order.  For the least t >= 0 with
     a + t*c a unit mod n, and d its inverse, the head (a, -t*d, c, d) has
     determinant d*(a + t*c) = 1; each prime of n excludes at most one
-    residue of t, so t <= omega(n)."""
+    residue of t, so t <= omega(n).  Heads that do not hold |Xi(n)|
+    elements are a fault of the grid: ConsistencyError."""
     a = np.arange(n // 2 + 1, dtype=np.int32)[:, None]  # a <= -a mod n
     c = np.arange(n, dtype=np.int32)
     tied = a == -a % n  # a = 0 or n/2: the sign then acts on c alone
     keep = (np.gcd(np.gcd(a, c), n) == 1) & ~(tied & (-c % n < c))
-    heads = np.zeros((4, np.count_nonzero(keep)), dtype=np.int32)
+    count = np.count_nonzero(keep)
+    if count * n != xi_order(n):
+        raise ConsistencyError(f"{count} chain heads of {n} do not hold the elements of Xi({n})")
+    heads = np.zeros((4, count), dtype=np.int32)
     # the columns read through the mask stay int32, where np.nonzero gives intp
     heads[0], heads[2] = (np.broadcast_to(v, keep.shape)[keep] for v in (a, c))
     a, t, c, d = heads  # row 1 holds t until b0 = -t*d replaces it
@@ -353,8 +368,10 @@ def cycle_labels(successor):
         p, spare = spare, p
 
 
-# indices per gather of `cycle_labels`: the intp copy `take` makes of them
-# stays at a few hundred KB
+# indices per gather of `cycle_labels`, apart from BLOCK: the ~28k-point
+# permutations of `enumerate_primitive_classes(3e5)` take one gather a round
+# here and two at 2^14, and a cold run of it read 1.4 % slower at 2^14
+# (medians of 12 fresh-process pairs, 9 slower; a warm loop read no change)
 _GATHER = 1 << 16
 
 

@@ -53,6 +53,7 @@ import math
 import numpy as np
 
 from .core import (
+    DEFAULT_GROUP_CAP,
     CapExceeded,
     ConsistencyError,
     Family,
@@ -60,6 +61,7 @@ from .core import (
     SubgroupSpec,
     _distinct_rows,
     _residue_dtype,
+    blocks,
     canon,
     capped_xi_order,
     chain_heads,
@@ -72,18 +74,14 @@ from .core import (
     parts_from_traces,
     xi_chain_grid,
     xi_grid_positions,
-    xi_order,
     xi_orders,
 )
-
-# bounds the index of a coset table
-DEFAULT_INDEX_CAP = 10**7
 
 # Permutation blocks are int32 at levels up to 2^15 (`core._residue_dtype`):
 # gathers through ndarray.take with int32 indices run as fast as with intp
 # and move half the bytes.  Flat indices need a block below 2^31 entries;
-# the blocks hold at most max(_BLOCK_ENTRIES, k) for k <= index matrices
-# per row, and the index is capped at DEFAULT_INDEX_CAP.
+# the blocks hold at most max(core.BLOCK, k) for k <= index matrices per
+# row (`core.blocks`), and the index is capped at core.DEFAULT_GROUP_CAP.
 _PERM_DTYPE = np.int32
 
 
@@ -119,34 +117,32 @@ class CosetTable:
 
 
 def capped_key_count(s: SubgroupSpec):
-    """The matrices s's table counts: |Xi(N)| elements for Gamma, psi(N)
-    points of P^1(Z/N) for Gamma0 and psi(N)*|G|/m base points for Gamma1
-    (`_unit_code`); CapExceeded above DEFAULT_INDEX_CAP.  A level that
-    psi(N) > N or |Xi(N)| > 0.3 N^3 puts over is refused before it is
-    factored, and a Gamma1 level whose points are over it before `_unit_code`."""
+    """The matrices s's table counts: |Xi(N)| elements for Gamma
+    (`capped_xi_order`), psi(N) points of P^1(Z/N) for Gamma0 and
+    psi(N)*|G|/m base points for Gamma1 (`_unit_code`); CapExceeded above
+    DEFAULT_GROUP_CAP.  A level that psi(N) > N puts over is refused
+    before it is factored, and a Gamma1 level whose points are over it
+    before `_unit_code`."""
     n = s.level
-    if n >= DEFAULT_INDEX_CAP or s.family == Family.GAMMA and 3 * n**3 > 10 * DEFAULT_INDEX_CAP:
-        raise CapExceeded(f"more than {n} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")
-    count = xi_order(n) if s.family == Family.GAMMA else math.prod(
-        p**r + p**(r - 1) for p, r in factorize(n))
-    if s.family == Family.GAMMA1 and count <= DEFAULT_INDEX_CAP:
+    if s.family == Family.GAMMA:
+        return capped_xi_order(n)
+    if n >= DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"more than {n} coset vectors of {s} exceeds cap {DEFAULT_GROUP_CAP}")
+    count = math.prod(p**r + p**(r - 1) for p, r in factorize(n))
+    if s.family == Family.GAMMA1 and count <= DEFAULT_GROUP_CAP:
         count *= len(_unit_code(n)[1])
-    if count > DEFAULT_INDEX_CAP:
-        raise CapExceeded(f"{count} coset vectors of {s} exceeds cap {DEFAULT_INDEX_CAP}")
+    if count > DEFAULT_GROUP_CAP:
+        raise CapExceeded(f"{count} coset vectors of {s} exceeds cap {DEFAULT_GROUP_CAP}")
     return count
 
 
 def build_coset_table(s: SubgroupSpec) -> CosetTable:
     """Coset table of s inside Xi(N) by the rule of the module docstring,
-    after the cap check of `capped_key_count`; ConsistencyError when the
-    chain heads do not hold |Xi(N)|/N elements."""
+    after the cap check of `capped_key_count`."""
     n = s.level
     count = capped_key_count(s)
     if s.family == Family.GAMMA:
-        heads = chain_heads(n)[0]
-        if heads.shape[1] * n != count:
-            raise ConsistencyError(f"{heads.shape[1]} chain heads of {n} for {s}, expected {count}")
-        return CosetTable(s, heads, n)
+        return CosetTable(s, chain_heads(n)[0], n)
     code, rho, m = _unit_code(n) if s.family == Family.GAMMA1 else (
         np.where(np.gcd(np.arange(n), n) == 1, 0, -1).astype(np.int32), [1], 1)
     lines = [(q, p, _inverses(q), n // q * pow(n // q, -1, q) % n)
@@ -249,16 +245,13 @@ def base_cycles(perm, shift, m):
     """The base cycles of a block in block form, its rows one permutation
     of the flat points r*width + i: the least point of the cycle through
     each point (`cycle_labels`), the leaders (their own label) and, per
-    leader, the number of coset cycles its cycle is (None for m = 1, one
-    each).  A base cycle of length l whose shifts sum to sigma returns to
-    its start shifted by sigma, so it is gcd(sigma, m) coset cycles of
-    length l*m/gcd(sigma, m)."""
+    leader, the number of coset cycles its cycle is.  A base cycle of
+    length l whose shifts sum to sigma returns to its start shifted by
+    sigma, so it is gcd(sigma, m) coset cycles of length l*m/gcd(sigma, m)."""
     rows, width = perm.shape
     offsets = np.arange(0, rows * width, width, dtype=_PERM_DTYPE)
     label = cycle_labels((perm + offsets[:, None]).ravel())
     leaders = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
-    if m == 1:
-        return label, leaders, None
     sigma = np.bincount(label, weights=shift.ravel(), minlength=label.size)[leaders]
     return label, leaders, np.gcd(sigma.astype(np.int64), m)
 
@@ -266,18 +259,16 @@ def base_cycles(perm, shift, m):
 def _fixed_counts(perm, shift, m):
     """The fixed-coset count of every row of a block in block form: m for
     each base point fixed with shift 0."""
-    fixed = perm == np.arange(perm.shape[1], dtype=_PERM_DTYPE)
-    if m > 1:
-        fixed &= shift == 0
+    fixed = (perm == np.arange(perm.shape[1], dtype=_PERM_DTYPE)) & (shift == 0)
     return m * np.count_nonzero(fixed, axis=1)
 
 
 def cycle_types(block):
     """Cycle type of every row of a 2-D block of permutations, as
-    `Partition`s (`_cycle_type_ids`)."""
+    `Partition`s (`_cycle_type_ids` of the block form with m = 1)."""
     ids = {}
     block = np.atleast_2d(np.asarray(block, dtype=_PERM_DTYPE))
-    row_ids = _cycle_type_ids(block, None, 1, ids).tolist()
+    row_ids = _cycle_type_ids(block, np.zeros_like(block), 1, ids).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -351,18 +342,11 @@ def splitting_type_moebius(g, table: CosetTable):
     return next(iter(ids))
 
 
-# acted points held by one block of `_block_action` and of the dual sweep:
-# small enough that the sweep's working set stays near the cache size, large
-# enough that the per-block numpy overhead is paid rarely
-_BLOCK_ENTRIES = 1 << 14
-
-
 def _block_action(elements, table: CosetTable):
-    """`act_block` of a list of elements in blocks of at most _BLOCK_ENTRIES
-    acted points (at least one row)."""
-    rows = max(1, _BLOCK_ENTRIES // table.acted.shape[1])
-    for start in range(0, len(elements), rows):
-        yield act_block(elements[start:start + rows], table)
+    """`act_block` of a list of elements in `blocks` of rows as wide as
+    the matrices the table holds."""
+    for rows in blocks(len(elements), table.acted.shape[1]):
+        yield act_block(elements[rows], table)
 
 
 def coset_chain_blocks(table: CosetTable):
@@ -374,25 +358,18 @@ def coset_chain_blocks(table: CosetTable):
     (mod m).  So one `act_block` row per chain head (`_block_action`)
     and one gather from the block form of T^k, k < N, give the whole
     chain.  Yields (perm, shift) pairs of rows x k arrays, holding whole
-    chains where one fits into _BLOCK_ENTRIES entries and consecutive
-    pieces of one chain otherwise.  So the rows of all blocks, in turn, are
-    the flattened grid of `xi_chain_grid`: head by head, k along each chain.
+    chains where one fits into a block (`blocks`) and consecutive pieces of
+    one chain otherwise.  So the rows of all blocks, in turn, are the
+    flattened grid of `xi_chain_grid`: head by head, k along each chain.
     """
     n, m = table.level, table.modulus
     width = table.acted.shape[1]
     t_perm, t_shift = act_block([(1, k, 0, 1) for k in range(n)], table)
-    acted = max(1, _BLOCK_ENTRIES // width)  # heads per `_block_action` block
-    chains = max(1, acted // n)
-    step = min(n, acted)
     for head_perm, head_shift in _block_action(chain_heads(n)[0].T, table):
-        for c0 in range(0, len(head_perm), chains):
-            for k0 in range(0, n, step):
-                at = t_perm[k0:k0 + step]
-                perm = head_perm[c0:c0 + chains].take(at, axis=1).reshape(-1, width)
-                if m == 1:  # every shift is 0
-                    yield perm, np.zeros_like(perm)
-                    continue
-                shift = head_shift[c0:c0 + chains].take(at, axis=1) + t_shift[k0:k0 + step]
+        for chains in blocks(len(head_perm), n * width):
+            for k in blocks(n, width):
+                perm = head_perm[chains].take(t_perm[k], axis=1).reshape(-1, width)
+                shift = head_shift[chains].take(t_perm[k], axis=1) + t_shift[k]
                 yield perm, (shift % m).reshape(-1, width)
 
 
@@ -402,9 +379,7 @@ def _cycle_type_ids(perm, shift, m, ids):
     `base_cycles` counted per length and row, and each distinct row of
     counts read as the runs of a `Partition`."""
     label, leaders, copies = base_cycles(perm, shift, m)
-    lengths = np.bincount(label, minlength=label.size)[leaders]
-    if copies is not None:
-        lengths *= m // copies
+    lengths = np.bincount(label, minlength=label.size)[leaders] * (m // copies)
     width = int(lengths.max(initial=0)) + 1
     counts = np.bincount(leaders // perm.shape[1] * width + lengths, weights=copies,
                          minlength=len(perm) * width).astype(np.int64, copy=False)
@@ -413,31 +388,27 @@ def _cycle_type_ids(perm, shift, m, ids):
     return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
-# elements per block of the power-map sweep and of the Moebius step of
-# `dual_type_report`: bounds their matrix powers and positions to a few MB
-_MOEBIUS_ROWS = 1 << 14
-
-
 @functools.lru_cache(maxsize=8)
 def _power_maps(level):
     """Read-only int32 maps of the flat chain grid of Xi(level), maps[q][x]
     the position of x^q for each prime q of |Xi|, from one `matrix_powers`
-    call per _MOEBIUS_ROWS elements; and each element's order by gathers:
-    x^(|Xi|/q^e) takes j q-steps to the identity, q^j the q-part of it."""
+    call per block of elements (`blocks`); and each element's order by
+    gathers: x^(|Xi|/q^e) takes j q-steps to the identity, q^j the q-part
+    of it."""
     size = capped_xi_order(level)
     primes = factorize(size)
     maps = {q: np.empty(size, dtype=np.int32) for q, _ in primes}
-    for start in range(0, size, _MOEBIUS_ROWS):
-        at = np.arange(start, min(start + _MOEBIUS_ROWS, size), dtype=np.int32)
+    for rows in blocks(size):
+        at = np.arange(rows.start, rows.stop, dtype=np.int32)
         g = np.stack(grid_entries(at, level), axis=1).reshape(-1, 2, 2)
         for q, x in zip(maps, matrix_powers(g, list(maps), level)):
             maps[q][at] = xi_grid_positions(x.reshape(-1, 4).T, level)
     one = xi_grid_positions(np.array([[1], [0], [0], [1]]), level)[0]
     orders = np.ones(size, dtype=np.int32)
-    for start in range(0, size, _MOEBIUS_ROWS):
-        block = orders[start:start + _MOEBIUS_ROWS]
+    for rows in blocks(size):
+        block = orders[rows]
         for q, e in primes:
-            x = _grid_power(maps, size // q**e, np.arange(start, start + len(block)))
+            x = _grid_power(maps, size // q**e, np.arange(rows.start, rows.stop))
             for _ in range(e):
                 np.multiply(block, q, out=block, where=x != one)
                 x = maps[q].take(x)
@@ -484,13 +455,13 @@ def dual_type_report(level, family):
     if count != size:
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")
     bad, by_moebius = [], []
-    for start in range(0, size, _MOEBIUS_ROWS):
-        lam_m = moebius_type_ids(orders[start:start + _MOEBIUS_ROWS],
-                                 lambda rows, ds: fixed.take([_grid_power(maps, d, rows + start)
-                                                              for d in ds]),
+    for rows in blocks(size):
+        lam_m = moebius_type_ids(orders[rows],
+                                 lambda sel, ds: fixed.take([_grid_power(maps, d, sel + rows.start)
+                                                             for d in ds]),
                                  table.index, ids, by_traces)
-        miss = np.flatnonzero(lam_m != by_cycles[start:start + len(lam_m)])
-        bad.append(miss + start)
+        miss = np.flatnonzero(lam_m != by_cycles[rows])
+        bad.append(miss + rows.start)
         by_moebius.append(lam_m.take(miss))
     bad, by_moebius = np.concatenate(bad), np.concatenate(by_moebius)
     types = list(ids)

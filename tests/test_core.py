@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geosplit import census, cosets
+from geosplit import census, core
 from geosplit.core import (
     _TRIAL_BOUND,
     CapExceeded,
@@ -210,8 +210,8 @@ def test_factorize_products_of_primes_below_the_bound(primes):
 def test_trial_bound_covers_the_caps():
     """Every accepted level is below the trial bound: closed-form levels
     p^r < 2 CLOSED_CATALOG_CAP, and coset levels, whose index is over
-    0.3 N^2 and at most DEFAULT_INDEX_CAP (census levels, with 0.3 N^3
-    under an equal group cap, are smaller still).  Raising a cap past
+    0.3 N^2 and at most DEFAULT_GROUP_CAP (census levels, with 0.3 N^3
+    under the same cap, are smaller still).  Raising a cap past
     the bound fails here instead of refusing real levels."""
     assert _TRIAL_BOUND > 2 * census.CLOSED_CATALOG_CAP
-    assert _TRIAL_BOUND > math.isqrt(10 * cosets.DEFAULT_INDEX_CAP // 3)
+    assert _TRIAL_BOUND > math.isqrt(10 * core.DEFAULT_GROUP_CAP // 3)

@@ -491,7 +491,7 @@ def test_dual_report_matches_per_element_loop(family, n, monkeypatch):
 
 def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
     """The three families' reports at one level share one power-map sweep:
-    one grid `matrix_powers` call per block of _MOEBIUS_ROWS elements, on
+    one grid `matrix_powers` call per block of core.BLOCK elements, on
     the primes of |Xi(11)| = 660 = 2^2 * 3 * 5 * 11 (256 per block here, so
     three blocks), and no grid `xi_orders` call.  The only `xi_orders`
     call is the Gamma1 table's, on its ten units.  The maps and orders are
@@ -509,7 +509,7 @@ def test_dual_reports_share_one_order_sweep_per_level(monkeypatch):
 
     monkeypatch.setattr(cosets, "xi_orders", counted)
     monkeypatch.setattr(cosets, "matrix_powers", counted_powers)
-    monkeypatch.setattr(cosets, "_MOEBIUS_ROWS", 256)
+    monkeypatch.setattr(core, "BLOCK", 256)
     cosets._power_maps.cache_clear()
     cosets._unit_code.cache_clear()
     for family in Family:
@@ -543,16 +543,17 @@ def test_power_maps_give_the_orders_and_the_prime_powers(n):
 
 @pytest.mark.parametrize("family,n", [(Family.GAMMA1, 16), (Family.GAMMA, 13)])
 def test_moebius_step_across_blocks(family, n, monkeypatch):
-    """With 100 elements per block of the power-map sweep and of the
-    Moebius step (|Xi(16)| = 1536 and |Xi(13)| = 1092: 16 and 11 blocks,
-    the last partial), the report is the one of whole blocks, also with
-    the skewed recursion of `test_dual_report_matches_per_element_loop`."""
+    """With core.BLOCK = 100, 100 elements per block of the power-map sweep
+    and of the Moebius step (|Xi(16)| = 1536 and |Xi(13)| = 1092: 16 and
+    11 blocks, the last partial), the report is the one of whole blocks,
+    also with the skewed recursion of
+    `test_dual_report_matches_per_element_loop`."""
     whole = dual_type_report(n, family)
     with monkeypatch.context() as patch:
         _skew_even_orders(patch)
         whole_skewed = dual_type_report(n, family)
     assert whole_skewed[1]
-    monkeypatch.setattr(cosets, "_MOEBIUS_ROWS", 100)
+    monkeypatch.setattr(core, "BLOCK", 100)
     cosets._power_maps.cache_clear()
     assert dual_type_report(n, family) == whole
     _skew_even_orders(monkeypatch)
@@ -598,9 +599,9 @@ def test_dual_report_sees_an_action_that_is_no_homomorphism(family, n, at, monke
                                        (Family.GAMMA1, 16)])
 def test_splitting_types_match_per_element(family, n, monkeypatch):
     """The batched types equal the 1-row calls, also across block edges
-    (1024 acted points per block: Gamma(13) acts on 84 chain heads, so 12
-    rows per block)."""
-    monkeypatch.setattr(cosets, "_BLOCK_ENTRIES", 1 << 10)
+    (core.BLOCK = 1024 acted points per block: Gamma(13) acts on 84 chain
+    heads, so 12 rows per block)."""
+    monkeypatch.setattr(core, "BLOCK", 1 << 10)
     table = build_coset_table(SubgroupSpec(family, n))
     elements = enumerate_xi(n)[::7][:40]
     assert splitting_types(elements, table) == [splitting_type_cycles(g, table)
@@ -611,9 +612,9 @@ def test_splitting_types_match_per_element(family, n, monkeypatch):
 @pytest.mark.parametrize("n", [13, 32])
 def test_equal_splitting_types_are_one_object(n, monkeypatch):
     """Each distinct type is built once per call, also across blocks
-    (384 acted points per block: Gamma(32) acts on 384 chain heads, so one
-    row per block)."""
-    monkeypatch.setattr(cosets, "_BLOCK_ENTRIES", 384)
+    (core.BLOCK = 384 acted points per block: Gamma(32) acts on 384 chain
+    heads, so one row per block)."""
+    monkeypatch.setattr(core, "BLOCK", 384)
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
     types = splitting_types(enumerate_xi(n)[::97][:40], table)
     first = {}
@@ -833,7 +834,7 @@ def test_coset_key_cap_is_checked_before_building(monkeypatch):
     monkeypatch.setattr(cosets, "factorize", _refuse)
     for family in (Family.GAMMA0, Family.GAMMA1):
         with pytest.raises(CapExceeded, match="exceeds cap"):
-            build_coset_table(SubgroupSpec(family, cosets.DEFAULT_INDEX_CAP))
+            build_coset_table(SubgroupSpec(family, core.DEFAULT_GROUP_CAP))
 
 
 @pytest.mark.parametrize("family", [Family.GAMMA0, Family.GAMMA1])

@@ -53,9 +53,9 @@ def test_census_matches_orbit_closure(n):
 
 @pytest.mark.parametrize("n", [12, 25, 27, 32])
 def test_census_across_partial_chunks(monkeypatch, n):
-    """97 elements per chunk: each level spans many chunks, the last one
-    partial, in every chunked pass of the census."""
-    monkeypatch.setattr(census, "_CENSUS_CHUNK", 97)
+    """core.BLOCK = 97 elements per chunk: each level spans many chunks,
+    the last one partial, in every chunked pass of the census."""
+    monkeypatch.setattr(core, "BLOCK", 97)
     assert xi_order(n) > 97 * 5 and xi_order(n) % 97
     got = [(c.representative, c.size, c.order) for c in conjugacy_classes(n)]
     assert got == orbit_closure_classes(n)
@@ -282,15 +282,38 @@ def test_cycle_labels_are_the_least_point_of_each_cycle(monkeypatch, size, cycle
     for piece in np.split(cut, range(cycle, size, cycle)):
         succ[piece] = np.roll(piece, -1)
     given_ = succ.copy()
-    want = [0] * size
-    for i in range(size):
-        j, least = succ[i], i
-        while j != i:
-            least, j = min(least, j), succ[j]
-        want[i] = least
+    want, step = [None] * size, succ.tolist()
+    for i in range(size):  # each cycle walked once, from its first point
+        if want[i] is None:
+            cycle = [i]
+            while step[cycle[-1]] != i:
+                cycle.append(step[cycle[-1]])
+            least = min(cycle)
+            for j in cycle:
+                want[j] = least
     label = core.cycle_labels(succ)
     assert label.dtype == np.int32 and label.tolist() == want
     assert np.array_equal(succ, given_)
+
+
+def test_chain_heads_refuse_a_grid_of_the_wrong_size(monkeypatch, capsys):
+    """The chain grid is checked once, where its heads are built: with
+    `xi_order` one too large, the census and the Gamma table refuse with
+    ConsistencyError, and `densities` exits 3."""
+    order = core.xi_order
+    core.chain_heads.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "xi_order", lambda n: order(n) + 1)
+            with pytest.raises(ConsistencyError, match="chain heads of 7"):
+                conjugacy_classes(7)
+            with pytest.raises(ConsistencyError, match="chain heads of 7"):
+                build_coset_table(SubgroupSpec(Family.GAMMA, 7))
+            assert main(["densities", "--family", "gamma", "--level", "7"]) == 3
+    finally:
+        core.chain_heads.cache_clear()
+    assert "chain heads of 7" in capsys.readouterr().err
+    assert len(conjugacy_classes(7)) > 1
 
 
 @pytest.mark.parametrize("n", [210, 400])

@@ -64,6 +64,41 @@ def _parse(path):
         return ast.parse(fh.read())
 
 
+def _reads_of(tree, name):
+    """The nodes of `tree` that read or import `name`: a loaded name, an
+    attribute or an imported alias."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name]
+
+
+def _is_power_of_two(node):
+    return isinstance(node, ast.BinOp) and (
+        isinstance(node.op, ast.LShift)
+        or isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Constant)
+        and node.left.value == 2)
+
+
+def test_one_block_size():
+    """`core.BLOCK` is the package's one block size: only the helper
+    `core.blocks` reads it, no other module names it, and neither cosets.py
+    nor census.py defines a module-level `1 << k` (or `2**k`) constant, so
+    a new blocked loop there cannot bring its own size."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            tree = _parse(os.path.join(SRC, name))
+            reads = _reads_of(tree, "BLOCK")
+            helper = set(ast.walk(_definitions(tree)["blocks"])) if name == "core.py" else set()
+            assert [node.lineno for node in reads if node not in helper] == [], name
+            assert reads or name != "core.py"
+    for name in ("cosets.py", "census.py"):
+        tree = _parse(os.path.join(SRC, name))
+        sizes = [node.lineno for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and node.value is not None and any(map(_is_power_of_two, ast.walk(node.value)))]
+        assert sizes == [], name
+
+
 def _definitions(tree):
     """Module-level function, class and constant name -> its node."""
     out = {}
