@@ -265,9 +265,7 @@ def chain_heads(n):
     heads[0], heads[2] = (np.broadcast_to(v, keep.shape)[keep] for v in (a, c))
     a, t, c, d = heads  # row 1 holds t until b0 = -t*d replaces it
     rows = column_rows(a, c, n)
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    inverse = np.zeros(n, dtype=np.int32)  # 0 at a non-unit
-    inverse[units] = [pow(u, -1, n) for u in units.tolist()]
+    inverse = unit_inverses(n)
     while not (found := inverse[(a + t * c) % n] > 0).all():
         t += ~found
     d[:] = inverse[(a + t * c) % n]
@@ -354,7 +352,7 @@ def cycle_labels(successor):
     p = p[p], label[i] is the least point among the 2^j successors of i, so
     the labels stop changing exactly when each is its cycle's least point.
     Three buffers rotate, the jumped successors going into the labels the
-    new ones free, and the gathers go _GATHER points at a time."""
+    new ones free, and the gathers go in `blocks`."""
     p = successor.copy()
     label = np.arange(len(p), dtype=p.dtype)
     spare = np.empty_like(label)
@@ -368,18 +366,11 @@ def cycle_labels(successor):
         p, spare = spare, p
 
 
-# indices per gather of `cycle_labels`, apart from BLOCK: the ~28k-point
-# permutations of `enumerate_primitive_classes(3e5)` take one gather a round
-# here and two at 2^14, and a cold run of it read 1.4 % slower at 2^14
-# (medians of 12 fresh-process pairs, 9 slower; a warm loop read no change)
-_GATHER = 1 << 16
-
-
 def _gather(source, at, out):
-    """out[i] = source[at[i]], _GATHER indices at a time; `out` may be an
+    """out[i] = source[at[i]], one of `blocks` at a time; `out` may be an
     int32 `at`, as `take` copies each piece of it to intp first."""
-    for start in range(0, len(at), _GATHER):
-        source.take(at[start:start + _GATHER], out=out[start:start + _GATHER], mode="clip")
+    for piece in blocks(len(at)):
+        source.take(at[piece], out=out[piece], mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +464,32 @@ def moebius_type_ids(orders, traces_of, weight, ids, memo):
     every row i of order `orders[i]`, from the permutation character alone:
     for each order m, one `traces_of(rows, ds)` call gives tr sigma(g^d) of
     the rows of order m at the divisors d of m (len(ds) x len(rows)), and
-    `parts_from_traces` runs once per distinct (m, traces), memoised in
-    `memo` across calls.  A callback that forms the powers as matrices so
-    holds one order's at a time: at Gamma1(99793) the closed table peaks at
-    about 140 MB of RSS, against 275 MB with the powers of every order stacked."""
+    `type_ids` runs `parts_from_traces` once per distinct (m, traces), with
+    `memo[m]` kept across calls.  A callback that forms the powers as
+    matrices so holds one order's at a time: at Gamma1(99793) the closed
+    table peaks at about 140 MB of RSS, against 275 MB with all stacked."""
     orders = np.asarray(orders)
     out = np.empty(len(orders), dtype=np.int32)
     for m in np.flatnonzero(np.bincount(orders)).tolist():
         sel, ds = np.flatnonzero(orders == m), divisors(m)
         traces = np.asarray(traces_of(sel, ds)).reshape(len(ds), len(sel))
-        distinct, inverse = _distinct_rows(traces.T)
-        row_ids = []
-        for tr in map(tuple, distinct.tolist()):
-            if (m, tr) not in memo:
-                memo[m, tr] = ids.setdefault(parts_from_traces(dict(zip(ds, tr)), m, weight),
-                                             len(ids))
-            row_ids.append(memo[m, tr])
-        out[sel] = np.array(row_ids, dtype=np.int32).take(inverse)
+        out[sel] = type_ids(traces.T, lambda tr: parts_from_traces(dict(zip(ds, tr)), m, weight),
+                            ids, memo.setdefault(m, {}))
     return out
+
+
+def type_ids(rows, type_of, ids, memo):
+    """The id in `ids` (type -> id, grown as types appear) of the type of
+    each row of a 2-D integer array, the interning step of both type routes:
+    `type_of(row)` runs once per distinct row not yet in `memo` (row tuple
+    -> id), which the caller keeps across calls."""
+    distinct, inverse = _distinct_rows(rows)
+    row_ids = []
+    for row in map(tuple, distinct.tolist()):
+        if row not in memo:
+            memo[row] = ids.setdefault(type_of(row), len(ids))
+        row_ids.append(memo[row])
+    return np.array(row_ids, dtype=np.int32).take(inverse)
 
 
 def _distinct_rows(rows):
@@ -539,6 +538,14 @@ def factorize(n):
         raise CapExceeded(f"factoring {n}: {rest} has no prime factor up to {_TRIAL_BOUND} "
                           f"and exceeds cap {_TRIAL_BOUND}^2")
     return out + [(rest, 1)] * (rest > 1)
+
+
+def unit_inverses(n):
+    """The int32 inverse u^(2*phi(n) - 1) mod n of every unit u of Z/n, 0 elsewhere."""
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    inverse = np.zeros(n, dtype=np.int32)
+    inverse[units] = matrix_powers(units.reshape(-1, 1, 1), [2 * len(units) - 1], n)[0].ravel()
+    return inverse
 
 
 def divisors(n):

@@ -36,13 +36,14 @@ m for Gamma1 and m = 1 for Gamma0.  A column alone would also accept
 matrices of determinant other than 1 (the columns of (2,0,0,2) mod 7 are
 unimodular), so an element outside Xi(N) is refused with ValueError.  No
 route writes the block form out as a permutation of all the cosets: `act`
-and the permutation kernels `cycle_types` and `moebius_type_from_perm`
-are references for the tests, which check the kernel against the action
-by the definition in tests/reference.py.  Cycle types have one kernel
-too: `base_cycles` labels the base points by the least point of their
-cycle (`core.cycle_labels`) and splits each base cycle by its summed
-shift, the rule the census's T-orbits share, and `_cycle_type_ids` bins
-the coset cycles per row.
+and the permutation kernels `cycle_types` and `moebius_type_from_perm` are
+references for the tests, which check the kernel against the action by the
+definition in tests/reference.py.  Cycle types have one kernel too:
+`base_cycles` labels the base points by the least point of their cycle
+(`core.cycle_labels`) and splits each base cycle by its summed shift, the
+rule the census's T-orbits share; `_cycle_type_ids` counts the coset
+cycles per length and row, and types each count row once per sweep
+(`core.type_ids`, as the Moebius route its trace rows).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .core import (
     Family,
     Partition,
     SubgroupSpec,
-    _distinct_rows,
     _residue_dtype,
     blocks,
     canon,
@@ -72,6 +72,8 @@ from .core import (
     matrix_powers,
     moebius_type_ids,
     parts_from_traces,
+    type_ids,
+    unit_inverses,
     xi_chain_grid,
     xi_grid_positions,
     xi_orders,
@@ -144,8 +146,8 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     if s.family == Family.GAMMA:
         return CosetTable(s, chain_heads(n)[0], n)
     code, rho, m = _unit_code(n) if s.family == Family.GAMMA1 else (
-        np.where(np.gcd(np.arange(n), n) == 1, 0, -1).astype(np.int32), [1], 1)
-    lines = [(q, p, _inverses(q), n // q * pow(n // q, -1, q) % n)
+        np.where(unit_inverses(n) > 0, 0, -1).astype(np.int32), [1], 1)
+    lines = [(q, p, unit_inverses(q), n // q * pow(n // q, -1, q) % n)
              for q, p in ((p**r, p) for p, r in factorize(n))]
     x, a, c = np.arange(count // len(rho)), 0, 0
     for q, p, _, idempotent in reversed(lines):  # v_x, the CRT of the local columns
@@ -157,21 +159,13 @@ def build_coset_table(s: SubgroupSpec) -> CosetTable:
     return CosetTable(s, acted.astype(np.int32), m, code, lines, len(rho))
 
 
-def _inverses(n):
-    """The int32 inverse u^(2*phi(n) - 1) mod n of every unit u of Z/n, 0 elsewhere."""
-    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    inverse = np.zeros(n, dtype=np.int32)
-    inverse[units] = matrix_powers(units.reshape(-1, 1, 1), [2 * len(units) - 1], n)[0].ravel()
-    return inverse
-
-
 @functools.lru_cache(maxsize=4)
 def _unit_code(n):
     """Gamma1's multipliers in G = (Z/n)^*/{+-1} as (code, rho, m): u0 is the
     least unit of largest order m in G, the `xi_orders` order of diag(u0,
     1/u0), rho_0 = 1 < rho_1 < ... the least units of the cosets of <u0>, and
     the read-only code (-1 at a non-unit) numbers +-rho_j * u0^e as j*m + e."""
-    inverse = _inverses(n)
+    inverse = unit_inverses(n)
     units = np.flatnonzero(inverse)
     orders = xi_orders(np.stack((units, 0 * units, 0 * units, inverse.take(units)), axis=1), n)
     m, u0 = int(orders.max()), int(units[orders.argmax()])
@@ -266,9 +260,8 @@ def _fixed_counts(perm, shift, m):
 def cycle_types(block):
     """Cycle type of every row of a 2-D block of permutations, as
     `Partition`s (`_cycle_type_ids` of the block form with m = 1)."""
-    ids = {}
-    block = np.atleast_2d(np.asarray(block, dtype=_PERM_DTYPE))
-    row_ids = _cycle_type_ids(block, np.zeros_like(block), 1, ids).tolist()
+    ids, block = {}, np.atleast_2d(np.asarray(block, dtype=_PERM_DTYPE))
+    row_ids = _cycle_type_ids(block, np.zeros_like(block), 1, ids, {}).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -285,11 +278,11 @@ def splitting_type_cycles(g, table: CosetTable):
 
 def splitting_types(elements, table: CosetTable):
     """Splitting types of a list of elements, from the block form of their
-    action (`_block_action`).  One `_cycle_type_ids` registry serves every
-    block, so equal types are the same `Partition` object."""
-    ids, row_ids = {}, []
+    action (`_block_action`).  One `_cycle_type_ids` registry and memo
+    serve every block: each count row is typed once, equal types are one object."""
+    ids, memo, row_ids = {}, {}, []
     for perm, shift in _block_action(elements, table):
-        row_ids += _cycle_type_ids(perm, shift, table.modulus, ids).tolist()
+        row_ids += _cycle_type_ids(perm, shift, table.modulus, ids, memo).tolist()
     types = list(ids)
     return [types[i] for i in row_ids]
 
@@ -373,19 +366,17 @@ def coset_chain_blocks(table: CosetTable):
                 yield perm, (shift % m).reshape(-1, width)
 
 
-def _cycle_type_ids(perm, shift, m, ids):
+def _cycle_type_ids(perm, shift, m, ids, memo):
     """The id in `ids` (type -> id, grown as types appear) of the cycle
     type of every row of a block in block form: the coset cycles of
     `base_cycles` counted per length and row, and each distinct row of
-    counts read as the runs of a `Partition`."""
+    counts not in `memo` read as the runs of a `Partition` (`type_ids`)."""
     label, leaders, copies = base_cycles(perm, shift, m)
     lengths = np.bincount(label, minlength=label.size)[leaders] * (m // copies)
     width = int(lengths.max(initial=0)) + 1
     counts = np.bincount(leaders // perm.shape[1] * width + lengths, weights=copies,
                          minlength=len(perm) * width).astype(np.int64, copy=False)
-    distinct, inverse = _distinct_rows(counts.reshape(-1, width))
-    row_ids = [ids.setdefault(Partition(enumerate(row)), len(ids)) for row in distinct.tolist()]
-    return np.array(row_ids, dtype=np.int32).take(inverse)
+    return type_ids(counts.reshape(-1, width), lambda row: Partition(enumerate(row)), ids, memo)
 
 
 @functools.lru_cache(maxsize=8)
@@ -434,23 +425,23 @@ def dual_type_report(level, family):
     Returns (element count, mismatch list sorted by element).  One pass
     over `coset_chain_blocks` keeps two int32 numbers per element, in grid
     order: its fixed-coset count (`_fixed_counts`) and the id of its cycle
-    type (`_cycle_type_ids`), both from the block form of its action.  The
-    Moebius route (`moebius_type_ids`) then reads tr sigma(g)^d at the
-    grid position of g^d (`_grid_power`), with the orders and power maps
-    of `_power_maps`, built from matrix products, so an action that is not
-    a homomorphism shows as a mismatch too.  Elements are decoded from the
-    grid only for the mismatches.
+    type (`_cycle_type_ids`, each count row typed once), both from the block
+    form of its action.  The Moebius route (`moebius_type_ids`) then reads
+    tr sigma(g)^d at the grid position of g^d (`_grid_power`), with the
+    orders and power maps of `_power_maps`, built from matrix products, so
+    an action that is not a homomorphism shows as a mismatch too.  Elements
+    are decoded from the grid only for the mismatches.
     """
     size = capped_xi_order(level)
     table = build_coset_table(SubgroupSpec(family, level))
     maps, orders = _power_maps(level)
     fixed, by_cycles = np.empty((2, size), dtype=np.int32)
     ids = {}  # every type seen, by either route -> its id
-    count, by_traces = 0, {}
+    count, by_counts, by_traces = 0, {}, {}
     for perm, shift in coset_chain_blocks(table):
         rows = slice(count, count + len(perm))
         fixed[rows] = _fixed_counts(perm, shift, table.modulus)
-        by_cycles[rows] = _cycle_type_ids(perm, shift, table.modulus, ids)
+        by_cycles[rows] = _cycle_type_ids(perm, shift, table.modulus, ids, by_counts)
         count += len(perm)
     if count != size:
         raise ConsistencyError(f"{count} permutations swept for {size} elements of Xi({level})")

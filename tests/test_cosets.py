@@ -422,7 +422,7 @@ def test_chain_permutations_match_reference(family, n):
     for perm, shift in coset_chain_blocks(t):
         assert perm.shape == shift.shape and perm.shape[1] * t.modulus == t.index
         ids = {}
-        row_ids = cosets._cycle_type_ids(perm, shift, t.modulus, ids).tolist()
+        row_ids = cosets._cycle_type_ids(perm, shift, t.modulus, ids, {}).tolist()
         types = list(ids)
         fixed = cosets._fixed_counts(perm, shift, t.modulus).tolist()
         expanded = expand_block(perm, shift, t.modulus).tolist()
@@ -555,7 +555,9 @@ def test_moebius_step_across_blocks(family, n, monkeypatch):
     assert whole_skewed[1]
     monkeypatch.setattr(core, "BLOCK", 100)
     cosets._power_maps.cache_clear()
+    built = _counted_builds(monkeypatch)
     assert dual_type_report(n, family) == whole
+    assert built and len(built) == len(set(built))
     _skew_even_orders(monkeypatch)
     assert dual_type_report(n, family) == whole_skewed
 
@@ -613,14 +615,32 @@ def test_splitting_types_match_per_element(family, n, monkeypatch):
 def test_equal_splitting_types_are_one_object(n, monkeypatch):
     """Each distinct type is built once per call, also across blocks
     (core.BLOCK = 384 acted points per block: Gamma(32) acts on 384 chain
-    heads, so one row per block)."""
+    heads, so one row per block), as one object."""
     monkeypatch.setattr(core, "BLOCK", 384)
     table = build_coset_table(SubgroupSpec(Family.GAMMA, n))
+    built = _counted_builds(monkeypatch)
     types = splitting_types(enumerate_xi(n)[::97][:40], table)
     first = {}
     for lam in types:
         assert first.setdefault(lam, lam) is lam
-    assert len(first) < len(types)
+    assert len(built) == len(first) < len(types)
+
+
+def _counted_builds(monkeypatch):
+    """The count rows (length -> cycles) of the cycle types `cosets`
+    builds from here on, through a counting `Partition` patched into it."""
+    built = []
+
+    class Counted(core.Partition):
+        __slots__ = ()
+
+        def __init__(self, counts):
+            counts = dict(counts)
+            built.append(tuple(counts.items()))
+            super().__init__(counts)
+
+    monkeypatch.setattr(cosets, "Partition", Counted)
+    return built
 
 
 # ---------------------------------------------------------------------------

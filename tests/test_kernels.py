@@ -274,9 +274,9 @@ def test_closed_form_counts_traces_in_one_kernel_call_per_order(monkeypatch, fam
                                                (4096, 4096, 1000)])
 def test_cycle_labels_are_the_least_point_of_each_cycle(monkeypatch, size, cycle, gather):
     """Pointer doubling with the gathers cut into pieces of `gather`
-    points, the last partial, against a walk round each cycle; the
-    successor array is left as it was."""
-    monkeypatch.setattr(core, "_GATHER", gather)
+    points (core.BLOCK), the last partial, against a walk round each
+    cycle; the successor array is left as it was."""
+    monkeypatch.setattr(core, "BLOCK", gather)
     rng = np.random.default_rng(size)
     succ, cut = np.empty(size, dtype=np.int32), rng.permutation(size)
     for piece in np.split(cut, range(cycle, size, cycle)):

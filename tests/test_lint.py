@@ -82,9 +82,11 @@ def _is_power_of_two(node):
 
 def test_one_block_size():
     """`core.BLOCK` is the package's one block size: only the helper
-    `core.blocks` reads it, no other module names it, and neither cosets.py
-    nor census.py defines a module-level `1 << k` (or `2**k`) constant, so
-    a new blocked loop there cannot bring its own size."""
+    `core.blocks` reads it and no other module names it.  The only other
+    module-level `1 << k` (or `2**k`) constants are the two sizes of the
+    geodesic enumeration, its chunks and its batches, so a new blocked loop
+    cannot bring its own size."""
+    sizes = set()
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             tree = _parse(os.path.join(SRC, name))
@@ -92,11 +94,11 @@ def test_one_block_size():
             helper = set(ast.walk(_definitions(tree)["blocks"])) if name == "core.py" else set()
             assert [node.lineno for node in reads if node not in helper] == [], name
             assert reads or name != "core.py"
-    for name in ("cosets.py", "census.py"):
-        tree = _parse(os.path.join(SRC, name))
-        sizes = [node.lineno for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-                 and node.value is not None and any(map(_is_power_of_two, ast.walk(node.value)))]
-        assert sizes == [], name
+            sizes |= {(name, constant) for constant, node in _definitions(tree).items()
+                      if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+                      and any(map(_is_power_of_two, ast.walk(node.value)))}
+    assert sizes == {("core.py", "BLOCK"), ("geodesics.py", "_CHUNK_PAIRS"),
+                     ("geodesics.py", "_BATCH_ROWS")}
 
 
 def _definitions(tree):
