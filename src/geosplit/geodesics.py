@@ -15,11 +15,11 @@ are the progressions w = u^-1 mod a, w > a, over the coprime pairs u <= a
 of the Stern-Brocot tree, with u = (t - b)/2 and w = (t + b)/2
 (`_chunk_forms`), bucketed by chunk as int16 columns (t, a, b) as they
 are made.  A chunk's kernel (`_cycle_leaders`, in a process pool when
-`jobs` > 1 and there are at least _POOL_MIN_CHUNKS chunks) keeps the least
-form of every reduction cycle, and the chunk then drops the proper powers,
-content multiples of earlier leaders (`primitive_class_chunks`).  The
-per-trace reduction walk, with `class_of_matrix` on the powers, is the
-tests' reference.
+`jobs` > 1 and there are at least _POOL_MIN_CHUNKS chunks) walks only the
+forms with a < 0, by the two-step map, and keeps the least form of each
+cycle, which has a < 0; the chunk then drops the proper powers, content
+multiples of earlier leaders (`primitive_class_chunks`).  The per-trace
+reduction walk, with `class_of_matrix` on the powers, is the tests' reference.
 
 A chunk's classes are int64 columns (trace, a, b, c), `PrimitiveClasses`;
 no object is built per class unless they are iterated.  The zeta checks
@@ -192,11 +192,9 @@ def _chunk_forms(t_max, chunks):
 
 def rho_steps(t, b, c):
     """`rho_step` on arrays of reduced forms (a, b, c) of discriminant
-    t^2 - 4: the images (c, r, c') and whether each is a form, that is,
-    c' = (r^2 - D)/(4c) is exact and r > 0."""
+    t^2 - 4: the images (c, r, (r^2 - D) // (4c)), which need not be forms."""
     r = t - 1 - (t - 1 + b) % (2 * np.abs(c))
-    num = r * r - (t * t - 4)
-    return c, r, num // (4 * c), (num % (4 * c) == 0) & (r > 0)
+    return c, r, (r * r - (t * t - 4)) // (4 * c)
 
 
 def _cycle_leaders(lo, hi, forms):
@@ -204,42 +202,44 @@ def _cycle_leaders(lo, hi, forms):
     as int32 arrays (t, a, b, c) in tuple order, from the forms (t, a, b)
     with a > 0 of those traces (`_chunk_forms`).
 
-    Each form gives (a, b, -n/a) and (-a, b, n/a), n = (t^2 - 4 - b^2)/4.
-    The forms are sorted by their `_form_keys` (c is fixed by (t, a, b), and
-    |a|, b < t < hi).  `rho_steps` maps every row at once; one sort of the
-    image keys finds every image and checks that the step is a permutation
-    of the forms: every image exact with b > 0, the sorted image keys equal
-    to the form keys, and each image's c that of the form with its key.  The
-    image order is then the inverse of the step, so its `cycle_labels` give
-    the cycle minima.  ConsistencyError if an image is not among the forms,
-    or if the step is not a permutation.
+    A reduced form has ac < 0 and the step sends (a, b, c) to (c, r, c'),
+    so a cycle alternates the sign of a: its least form has a < 0, and its
+    forms with a < 0 are one cycle of the two-step map.  Only those points
+    (-a, b, n/a), n = (t^2 - 4 - b^2)/4, are kept, read back from their
+    sorted `_form_keys` (|a|, b < t < hi), and `rho_steps` maps them twice.
+    ConsistencyError unless (a) every first image is, by its entries, a
+    reduced form with a > 0 (exact, 0 < b < t, t - b <= 2a < t + b) and (b)
+    the sorted second images have the points' keys and c: with the forms
+    complete, the step then permutes them all.  The sorted image order is
+    the inverse of the two-step map, so its `cycle_labels` give the minima.
     """
-    t, a, b = forms.astype(np.int32)
-    c = (t * t - 4 - b * b) // (4 * a)
-    t, a, b, c = (np.concatenate(v) for v in ((t, t), (a, -a), (b, b), (-c, c)))
-    key = _form_keys(t, a, b, lo, hi)
-    order = key.argsort()
-    key, t, a, b, c = (v.take(order) for v in (key, t, a, b, c))
-    na, nb, nc, exact = rho_steps(t, b, c)
+    t, a, b = forms
+    key = np.sort(_form_keys(t, -a, b, lo, hi))
+    w = int(hi).bit_length()
+    t, a, b = (v.astype(np.int32) for v in ((key >> 2 * w + 1) + lo,
+                                            (key >> w & (2 << w) - 1) - hi, key & (1 << w) - 1))
+    c = (b * b - (t * t - 4)) // (4 * a)
+    pa, pb, pc = rho_steps(t, b, c)
+    na, nb, nc = rho_steps(t, pb, pc)
+    reduced = ((pb * pb - (t * t - 4) == 4 * pa * pc) & (pb > 0) & (pb < t)
+               & (t - pb <= 2 * pa) & (2 * pa < t + pb))
+    if not reduced.all():
+        i = int(reduced.argmin())
+        raise ConsistencyError(f"the reduction step at trace {t[i]} takes "
+                               f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
     image = _form_keys(t, na, nb, lo, hi)
     by_image = image.argsort()
-    if not (exact.all() and np.array_equal(image.take(by_image), key)
-            and np.array_equal(nc.take(by_image), c)):
-        pos = key.searchsorted(image).clip(0, len(key) - 1)
-        bad = ~exact | (key.take(pos) != image) | (c.take(pos) != nc)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise ConsistencyError(f"the reduction step at trace {t[i]} takes "
-                                   f"{(int(a[i]), int(b[i]), int(c[i]))} out of the reduced forms")
+    if not (np.array_equal(image.take(by_image), key) and np.array_equal(nc.take(by_image), c)):
         raise ConsistencyError(f"the reduction step on traces {lo}..{hi - 1} is not a permutation")
-    leaders = cycle_labels(by_image) == np.arange(len(by_image))
-    return t[leaders], a[leaders], b[leaders], c[leaders]
+    leaders = np.flatnonzero(cycle_labels(by_image) == np.arange(len(by_image)))
+    return t.take(leaders), a.take(leaders), b.take(leaders), c.take(leaders)
 
 
 def _form_keys(t, a, b, lo, hi):
     """int64 keys that read (t, a, b) in tuple order, for lo <= t < hi and
-    |a|, b < hi: the digits t - lo, a + hi and b in bases 2*hi and hi."""
-    return ((t.astype(np.int64) - lo) * (2 * hi) + hi + a) * hi + b
+    |a|, b < hi < 2^w: the bit fields t - lo, a + hi (w + 1 bits) and b (w)."""
+    w = int(hi).bit_length()
+    return (((t.astype(np.int64) - lo << w + 1) + hi + a) << w) + b
 
 
 def matrix_from_form(t, form):
@@ -315,9 +315,9 @@ _CHUNK_PAIRS = 1 << 14
 _BATCH_ROWS = 1 << 16
 
 # fewest chunks for which `jobs` > 1 starts a pool, and chunks per pool task.  On 2
-# vCPUs (empirical_tally, medians of 9 fresh processes, two runs) two workers took
-# 0.98-1.02, 0.91-1.00, 0.92-0.96 and 0.83-0.86 of the time of one process at 16, 31,
-# 47 and 158 chunks (x = 1e6, 2e6, 3e6, 1e7), and 0.99-1.19 with one chunk per task
+# vCPUs (empirical_tally, medians of 9 fresh processes, three runs) two workers took
+# 1.42-1.66, 1.29-1.39, 1.24-1.47 and 1.03-1.19 of the time of one process at 16, 31,
+# 47 and 158 chunks (x = 1e6, 2e6, 3e6, 1e7): with the two-step kernel no size pays
 _POOL_MIN_CHUNKS, _POOL_TASK_CHUNKS = 20, 4
 
 

@@ -18,6 +18,7 @@ from geosplit.geodesics import (
     matrix_from_form,
     max_trace,
     norm_below,
+    rho_step,
     tally_json,
     tally_tsv,
 )
@@ -114,6 +115,19 @@ def test_class_count_against_brute_force(t):
     brute = brute_reduced_forms(disc)
     assert brute == set(reduced_forms_at_trace(t))
     assert brute_cycle_count(disc, brute) == len(classes_at_trace(t))
+
+
+def test_reduction_cycles_alternate_the_sign_of_a(classes_1e5):
+    """The chunk kernel walks only the forms with a < 0: every cycle of
+    every trace up to 60 alternates the sign of a, so its least form has
+    a < 0, and so has every enumerated class below 1e5."""
+    for t in range(3, 61):
+        disc = t * t - 4
+        forms = brute_reduced_forms(disc)
+        for form in forms:
+            image = rho_step(*form, disc, math.isqrt(disc))
+            assert image in forms and form[0] * image[0] < 0
+    assert len(classes_1e5) and (classes_1e5.a < 0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -559,22 +559,32 @@ RHO_STEPS = geodesics.rho_steps
 
 
 def _merge_first_two(t, b, c):
-    """`rho_steps` except that the second form maps where the first does,
-    so the step is no permutation."""
-    na, nb, nc, exact = (v.copy() for v in RHO_STEPS(t, b, c))
+    """`rho_steps` except that of the first two adjacent forms of one trace
+    the second maps where the first does, so the step is no permutation."""
+    na, nb, nc = (v.copy() for v in RHO_STEPS(t, b, c))
+    i = int(np.flatnonzero(t[1:] == t[:-1])[0])
     for v in (na, nb, nc):
-        v[1] = v[0]
-    return na, nb, nc, exact
+        v[i + 1] = v[i]
+    return na, nb, nc
 
 
 def _off_the_forms(t, b, c):
     """`rho_steps` with every image's b moved off the parity of t."""
-    na, nb, nc, exact = RHO_STEPS(t, b, c)
-    return na, nb + 1, nc, exact
+    na, nb, nc = RHO_STEPS(t, b, c)
+    return na, nb + 1, nc
+
+
+def _first_images_scaled(t, b, c):
+    """`rho_steps` with the first coefficient of the images of the forms
+    with c > 0 tripled: the next step never reads it, so only the check
+    that those images are reduced forms can see it."""
+    na, nb, nc = RHO_STEPS(t, b, c)
+    return np.where(c > 0, 3 * na, na), nb, nc
 
 
 @pytest.mark.parametrize("step, match", [(_merge_first_two, "not a permutation"),
-                                         (_off_the_forms, "out of the reduced forms")])
+                                         (_off_the_forms, "out of the reduced forms"),
+                                         (_first_images_scaled, "out of the reduced forms")])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_broken_reduction_step_is_a_consistency_error(monkeypatch, capsys, step, match, jobs):
     """Raised in every chunk (two at 1e5), in the process or, with the pool
